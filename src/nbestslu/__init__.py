@@ -9,94 +9,3 @@ Adadelta rule.
 """
 
 __version__ = "0.1.0"
-
-from .autograd import Tensor, dropout_apply, set_finite_checks
-from .config import RunConfig, config_hash, parse_config_file, parse_config_text
-from .data import (
-    AsrHypothesis,
-    Dataset,
-    FoldPlan,
-    ReferenceFrame,
-    SystemAct,
-    Turn,
-    import_dstc2,
-    make_folds,
-    normalize_confidences,
-    read_canonical,
-    split_validation,
-    write_canonical,
-)
-from .decoder import (
-    SemanticFrame,
-    SlotValuePrediction,
-    decode_dataset,
-    decode_turn,
-    predict_joint,
-    predict_value,
-    read_frames,
-    write_frames,
-)
-from .embeddings import EmbeddingTable, TokenSequence, encode_system_act, load_vectors, tokenize
-from .metrics import ScoreReport, ice, item_counts, joint_accuracy, prf1, score_frames
-from .model import SlotValueModel, StepOneModel, TurnEncoder
-from .ontology import Ontology, act_pattern
-from .optim import Adadelta, AdadeltaState, adadelta_step
-from .sentence import ConvFilterBank, Hypothesis, NBestList, encode_hypothesis, encode_sentence
-from .training import cross_validate_step1, train_step1, train_step2
-
-__all__ = [
-    "Adadelta",
-    "AdadeltaState",
-    "AsrHypothesis",
-    "ConvFilterBank",
-    "Dataset",
-    "EmbeddingTable",
-    "FoldPlan",
-    "Hypothesis",
-    "NBestList",
-    "Ontology",
-    "ReferenceFrame",
-    "RunConfig",
-    "ScoreReport",
-    "SemanticFrame",
-    "SlotValueModel",
-    "SlotValuePrediction",
-    "StepOneModel",
-    "SystemAct",
-    "Tensor",
-    "TokenSequence",
-    "Turn",
-    "TurnEncoder",
-    "act_pattern",
-    "adadelta_step",
-    "config_hash",
-    "cross_validate_step1",
-    "decode_dataset",
-    "decode_turn",
-    "dropout_apply",
-    "encode_hypothesis",
-    "encode_sentence",
-    "encode_system_act",
-    "ice",
-    "import_dstc2",
-    "item_counts",
-    "joint_accuracy",
-    "load_vectors",
-    "make_folds",
-    "normalize_confidences",
-    "parse_config_file",
-    "parse_config_text",
-    "predict_joint",
-    "predict_value",
-    "prf1",
-    "read_canonical",
-    "read_frames",
-    "score_frames",
-    "set_finite_checks",
-    "split_validation",
-    "tokenize",
-    "train_step1",
-    "train_step2",
-    "write_canonical",
-    "write_frames",
-]

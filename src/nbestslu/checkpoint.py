@@ -16,6 +16,7 @@ embedding store or seed and is rejected.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,52 +58,54 @@ def save_container(path, kind: str, params: dict[str, np.ndarray], meta: dict) -
             handle.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
 
 
+def _header_entries(header, path) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) list of a decoded header, which must be well formed."""
+    if not (isinstance(header, dict) and isinstance(header.get("kind"), str)
+            and isinstance(header.get("meta"), dict) and isinstance(header.get("params"), list)):
+        raise DataFormatError(f"{path}: header needs a kind string, a meta object and a params list")
+    entries = []
+    for entry in header["params"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise DataFormatError(f"{path}: malformed parameter entry {entry!r}")
+        entries.append((entry["name"], tuple(entry["shape"])))
+    if len({name for name, _ in entries}) != len(entries):
+        raise DataFormatError(f"{path}: duplicate parameter names")
+    return entries
+
+
 def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
     with open(path, "rb") as handle:
         blob = handle.read()
     if not blob.startswith(MAGIC):
         raise DataFormatError(f"{path}: not a checkpoint file")
-    rest = blob[len(MAGIC) :]
-    newline = rest.index(b"\n")
+    # Offsets into the one buffer read: slicing out the header and the
+    # parameter block would copy megabytes per file.
+    newline = blob.find(b"\n", len(MAGIC))
     try:
-        header_len = int(rest[:newline])
+        header_len = int(blob[len(MAGIC) : newline]) if newline >= 0 else -1
     except ValueError:
-        raise DataFormatError(f"{path}: corrupt header length") from None
-    header_start = newline + 1
-    header_end = header_start + header_len
+        header_len = -1
+    if header_len < 0:
+        raise DataFormatError(f"{path}: corrupt header length")
+    header_end = newline + 1 + header_len
     try:
-        header = json.loads(rest[header_start:header_end].decode("utf-8"))
+        header = json.loads(blob[newline + 1 : header_end].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: corrupt header: {exc}") from None
-    data = rest[header_end + 1 :]
 
     params: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(data):
-            raise DataFormatError(f"{path}: truncated parameter data at {entry['name']}")
-        params[entry["name"]] = (
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        )
-        offset += nbytes
-    if offset != len(data):
-        raise DataFormatError(f"{path}: {len(data) - offset} trailing bytes after parameters")
+    offset = min(header_end + 1, len(blob))
+    for name, shape in _header_entries(header, path):
+        count = math.prod(shape)
+        if offset + count * 8 > len(blob):
+            raise DataFormatError(f"{path}: truncated parameter data at {name}")
+        params[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        offset += count * 8
+    if offset != len(blob):
+        raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes after parameters")
     return header["kind"], params, header["meta"]
-
-
-def _common_meta(config: RunConfig, ontology: Ontology, system_tokens, store_fingerprint: str) -> dict:
-    return {
-        "seed": config.seed,
-        "config_text": resolved_text(config),
-        "config_hash": config_hash(config),
-        "ontology": ontology.to_json_dict(),
-        "ontology_hash": ontology.canonical_hash(),
-        "system_tokens": list(system_tokens),
-        "store_fingerprint": store_fingerprint,
-    }
 
 
 def _check_store(meta: dict, store, path) -> None:
@@ -141,52 +144,48 @@ def _overwrite_params(model, stored: dict[str, np.ndarray], path) -> None:
     model.mark_dirty()
 
 
-def save_step1(model: StepOneModel, path) -> None:
-    meta = _common_meta(
-        model.config, model.ontology, model.encoder.table.system_tokens,
-        model.encoder.table.fingerprint(),
-    )
-    save_container(path, STEP1_KIND, _collect_arrays(model), meta)
+def save_model(model: StepOneModel | SlotValueModel, path, ontology: Ontology) -> None:
+    """Write one model; a slot model also records its slot, the slot's position and its values."""
+    table = model.encoder.table
+    meta = {
+        "seed": model.config.seed,
+        "config_text": resolved_text(model.config),
+        "config_hash": config_hash(model.config),
+        "ontology": ontology.to_json_dict(),
+        "ontology_hash": ontology.canonical_hash(),
+        "system_tokens": list(table.system_tokens),
+        "store_fingerprint": table.fingerprint(),
+    }
+    kind = STEP1_KIND
+    if isinstance(model, SlotValueModel):
+        kind = SLOT_KIND
+        meta.update(slot=model.slot, slot_position=ontology.slots.index(model.slot), values=list(model.values))
+    save_container(path, kind, _collect_arrays(model), meta)
 
 
-def load_step1(path, store) -> StepOneModel:
-    kind, params, meta = load_container(path)
-    if kind != STEP1_KIND:
-        raise DataFormatError(f"{path}: expected a {STEP1_KIND} checkpoint, found {kind}")
-    _check_store(meta, store, path)
-    config = parse_config_text(meta["config_text"])
-    ontology = Ontology.from_json_dict(meta["ontology"])
-    model = StepOneModel.build(config, ontology, meta["system_tokens"], store)
+def load_model(path, store, kind: str, ontology_hash: str | None = None) -> StepOneModel | SlotValueModel:
+    """Rebuild a ``kind`` model from its stored config and seed, then load its parameters.
+
+    With ``ontology_hash``, the model must have been trained against that ontology.
+    """
+    found, params, meta = load_container(path)
+    if found != kind:
+        raise DataFormatError(f"{path}: expected a {kind} checkpoint, found {found}")
+    try:
+        if ontology_hash is not None and meta["ontology_hash"] != ontology_hash:
+            raise ConfigError(f"{path}: model was trained against a different ontology")
+        _check_store(meta, store, path)
+        config = parse_config_text(meta["config_text"])
+        if kind == STEP1_KIND:
+            ontology = Ontology.from_json_dict(meta["ontology"])
+            model = StepOneModel.build(config, ontology, meta["system_tokens"], store)
+        else:
+            model = SlotValueModel.build(config, meta["slot"], int(meta["slot_position"]), meta["values"],
+                                         meta["system_tokens"], store)
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: checkpoint meta has no {exc}") from None
     _overwrite_params(model, params, path)
     return model
-
-
-def save_slot_model(model: SlotValueModel, path, ontology: Ontology) -> None:
-    meta = _common_meta(
-        model.config, ontology, model.encoder.table.system_tokens,
-        model.encoder.table.fingerprint(),
-    )
-    meta["slot"] = model.slot
-    meta["slot_position"] = ontology.slots.index(model.slot)
-    meta["values"] = list(model.values)
-    save_container(path, SLOT_KIND, _collect_arrays(model), meta)
-
-
-def _slot_model_from_parts(path, params, meta, store) -> SlotValueModel:
-    _check_store(meta, store, path)
-    config = parse_config_text(meta["config_text"])
-    model = SlotValueModel.build(
-        config, meta["slot"], int(meta["slot_position"]), meta["values"], meta["system_tokens"], store
-    )
-    _overwrite_params(model, params, path)
-    return model
-
-
-def load_slot_model(path, store) -> SlotValueModel:
-    kind, params, meta = load_container(path)
-    if kind != SLOT_KIND:
-        raise DataFormatError(f"{path}: expected a {SLOT_KIND} checkpoint, found {kind}")
-    return _slot_model_from_parts(path, params, meta, store)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +200,9 @@ def save_checkpoint_dir(dirpath, step1: StepOneModel, slot_models: dict[str, Slo
                         config: RunConfig, train_log: dict | None = None) -> None:
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    save_step1(step1, dirpath / STEP1_FILE)
+    save_model(step1, dirpath / STEP1_FILE, step1.ontology)
     for slot, model in slot_models.items():
-        save_slot_model(model, dirpath / slot_file(slot), step1.ontology)
+        save_model(model, dirpath / slot_file(slot), step1.ontology)
     (dirpath / ONTOLOGY_FILE).write_text(
         _dumps(step1.ontology.to_json_dict()) + "\n", encoding="utf-8"
     )
@@ -217,7 +216,7 @@ def load_checkpoint_dir(dirpath, store) -> tuple[StepOneModel, dict[str, SlotVal
     step1_path = dirpath / STEP1_FILE
     if not step1_path.is_file():
         raise DataFormatError(f"{dirpath}: missing {STEP1_FILE}")
-    step1 = load_step1(step1_path, store)
+    step1 = load_model(step1_path, store, STEP1_KIND)
     expected_hash = step1.ontology.canonical_hash()
 
     ontology_path = dirpath / ONTOLOGY_FILE
@@ -229,14 +228,8 @@ def load_checkpoint_dir(dirpath, store) -> tuple[StepOneModel, dict[str, SlotVal
     slot_models: dict[str, SlotValueModel] = {}
     for slot in step1.ontology.slots:
         path = dirpath / slot_file(slot)
-        if not path.is_file():
-            continue
-        kind, params, meta = load_container(path)
-        if kind != SLOT_KIND:
-            raise DataFormatError(f"{path}: expected a {SLOT_KIND} checkpoint, found {kind}")
-        if meta["ontology_hash"] != expected_hash:
-            raise ConfigError(f"{path}: slot model was trained against a different ontology")
-        slot_models[slot] = _slot_model_from_parts(path, params, meta, store)
+        if path.is_file():
+            slot_models[slot] = load_model(path, store, SLOT_KIND, ontology_hash=expected_hash)
     config = parse_config_text((dirpath / CONFIG_FILE).read_text(encoding="utf-8")) \
         if (dirpath / CONFIG_FILE).is_file() else step1.config
     return step1, slot_models, config

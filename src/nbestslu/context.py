@@ -131,18 +131,6 @@ def run_context_lstm(
     return hidden, cell
 
 
-def encode_context(
-    system_turns: Sequence,
-    window: ContextWindow,
-    table: EmbeddingTable,
-    system_embeddings: Tensor,
-    params: LstmParams,
-) -> Tensor:
-    """Final LSTM hidden vector over the selected history; zero if empty."""
-    tokens = context_tokens(system_turns, window)
-    return run_context_lstm(tokens, table, system_embeddings, params)[0]
-
-
 # ---------------------------------------------------------------------------
 # combining sentence and context
 # ---------------------------------------------------------------------------
@@ -152,70 +140,43 @@ TANH_COMBINE = "tanh"
 LSTM_INPUT = "lstm-input"
 
 
-class CombinerParams:
-    """Parameters for one way of merging sentence and context vectors.
+@dataclass(frozen=True)
+class Combiner:
+    """One way of merging sentence and context vectors: a mode and its tensors.
 
-    ``identity`` passes the sentence vector through (no context model).
-    ``tanh`` computes tanh(Ws @ sentence + Wc @ context).
-    ``lstm-input`` projects the sentence vector to the LSTM input width
-    and feeds it as one final LSTM step; the resulting hidden state is the
-    combined vector.
+    ``identity`` (no tensors) passes the sentence vector through.
+    ``tanh`` (ws, wc) computes tanh(ws @ sentence + wc @ context).
+    ``lstm-input`` (p,) projects the sentence vector to the LSTM input
+    width and feeds it as one final LSTM step; the resulting hidden state
+    is the combined vector.
     """
 
-    def __init__(
-        self,
-        mode: str,
-        sentence_weight: Tensor | None = None,
-        context_weight: Tensor | None = None,
-        projection: Tensor | None = None,
-    ):
-        if mode == IDENTITY:
-            if sentence_weight is not None or context_weight is not None or projection is not None:
-                raise ConfigError("identity combiner takes no parameters")
-        elif mode == TANH_COMBINE:
-            if sentence_weight is None or context_weight is None or projection is not None:
-                raise ConfigError("tanh combiner needs sentence and context weights only")
-        elif mode == LSTM_INPUT:
-            if projection is None or sentence_weight is not None or context_weight is not None:
-                raise ConfigError("lstm-input combiner needs a projection only")
-        else:
+    mode: str
+    tensors: tuple[Tensor, ...]
+
+    @classmethod
+    def build(cls, mode: str, sentence_dim: int, hidden_size: int, input_dim: int,
+              rng: np.random.Generator) -> "Combiner":
+        shapes = {
+            IDENTITY: {},
+            TANH_COMBINE: {"ws": (hidden_size, sentence_dim), "wc": (hidden_size, hidden_size)},
+            LSTM_INPUT: {"p": (input_dim, sentence_dim)},
+        }
+        if mode not in shapes:
             raise ConfigError(f"unknown combiner mode {mode!r}")
-        self.mode = mode
-        self.sentence_weight = sentence_weight
-        self.context_weight = context_weight
-        self.projection = projection
-
-    @classmethod
-    def identity(cls) -> "CombinerParams":
-        return cls(IDENTITY)
-
-    @classmethod
-    def tanh_combiner(
-        cls, sentence_dim: int, hidden_size: int, rng: np.random.Generator, prefix: str = "comb"
-    ) -> "CombinerParams":
-        ws = Tensor(rng.uniform(-0.1, 0.1, (hidden_size, sentence_dim)), requires_grad=True, name=f"{prefix}.ws")
-        wc = Tensor(rng.uniform(-0.1, 0.1, (hidden_size, hidden_size)), requires_grad=True, name=f"{prefix}.wc")
-        return cls(TANH_COMBINE, sentence_weight=ws, context_weight=wc)
-
-    @classmethod
-    def projector(
-        cls, sentence_dim: int, input_dim: int, rng: np.random.Generator, prefix: str = "comb"
-    ) -> "CombinerParams":
-        p = Tensor(rng.uniform(-0.1, 0.1, (input_dim, sentence_dim)), requires_grad=True, name=f"{prefix}.p")
-        return cls(LSTM_INPUT, projection=p)
+        return cls(mode, tuple(
+            Tensor(rng.uniform(-0.1, 0.1, shape), requires_grad=True, name=f"comb.{name}")
+            for name, shape in shapes[mode].items()
+        ))
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for t in (self.sentence_weight, self.context_weight, self.projection):
-            if t is not None:
-                out[t.name] = t
-        return out
+        return {t.name: t for t in self.tensors}
 
 
 def combine(
     sentence: Tensor,
     context_state: tuple[Tensor, Tensor] | None,
-    combiner: CombinerParams,
+    combiner: Combiner,
     lstm: LstmParams | None = None,
 ) -> Tensor:
     """Merge sentence and context per the combiner's mode."""
@@ -224,11 +185,10 @@ def combine(
     if context_state is None:
         raise ConfigError(f"combiner mode {combiner.mode!r} needs a context state")
     if combiner.mode == TANH_COMBINE:
-        return ag.tanh(
-            ag.add(ag.matmul(combiner.sentence_weight, sentence), ag.matmul(combiner.context_weight, context_state[0]))
-        )
+        sentence_weight, context_weight = combiner.tensors
+        return ag.tanh(ag.add(ag.matmul(sentence_weight, sentence), ag.matmul(context_weight, context_state[0])))
     if lstm is None:
         raise ConfigError("lstm-input combiner needs the LSTM parameters")
-    x = ag.matmul(combiner.projection, sentence)
-    hidden, _ = lstm_step(x, context_state[0], context_state[1], lstm)
+    (projection,) = combiner.tensors
+    hidden, _ = lstm_step(ag.matmul(projection, sentence), context_state[0], context_state[1], lstm)
     return hidden

@@ -77,10 +77,7 @@ class Dataset:
 
     @property
     def sessions(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for t in self.turns:
-            seen.setdefault(t.session, None)
-        return tuple(seen)
+        return ordered_sessions(self.turns)
 
     @property
     def dialogue_count(self) -> int:
@@ -351,20 +348,29 @@ def read_canonical(path) -> Dataset:
 # splits
 # ---------------------------------------------------------------------------
 
-def split_validation(dataset: Dataset, fraction: float = 0.10, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Deterministic dialogue-level split into (train, validation)."""
+def ordered_sessions(turns: Iterable[Turn]) -> tuple[str, ...]:
+    """Session ids in order of first appearance."""
+    return tuple(dict.fromkeys(t.session for t in turns))
+
+
+def split_turns(
+    turns: Sequence[Turn], fraction: float, seed: int, extra: tuple[int, ...] = ()
+) -> tuple[list[Turn], list[Turn]]:
+    """Seeded dialogue-level split of a turn list into (train, validation).
+
+    Whole dialogues go to one side, drawn from the ``SPLIT`` substream of
+    ``seed`` extended by ``extra``; turns keep their order.  Fewer than two
+    dialogues give an empty validation list.
+    """
     if not 0.0 < fraction < 1.0:
         raise DomainError(f"validation fraction must lie in (0, 1), got {fraction}")
-    sessions = dataset.sessions
+    sessions = ordered_sessions(turns)
     if len(sessions) < 2:
-        raise DomainError("need at least two dialogues to split")
-    rng = substream(seed, SPLIT)
-    order = list(rng.permutation(len(sessions)))
+        return list(turns), []
+    order = substream(seed, SPLIT, *extra).permutation(len(sessions))
     held = max(1, min(len(sessions) - 1, int(round(len(sessions) * fraction))))
-    val_sessions = {sessions[i] for i in order[:held]}
-    train = dataset.subset([s for s in sessions if s not in val_sessions], note="train-split")
-    val = dataset.subset(val_sessions, note="validation-split")
-    return train, val
+    val_sessions = {sessions[int(i)] for i in order[:held]}
+    return [t for t in turns if t.session not in val_sessions], [t for t in turns if t.session in val_sessions]
 
 
 @dataclass(frozen=True)

@@ -152,26 +152,6 @@ class EmbeddingTable:
         self._system_index = {token: row for row, token in enumerate(ordered, start=1)}
         self.system_matrix = block
 
-    def restore_runtime_rows(
-        self, oov_vector: np.ndarray, system_tokens: Sequence[str], system_matrix: np.ndarray
-    ) -> None:
-        """Reattach runtime rows saved in a checkpoint."""
-        if self._oov_vector is not None:
-            raise ModelStateError("runtime rows already prepared for this view")
-        oov_vector = np.asarray(oov_vector, dtype=np.float64)
-        system_matrix = np.array(system_matrix, dtype=np.float64)
-        if oov_vector.shape != (self.dim,):
-            raise DataFormatError(f"OOV vector shape {oov_vector.shape} does not match dim {self.dim}")
-        if system_matrix.shape != (len(system_tokens) + 1, self.dim):
-            raise DataFormatError(
-                f"system block shape {system_matrix.shape} does not match "
-                f"{len(system_tokens)} tokens at dim {self.dim}"
-            )
-        oov_vector.setflags(write=False)
-        self._oov_vector = oov_vector
-        self._system_index = {token: row for row, token in enumerate(system_tokens, start=1)}
-        self.system_matrix = system_matrix
-
     @property
     def system_tokens(self) -> tuple[str, ...]:
         return tuple(self._system_index)
@@ -198,19 +178,6 @@ class EmbeddingTable:
         """Rows into the system block; unseen tokens map to the OOV row 0."""
         self._require_runtime()
         return np.asarray([self._system_index.get(t, 0) for t in tokens], dtype=np.int64)
-
-    def lookup(self, sequence: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
-        """Vectors for a token sequence plus each row's trainable flag.
-
-        Hypothesis-origin rows are frozen; system-act-origin rows come from
-        the trainable block.
-        """
-        if sequence.origin == USER_HYPOTHESIS:
-            rows = self.hypothesis_rows(sequence.tokens)
-            return rows, np.zeros(len(sequence), dtype=bool)
-        self._require_runtime()
-        idx = self.system_row_indices(sequence.tokens)
-        return self.system_matrix[idx], np.ones(len(sequence), dtype=bool)
 
 
 def load_vectors(path, expected_dim: int | None = None) -> EmbeddingTable:

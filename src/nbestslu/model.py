@@ -26,7 +26,7 @@ from .context import (
     IDENTITY,
     LSTM_INPUT,
     TANH_COMBINE,
-    CombinerParams,
+    Combiner,
     ContextWindow,
     LstmParams,
     combine,
@@ -50,42 +50,26 @@ VARIANTS: dict[str, tuple[str, str]] = {
 class TurnEncoder:
     """Everything between raw turn inputs and the combined hidden vector."""
 
-    def __init__(
-        self,
-        variant: str,
-        table: EmbeddingTable,
-        system_tokens,
-        rng: np.random.Generator,
-        *,
-        dim: int,
-        window_sizes: tuple[int, ...],
-        maps_per_window: int,
-        hidden_size: int,
-        nbest_cap: int,
-    ):
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown model variant {variant!r}")
-        window_name, combine_mode = VARIANTS[variant]
-        self.variant = variant
+    def __init__(self, config: RunConfig, store: EmbeddingTable, system_tokens, rng: np.random.Generator):
+        if config.model not in VARIANTS:
+            raise ConfigError(f"unknown model variant {config.model!r}")
+        window_name, combine_mode = VARIANTS[config.model]
+        self.variant = config.model
         self.window = ContextWindow.from_name(window_name)
-        self.table = table
-        self.nbest_cap = nbest_cap
-        self.bank = ConvFilterBank(dim, window_sizes, maps_per_window, rng)
+        self.table = store.view()
+        self.nbest_cap = config.nbest_cap
+        self.bank = ConvFilterBank(store.dim, config.filter_windows, config.filters_per_window, rng)
         if combine_mode == IDENTITY:
-            table.prepare_runtime_rows((), rng)
+            self.table.prepare_runtime_rows((), rng)
             self.system_embeddings = None
             self.lstm = None
-            self.combiner = CombinerParams.identity()
             self.out_dim = self.bank.feature_size
         else:
-            table.prepare_runtime_rows(system_tokens, rng)
-            self.system_embeddings = Tensor(table.system_matrix, requires_grad=True, name="embed.system")
-            self.lstm = LstmParams(dim, hidden_size, rng)
-            if combine_mode == TANH_COMBINE:
-                self.combiner = CombinerParams.tanh_combiner(self.bank.feature_size, hidden_size, rng)
-            else:
-                self.combiner = CombinerParams.projector(self.bank.feature_size, dim, rng)
-            self.out_dim = hidden_size
+            self.table.prepare_runtime_rows(system_tokens, rng)
+            self.system_embeddings = Tensor(self.table.system_matrix, requires_grad=True, name="embed.system")
+            self.lstm = LstmParams(store.dim, config.hidden_size, rng)
+            self.out_dim = config.hidden_size
+        self.combiner = Combiner.build(combine_mode, self.bank.feature_size, config.hidden_size, store.dim, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         out = dict(self.bank.parameters())
@@ -98,127 +82,87 @@ class TurnEncoder:
     def encode(self, nbest: NBestList, system_history) -> Tensor:
         """Combined hidden vector for one turn."""
         sentence = encode_sentence(nbest.truncated(self.nbest_cap), self.table, self.bank)
-        if self.combiner.mode == IDENTITY:
+        if self.lstm is None:
             return sentence
         tokens = context_tokens(system_history, self.window)
         state = run_context_lstm(tokens, self.table, self.system_embeddings, self.lstm)
         return combine(sentence, state, self.combiner, lstm=self.lstm)
 
 
-def _head(rng: np.random.Generator, classes: int, dim: int, name: str) -> tuple[Tensor, Tensor]:
-    weight = Tensor(rng.uniform(-0.1, 0.1, (classes, dim)), requires_grad=True, name=f"{name}.w")
-    bias = Tensor(np.zeros(classes), requires_grad=True, name=f"{name}.b")
-    return weight, bias
+class HeadedModel:
+    """A turn encoder read through an ordered set of softmax heads.
+
+    Heads are (weight, bias) pairs keyed by their parameter prefix; the
+    encoder and then every head, in order, draw their initial values from
+    the ``INIT`` substream of the run seed extended by ``stream``.
+    """
+
+    def __init__(self, config: RunConfig, system_tokens, store: EmbeddingTable,
+                 heads: list[tuple[str, int]], stream: tuple[int, ...] = ()):
+        rng = rng_mod.substream(config.seed, rng_mod.INIT, *stream)
+        self.config = config
+        self.encoder = TurnEncoder(config, store, system_tokens, rng)
+        self.heads: dict[str, tuple[Tensor, Tensor]] = {}
+        for name, classes in heads:
+            weight = Tensor(rng.uniform(-0.1, 0.1, (classes, self.encoder.out_dim)), requires_grad=True,
+                            name=f"{name}.w")
+            self.heads[name] = (weight, Tensor(np.zeros(classes), requires_grad=True, name=f"{name}.b"))
+        self._validated = False
+
+    @classmethod
+    def build(cls, *args, **kwargs):
+        """A freshly initialised model; takes the subclass's own arguments."""
+        return cls(*args, **kwargs)
+
+    def parameters(self) -> dict[str, Tensor]:
+        out = self.encoder.parameters()
+        for head in self.heads.values():
+            out.update((tensor.name, tensor) for tensor in head)
+        return out
+
+    def probs(self, head: str, hidden: Tensor) -> Tensor:
+        """Softmax distribution of one head over a combined vector."""
+        return ag.softmax(ag.affine(hidden, *self.heads[head]))
+
+    def validate_finite(self) -> None:
+        if not self._validated:
+            for name, tensor in self.parameters().items():
+                if not np.all(np.isfinite(tensor.data)):
+                    raise ModelStateError(f"parameter {name} contains non-finite values; model is unusable")
+            self._validated = True
+
+    def mark_dirty(self) -> None:
+        self._validated = False
 
 
-def _check_finite_params(params: dict[str, Tensor]) -> None:
-    for name, tensor in params.items():
-        if not np.all(np.isfinite(tensor.data)):
-            raise ModelStateError(f"parameter {name} contains non-finite values; model is unusable")
-
-
-class StepOneModel:
+class StepOneModel(HeadedModel):
     """Joint prediction of the dialogue act and per-slot presence."""
 
     PRESENT = 1  # index of the "present" class in every presence head
 
-    def __init__(self, config: RunConfig, ontology: Ontology, encoder: TurnEncoder,
-                 act_head: tuple[Tensor, Tensor], slot_heads: dict[str, tuple[Tensor, Tensor]]):
-        self.config = config
+    def __init__(self, config: RunConfig, ontology: Ontology, system_tokens, store: EmbeddingTable):
         self.ontology = ontology
-        self.encoder = encoder
-        self.act_head = act_head
-        self.slot_heads = slot_heads
-        self._validated = False
-
-    @classmethod
-    def build(cls, config: RunConfig, ontology: Ontology, system_tokens, store: EmbeddingTable) -> "StepOneModel":
-        rng = rng_mod.substream(config.seed, rng_mod.INIT)
-        encoder = TurnEncoder(
-            config.model,
-            store.view(),
-            system_tokens,
-            rng,
-            dim=store.dim,
-            window_sizes=config.filter_windows,
-            maps_per_window=config.filters_per_window,
-            hidden_size=config.hidden_size,
-            nbest_cap=config.nbest_cap,
-        )
-        act_head = _head(rng, len(ontology.acts), encoder.out_dim, "head.act")
-        slot_heads = {slot: _head(rng, 2, encoder.out_dim, f"head.slot.{slot}") for slot in ontology.slots}
-        return cls(config, ontology, encoder, act_head, slot_heads)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = self.encoder.parameters()
-        for tensor in self.act_head:
-            out[tensor.name] = tensor
-        for slot in self.ontology.slots:
-            for tensor in self.slot_heads[slot]:
-                out[tensor.name] = tensor
-        return out
+        heads = [("head.act", len(ontology.acts))] + [(f"head.slot.{slot}", 2) for slot in ontology.slots]
+        super().__init__(config, system_tokens, store, heads)
 
     def head_probs(self, hidden: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
         """Softmax distributions of every head over one combined vector."""
-        act = ag.softmax(ag.affine(hidden, *self.act_head))
-        slots = {slot: ag.softmax(ag.affine(hidden, *self.slot_heads[slot])) for slot in self.ontology.slots}
-        return act, slots
-
-    def validate_finite(self) -> None:
-        if not self._validated:
-            _check_finite_params(self.parameters())
-            self._validated = True
-
-    def mark_dirty(self) -> None:
-        self._validated = False
+        act = self.probs("head.act", hidden)
+        return act, {slot: self.probs(f"head.slot.{slot}", hidden) for slot in self.ontology.slots}
 
 
-class SlotValueModel:
+class SlotValueModel(HeadedModel):
     """Value prediction for one slot, with its own encoder and head."""
 
-    def __init__(self, config: RunConfig, slot: str, values: tuple[str, ...],
-                 encoder: TurnEncoder, head: tuple[Tensor, Tensor]):
-        self.config = config
-        self.slot = slot
-        self.values = values
-        self.encoder = encoder
-        self.head = head
-        self._validated = False
-
-    @classmethod
-    def build(cls, config: RunConfig, slot: str, slot_position: int, values, system_tokens,
-              store: EmbeddingTable) -> "SlotValueModel":
+    def __init__(self, config: RunConfig, slot: str, slot_position: int, values, system_tokens,
+                 store: EmbeddingTable):
         values = tuple(values)
         if len(values) < 2:
             raise ConfigError(f"slot {slot!r} has {len(values)} value(s); value models need at least 2")
-        rng = rng_mod.substream(config.seed, rng_mod.INIT, slot_position + 1)
-        encoder = TurnEncoder(
-            config.model,
-            store.view(),
-            system_tokens,
-            rng,
-            dim=store.dim,
-            window_sizes=config.filter_windows,
-            maps_per_window=config.filters_per_window,
-            hidden_size=config.hidden_size,
-            nbest_cap=config.nbest_cap,
-        )
-        head = _head(rng, len(values), encoder.out_dim, f"head.value.{slot}")
-        return cls(config, slot, values, encoder, head)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = self.encoder.parameters()
-        for tensor in self.head:
-            out[tensor.name] = tensor
-        return out
+        self.slot = slot
+        self.values = values
+        super().__init__(config, system_tokens, store, [(f"head.value.{slot}", len(values))],
+                         stream=(slot_position + 1,))
 
     def value_probs(self, hidden: Tensor) -> Tensor:
-        return ag.softmax(ag.affine(hidden, *self.head))
-
-    def validate_finite(self) -> None:
-        if not self._validated:
-            _check_finite_params(self.parameters())
-            self._validated = True
-
-    def mark_dirty(self) -> None:
-        self._validated = False
+        return self.probs(f"head.value.{self.slot}", hidden)

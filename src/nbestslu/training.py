@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as rng_mod
 from .autograd import TRAIN, Tensor, add_n, dropout_apply, nll_loss
 from .config import RunConfig
-from .data import Dataset, Turn, collect_system_tokens, make_folds
+from .data import Dataset, Turn, collect_system_tokens, make_folds, split_turns
 from .decoder import decode_turn, predict_joint, turn_nbest
 from .errors import DomainError, NumericFailure
 from .metrics import STEP1, frame_items, item_counts, prf1, reference_items, score_frames
@@ -48,29 +48,6 @@ class TrainLog:
             "best_metric": self.best_metric,
             "notes": self.notes,
         }
-
-
-def _ordered_sessions(turns: Sequence[Turn]) -> list[str]:
-    seen: dict[str, None] = {}
-    for t in turns:
-        seen.setdefault(t.session, None)
-    return list(seen)
-
-
-def _split_turns(
-    turns: Sequence[Turn], fraction: float, seed: int, extra: tuple[int, ...] = ()
-) -> tuple[list[Turn], list[Turn]]:
-    """Seeded dialogue-level split of a turn list; val may be empty."""
-    sessions = _ordered_sessions(turns)
-    if len(sessions) < 2:
-        return list(turns), []
-    rng = rng_mod.substream(seed, rng_mod.SPLIT, *extra)
-    order = rng.permutation(len(sessions))
-    held = max(1, min(len(sessions) - 1, int(round(len(sessions) * fraction))))
-    val_sessions = {sessions[int(i)] for i in order[:held]}
-    train = [t for t in turns if t.session not in val_sessions]
-    val = [t for t in turns if t.session in val_sessions]
-    return train, val
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -188,7 +165,7 @@ def train_step1(
     system_tokens = collect_system_tokens(dataset.turns)
     model = StepOneModel.build(config, dataset.ontology, system_tokens, store)
     log = TrainLog()
-    train_turns, val_turns = _split_turns(dataset.turns, config.validation_fraction, config.seed)
+    train_turns, val_turns = split_turns(dataset.turns, config.validation_fraction, config.seed)
     if not val_turns:
         log.notes.append("dataset has a single dialogue; trained without validation split")
 
@@ -256,7 +233,7 @@ def train_step2(
         first = next(v for s, v in t.reference.pairs if s == slot)
         targets[id(t)] = value_index[first]
 
-    train_turns, val_turns = _split_turns(
+    train_turns, val_turns = split_turns(
         turns, config.validation_fraction, config.seed, extra=(slot_position + 1,)
     )
 

@@ -1,17 +1,20 @@
 """Checkpoint containers: bit-exact round trips and compatibility checks."""
 
+import json
+
 import numpy as np
 import pytest
 
 from nbestslu.checkpoint import (
+    MAGIC,
+    SLOT_KIND,
+    STEP1_KIND,
     load_checkpoint_dir,
     load_container,
-    load_slot_model,
-    load_step1,
+    load_model,
     save_checkpoint_dir,
     save_container,
-    save_slot_model,
-    save_step1,
+    save_model,
 )
 from nbestslu.config import RunConfig
 from nbestslu.data import collect_system_tokens
@@ -44,6 +47,43 @@ def fresh_step1(dataset, store, config=CFG):
     return model
 
 
+def _framed(header) -> bytes:
+    payload = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return MAGIC + f"{len(payload)}\n".encode() + payload + b"\n"
+
+
+_ENTRY = {"kind": "step1", "meta": {}}
+
+# Files that must be refused with a DataFormatError and nothing else.
+CORRUPT = [
+    b"hello world\n",
+    MAGIC + b"12",  # header length without its newline
+    MAGIC + b"-3\n{}\n",
+    MAGIC + b"x\n{}\n",
+    MAGIC + b"2\n{}\n",  # header object without params
+    _framed(b"\xff\xfe"),
+    _framed([1, 2]),
+    _framed("step1"),
+    _framed({"meta": {}, "params": []}),
+    _framed({"kind": "step1", "params": []}),
+    _framed({"kind": 3, "meta": {}, "params": []}),
+    _framed({"kind": "step1", "meta": [], "params": []}),
+    _framed({**_ENTRY, "params": {"w": [2]}}),
+    _framed({**_ENTRY, "params": ["w"]}),
+    _framed({**_ENTRY, "params": [{"shape": [2]}]}),
+    _framed({**_ENTRY, "params": [{"name": "w"}]}),
+    _framed({**_ENTRY, "params": [{"name": 5, "shape": [2]}]}),
+    _framed({**_ENTRY, "params": [{"name": "w", "shape": 2}]}),
+    _framed({**_ENTRY, "params": [{"name": "w", "shape": [-2]}]}),
+    _framed({**_ENTRY, "params": [{"name": "w", "shape": [2.5]}]}),
+    _framed({**_ENTRY, "params": [{"name": "w", "shape": ["2"]}]}),
+    _framed({**_ENTRY, "params": [{"name": "w", "shape": [True]}]}),
+    _framed({**_ENTRY, "params": [{"name": "w", "shape": [2**62, 2**62]}]}),
+    _framed({**_ENTRY, "params": [{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}]})
+    + b"\0" * 16,
+]
+
+
 class TestContainer:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -69,9 +109,10 @@ class TestContainer:
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk"
-        path.write_bytes(b"hello world\n")
-        with pytest.raises(DataFormatError):
-            load_container(path)
+        for blob in CORRUPT:
+            path.write_bytes(blob)
+            with pytest.raises(DataFormatError):
+                load_container(path)
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -86,8 +127,8 @@ class TestModelRoundTrip:
     def test_step1_round_trip(self, tmp_path, dataset, store):
         model = fresh_step1(dataset, store)
         path = tmp_path / "step1.ckpt"
-        save_step1(model, path)
-        loaded = load_step1(path, store)
+        save_model(model, path, dataset.ontology)
+        loaded = load_model(path, store, STEP1_KIND)
         assert loaded.ontology == model.ontology
         for name, tensor in model.parameters().items():
             assert loaded.parameters()[name].data.tobytes() == tensor.data.tobytes()
@@ -98,8 +139,8 @@ class TestModelRoundTrip:
         model = SlotValueModel.build(CFG, "pricerange", pos, values,
                                      collect_system_tokens(dataset.turns), store)
         path = tmp_path / "slot.ckpt"
-        save_slot_model(model, path, dataset.ontology)
-        loaded = load_slot_model(path, store)
+        save_model(model, path, dataset.ontology)
+        loaded = load_model(path, store, SLOT_KIND)
         assert loaded.slot == "pricerange" and loaded.values == model.values
         for name, tensor in model.parameters().items():
             assert loaded.parameters()[name].data.tobytes() == tensor.data.tobytes()
@@ -107,10 +148,25 @@ class TestModelRoundTrip:
     def test_wrong_store_rejected(self, tmp_path, dataset, store):
         model = fresh_step1(dataset, store)
         path = tmp_path / "step1.ckpt"
-        save_step1(model, path)
+        save_model(model, path, dataset.ontology)
         other_store = synthetic_table(dim=12, seed=999)
         with pytest.raises(ConfigError):
-            load_step1(path, other_store)
+            load_model(path, other_store, STEP1_KIND)
+
+    def test_wrong_kind_rejected(self, tmp_path, dataset, store):
+        path = tmp_path / "step1.ckpt"
+        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        with pytest.raises(DataFormatError):
+            load_model(path, store, SLOT_KIND)
+
+    def test_meta_without_a_key_is_a_format_error(self, tmp_path, dataset, store):
+        path = tmp_path / "step1.ckpt"
+        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        kind, params, meta = load_container(path)
+        del meta["config_text"]
+        save_container(path, kind, params, meta)
+        with pytest.raises(DataFormatError):
+            load_model(path, store, STEP1_KIND)
 
 
 class TestCheckpointDir:
@@ -134,8 +190,6 @@ class TestCheckpointDir:
         save_checkpoint_dir(out, step1, {}, CFG)
         # Overwrite the ontology file with a different one.
         other = synthetic_dataset(3, 3, seed=77).subset(["synth-000"]).ontology
-        import json
-
         (out / "ontology.json").write_text(json.dumps(other.to_json_dict()), encoding="utf-8")
         with pytest.raises(ConfigError):
             load_checkpoint_dir(out, store)

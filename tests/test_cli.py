@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nbestslu.checkpoint import MAGIC
 from nbestslu.cli import main
 from nbestslu.data import read_canonical
 from nbestslu.decoder import SemanticFrame, SlotValuePrediction, write_frames
@@ -185,6 +186,20 @@ class TestExitCodes:
     def test_train_on_missing_dataset_is_two(self, workspace, tmp_path):
         assert run(["train", tmp_path / "absent.ds", tmp_path / "ckpt",
                     "--config", workspace["config"]]) == 2
+
+    @pytest.mark.parametrize("blob", [MAGIC + b"12", MAGIC + b"2\n{}\n"], ids=["no-newline", "no-params"])
+    def test_decode_with_corrupt_checkpoint_is_two(self, workspace, tmp_path, capsys, blob):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "config.txt").write_text(workspace["config"].read_text(), encoding="utf-8")
+        (ckpt / "step1.ckpt").write_bytes(blob)
+        capsys.readouterr()
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
 
 
 class TestDeterminism:

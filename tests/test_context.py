@@ -5,13 +5,13 @@ import pytest
 
 from nbestslu.autograd import Tensor
 from nbestslu.context import (
-    CombinerParams,
+    Combiner,
     ContextWindow,
     LstmParams,
     combine,
     context_tokens,
-    encode_context,
     lstm_step,
+    run_context_lstm,
 )
 from nbestslu.data import SystemAct
 from nbestslu.embeddings import EmbeddingTable
@@ -113,6 +113,10 @@ class TestContextWindow:
         assert tokens == ["welcomemsg", "offer", "name", "meghna", "inform", "area", "north"]
 
 
+def context_vector(history, window, table, embeddings, params):
+    return run_context_lstm(context_tokens(history, window), table, embeddings, params)[0]
+
+
 def context_fixture(hidden=4, seed=5):
     rng = np.random.default_rng(seed)
     table = EmbeddingTable(["offer", "name", "north", "inform", "area"], rng.uniform(-1, 1, (5, 3)))
@@ -125,7 +129,7 @@ def context_fixture(hidden=4, seed=5):
 class TestEncodeContext:
     def test_empty_history_yields_zero_vector(self):
         table, embeddings, params = context_fixture()
-        out = encode_context([], ContextWindow.from_name("all"), table, embeddings, params)
+        out = context_vector([], ContextWindow.from_name("all"), table, embeddings, params)
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
     def test_last_w_equals_all_when_history_fits(self):
@@ -134,16 +138,16 @@ class TestEncodeContext:
             (SystemAct("welcomemsg"),),
             (SystemAct("offer", (("name", "meghna"),)),),
         ]
-        h_all = encode_context(history, ContextWindow.from_name("all"), table, embeddings, params)
-        h_w4 = encode_context(history, ContextWindow.from_name("last_4"), table, embeddings, params)
+        h_all = context_vector(history, ContextWindow.from_name("all"), table, embeddings, params)
+        h_w4 = context_vector(history, ContextWindow.from_name("last_4"), table, embeddings, params)
         np.testing.assert_array_equal(h_all.data, h_w4.data)
 
     def test_last_1_sees_only_the_final_system_turn(self):
         table, embeddings, params = context_fixture()
         early = (SystemAct("welcomemsg"),)
         final = (SystemAct("offer", (("name", "meghna"),)), SystemAct("inform", (("area", "north"),)))
-        h_with = encode_context([early, final], ContextWindow.from_name("last_1"), table, embeddings, params)
-        h_only = encode_context([final], ContextWindow.from_name("last_1"), table, embeddings, params)
+        h_with = context_vector([early, final], ContextWindow.from_name("last_1"), table, embeddings, params)
+        h_only = context_vector([final], ContextWindow.from_name("last_1"), table, embeddings, params)
         np.testing.assert_array_equal(h_with.data, h_only.data)
 
     def test_gradients_flow_into_system_embeddings(self):
@@ -152,29 +156,41 @@ class TestEncodeContext:
         contract = np.random.default_rng(0).uniform(0.5, 1.5, 4)
 
         def loss_fn():
-            h = encode_context(history, ContextWindow.from_name("all"), table, embeddings, params)
+            h = context_vector(history, ContextWindow.from_name("all"), table, embeddings, params)
             return weighted_sum(h, contract)
 
         assert max_rel_error(loss_fn, [embeddings], sample=12, rng=np.random.default_rng(1)) < 1e-4
 
 
 class TestCombine:
+    def test_each_mode_owns_its_named_tensors(self):
+        rng = np.random.default_rng(9)
+        shapes = {
+            name: {n: t.shape for n, t in Combiner.build(mode, 6, 4, 3, rng).parameters().items()}
+            for name, mode in (("identity", "identity"), ("tanh", "tanh"), ("lstm", "lstm-input"))
+        }
+        assert shapes == {
+            "identity": {},
+            "tanh": {"comb.ws": (4, 6), "comb.wc": (4, 4)},
+            "lstm": {"comb.p": (3, 6)},
+        }
+
     def test_zero_inputs_tanh_mode(self):
         rng = np.random.default_rng(6)
-        combiner = CombinerParams.tanh_combiner(6, 4, rng)
+        combiner = Combiner.build("tanh", 6, 4, 3, rng)
         state = (Tensor(np.zeros(4)), Tensor(np.zeros(4)))
         out = combine(Tensor(np.zeros(6)), state, combiner)
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
     def test_identity_mode_returns_sentence(self):
         sentence = Tensor(np.array([0.1, 0.2]))
-        out = combine(sentence, None, CombinerParams.identity())
+        out = combine(sentence, None, Combiner.build("identity", 2, 4, 3, np.random.default_rng(0)))
         assert out is sentence
 
     def test_scalar_tanh_evaluation(self):
-        combiner = CombinerParams.tanh_combiner(1, 1, np.random.default_rng(0))
-        combiner.sentence_weight.data[...] = 1.0
-        combiner.context_weight.data[...] = 1.0
+        combiner = Combiner.build("tanh", 1, 1, 1, np.random.default_rng(0))
+        for weight in combiner.tensors:
+            weight.data[...] = 1.0
         state = (Tensor(np.array([0.25])), Tensor(np.array([0.0])))
         out = combine(Tensor(np.array([0.5])), state, combiner)
         assert out.data[0] == pytest.approx(np.tanh(0.75), abs=1e-15)
@@ -183,24 +199,22 @@ class TestCombine:
     def test_lstm_input_mode_runs_one_extra_step(self):
         rng = np.random.default_rng(7)
         params = make_params(3, 4, seed=8)
-        combiner = CombinerParams.projector(6, 3, rng)
+        combiner = Combiner.build("lstm-input", 6, 4, 3, rng)
         state = (Tensor(rng.uniform(-0.5, 0.5, 4)), Tensor(rng.uniform(-0.5, 0.5, 4)))
         sentence = Tensor(rng.uniform(-0.5, 0.5, 6))
         out = combine(sentence, state, combiner, lstm=params)
-        projected = Tensor(combiner.projection.data @ sentence.data)
+        projected = Tensor(combiner.tensors[0].data @ sentence.data)
         expected, _ = lstm_step(projected, state[0], state[1], params)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-15)
 
     def test_mode_parameter_mismatches_are_config_errors(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ConfigError):
-            CombinerParams("tanh")
-        with pytest.raises(ConfigError):
-            CombinerParams("nonsense")
-        combiner = CombinerParams.tanh_combiner(4, 3, rng)
+            Combiner.build("nonsense", 4, 3, 3, rng)
+        combiner = Combiner.build("tanh", 4, 3, 3, rng)
         with pytest.raises(ConfigError):
             combine(Tensor(np.zeros(4)), None, combiner)
-        projector = CombinerParams.projector(4, 3, rng)
+        projector = Combiner.build("lstm-input", 4, 3, 3, rng)
         state = (Tensor(np.zeros(3)), Tensor(np.zeros(3)))
         with pytest.raises(ConfigError):
             combine(Tensor(np.zeros(4)), state, projector, lstm=None)

@@ -9,8 +9,9 @@ from nbestslu.data import (
     import_dstc2,
     make_folds,
     normalize_confidences,
+    ordered_sessions,
     read_canonical,
-    split_validation,
+    split_turns,
     write_canonical,
 )
 from nbestslu.errors import CorpusError, DataFormatError, DomainError
@@ -221,33 +222,36 @@ class TestCanonicalRoundTrip:
 class TestSplits:
     def test_ninety_ten(self):
         ds = synthetic_dataset(100, 2, seed=0)
-        train, val = split_validation(ds, 0.10, seed=1)
-        assert train.dialogue_count == 90 and val.dialogue_count == 10
+        train, val = split_turns(ds.turns, 0.10, seed=1)
+        assert len(ordered_sessions(train)) == 90 and len(ordered_sessions(val)) == 10
 
     def test_same_seed_same_split(self):
         ds = synthetic_dataset(30, 2)
-        a = split_validation(ds, 0.2, seed=5)
-        b = split_validation(ds, 0.2, seed=5)
-        assert a[0].sessions == b[0].sessions and a[1].sessions == b[1].sessions
-        c = split_validation(ds, 0.2, seed=6)
-        assert c[1].sessions != a[1].sessions
+        a = split_turns(ds.turns, 0.2, seed=5)
+        b = split_turns(ds.turns, 0.2, seed=5)
+        assert a == b
+        c = split_turns(ds.turns, 0.2, seed=6)
+        assert ordered_sessions(c[1]) != ordered_sessions(a[1])
+        d = split_turns(ds.turns, 0.2, seed=5, extra=(1,))
+        assert ordered_sessions(d[1]) != ordered_sessions(a[1])
 
     def test_no_session_straddles_the_split(self):
         ds = synthetic_dataset(20, 4)
-        train, val = split_validation(ds, 0.25, seed=2)
-        assert set(train.sessions).isdisjoint(val.sessions)
-        assert set(train.sessions) | set(val.sessions) == set(ds.sessions)
+        train, val = split_turns(ds.turns, 0.25, seed=2)
+        assert set(ordered_sessions(train)).isdisjoint(ordered_sessions(val))
+        assert sorted(train + val, key=ds.turns.index) == list(ds.turns)
         for part in (train, val):
-            for session in part.sessions:
-                total = sum(1 for t in ds.turns if t.session == session)
-                kept = sum(1 for t in part.turns if t.session == session)
-                assert total == kept
+            assert part == sorted(part, key=ds.turns.index)
+
+    def test_single_dialogue_has_no_validation(self):
+        ds = synthetic_dataset(1, 3)
+        assert split_turns(ds.turns, 0.1, seed=0) == (list(ds.turns), [])
 
     def test_fraction_out_of_range(self):
         ds = synthetic_dataset(5, 2)
         for fraction in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
-                split_validation(ds, fraction, seed=0)
+                split_turns(ds.turns, fraction, seed=0)
 
 
 class TestFolds:

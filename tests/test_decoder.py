@@ -45,9 +45,7 @@ def build_step1(dataset, store, config=TOY) -> StepOneModel:
 
 
 def zero_heads(model: StepOneModel) -> None:
-    for tensor in model.act_head:
-        tensor.data[...] = 0.0
-    for pair in model.slot_heads.values():
+    for pair in model.heads.values():
         for tensor in pair:
             tensor.data[...] = 0.0
 
@@ -66,14 +64,14 @@ class TestPredictJoint:
         model = build_step1(dataset, store)
         zero_heads(model)
         # Force the act head to produce logits [0, ln 2, 0, ...].
-        model.act_head[1].data[1] = np.log(2.0)
+        model.heads["head.act"][1].data[1] = np.log(2.0)
         joint = predict_joint(model, dataset.turns[0])
         n_acts = len(dataset.ontology.acts)
         assert joint.act_probs[1] == pytest.approx(2.0 / (n_acts + 1), abs=1e-12)
 
     def test_nan_parameters_are_a_model_state_error(self, dataset, store):
         model = build_step1(dataset, store)
-        model.act_head[0].data[0, 0] = np.nan
+        model.heads["head.act"][0].data[0, 0] = np.nan
         with pytest.raises(ModelStateError):
             predict_joint(model, dataset.turns[0])
 
@@ -84,7 +82,7 @@ class TestPredictValue:
         model = SlotValueModel.build(
             TOY, "pricerange", 0, values, collect_system_tokens(dataset.turns), store
         )
-        for tensor in model.head:
+        for tensor in model.heads["head.value.pricerange"]:
             tensor.data[...] = 0.0
         probs = predict_value(model, dataset.turns[0], "pricerange")
         np.testing.assert_allclose(probs, np.full(len(values), 1.0 / len(values)), atol=1e-12)
@@ -118,16 +116,17 @@ class TestDecodeTurn:
         model = build_step1(dataset, store)
         zero_heads(model)
         slot = "pricerange"
-        model.slot_heads[slot][1].data[...] = np.log([0.2, 0.8])
+        model.heads[f"head.slot.{slot}"][1].data[...] = np.log([0.2, 0.8])
         values = dataset.ontology.slot_values(slot)
         pos = dataset.ontology.slots.index(slot)
         value_model = SlotValueModel.build(
             TOY, slot, pos, values, collect_system_tokens(dataset.turns), store
         )
-        for tensor in value_model.head:
+        head = value_model.heads[f"head.value.{slot}"]
+        for tensor in head:
             tensor.data[...] = 0.0
         value_probs = [0.9] + [0.1 / (len(values) - 1)] * (len(values) - 1)
-        value_model.head[1].data[...] = np.log(value_probs)
+        head[1].data[...] = np.log(value_probs)
 
         frame = decode_turn(dataset.turns[0], model, {slot: value_model})
         found = {s.slot: s for s in frame.slots}
@@ -147,8 +146,8 @@ class TestDecodeTurn:
         model = build_step1(dataset, store)
         rng = np.random.default_rng(0)
         # Random heads: force some detections.
-        for pair in model.slot_heads.values():
-            for tensor in pair:
+        for slot in dataset.ontology.slots:
+            for tensor in model.heads[f"head.slot.{slot}"]:
                 tensor.data[...] = rng.uniform(-2, 2, tensor.shape)
         slot_models = {}
         for pos, slot in enumerate(dataset.ontology.slots):
@@ -168,7 +167,7 @@ class TestDecodeTurn:
     def test_missing_value_model_for_multivalued_slot_is_an_error(self, dataset, store):
         model = build_step1(dataset, store)
         slot = dataset.ontology.slots[0]
-        model.slot_heads[slot][1].data[...] = np.array([-5.0, 5.0])  # force detection
+        model.heads[f"head.slot.{slot}"][1].data[...] = np.array([-5.0, 5.0])  # force detection
         assert len(dataset.ontology.slot_values(slot)) >= 2
         with pytest.raises(ConfigError):
             decode_turn(dataset.turns[0], model, {})
@@ -176,7 +175,7 @@ class TestDecodeTurn:
     def test_step1_only_frames_carry_presence_confidence(self, dataset, store):
         model = build_step1(dataset, store)
         slot = dataset.ontology.slots[0]
-        model.slot_heads[slot][1].data[...] = np.array([-5.0, 5.0])
+        model.heads[f"head.slot.{slot}"][1].data[...] = np.array([-5.0, 5.0])
         frame = decode_turn(dataset.turns[0], model, {}, step1_only=True)
         found = [s for s in frame.slots if s.slot == slot]
         assert found and found[0].value is None and found[0].confidence > 0.98

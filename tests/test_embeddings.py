@@ -1,4 +1,4 @@
-"""Vector loading, tokenization, system-act flattening, lookup routing."""
+"""Vector loading, tokenization, system-act flattening, row routing."""
 
 import logging
 
@@ -127,35 +127,39 @@ def prepared_table():
 class TestLookup:
     def test_in_vocabulary_token_returns_stored_row(self):
         table = prepared_table()
-        rows, flags = table.lookup(tokenize("north south"))
+        rows = table.hypothesis_rows(tokenize("north south").tokens)
         np.testing.assert_array_equal(rows[0], np.arange(5.0))
         np.testing.assert_array_equal(rows[1], np.arange(5.0, 10.0))
-        assert not flags.any()
 
     def test_oov_token_maps_to_shared_row(self):
         table = prepared_table()
-        rows_a, _ = table.lookup(tokenize("zxqv"))
-        rows_b, _ = table.lookup(tokenize("qqqq north"))
+        rows_a = table.hypothesis_rows(tokenize("zxqv").tokens)
+        rows_b = table.hypothesis_rows(tokenize("qqqq north").tokens)
         np.testing.assert_array_equal(rows_a[0], rows_b[0])
+        np.testing.assert_array_equal(rows_a[0], table.hypothesis_oov_vector)
 
     def test_empty_sequence_yields_zero_by_k(self):
         table = prepared_table()
-        rows, flags = table.lookup(tokenize(""))
-        assert rows.shape == (0, 5) and flags.shape == (0,)
+        assert table.hypothesis_rows(tokenize("").tokens).shape == (0, 5)
+        assert table.system_row_indices(()).shape == (0,)
 
     def test_system_origin_rows_are_trainable(self):
         table = prepared_table()
-        rows, flags = table.lookup(TokenSequence(("offer", "meghna", "unseen"), SYSTEM_ACT))
-        assert flags.all()
-        # "offer" starts from a copy of its pretrained vector.
+        sequence = TokenSequence(("offer", "meghna", "unseen"), SYSTEM_ACT)
+        rows = table.system_matrix[table.system_row_indices(sequence.tokens)]
+        # "offer" starts from a copy of its pretrained vector, in the trainable block.
         np.testing.assert_array_equal(rows[0], table.frozen_vector("offer"))
+        assert not np.shares_memory(table.system_matrix, table.frozen_vector("offer"))
         # unseen system tokens share the system OOV row (row 0).
+        assert table.system_row_indices(sequence.tokens)[2] == 0
         np.testing.assert_array_equal(rows[2], table.system_matrix[0])
 
     def test_lookup_before_prepare_is_a_state_error(self):
         table = EmbeddingTable(["a"], np.zeros((1, 3)))
         with pytest.raises(ModelStateError):
-            table.lookup(tokenize("a"))
+            table.hypothesis_rows(("a",))
+        with pytest.raises(ModelStateError):
+            table.system_row_indices(("a",))
 
     def test_prepare_twice_rejected(self):
         table = prepared_table()

@@ -89,10 +89,11 @@ class TestStepOneTraining:
         model, _ = train_step1(dataset, config, store)
         fresh = StepOneModel.build(config, dataset.ontology, collect_system_tokens(dataset.turns), store)
         for slot in dataset.ontology.slots:
-            for trained_t, fresh_t in zip(model.slot_heads[slot], fresh.slot_heads[slot]):
+            name = f"head.slot.{slot}"
+            for trained_t, fresh_t in zip(model.heads[name], fresh.heads[name]):
                 np.testing.assert_array_equal(trained_t.data, fresh_t.data)
         # The act head did train.
-        assert np.abs(model.act_head[0].data - fresh.act_head[0].data).max() > 0
+        assert np.abs(model.heads["head.act"][0].data - fresh.heads["head.act"][0].data).max() > 0
 
 
 class TestEarlyStopping:
