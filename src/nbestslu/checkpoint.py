@@ -15,13 +15,13 @@ embedding store or seed and is rejected.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_hash, parse_config_text, resolved_text, write_resolved
+from .config import RunConfig, config_hash, parse_config_file, parse_config_text, resolved_text, write_resolved
+from .data import dumps, parse_json, text_lines, write_lines
 from .errors import ConfigError, DataFormatError
 from .model import SlotValueModel, StepOneModel
 from .ontology import Ontology
@@ -37,10 +37,6 @@ CONFIG_FILE = "config.txt"
 TRAIN_LOG_FILE = "train_log.json"
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def save_container(path, kind: str, params: dict[str, np.ndarray], meta: dict) -> None:
     names = list(params)
     header = {
@@ -48,7 +44,7 @@ def save_container(path, kind: str, params: dict[str, np.ndarray], meta: dict) -
         "meta": meta,
         "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
-    payload = _dumps(header).encode("utf-8")
+    payload = dumps(header).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(MAGIC)
         handle.write(f"{len(payload)}\n".encode("ascii"))
@@ -90,10 +86,7 @@ def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
     if header_len < 0:
         raise DataFormatError(f"{path}: corrupt header length")
     header_end = newline + 1 + header_len
-    try:
-        header = json.loads(blob[newline + 1 : header_end].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: corrupt header: {exc}") from None
+    header = parse_json(blob[newline + 1 : header_end], f"{path}: header")
 
     params: dict[str, np.ndarray] = {}
     offset = min(header_end + 1, len(blob))
@@ -106,6 +99,23 @@ def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
     if offset != len(blob):
         raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes after parameters")
     return header["kind"], params, header["meta"]
+
+
+# The meta values load_model reads from each kind of checkpoint, with their
+# JSON types; list values hold strings and the integer is non-negative.
+_COMMON_META = {"config_text": str, "ontology_hash": str, "store_fingerprint": str, "system_tokens": list}
+_META_TYPES = {
+    STEP1_KIND: {**_COMMON_META, "ontology": dict},
+    SLOT_KIND: {**_COMMON_META, "slot": str, "slot_position": int, "values": list},
+}
+
+
+def _check_meta(meta: dict, kind: str, path) -> None:
+    for key, expected in _META_TYPES[kind].items():
+        value = meta.get(key)
+        if type(value) is not expected or (expected is list and not all(isinstance(v, str) for v in value)) \
+                or (expected is int and value < 0):
+            raise DataFormatError(f"{path}: checkpoint meta {key!r} is missing or mistyped: {value!r}")
 
 
 def _check_store(meta: dict, store, path) -> None:
@@ -171,19 +181,17 @@ def load_model(path, store, kind: str, ontology_hash: str | None = None) -> Step
     found, params, meta = load_container(path)
     if found != kind:
         raise DataFormatError(f"{path}: expected a {kind} checkpoint, found {found}")
-    try:
-        if ontology_hash is not None and meta["ontology_hash"] != ontology_hash:
-            raise ConfigError(f"{path}: model was trained against a different ontology")
-        _check_store(meta, store, path)
-        config = parse_config_text(meta["config_text"])
-        if kind == STEP1_KIND:
-            ontology = Ontology.from_json_dict(meta["ontology"])
-            model = StepOneModel.build(config, ontology, meta["system_tokens"], store)
-        else:
-            model = SlotValueModel.build(config, meta["slot"], int(meta["slot_position"]), meta["values"],
-                                         meta["system_tokens"], store)
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: checkpoint meta has no {exc}") from None
+    _check_meta(meta, kind, path)
+    if ontology_hash is not None and meta["ontology_hash"] != ontology_hash:
+        raise ConfigError(f"{path}: model was trained against a different ontology")
+    _check_store(meta, store, path)
+    config = parse_config_text(meta["config_text"])
+    if kind == STEP1_KIND:
+        ontology = Ontology.from_json_dict(meta["ontology"], where=path)
+        model = StepOneModel.build(config, ontology, meta["system_tokens"], store)
+    else:
+        model = SlotValueModel.build(config, meta["slot"], meta["slot_position"], meta["values"],
+                                     meta["system_tokens"], store)
     _overwrite_params(model, params, path)
     return model
 
@@ -203,12 +211,10 @@ def save_checkpoint_dir(dirpath, step1: StepOneModel, slot_models: dict[str, Slo
     save_model(step1, dirpath / STEP1_FILE, step1.ontology)
     for slot, model in slot_models.items():
         save_model(model, dirpath / slot_file(slot), step1.ontology)
-    (dirpath / ONTOLOGY_FILE).write_text(
-        _dumps(step1.ontology.to_json_dict()) + "\n", encoding="utf-8"
-    )
+    write_lines(dirpath / ONTOLOGY_FILE, step1.ontology.to_json_dict(), ())
     write_resolved(config, dirpath / CONFIG_FILE)
     if train_log is not None:
-        (dirpath / TRAIN_LOG_FILE).write_text(_dumps(train_log) + "\n", encoding="utf-8")
+        write_lines(dirpath / TRAIN_LOG_FILE, train_log, ())
 
 
 def load_checkpoint_dir(dirpath, store) -> tuple[StepOneModel, dict[str, SlotValueModel], RunConfig]:
@@ -221,7 +227,8 @@ def load_checkpoint_dir(dirpath, store) -> tuple[StepOneModel, dict[str, SlotVal
 
     ontology_path = dirpath / ONTOLOGY_FILE
     if ontology_path.is_file():
-        on_disk = Ontology.from_json_dict(json.loads(ontology_path.read_text(encoding="utf-8")))
+        doc = parse_json("\n".join(text_lines(ontology_path)), ontology_path)
+        on_disk = Ontology.from_json_dict(doc, where=ontology_path)
         if on_disk.canonical_hash() != expected_hash:
             raise ConfigError(f"{dirpath}: {ONTOLOGY_FILE} does not match the step-one model's ontology")
 
@@ -230,6 +237,5 @@ def load_checkpoint_dir(dirpath, store) -> tuple[StepOneModel, dict[str, SlotVal
         path = dirpath / slot_file(slot)
         if path.is_file():
             slot_models[slot] = load_model(path, store, SLOT_KIND, ontology_hash=expected_hash)
-    config = parse_config_text((dirpath / CONFIG_FILE).read_text(encoding="utf-8")) \
-        if (dirpath / CONFIG_FILE).is_file() else step1.config
+    config = parse_config_file(dirpath / CONFIG_FILE) if (dirpath / CONFIG_FILE).is_file() else step1.config
     return step1, slot_models, config

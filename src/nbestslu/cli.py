@@ -16,12 +16,11 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import load_checkpoint_dir, save_checkpoint_dir
 from .config import RunConfig, apply_overrides, config_hash, parse_config_file, write_resolved
-from .data import Dataset, import_dstc2, read_canonical, write_canonical
+from .data import import_dstc2, read_canonical, read_turns, write_canonical
 from .decoder import decode_dataset, read_frames, write_frames
 from .embeddings import load_vectors
 from .errors import ConfigError, DataFormatError, DomainError, NumericFailure, SluError
 from .metrics import FULL, STEP1, report_table, report_text, score_frames
-from .ontology import Ontology
 from .training import cross_validate_step1, train_step1, train_step2
 
 EXIT_OK = 0
@@ -96,34 +95,6 @@ def _load_store(cfg: RunConfig):
     return load_vectors(cfg.embeddings, expected_dim=cfg.embedding_dim)
 
 
-def _read_dataset_flexible(path) -> Dataset:
-    """Canonical dataset files, or headerless turn-record files (one JSON
-    object per line) so a single turn can be decoded from a pipe-friendly
-    file."""
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        doc = json.loads(first) if first.strip() else {}
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not a dataset file: {exc}") from None
-    if isinstance(doc, dict) and doc.get("format"):
-        return read_canonical(path)
-    from .data import _dict_to_turn  # headerless turn records
-
-    turns = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                turns.append(_dict_to_turn(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{number}: malformed turn record: {exc}") from None
-    if not turns:
-        raise DataFormatError(f"{path}: no turns found")
-    return Dataset(tuple(turns), Ontology.derive(turns), {"source": str(path), "derived": "headerless"})
-
-
 def _cmd_import(args) -> int:
     cfg = _resolve_config(args)
     dataset = import_dstc2(args.root, args.flist, channel=cfg.asr_channel,
@@ -172,7 +143,7 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    dataset = _read_dataset_flexible(args.dataset)
+    dataset = read_turns(args.dataset)
     cfg_path = Path(args.checkpoint) / "config.txt"
     cfg = parse_config_file(cfg_path) if cfg_path.is_file() else RunConfig()
     store = _load_store(cfg)
@@ -197,7 +168,7 @@ def _write_report(report, prefix, produced_by: str | None = None) -> None:
 
 def _cmd_eval(args) -> int:
     header, rows = read_frames(args.frames)
-    dataset = _read_dataset_flexible(args.dataset)
+    dataset = read_turns(args.dataset)
     if len(rows) != len(dataset.turns):
         raise DomainError(
             f"frames cover {len(rows)} turns but the dataset has {len(dataset.turns)}"

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from typing import Iterable, Iterator
 
+from .data import text_lines
 from .errors import ConfigError
 
 MODEL_VARIANTS = ("cnn", "cnn_lstm_w1", "cnn_lstm_w4", "cnn_lstm_w", "lstm_all")
@@ -108,39 +110,38 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse ``key = value`` lines; unknown keys are an error by name."""
-    cfg = base or RunConfig()
+def _apply(cfg: RunConfig, entries: Iterable[tuple[str, str]]) -> RunConfig:
+    """``cfg`` updated by ``(where, "key = value")`` entries; unknown keys are an error by name."""
     updates = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for where, entry in entries:
+        if "=" not in entry:
+            raise ConfigError(f"{where}: expected 'key = value', got {entry!r}")
+        key, value = (part.strip() for part in entry.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         updates[key] = _parse_value(key, value)
     return replace(cfg, **updates).validate()
 
 
+def _config_lines(lines: Iterable[str]) -> Iterator[tuple[str, str]]:
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield f"line {lineno}", line
+
+
+def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+    """Parse ``key = value`` lines; ``#`` starts a comment."""
+    return _apply(base or RunConfig(), _config_lines(text.splitlines()))
+
+
 def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
-    with open(path, encoding="utf-8") as handle:
-        return parse_config_text(handle.read(), base)
+    return _apply(base or RunConfig(), _config_lines(text_lines(path, ConfigError)))
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
     """Apply ``key=value`` override strings (CLI --set)."""
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must look like key=value, got {pair!r}")
-        key, value = (part.strip() for part in pair.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = _parse_value(key, value)
-    return replace(cfg, **updates).validate()
+    return _apply(cfg, (("override", pair) for pair in pairs))
 
 
 def resolved_text(cfg: RunConfig) -> str:

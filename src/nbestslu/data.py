@@ -18,11 +18,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CorpusError, DataFormatError, DomainError
+from .errors import CorpusError, DataFormatError, DomainError, SluError
 from .ontology import Ontology, act_pattern
 from .rng import FOLDS, SPLIT, substream
 
@@ -162,11 +162,8 @@ def _parse_call(call_dir: Path, call: str, channel: str) -> list[Turn]:
     for path in (log_path, label_path):
         if not path.is_file():
             raise CorpusError(f"call {call}: missing {path.name}")
-    try:
-        log_doc = json.loads(log_path.read_text(encoding="utf-8"))
-        label_doc = json.loads(label_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"call {call}: invalid JSON: {exc}") from None
+    log_doc, label_doc = (parse_json(path.read_bytes(), f"call {call}: {path.name}", CorpusError)
+                          for path in (log_path, label_path))
 
     session = str(log_doc.get("session-id") or call)
     log_turns = log_doc.get("turns")
@@ -217,7 +214,7 @@ def import_dstc2(root, flist, *, channel: str = "live", max_act_patterns: int = 
     flist = Path(flist)
     if not flist.is_file():
         raise CorpusError(f"file list not found: {flist}")
-    calls = [line.strip() for line in flist.read_text(encoding="utf-8").splitlines() if line.strip()]
+    calls = [line.strip() for line in text_lines(flist, CorpusError) if line.strip()]
     if not calls:
         raise CorpusError(f"file list is empty: {flist}")
 
@@ -244,11 +241,64 @@ def import_dstc2(root, flist, *, channel: str = "live", max_act_patterns: int = 
 
 
 # ---------------------------------------------------------------------------
-# canonical line-delimited format
+# line-delimited JSON files: a header line, then one record per line
 # ---------------------------------------------------------------------------
 
-def _dumps(obj) -> str:
+def dumps(obj) -> str:
+    """Canonical JSON: sorted keys and no whitespace, so equal content gives equal bytes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_lines(path, header: dict, lines: Iterable[str]) -> None:
+    """Write ``header`` as one JSON line, then each serialized record on its own line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dumps(header) + "\n")
+        for line in lines:
+            handle.write(line + "\n")
+
+
+def text_lines(path, error: type[SluError] = DataFormatError) -> Iterator[str]:
+    """The lines of a UTF-8 text file without their line ends; any other bytes raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                yield line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def parse_json(text: str | bytes, where, error: type[SluError] = DataFormatError) -> object:
+    """The JSON value of ``text`` (bytes must be UTF-8); malformed text raises ``error`` naming ``where``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from None
+
+
+def read_header(path, fmt: str, version: int) -> tuple[dict, list[str]]:
+    """The header object of a ``fmt`` file at ``version``, and the record lines after it."""
+    lines = list(text_lines(path))
+    if not lines:
+        raise DataFormatError(f"{path}: empty {fmt} file")
+    header = parse_json(lines[0], f"{path}:1")
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise DataFormatError(f"{path}: not a {fmt} file")
+    if header.get("version") != version:
+        raise DataFormatError(
+            f"{path}: version mismatch: file is {header.get('version')}, reader supports {version}"
+        )
+    return header, lines[1:]
+
+
+def parse_records(path, numbered_lines: Iterable[tuple[int, str]], parse: Callable, what: str) -> list:
+    """``parse`` of each numbered JSON line; any failure raises ``DataFormatError`` naming ``path:line``."""
+    records = []
+    for number, line in numbered_lines:
+        try:
+            records.append(parse(json.loads(line)))
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            raise DataFormatError(f"{path}:{number}: malformed {what} record: {exc}") from None
+    return records
 
 
 def _turn_to_dict(turn: Turn) -> dict:
@@ -283,65 +333,59 @@ def _dict_to_turn(doc: dict) -> Turn:
     )
 
 
+def _checksum(lines: Sequence[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def write_canonical(dataset: Dataset, path, config_hash: str | None = None) -> None:
     """Write the dataset as a header line plus one JSON record per turn."""
-    lines = [_dumps(_turn_to_dict(t)) for t in dataset.turns]
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    lines = [dumps(_turn_to_dict(t)) for t in dataset.turns]
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "provenance": dict(dataset.provenance),
         "config_hash": config_hash,
         "counts": {"dialogues": dataset.dialogue_count, "turns": len(dataset.turns)},
-        "checksum": digest,
+        "checksum": _checksum(lines),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_dumps(header) + "\n")
-        for line in lines:
-            handle.write(line + "\n")
+    write_lines(path, header, lines)
 
 
 def read_canonical(path) -> Dataset:
     """Read a canonical dataset file; the inverse of ``write_canonical``."""
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read().splitlines()
-    if not raw:
-        raise DataFormatError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(raw[0])
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid header: {exc}") from None
-    if header.get("format") != FORMAT_NAME:
-        raise DataFormatError(f"{path}: not a {FORMAT_NAME} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise DataFormatError(
-            f"{path}: version mismatch: file is {header.get('version')}, reader supports {FORMAT_VERSION}"
-        )
-    lines = raw[1:]
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    if header.get("checksum") != digest:
+    header, lines = read_header(path, FORMAT_NAME, FORMAT_VERSION)
+    if header.get("checksum") != _checksum(lines):
         raise DataFormatError(f"{path}: checksum mismatch; file was modified or truncated")
+    provenance, counts = header.get("provenance", {}), header.get("counts", {})
+    if not (isinstance(provenance, dict) and isinstance(counts, dict)):
+        raise DataFormatError(f"{path}: provenance and counts must be JSON objects")
+    max_patterns = provenance.get("max_act_patterns", 14)
+    if type(max_patterns) is not int or max_patterns < 1:
+        raise DataFormatError(f"{path}: max_act_patterns must be a positive integer, got {max_patterns!r}")
 
-    turns: list[Turn] = []
+    turns = parse_records(path, enumerate(lines, start=2), _dict_to_turn, "turn")
     seen: set[tuple[str, int]] = set()
-    for number, line in enumerate(lines, start=2):
-        try:
-            turn = _dict_to_turn(json.loads(line))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}:{number}: malformed turn record: {exc}") from None
+    for number, turn in enumerate(turns, start=2):
         key = (turn.session, turn.index)
         if key in seen:
             raise DataFormatError(f"{path}:{number}: duplicate turn {key}")
         seen.add(key)
-        turns.append(turn)
-
-    counts = header.get("counts", {})
-    provenance = header.get("provenance", {})
-    max_patterns = int(provenance.get("max_act_patterns", 14))
     dataset = Dataset(tuple(turns), Ontology.derive(turns, max_patterns), provenance)
     if counts and (counts.get("turns") != len(dataset.turns) or counts.get("dialogues") != dataset.dialogue_count):
         raise DataFormatError(f"{path}: header counts do not match the records")
     return dataset
+
+
+def read_turns(path) -> Dataset:
+    """A canonical dataset file, or headerless turn records: one JSON object per line, blank lines skipped."""
+    first = parse_json(next(text_lines(path), "").strip() or "null", f"{path}:1")
+    if isinstance(first, dict) and first.get("format"):
+        return read_canonical(path)
+    numbered = ((n, line) for n, line in enumerate(text_lines(path), start=1) if line.strip())
+    turns = parse_records(path, numbered, _dict_to_turn, "turn")
+    if not turns:
+        raise DataFormatError(f"{path}: no turns found")
+    return Dataset(tuple(turns), Ontology.derive(turns), {"source": str(path), "derived": "headerless"})
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ P(present) * P(value | slot), the act item carries P(act).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Turn
+from .data import Dataset, Turn, dumps, parse_records, read_header, write_lines
 from .errors import ConfigError, DataFormatError, DomainError
 from .model import SlotValueModel, StepOneModel
 from .sentence import NBestList
@@ -151,56 +150,34 @@ def write_frames(
         "config_hash": config_hash,
         "ontology_hash": ontology_hash,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for frame, turn in zip(frames, turns):
-            record = {
-                "session": turn.session,
-                "index": turn.index,
-                "act": frame.act,
-                "act_confidence": frame.act_confidence,
-                "slots": [
-                    {"slot": s.slot, "value": s.value, "confidence": s.confidence} for s in frame.slots
-                ],
-            }
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    records = (
+        {
+            "session": turn.session,
+            "index": turn.index,
+            "act": frame.act,
+            "act_confidence": frame.act_confidence,
+            "slots": [{"slot": s.slot, "value": s.value, "confidence": s.confidence} for s in frame.slots],
+        }
+        for frame, turn in zip(frames, turns)
+    )
+    write_lines(path, header, map(dumps, records))
+
+
+def _frame_row(doc: dict) -> tuple[str, int, SemanticFrame]:
+    """(session, index, frame) of one frames-file record."""
+    slots = tuple(
+        SlotValuePrediction(str(s["slot"]), None if s["value"] is None else str(s["value"]),
+                            float(s["confidence"]))
+        for s in doc["slots"]
+    )
+    frame = SemanticFrame(str(doc["act"]), float(doc["act_confidence"]), slots)
+    return str(doc["session"]), int(doc["index"]), frame
 
 
 def read_frames(path) -> tuple[dict, list[tuple[str, int, SemanticFrame]]]:
     """Read a frames file; returns (header, [(session, index, frame)])."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty frames file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid header: {exc}") from None
-    if header.get("format") != FRAMES_FORMAT:
-        raise DataFormatError(f"{path}: not a {FRAMES_FORMAT} file")
-    if header.get("version") != FRAMES_VERSION:
-        raise DataFormatError(
-            f"{path}: version mismatch: file is {header.get('version')}, reader supports {FRAMES_VERSION}"
-        )
-    rows: list[tuple[str, int, SemanticFrame]] = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            doc = json.loads(line)
-            frame = SemanticFrame(
-                str(doc["act"]),
-                float(doc["act_confidence"]),
-                tuple(
-                    SlotValuePrediction(
-                        str(s["slot"]),
-                        None if s["value"] is None else str(s["value"]),
-                        float(s["confidence"]),
-                    )
-                    for s in doc["slots"]
-                ),
-            )
-            rows.append((str(doc["session"]), int(doc["index"]), frame))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}:{number}: malformed frame record: {exc}") from None
+    header, lines = read_header(path, FRAMES_FORMAT, FRAMES_VERSION)
+    rows = parse_records(path, enumerate(lines, start=2), _frame_row, "frame")
     if header.get("turns") is not None and header["turns"] != len(rows):
         raise DataFormatError(f"{path}: header declares {header['turns']} frames, found {len(rows)}")
     return header, rows

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import SystemAct
+from .data import SystemAct, text_lines
 from .errors import DataFormatError, DomainError, ModelStateError, ParseError
 
 log = logging.getLogger(__name__)
@@ -190,32 +190,31 @@ def load_vectors(path, expected_dim: int | None = None) -> EmbeddingTable:
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     dim: int | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            token, components = parts[0], parts[1:]
-            if dim is None:
-                if not components:
-                    raise ParseError(f"{path}:{lineno}: no vector components")
-                dim = len(components)
-                if expected_dim is not None and dim != expected_dim:
-                    raise DataFormatError(
-                        f"{path}: vectors are {dim}-dimensional, expected {expected_dim}"
-                    )
-            if len(components) != dim:
-                raise ParseError(f"{path}:{lineno}: expected {dim} components, got {len(components)}")
-            try:
-                vector = np.asarray(components, dtype=np.float64)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: unparseable vector component") from None
-            if token in seen:
-                log.warning("duplicate vector for %r at %s:%d; keeping the first", token, path, lineno)
-                continue
-            seen.add(token)
-            tokens.append(token)
-            rows.append(vector)
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        token, components = parts[0], parts[1:]
+        if dim is None:
+            if not components:
+                raise ParseError(f"{path}:{lineno}: no vector components")
+            dim = len(components)
+            if expected_dim is not None and dim != expected_dim:
+                raise DataFormatError(
+                    f"{path}: vectors are {dim}-dimensional, expected {expected_dim}"
+                )
+        if len(components) != dim:
+            raise ParseError(f"{path}:{lineno}: expected {dim} components, got {len(components)}")
+        try:
+            vector = np.asarray(components, dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: unparseable vector component") from None
+        if token in seen:
+            log.warning("duplicate vector for %r at %s:%d; keeping the first", token, path, lineno)
+            continue
+        seen.add(token)
+        tokens.append(token)
+        rows.append(vector)
     if not tokens:
         raise DataFormatError(f"{path}: no vectors found")
     return EmbeddingTable(tokens, np.vstack(rows))

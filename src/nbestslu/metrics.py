@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .data import ReferenceFrame, Turn
 from .decoder import SemanticFrame
@@ -50,33 +50,23 @@ def slot_value_item(slot: str, value: str) -> Item:
     return ("slot", slot.lower(), value.lower())
 
 
+def _pair_item(slot: str, value: str | None, mode: str) -> Item:
+    """A slot-value pair as an item: the slot alone in step-one mode or when the value is absent."""
+    return slot_item(slot) if mode == STEP1 or value is None else slot_value_item(slot, value)
+
+
 def reference_items(reference: ReferenceFrame, mode: str = FULL) -> frozenset[Item]:
-    items = {act_item(reference.act_pattern)}
-    if mode == STEP1:
-        items.update(slot_item(s) for s, _ in reference.pairs)
-    else:
-        items.update(slot_value_item(s, v) for s, v in reference.pairs)
-    return frozenset(items)
-
-
-def frame_items(frame: SemanticFrame, mode: str = FULL) -> frozenset[Item]:
-    items = {act_item(frame.act)}
-    for pred in frame.slots:
-        if mode == STEP1 or pred.value is None:
-            items.add(slot_item(pred.slot))
-        else:
-            items.add(slot_value_item(pred.slot, pred.value))
-    return frozenset(items)
+    return frozenset([act_item(reference.act_pattern)] + [_pair_item(s, v, mode) for s, v in reference.pairs])
 
 
 def frame_scored_items(frame: SemanticFrame, mode: str = FULL) -> dict[Item, float]:
     scored = {act_item(frame.act): frame.act_confidence}
-    for pred in frame.slots:
-        if mode == STEP1 or pred.value is None:
-            scored[slot_item(pred.slot)] = pred.confidence
-        else:
-            scored[slot_value_item(pred.slot, pred.value)] = pred.confidence
+    scored.update((_pair_item(p.slot, p.value, mode), p.confidence) for p in frame.slots)
     return scored
+
+
+def frame_items(frame: SemanticFrame, mode: str = FULL) -> frozenset[Item]:
+    return frozenset(frame_scored_items(frame, mode))
 
 
 @dataclass(frozen=True)
@@ -110,27 +100,37 @@ def prf1(counts: Counts) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def head_accuracies(
+    frames: Sequence[SemanticFrame],
+    references: Sequence[ReferenceFrame],
+    slots: Sequence[str],
+    act_label: Callable[[str], str] = str,
+) -> dict[str, float]:
+    """Accuracy of each output head: ``act``, then one ``slot:<s>`` presence head per slot.
+
+    The act head is right when the frame's act equals ``act_label`` of the
+    reference pattern, compared case-insensitively.
+    """
+    if len(frames) != len(references):
+        raise DomainError(f"prediction/reference length mismatch: {len(frames)} vs {len(references)}")
+    if not frames:
+        raise DomainError("head accuracy is undefined with no turns")
+    hits = dict.fromkeys(["act"] + [f"slot:{s}" for s in slots], 0)
+    for frame, ref in zip(frames, references):
+        hits["act"] += frame.act.lower() == act_label(ref.act_pattern).lower()
+        predicted = {p.slot for p in frame.slots}
+        referenced = {s for s, _ in ref.pairs}
+        for slot in slots:
+            hits[f"slot:{slot}"] += (slot in predicted) == (slot in referenced)
+    return {head: count / len(frames) for head, count in hits.items()}
+
+
 def joint_accuracy(
     frames: Sequence[SemanticFrame], references: Sequence[ReferenceFrame], slots: Sequence[str]
 ) -> float:
     """Mean per-head accuracy: the act head plus one presence head per slot."""
-    if len(frames) != len(references):
-        raise DomainError(f"prediction/reference length mismatch: {len(frames)} vs {len(references)}")
-    if not frames:
-        raise DomainError("joint accuracy is undefined with no turns")
-    act_hits = 0
-    slot_hits = {slot: 0 for slot in slots}
-    for frame, ref in zip(frames, references):
-        if frame.act.lower() == ref.act_pattern.lower():
-            act_hits += 1
-        predicted = {p.slot for p in frame.slots}
-        referenced = {s for s, _ in ref.pairs}
-        for slot in slots:
-            if (slot in predicted) == (slot in referenced):
-                slot_hits[slot] += 1
-    n = len(frames)
-    head_accuracies = [act_hits / n] + [slot_hits[s] / n for s in slots]
-    return sum(head_accuracies) / len(head_accuracies)
+    accuracies = head_accuracies(frames, references, slots)
+    return sum(accuracies.values()) / len(accuracies)
 
 
 def ice(
@@ -193,9 +193,9 @@ def score_frames(
     if len(frames) != len(turns):
         raise DomainError(f"prediction/reference length mismatch: {len(frames)} vs {len(turns)}")
     references = [t.reference for t in turns]
-    pred_sets = [frame_items(f, mode) for f in frames]
-    ref_sets = [reference_items(r, mode) for r in references]
     scored = [frame_scored_items(f, mode) for f in frames]
+    pred_sets = [frozenset(s) for s in scored]
+    ref_sets = [reference_items(r, mode) for r in references]
 
     counts = item_counts(pred_sets, ref_sets)
     precision, recall, f1 = prf1(counts)

@@ -11,12 +11,11 @@ frequency in the training data.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError
+from .errors import DataFormatError, DomainError
 
 PATTERN_SEPARATOR = "|"
 NULL_PATTERN = "null"
@@ -103,15 +102,29 @@ class Ontology:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "Ontology":
+    def from_json_dict(cls, doc, where="ontology") -> "Ontology":
+        """The inverse of ``to_json_dict``; a document of another shape raises ``DataFormatError``."""
+
+        def strings(value) -> tuple[str, ...]:
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise DataFormatError(f"{where}: expected a list of strings, got {value!r}")
+            return tuple(value)
+
+        if not (isinstance(doc, dict) and isinstance(doc.get("values"), dict) and doc.get("acts")):
+            raise DataFormatError(f"{where}: an ontology is an object with acts and a values object")
+        max_patterns = doc.get("max_patterns", 14)
+        if type(max_patterns) is not int or max_patterns < 1:
+            raise DataFormatError(f"{where}: max_patterns must be a positive integer, got {max_patterns!r}")
         return cls(
-            acts=tuple(doc["acts"]),
-            act_priority=tuple(doc["act_priority"]),
-            slots=tuple(doc["slots"]),
-            values={s: tuple(v) for s, v in doc["values"].items()},
-            max_patterns=int(doc.get("max_patterns", 14)),
+            acts=strings(doc["acts"]),
+            act_priority=strings(doc.get("act_priority")),
+            slots=strings(doc.get("slots")),
+            values={s: strings(v) for s, v in doc["values"].items()},
+            max_patterns=max_patterns,
         )
 
     def canonical_hash(self) -> str:
-        payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        # Local import: data depends on this module for Ontology.
+        from .data import dumps
+
+        return hashlib.sha256(dumps(self.to_json_dict()).encode("utf-8")).hexdigest()

@@ -23,9 +23,9 @@ from . import rng as rng_mod
 from .autograd import TRAIN, Tensor, add_n, dropout_apply, nll_loss
 from .config import RunConfig
 from .data import Dataset, Turn, collect_system_tokens, make_folds, split_turns
-from .decoder import decode_turn, predict_joint, turn_nbest
+from .decoder import decode_turn, turn_nbest
 from .errors import DomainError, NumericFailure
-from .metrics import STEP1, frame_items, item_counts, prf1, reference_items, score_frames
+from .metrics import STEP1, frame_items, head_accuracies, item_counts, prf1, reference_items, score_frames
 from .model import SlotValueModel, StepOneModel
 from .optim import Adadelta
 
@@ -70,24 +70,8 @@ def step1_f1(model: StepOneModel, turns: Sequence[Turn]) -> float:
 
 def step1_head_accuracies(model: StepOneModel, turns: Sequence[Turn]) -> dict[str, float]:
     """Per-head accuracy against the model's own training targets."""
-    if not turns:
-        raise DomainError("no turns to score")
-    ontology = model.ontology
-    act_hits = 0
-    slot_hits = {slot: 0 for slot in ontology.slots}
-    for turn in turns:
-        joint = predict_joint(model, turn)
-        target = ontology.act_index(ontology.act_label(turn.reference.act_pattern))
-        if joint.act_index == target:
-            act_hits += 1
-        referenced = {s for s, _ in turn.reference.pairs}
-        for slot in ontology.slots:
-            if (joint.slot_presence[slot] > 0.5) == (slot in referenced):
-                slot_hits[slot] += 1
-    n = len(turns)
-    out = {"act": act_hits / n}
-    out.update({f"slot:{s}": slot_hits[s] / n for s in ontology.slots})
-    return out
+    frames = [decode_turn(t, model, {}, step1_only=True) for t in turns]
+    return head_accuracies(frames, [t.reference for t in turns], model.ontology.slots, model.ontology.act_label)
 
 
 def _run_epochs(

@@ -159,6 +159,29 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError):
             load_model(path, store, SLOT_KIND)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        (STEP1_KIND, "config_text", 5),
+        (STEP1_KIND, "ontology", [1]),
+        (STEP1_KIND, "ontology", {"acts": 3, "act_priority": [], "slots": [], "values": {}}),
+        (STEP1_KIND, "ontology", {"acts": ["inform"], "act_priority": [], "slots": [], "values": {},
+                                  "max_patterns": "x"}),
+        (STEP1_KIND, "system_tokens", 7),
+        (SLOT_KIND, "slot_position", -1),
+        (SLOT_KIND, "values", [1, 2]),
+    ], ids=["config-text", "ontology-list", "ontology-acts", "ontology-max-patterns", "system-tokens",
+            "slot-position", "values"])
+    def test_mistyped_meta_is_a_format_error(self, tmp_path, dataset, store, kind, key, value):
+        path = tmp_path / "model.ckpt"
+        pos = dataset.ontology.slots.index("pricerange")
+        model = fresh_step1(dataset, store) if kind == STEP1_KIND else SlotValueModel.build(
+            CFG, "pricerange", pos, dataset.ontology.slot_values("pricerange"),
+            collect_system_tokens(dataset.turns), store)
+        save_model(model, path, dataset.ontology)
+        _, params, meta = load_container(path)
+        save_container(path, kind, params, {**meta, key: value})
+        with pytest.raises(DataFormatError):
+            load_model(path, store, kind)
+
     def test_meta_without_a_key_is_a_format_error(self, tmp_path, dataset, store):
         path = tmp_path / "step1.ckpt"
         save_model(fresh_step1(dataset, store), path, dataset.ontology)
@@ -192,4 +215,13 @@ class TestCheckpointDir:
         other = synthetic_dataset(3, 3, seed=77).subset(["synth-000"]).ontology
         (out / "ontology.json").write_text(json.dumps(other.to_json_dict()), encoding="utf-8")
         with pytest.raises(ConfigError):
+            load_checkpoint_dir(out, store)
+
+    @pytest.mark.parametrize("blob", [b"\xff", b"{", b"[1]", b'{"acts": 3, "values": {}}'],
+                             ids=["not-utf8", "bad-json", "list", "acts-number"])
+    def test_corrupt_ontology_file_is_a_format_error(self, tmp_path, dataset, store, blob):
+        out = tmp_path / "ckpt"
+        save_checkpoint_dir(out, fresh_step1(dataset, store), {}, CFG)
+        (out / "ontology.json").write_bytes(blob)
+        with pytest.raises(DataFormatError):
             load_checkpoint_dir(out, store)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from nbestslu.checkpoint import MAGIC
+from nbestslu.checkpoint import MAGIC, load_container, save_container
 from nbestslu.cli import main
 from nbestslu.data import read_canonical
 from nbestslu.decoder import SemanticFrame, SlotValuePrediction, write_frames
@@ -200,6 +200,37 @@ class TestExitCodes:
         assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+
+    def test_decode_with_mistyped_checkpoint_meta_is_two(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        ckpt = tmp_path / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
+        kind, params, meta = load_container(ckpt / "step1.ckpt")
+        save_container(ckpt / "step1.ckpt", kind, params, {**meta, "config_text": 5})
+        capsys.readouterr()
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_config_file_that_is_not_utf8_is_one(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert run(["train", tmp_path / "absent.ds", tmp_path / "ckpt", "--config", bad]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_vectors_file_that_is_not_utf8_is_two(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        vectors = tmp_path / "latin1.txt"
+        vectors.write_bytes(b"caf\xe9 0.1 0.2\n")
+        capsys.readouterr()
+        assert run(["train", dataset, tmp_path / "ckpt", "--config", workspace["config"],
+                    "--set", f"embeddings={vectors}", "--set", "embedding_dim=2"]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from nbestslu.metrics import (
     Counts,
     act_item,
     frame_items,
+    head_accuracies,
     ice,
     item_counts,
     joint_accuracy,
@@ -119,6 +120,15 @@ class TestJointAccuracy:
             refs.append(ReferenceFrame(acts[int(rng.integers(14))], ()))
         expected = (1.0 / 14.0 + 5.0) / 6.0
         assert joint_accuracy(frames, refs, self.SLOTS) == pytest.approx(expected, abs=0.01)
+
+
+    def test_head_accuracies_score_the_mapped_reference_act(self):
+        frames = [frame("inform", slots=(("area", "north", 0.9),)), frame("inform")]
+        refs = [ReferenceFrame("inform|negate", (("area", "north"),)), ReferenceFrame("bye", ())]
+        keep_first = lambda pattern: pattern.split("|")[0]
+        accuracies = head_accuracies(frames, refs, ("area", "food"), keep_first)
+        assert accuracies == {"act": 0.5, "slot:area": 1.0, "slot:food": 1.0}
+        assert head_accuracies(frames, refs, ("area", "food"))["act"] == 0.0
 
 
 class TestIce:
