@@ -3,7 +3,8 @@
 The tape is deliberately small: it covers exactly the operations the
 semantic decoder composes (affine maps, tanh/sigmoid nonlinearities,
 softmax heads with negative log-likelihood, max pooling with argmax
-routing, inverted dropout, embedding-row lookup, and vector plumbing).
+routing, inverted dropout, embedding-row gathers, a fused LSTM over whole
+sequences, and vector plumbing).
 Each op records a closure that routes the upstream gradient to its
 inputs; ``Tensor.backward`` replays the closures in reverse topological
 order, leaving gradients on every input that asked for them.
@@ -281,12 +282,16 @@ def tanh(t: Tensor) -> Tensor:
     return _make(out, (t,), backprop, "tanh")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid split by sign, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(t: Tensor) -> Tensor:
     """Elementwise logistic sigmoid; derivative is s(x)(1 - s(x))."""
     t = as_tensor(t)
-    # Split by sign so exp never overflows.
-    x = t.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _sigmoid(t.data)
 
     def backprop(g: np.ndarray) -> None:
         _accumulate(t, g * out * (1.0 - out))
@@ -388,22 +393,114 @@ def concat1d(parts: Sequence[Tensor]) -> Tensor:
     return _make(out, parts, backprop, "concat1d")
 
 
-def embedding_row(table: Tensor, index: int) -> Tensor:
-    """Row lookup into a [rows, dim] parameter; backward scatters into it."""
+def gather_rows(table: Tensor, indices) -> Tensor:
+    """Rows ``indices`` of a [rows, dim] parameter as one [len(indices), dim] matrix.
+
+    Backward scatters every row gradient into the table with one
+    ``np.add.at``, so repeated indices sum their contributions.
+    """
     table = as_tensor(table)
     if table.ndim != 2:
-        raise ShapeMismatchError(f"embedding_row needs a matrix, got shape {table.shape}")
-    index = int(index)
-    if not 0 <= index < table.shape[0]:
-        raise DomainError(f"row {index} out of range for table with {table.shape[0]} rows")
-    out = table.data[index].copy()
+        raise ShapeMismatchError(f"gather_rows needs a matrix, got shape {table.shape}")
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.ndim != 1:
+        raise ShapeMismatchError(f"gather_rows needs a vector of row indices, got shape {indices.shape}")
+    if indices.size and not (0 <= indices.min() and indices.max() < table.shape[0]):
+        raise DomainError(f"row indices {indices.tolist()} out of range for table with {table.shape[0]} rows")
+    out = table.data[indices]
 
     def backprop(g: np.ndarray) -> None:
-        contribution = np.zeros_like(table.data)
-        contribution[index] = g
-        _accumulate(table, contribution)
+        if table.requires_grad:
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, indices, g)
 
-    return _make(out, (table,), backprop, "embedding_row")
+    return _make(out, (table,), backprop, "gather_rows")
+
+
+LSTM_GATES = ("i", "f", "o", "u")
+
+
+def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params) -> tuple[Tensor, Tensor]:
+    """Run an LSTM over the rows of ``xs`` from state (h0, c0); returns the final (hidden, cell).
+
+    ``params`` holds per-gate tensors in the dicts ``w`` ([H, D] input
+    maps), ``u`` ([H, H] recurrent maps) and ``b`` ([H] biases), keyed by
+    the gates of ``LSTM_GATES``.  They are stacked gate-major for the call
+    into W [4H, D], U [4H, H] and b [4H], so each step's preactivations
+    are (W x + b) + U h: two matrix-vector products for all four gates.
+    (One [T, D] @ [D, 4H] product for all inputs would be fewer calls, but
+    on a busy two-core host a threaded BLAS ran a product that size several
+    times slower than T matrix-vector products.)  A 1-D ``xs`` is a single
+    step; an empty ``xs`` returns (h0, c0) themselves.
+
+    Backward is backprop through time over the kept gates, cells and
+    hiddens: with dZ the [T, 4H] preactivation gradients, X the inputs and
+    H_prev the hiddens entering each step, dW = dZ.T @ X, dU = dZ.T @ H_prev,
+    db = dZ summed over time, dxs = dZ @ W.  The final hidden is a second
+    tape node under the final cell; its gradient joins the cell's backward.
+    """
+    xs, h0, c0 = as_tensor(xs), as_tensor(h0), as_tensor(c0)
+    hidden_size, input_dim = params.w[LSTM_GATES[0]].shape
+    steps = xs.data[None, :] if xs.ndim == 1 else xs.data
+    if steps.ndim != 2 or steps.shape[1] != input_dim:
+        raise ShapeMismatchError(f"lstm_sequence input shape {xs.shape} does not match input width {input_dim}")
+    if h0.shape != (hidden_size,) or c0.shape != (hidden_size,):
+        raise ShapeMismatchError(
+            f"lstm_sequence state shapes h0 {h0.shape}, c0 {c0.shape} do not match hidden size {hidden_size}"
+        )
+    count = steps.shape[0]
+    if count == 0:
+        return h0, c0
+    gate_tensors = [group[g] for group in (params.w, params.u, params.b) for g in LSTM_GATES]
+    w, u, b = (np.concatenate([t.data for t in gate_tensors[k:k + 4]]) for k in (0, 4, 8))
+    sigmoids = 3 * hidden_size  # the input, forget and output gates; the update is the last H
+
+    gates = np.empty((count, 4 * hidden_size))
+    hiddens = np.empty((count + 1, hidden_size))
+    cells = np.empty((count + 1, hidden_size))
+    hiddens[0], cells[0] = h0.data, c0.data
+    for t in range(count):
+        z = gates[t]
+        np.add(w @ steps[t], b, out=z)
+        z += u @ hiddens[t]
+        z[:sigmoids] = _sigmoid(z[:sigmoids])
+        z[sigmoids:] = np.tanh(z[sigmoids:])
+        i, f, o, g = z.reshape(4, hidden_size)
+        cells[t + 1] = i * g + f * cells[t]
+        hiddens[t + 1] = o * np.tanh(cells[t + 1])
+    squashed = np.tanh(cells[1:])
+    final_hidden_grad: list[np.ndarray] = []
+
+    def backprop(dc: np.ndarray) -> None:
+        dh = final_hidden_grad.pop() if final_hidden_grad else np.zeros(hidden_size)
+        dc = dc.copy()
+        dz = np.empty_like(gates)
+        for t in range(count - 1, -1, -1):
+            i, f, o, g = gates[t].reshape(4, hidden_size)
+            dc += dh * o * (1.0 - squashed[t] * squashed[t])
+            dzt = dz[t].reshape(4, hidden_size)
+            dzt[0] = dc * g * i * (1.0 - i)
+            dzt[1] = dc * cells[t] * f * (1.0 - f)
+            dzt[2] = dh * squashed[t] * o * (1.0 - o)
+            dzt[3] = dc * i * (1.0 - g * g)
+            dh = u.T @ dz[t]
+            dc *= f
+        grads = np.split(dz.T @ steps, 4) + np.split(dz.T @ hiddens[:-1], 4) + np.split(dz.sum(axis=0), 4)
+        for tensor, grad in zip(gate_tensors, grads):
+            _accumulate(tensor, grad)
+        if xs.requires_grad:
+            _accumulate(xs, (dz @ w).reshape(xs.shape))
+        _accumulate(h0, dh)
+        _accumulate(c0, dc)
+
+    cell = _make(cells[-1], (xs, h0, c0, *gate_tensors), backprop, "lstm_sequence")
+
+    def route_hidden(g: np.ndarray) -> None:
+        final_hidden_grad.append(g)
+        _accumulate(cell, np.zeros(hidden_size))
+
+    return _make(hiddens[-1], (cell,), route_hidden, "lstm_sequence"), cell
 
 
 TRAIN = "train"

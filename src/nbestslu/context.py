@@ -3,7 +3,11 @@ for combining the context vector with the sentence vector.
 
 System acts are flattened to word streams (act name, slot names, value
 words) and run through the LSTM oldest first from a zero initial state;
-the final hidden vector is the context representation for the turn.
+the final hidden vector is the context representation for the turn.  The
+whole stream is two tape nodes: ``autograd.gather_rows`` looks up every
+token's embedding at once and ``autograd.lstm_sequence`` runs every step,
+with its own backprop through time.  The one-step ``lstm_step`` (used by
+the ``lstm-input`` combiner) is the same op over a single input.
 """
 
 from __future__ import annotations
@@ -30,9 +34,15 @@ class LstmParams:
         update = tanh(W_u x + U_u h + b_u)
         cell   = in * update + forget * cell_prev
         hidden = out * tanh(cell)
+
+    The twelve tensors (``lstm.w_i`` ... ``lstm.b_u``) are what checkpoints
+    store and what the optimizer updates.  ``autograd.lstm_sequence``
+    stacks them gate-major (i, f, o, u) into W [4H, D], U [4H, H] and
+    b [4H] on each call, so one input and one recurrent product per step
+    give all four gates.
     """
 
-    GATES = ("i", "f", "o", "u")
+    GATES = ag.LSTM_GATES
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator, prefix: str = "lstm"):
         if input_dim < 1 or hidden_size < 1:
@@ -61,17 +71,7 @@ class LstmParams:
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
     """One LSTM transition; returns the new (hidden, cell) pair."""
-
-    def preact(gate: str) -> Tensor:
-        return ag.add(ag.affine(x, params.w[gate], params.b[gate]), ag.matmul(params.u[gate], h_prev))
-
-    gate_in = ag.sigmoid(preact("i"))
-    gate_forget = ag.sigmoid(preact("f"))
-    gate_out = ag.sigmoid(preact("o"))
-    update = ag.tanh(preact("u"))
-    cell = ag.add(ag.mul(gate_in, update), ag.mul(gate_forget, c_prev))
-    hidden = ag.mul(gate_out, ag.tanh(cell))
-    return hidden, cell
+    return ag.lstm_sequence(x, h_prev, c_prev, params)
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,8 @@ def run_context_lstm(
     tokens: Sequence[str], table: EmbeddingTable, system_embeddings: Tensor, params: LstmParams
 ) -> tuple[Tensor, Tensor]:
     """Run the LSTM over system-act tokens from a zero initial state."""
-    hidden = Tensor(np.zeros(params.hidden_size))
-    cell = Tensor(np.zeros(params.hidden_size))
-    for row in table.system_row_indices(tokens):
-        x = ag.embedding_row(system_embeddings, int(row))
-        hidden, cell = lstm_step(x, hidden, cell, params)
-    return hidden, cell
+    xs = ag.gather_rows(system_embeddings, table.system_row_indices(tokens))
+    return ag.lstm_sequence(xs, Tensor(np.zeros(params.hidden_size)), Tensor(np.zeros(params.hidden_size)), params)
 
 
 # ---------------------------------------------------------------------------

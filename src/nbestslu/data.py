@@ -127,9 +127,16 @@ def collect_system_tokens(turns: Iterable[Turn]) -> tuple[str, ...]:
 # corpus import
 # ---------------------------------------------------------------------------
 
+def _typed(value, kind: type, what: str, where: str):
+    """``value`` if it is a ``kind`` (an object or a list), else a ``CorpusError`` naming it."""
+    if not isinstance(value, kind):
+        raise CorpusError(f"{where}: {what} is not a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 def _parse_dialog_acts(raw, where: str) -> tuple[SystemAct, ...]:
     acts = []
-    for entry in raw:
+    for entry in _typed(raw, list, "dialog-acts", where):
         try:
             name = str(entry["act"]).strip().lower()
             pairs = tuple((str(s).strip().lower(), str(v).strip().lower()) for s, v in entry.get("slots", []))
@@ -146,7 +153,7 @@ def _parse_reference(label_turn, where: str) -> ReferenceFrame:
         raise CorpusError(f"{where}: missing reference semantics") from None
     names = []
     pairs: dict[tuple[str, str], None] = {}
-    for entry in semantics:
+    for entry in _typed(semantics, list, "reference semantics", where):
         try:
             names.append(str(entry["act"]))
             for s, v in entry.get("slots", []):
@@ -162,7 +169,8 @@ def _parse_call(call_dir: Path, call: str, channel: str) -> list[Turn]:
     for path in (log_path, label_path):
         if not path.is_file():
             raise CorpusError(f"call {call}: missing {path.name}")
-    log_doc, label_doc = (parse_json(path.read_bytes(), f"call {call}: {path.name}", CorpusError)
+    log_doc, label_doc = (_typed(parse_json(path.read_bytes(), f"call {call}: {path.name}", CorpusError),
+                                 dict, path.name, f"call {call}")
                           for path in (log_path, label_path))
 
     session = str(log_doc.get("session-id") or call)
@@ -180,23 +188,30 @@ def _parse_call(call_dir: Path, call: str, channel: str) -> list[Turn]:
     last_index = None
     for position, (log_turn, label_turn) in enumerate(zip(log_turns, label_turns)):
         where = f"session {session} turn {position}"
+        log_turn = _typed(log_turn, dict, "log turn", where)
         raw_index = log_turn.get("turn-index", position)
+        if not isinstance(raw_index, int) or isinstance(raw_index, bool):
+            raise CorpusError(f"{where}: turn-index is not an integer")
         if last_index is not None and raw_index <= last_index:
             raise CorpusError(f"{where}: turn indices are not increasing")
         last_index = raw_index
 
-        output = log_turn.get("output", {})
+        output = _typed(log_turn.get("output", {}), dict, "output", where)
         history.append(_parse_dialog_acts(output.get("dialog-acts", []), where))
 
-        hyp_block = log_turn.get("input", {}).get(channel, {})
-        raw_hyps = hyp_block.get("asr-hyps", [])
+        inputs = _typed(log_turn.get("input", {}), dict, "input", where)
+        hyp_block = _typed(inputs.get(channel, {}), dict, f"input {channel!r}", where)
+        raw_hyps = _typed(hyp_block.get("asr-hyps", []), list, "asr-hyps", where)
         try:
             texts = [str(h["asr-hyp"]) for h in raw_hyps]
             scores = [float(h["score"]) for h in raw_hyps]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"{where}: malformed n-best entry: {exc}") from None
         if texts:
-            weights = normalize_confidences(scores)
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = normalize_confidences(scores)
+            if not np.all(np.isfinite(weights)):
+                raise CorpusError(f"{where}: n-best scores {scores} give no finite confidences")
             nbest = tuple(AsrHypothesis(t, float(w)) for t, w in zip(texts, weights))
         else:
             nbest = (AsrHypothesis("", 1.0),)

@@ -19,11 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import decoder
 from . import rng as rng_mod
 from .autograd import TRAIN, Tensor, add_n, dropout_apply, nll_loss
 from .config import RunConfig
 from .data import Dataset, Turn, collect_system_tokens, make_folds, split_turns
-from .decoder import decode_turn, turn_nbest
 from .errors import DomainError, NumericFailure
 from .metrics import STEP1, frame_items, head_accuracies, item_counts, prf1, reference_items, score_frames
 from .model import SlotValueModel, StepOneModel
@@ -62,7 +62,7 @@ def _restore(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -> None
 
 def step1_f1(model: StepOneModel, turns: Sequence[Turn]) -> float:
     """Micro item-F1 of act plus slot-presence items."""
-    frames = [decode_turn(t, model, {}, step1_only=True) for t in turns]
+    frames = [decoder.decode_turn(t, model, {}, step1_only=True) for t in turns]
     preds = [frame_items(f, STEP1) for f in frames]
     refs = [reference_items(t.reference, STEP1) for t in turns]
     return prf1(item_counts(preds, refs))[2]
@@ -70,7 +70,7 @@ def step1_f1(model: StepOneModel, turns: Sequence[Turn]) -> float:
 
 def step1_head_accuracies(model: StepOneModel, turns: Sequence[Turn]) -> dict[str, float]:
     """Per-head accuracy against the model's own training targets."""
-    frames = [decode_turn(t, model, {}, step1_only=True) for t in turns]
+    frames = [decoder.decode_turn(t, model, {}, step1_only=True) for t in turns]
     return head_accuracies(frames, [t.reference for t in turns], model.ontology.slots, model.ontology.act_label)
 
 
@@ -89,7 +89,7 @@ def _run_epochs(
     optimizer = Adadelta(params, config.adadelta_rho, config.adadelta_epsilon)
     shuffle_rng = rng_mod.substream(config.seed, rng_mod.SHUFFLE)
     dropout_rng = rng_mod.substream(config.seed, rng_mod.DROPOUT)
-    nbests = [turn_nbest(t) for t in turns]
+    nbests = [decoder.turn_nbest(t) for t in turns]
 
     early_stopping = config.patience > 0 and len(val_turns) > 0
     if config.patience > 0 and not val_turns:
@@ -229,7 +229,7 @@ def train_step2(
     def value_accuracy(model: SlotValueModel, val: Sequence[Turn]) -> float:
         hits = 0
         for t in val:
-            probs = model.value_probs(model.encoder.encode(turn_nbest(t), t.system_history))
+            probs = model.value_probs(model.encoder.encode(decoder.turn_nbest(t), t.system_history))
             if int(np.argmax(probs.data)) == targets[id(t)]:
                 hits += 1
         return hits / len(val)
@@ -266,7 +266,7 @@ def cross_validate_step1(
         if log_fn:
             log_fn(f"fold {fold}: {train_ds.dialogue_count} train / {held_ds.dialogue_count} held dialogues")
         model, _ = train_step1(train_ds, config, store, log_fn=log_fn)
-        frames = [decode_turn(t, model, {}, step1_only=True) for t in held_ds.turns]
+        frames = [decoder.decode_turn(t, model, {}, step1_only=True) for t in held_ds.turns]
         report = score_frames(frames, held_ds.turns, model.ontology, STEP1)
         reports.append(report)
         if log_fn:

@@ -196,20 +196,41 @@ class TestFiniteDifferences:
             worst = max(worst, max_rel_error(loss_fn, [x, w, b, mat]))
         assert worst < 1e-4, f"max relative error {worst}"
 
-    def test_embedding_row_gradient(self):
+    def test_gather_rows_gradient(self):
         rng = np.random.default_rng(3)
         table = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
-        contract = rng.uniform(0.5, 1.5, 4)
+        mix = Tensor(rng.uniform(-1, 1, 4))
+        rows = [2, 4, 2, 2]  # a repeated row sums the contributions of its positions
+        contract = rng.uniform(0.5, 1.5, len(rows))
 
         def loss_fn():
-            row = ag.embedding_row(table, 2)
-            return weighted_sum(ag.tanh(row), contract)
+            return weighted_sum(ag.tanh(ag.matmul(ag.gather_rows(table, rows), mix)), contract)
 
         assert max_rel_error(loss_fn, [table]) < 1e-4
         loss_fn().backward()
-        assert np.all(table.grad[[0, 1, 3, 4, 5]] == 0.0)
-        assert np.any(table.grad[2] != 0.0)
+        assert np.all(table.grad[[0, 1, 3, 5]] == 0.0)
+        assert np.all(table.grad[[2, 4]] != 0.0)
 
+    def test_gather_rows_of_an_empty_sequence(self):
+        rng = np.random.default_rng(4)
+        table = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
+        mix = Tensor(rng.uniform(-1, 1, 4))
+
+        def loss_fn():
+            return weighted_sum(ag.matmul(ag.gather_rows(table, []), mix), np.zeros(0))
+
+        assert ag.gather_rows(table, []).shape == (0, 4)
+        assert max_rel_error(loss_fn, [table]) == 0.0
+        loss_fn().backward()
+        np.testing.assert_array_equal(table.grad, np.zeros((6, 4)))
+
+    def test_gather_rows_rejects_rows_out_of_range(self):
+        table = Tensor(np.zeros((3, 2)))
+        for rows in ([3], [-1], [0, 5]):
+            with pytest.raises(DomainError):
+                ag.gather_rows(table, rows)
+        with pytest.raises(ShapeMismatchError):
+            ag.gather_rows(Tensor(np.zeros(3)), [0])
 
 class TestDropout:
     def test_infer_mode_is_identity(self):

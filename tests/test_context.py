@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nbestslu import autograd as ag
 from nbestslu.autograd import Tensor
 from nbestslu.context import (
     Combiner,
@@ -84,6 +85,107 @@ class TestLstmStep:
 
             worst = max(worst, max_rel_error(loss_fn, tensors))
         assert worst < 1e-4, f"max relative error {worst}"
+
+
+def reference_step(x, h_prev, c_prev, params):
+    """One LSTM transition composed from primitive ops, gate by gate."""
+
+    def preact(gate):
+        return ag.add(ag.affine(x, params.w[gate], params.b[gate]), ag.matmul(params.u[gate], h_prev))
+
+    cell = ag.add(ag.mul(ag.sigmoid(preact("i")), ag.tanh(preact("u"))), ag.mul(ag.sigmoid(preact("f")), c_prev))
+    return ag.mul(ag.sigmoid(preact("o")), ag.tanh(cell)), cell
+
+
+def sequence_fixture(steps=5, dim=3, hidden=4, seed=20):
+    rng = np.random.default_rng(seed)
+    params = make_params(dim, hidden, seed=seed)
+    for gate in params.GATES:
+        params.b[gate].data[...] = rng.uniform(-1, 1, hidden)
+    xs = Tensor(rng.uniform(-1, 1, (steps, dim)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-0.5, 0.5, hidden), requires_grad=True)
+    c0 = Tensor(rng.uniform(-1, 1, hidden), requires_grad=True)
+    return params, xs, h0, c0, rng.uniform(0.5, 1.5, hidden), rng.uniform(0.5, 1.5, hidden)
+
+
+class TestLstmSequence:
+    def test_gradients_of_every_input_over_a_sequence(self):
+        params, xs, h0, c0, on_hidden, on_cell = sequence_fixture()
+        tensors = list(params.parameters().values()) + [xs, h0, c0]
+
+        def loss_fn():
+            hidden, cell = ag.lstm_sequence(xs, h0, c0, params)
+            return ag.add(weighted_sum(hidden, on_hidden), weighted_sum(cell, on_cell))
+
+        assert max_rel_error(loss_fn, tensors) < 1e-4
+        for tensor in tensors:
+            assert np.any(tensor.grad != 0.0), tensor.name
+
+    def test_hidden_alone_and_cell_alone_get_their_gradients(self):
+        params, xs, h0, c0, on_hidden, on_cell = sequence_fixture(steps=3, seed=21)
+        tensors = list(params.parameters().values()) + [xs, h0, c0]
+        for pick, contract in ((0, on_hidden), (1, on_cell)):
+            def loss_fn():
+                return weighted_sum(ag.lstm_sequence(xs, h0, c0, params)[pick], contract)
+
+            assert max_rel_error(loss_fn, tensors) < 1e-4
+
+    def test_matches_a_composition_of_primitive_steps(self):
+        params, xs, h0, c0, on_hidden, on_cell = sequence_fixture(steps=7, dim=5, hidden=6, seed=22)
+        rows = [Tensor(x, requires_grad=True) for x in xs.data]
+        states = [h0, c0]
+
+        def run(fused):
+            for tensor in [*params.parameters().values(), xs, *rows, *states]:
+                tensor.zero_grad()
+            if fused:
+                hidden, cell = ag.lstm_sequence(xs, h0, c0, params)
+            else:
+                hidden, cell = h0, c0
+                for x in rows:
+                    hidden, cell = reference_step(x, hidden, cell, params)
+            ag.add(weighted_sum(hidden, on_hidden), weighted_sum(cell, on_cell)).backward()
+            inputs = xs.grad if fused else np.stack([x.grad for x in rows])
+            grads = {name: tensor.grad.copy() for name, tensor in params.parameters().items()}
+            grads.update(xs=inputs, h0=h0.grad.copy(), c0=c0.grad.copy())
+            return hidden.data, cell.data, grads
+
+        fused, reference = run(True), run(False)
+        np.testing.assert_allclose(fused[0], reference[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused[1], reference[1], rtol=0, atol=1e-12)
+        assert fused[2].keys() == reference[2].keys() and len(fused[2]) == 15
+        for name, grad in fused[2].items():
+            np.testing.assert_allclose(grad, reference[2][name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_empty_sequence_returns_the_initial_state(self):
+        params, xs, h0, c0, _, _ = sequence_fixture()
+        hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, params)
+        assert hidden is h0 and cell is c0
+
+    def test_wrong_input_width_or_state_size_is_a_shape_error(self):
+        params, xs, h0, c0, _, _ = sequence_fixture()
+        for bad in (
+            (Tensor(np.zeros((5, 4))), h0, c0),
+            (Tensor(np.zeros(4)), h0, c0),
+            (Tensor(np.zeros((2, 3, 1))), h0, c0),
+            (xs, Tensor(np.zeros(5)), c0),
+            (xs, h0, Tensor(np.zeros((1, 4)))),
+        ):
+            with pytest.raises(ShapeMismatchError):
+                ag.lstm_sequence(*bad, params)
+
+    def test_saturated_gates_stay_finite(self):
+        for bias in (40.0, -40.0):
+            params, xs, h0, c0, on_hidden, on_cell = sequence_fixture(seed=23)
+            for gate in params.GATES:
+                params.b[gate].data[...] = bias
+            xs.data *= 50.0
+            hidden, cell = ag.lstm_sequence(xs, h0, c0, params)
+            ag.add(weighted_sum(hidden, on_hidden), weighted_sum(cell, on_cell)).backward()
+            assert np.all(np.isfinite(hidden.data)) and np.all(np.isfinite(cell.data))
+            assert np.all(np.abs(hidden.data) <= 1.0)
+            for tensor in list(params.parameters().values()) + [xs, h0, c0]:
+                assert np.all(np.isfinite(tensor.grad)), tensor.name
 
 
 class TestContextWindow:

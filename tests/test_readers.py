@@ -8,19 +8,20 @@ escaped as bare Python exceptions.
 
 import copy
 import hashlib
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nbestslu.checkpoint import MAGIC, SLOT_KIND, STEP1_KIND, load_container, load_model, save_container, save_model
 from nbestslu.config import RunConfig, parse_config_file, parse_config_text
-from nbestslu.data import collect_system_tokens, dumps, read_canonical, read_turns
+from nbestslu.data import collect_system_tokens, dumps, import_dstc2, read_canonical, read_turns
 from nbestslu.decoder import read_frames
 from nbestslu.embeddings import load_vectors
-from nbestslu.errors import SluError
+from nbestslu.errors import CorpusError, SluError
 from nbestslu.model import SlotValueModel, StepOneModel
 
-from _synth import synthetic_dataset, synthetic_table
+from _synth import synthetic_dataset, synthetic_table, write_mini_corpus
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -242,3 +243,48 @@ def test_checkpoint_meta_with_one_value_replaced(scratch, saved_models, kind, da
     path = scratch / "meta.ckpt"
     save_container(path, kind, params, _replaced(meta, where, data.draw(JSON, label="value")))
     _accepts_or_raises_slu_error(load_model, path, store, kind)
+
+
+@pytest.fixture(scope="module")
+def mini_corpus(tmp_path_factory):
+    """The miniature corpus on disk, plus the parsed log and label documents of its first call."""
+    root = tmp_path_factory.mktemp("corpus")
+    flist = write_mini_corpus(root)
+    call = root / flist.read_text(encoding="utf-8").split()[0]
+    docs = {name: json.loads((call / name).read_text(encoding="utf-8")) for name in ("log.json", "label.json")}
+    return root, flist, call, docs
+
+
+def _write_call(call, docs, where, value) -> None:
+    for name, doc in _replaced(docs, where, value).items():
+        (call / name).write_text(json.dumps(doc), encoding="utf-8")
+
+
+@FUZZ
+@given(data=st.data())
+def test_corpus_call_with_one_value_replaced(mini_corpus, data):
+    root, flist, call, docs = mini_corpus
+    where = data.draw(st.sampled_from([p for p in _paths(docs) if len(p) > 1]), label="where")
+    _write_call(call, docs, where, data.draw(JSON, label="value"))
+    _accepts_or_raises_slu_error(import_dstc2, root, flist)
+
+
+@pytest.mark.parametrize("where, value", [
+    (("log.json",), [1]),
+    (("label.json",), [1]),
+    (("log.json", "turns", 0), 1),
+    (("log.json", "turns", 1, "turn-index"), "x"),
+    (("log.json", "turns", 0, "output"), [1]),
+    (("log.json", "turns", 0, "output", "dialog-acts"), 1),
+    (("log.json", "turns", 0, "input"), [1]),
+    (("log.json", "turns", 0, "input", "live"), "x"),
+    (("log.json", "turns", 0, "input", "live", "asr-hyps"), 1),
+    (("log.json", "turns", 0, "input", "live", "asr-hyps", 0, "score"), 10**400),
+    (("log.json", "turns", 0, "input", "live", "asr-hyps", 0, "score"), float("inf")),
+    (("label.json", "turns", 0, "semantics", "json"), 1),
+], ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else type(v).__name__)
+def test_mistyped_corpus_values_are_corpus_errors(mini_corpus, where, value):
+    root, flist, call, docs = mini_corpus
+    _write_call(call, docs, where, value)
+    with pytest.raises(CorpusError):
+        import_dstc2(root, flist)
