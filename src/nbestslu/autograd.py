@@ -3,8 +3,10 @@
 The tape is deliberately small: it covers exactly the operations the
 semantic decoder composes (affine maps, tanh/sigmoid nonlinearities,
 softmax heads with negative log-likelihood, max pooling with argmax
-routing, inverted dropout, embedding-row gathers, a fused LSTM over whole
-sequences, and vector plumbing).
+routing, inverted dropout, embedding-row gathers, elementwise sums and
+products) plus two fused ops with hand-written backward passes: the
+n-best convolution (``conv_nbest``, one node per n-best list) and the
+LSTM over a whole sequence (``lstm_sequence``).
 Each op records a closure that routes the upstream gradient to its
 inputs; ``Tensor.backward`` replays the closures in reverse topological
 order, leaving gradients on every input that asked for them.
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GraphStateError, NumericFailure, ShapeMismatchError
 
@@ -208,21 +211,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backprop, "add")
 
 
-def add_bias_rows(m: Tensor, v: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix."""
-    m, v = as_tensor(m), as_tensor(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError(f"add_bias_rows shapes do not conform: {m.shape} + {v.shape}")
-    out = m.data + v.data[None, :]
-
-    def backprop(g: np.ndarray) -> None:
-        _accumulate(m, g)
-        if v.requires_grad:
-            _accumulate(v, g.sum(axis=0))
-
-    return _make(out, (m, v), backprop, "add_bias_rows")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     a, b = as_tensor(a), as_tensor(b)
@@ -237,18 +225,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g * a.data)
 
     return _make(out, (a, b), backprop, "mul")
-
-
-def scale(t: Tensor, factor: float) -> Tensor:
-    """Multiply a tensor by a python scalar (the scalar gets no gradient)."""
-    t = as_tensor(t)
-    factor = float(factor)
-    out = t.data * factor
-
-    def backprop(g: np.ndarray) -> None:
-        _accumulate(t, g * factor)
-
-    return _make(out, (t,), backprop, "scale")
 
 
 def add_n(parts: Sequence[Tensor]) -> Tensor:
@@ -358,39 +334,56 @@ def max_pool(t: Tensor) -> tuple[Tensor, int]:
     return _make(out, (t,), backprop, "max_pool"), idx
 
 
-def columnwise_max(m: Tensor) -> Tensor:
-    """Per-column maximum of a matrix (pooling every feature map at once)."""
-    m = as_tensor(m)
-    if m.ndim != 2 or m.shape[0] == 0:
-        raise DomainError(f"columnwise_max needs a non-empty matrix, got shape {m.shape}")
-    idx = np.argmax(m.data, axis=0)
-    cols = np.arange(m.shape[1])
-    out = m.data[idx, cols]
+def conv_nbest(rows, lengths, weights, filters: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """Weighted sum over an n-best list of max-pooled tanh convolutions.
+
+    Hypothesis i spans the first ``lengths[i]`` of its zero-padded word
+    rows ``rows[i]`` ([n, L, D]) and has weight ``weights[i]``.  Per
+    (weight [w*D, M], bias [M]) pair of ``filters``, all width-w windows
+    run through one [n*(L-w+1), w*D] @ [w*D, M] product, ``+ bias`` and
+    tanh; windows starting past ``lengths[i] - w`` are masked, each map is
+    pooled at its first maximum, and the weighted pooled rows are summed
+    left to right.  The output concatenates the pairs' sums.
+
+    Backward: with dMaps the tanh-input gradient, one non-zero per
+    (hypothesis, filter) at its pooled window, d_weight = windows.T @ dMaps
+    and d_bias = dMaps summed.  Rows, lengths and weights get no gradient.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if rows.ndim != 3 or rows.shape[0] == 0 or lengths.shape != rows.shape[:1] or weights.shape != lengths.shape:
+        raise ShapeMismatchError(f"conv_nbest needs [n, L, D] rows with n lengths and n weights, got rows "
+                                 f"{rows.shape}, lengths {lengths.shape}, weights {weights.shape}")
+    count, span, dim = rows.shape
+    filters = tuple((as_tensor(w), as_tensor(b)) for w, b in filters)
+    pieces, kept = [], []
+    for weight, bias in filters:
+        width = weight.shape[0] // dim if weight.ndim == 2 else 0
+        if width < 1 or weight.shape[0] != width * dim or bias.shape != weight.shape[1:]:
+            raise ShapeMismatchError(f"conv_nbest filter {weight.shape} + {bias.shape} does not fit {dim}-d rows")
+        if lengths.min() < width or lengths.max() > span:
+            raise DomainError(f"hypothesis lengths {lengths.tolist()} leave no width-{width} window in {span} rows")
+        starts = span - width + 1
+        windows = sliding_window_view(rows, (width, dim), axis=(1, 2)).reshape(count * starts, width * dim)
+        maps = np.tanh(windows @ weight.data + bias.data).reshape(count, starts, -1)
+        maps[np.arange(starts)[None, :] > (lengths - width)[:, None]] = -np.inf
+        best = np.argmax(maps, axis=1)
+        pooled = np.take_along_axis(maps, best[:, None, :], axis=1)[:, 0]
+        # accumulate adds the weighted rows strictly in order; sum may pair them.
+        pieces.append(np.add.accumulate(pooled * weights[:, None])[-1])
+        kept.append((windows, best, pooled))
+    bounds = np.cumsum([piece.size for piece in pieces])[:-1]
 
     def backprop(g: np.ndarray) -> None:
-        contribution = np.zeros_like(m.data)
-        contribution[idx, cols] = g
-        _accumulate(m, contribution)
+        for (weight, bias), (windows, best, pooled), upstream in zip(filters, kept, np.split(g, bounds)):
+            dpooled = weights[:, None] * upstream * (1.0 - pooled * pooled)
+            dmaps = np.zeros((count, len(windows) // count, pooled.shape[1]))
+            np.put_along_axis(dmaps, best[:, None, :], dpooled[:, None, :], axis=1)
+            _accumulate(weight, windows.T @ dmaps.reshape(len(windows), -1))
+            _accumulate(bias, dpooled.sum(axis=0))
 
-    return _make(out, (m,), backprop, "columnwise_max")
-
-
-def concat1d(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors; backward slices the gradient back apart."""
-    if not parts:
-        raise DomainError("concat1d needs at least one part")
-    parts = tuple(as_tensor(p) for p in parts)
-    for p in parts:
-        if p.ndim != 1:
-            raise ShapeMismatchError(f"concat1d needs vectors, got shape {p.shape}")
-    out = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + [p.size for p in parts])
-
-    def backprop(g: np.ndarray) -> None:
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[start:stop])
-
-    return _make(out, parts, backprop, "concat1d")
+    return _make(np.concatenate(pieces), tuple(t for pair in filters for t in pair), backprop, "conv_nbest")
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:

@@ -217,7 +217,9 @@ def save_checkpoint_dir(dirpath, step1: StepOneModel, slot_models: dict[str, Slo
         write_lines(dirpath / TRAIN_LOG_FILE, train_log, ())
 
 
-def load_checkpoint_dir(dirpath, store) -> tuple[StepOneModel, dict[str, SlotValueModel], RunConfig]:
+def load_checkpoint_dir(dirpath, store, config: RunConfig | None = None
+                        ) -> tuple[StepOneModel, dict[str, SlotValueModel], RunConfig]:
+    """Models and run config of a checkpoint directory; ``config`` is its config.txt if parsed already."""
     dirpath = Path(dirpath)
     step1_path = dirpath / STEP1_FILE
     if not step1_path.is_file():
@@ -237,5 +239,6 @@ def load_checkpoint_dir(dirpath, store) -> tuple[StepOneModel, dict[str, SlotVal
         path = dirpath / slot_file(slot)
         if path.is_file():
             slot_models[slot] = load_model(path, store, SLOT_KIND, ontology_hash=expected_hash)
-    config = parse_config_file(dirpath / CONFIG_FILE) if (dirpath / CONFIG_FILE).is_file() else step1.config
+    if config is None:
+        config = parse_config_file(dirpath / CONFIG_FILE) if (dirpath / CONFIG_FILE).is_file() else step1.config
     return step1, slot_models, config

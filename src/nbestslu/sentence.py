@@ -4,6 +4,9 @@ Each hypothesis is convolved with a bank of filters (one block per window
 size, tanh nonlinearity), every feature map is max-pooled to one scalar,
 and the pooled vectors of all hypotheses are combined by a posterior-
 weighted sum.  The result is one fixed-length vector per user turn.
+
+The whole list is one ``autograd.conv_nbest`` tape node over the word
+vectors stacked in canonical order; one hypothesis is a list of one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import normalize_confidences
-from .embeddings import EmbeddingTable, TokenSequence, tokenize
+from .embeddings import EmbeddingTable, tokenize
 from .errors import DomainError
 
 
@@ -39,10 +42,15 @@ class NBestList:
     def from_texts(cls, pairs) -> "NBestList":
         return cls(tuple(Hypothesis(tokenize(text).tokens, float(conf)) for text, conf in pairs))
 
+    def ranked(self) -> tuple[Hypothesis, ...]:
+        """The hypotheses in canonical order: confidence descending, then tokens."""
+        return tuple(sorted(self.hyps, key=lambda h: (-h.confidence, h.tokens)))
+
     def truncated(self, cap: int) -> "NBestList":
+        """The top ``cap`` hypotheses in canonical order, whatever the input order."""
         if cap < 1:
             raise DomainError(f"n-best cap must be at least 1, got {cap}")
-        return NBestList(self.hyps[:cap])
+        return NBestList(self.ranked()[:cap])
 
     def __len__(self) -> int:
         return len(self.hyps)
@@ -101,53 +109,35 @@ class ConvFilterBank:
         return out
 
 
-def _window_matrix(rows: np.ndarray, width: int) -> np.ndarray:
-    """[m, k] embeddings -> [m-width+1, width*k]; row i is rows[i:i+width] flattened."""
-    count = rows.shape[0] - width + 1
-    out = np.empty((count, width * rows.shape[1]), dtype=np.float64)
-    for i in range(count):
-        out[i] = rows[i : i + width].ravel()
-    return out
-
-
 def encode_hypothesis(tokens, table: EmbeddingTable, bank: ConvFilterBank) -> Tensor:
-    """Pooled convolution features for one hypothesis.
+    """Pooled convolution features for one hypothesis: a one-hypothesis list of weight 1.
 
     Hypotheses shorter than the largest window (including the empty one)
     are right-padded with zero vectors, so every filter sees at least one
     window and an empty hypothesis yields tanh(bias) per filter.
     """
-    if isinstance(tokens, TokenSequence):
-        tokens = tokens.tokens
-    if table.dim != bank.dim:
-        raise DomainError(f"embedding dim {table.dim} does not match filter bank dim {bank.dim}")
-    rows = table.hypothesis_rows(tokens)
-    if rows.shape[0] < bank.max_window:
-        pad = np.zeros((bank.max_window - rows.shape[0], table.dim))
-        rows = np.vstack([rows, pad]) if rows.shape[0] else pad
-    pooled = []
-    for width in bank.window_sizes:
-        windows = Tensor(_window_matrix(rows, width))
-        maps = ag.tanh(ag.add_bias_rows(ag.matmul(windows, bank.weights[width]), bank.biases[width]))
-        pooled.append(ag.columnwise_max(maps))
-    return ag.concat1d(pooled)
+    return encode_sentence(NBestList((Hypothesis(tuple(tokens), 1.0),)), table, bank)
 
 
 def encode_sentence(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBank) -> Tensor:
     """Confidence-weighted sum of per-hypothesis feature vectors.
 
     Raw confidences are renormalized to sum to one, which makes the result
-    invariant to uniform rescaling.  Terms are summed in a canonical order
-    (weight descending, then tokens) so permuting the n-best list yields a
+    invariant to uniform rescaling.  Terms are summed in the canonical order
+    of ``NBestList.ranked``, so permuting the n-best list yields a
     bit-identical vector.
     """
     if len(nbest) == 0:
         raise DomainError("empty n-best list; supply a single empty hypothesis instead")
+    if table.dim != bank.dim:
+        raise DomainError(f"embedding dim {table.dim} does not match filter bank dim {bank.dim}")
     # Canonical order before normalization: the raw-score sum, the divisions
-    # and the additions below then all round identically for any input order.
-    ordered = sorted(nbest.hyps, key=lambda h: (-h.confidence, h.tokens))
+    # and the additions in the op then all round identically for any input order.
+    ordered = nbest.ranked()
     weights = normalize_confidences([h.confidence for h in ordered])
-    terms = [
-        ag.scale(encode_hypothesis(h.tokens, table, bank), float(w)) for h, w in zip(ordered, weights)
-    ]
-    return ag.add_n(terms)
+    lengths = np.array([max(len(h.tokens), bank.max_window) for h in ordered])
+    rows = np.zeros((len(ordered), lengths.max(), table.dim))
+    for i, hyp in enumerate(ordered):
+        rows[i, : len(hyp.tokens)] = table.hypothesis_rows(hyp.tokens)
+    filters = [(bank.weights[width], bank.biases[width]) for width in bank.window_sizes]
+    return ag.conv_nbest(rows, lengths, weights, filters)

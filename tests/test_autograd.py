@@ -179,21 +179,19 @@ class TestFiniteDifferences:
             x = Tensor(rng.uniform(-1, 1, n), requires_grad=True)
             w = Tensor(rng.uniform(-1, 1, (m, n)), requires_grad=True)
             b = Tensor(rng.uniform(-1, 1, m), requires_grad=True)
-            mat = Tensor(rng.uniform(-1, 1, (3, m)), requires_grad=True)
-            contract = rng.uniform(0.5, 1.5, m)
+            mix = Tensor(rng.uniform(-1, 1, (m, m)), requires_grad=True)
+            contract = Tensor(rng.uniform(0.5, 1.5, m))
             target = int(rng.integers(m))
 
             def loss_fn():
                 hidden = ag.tanh(ag.affine(x, w, b))
                 gates = ag.mul(ag.sigmoid(hidden), ag.tanh(ag.add(hidden, b)))
-                pooled = ag.columnwise_max(ag.add_bias_rows(mat, gates))
-                merged = ag.concat1d([pooled, ag.scale(gates, 0.7)])
-                probs = ag.softmax(merged)
+                probs = ag.softmax(ag.affine(gates, mix, b))
                 pick = ag.nll_loss(probs, target)
-                rest = weighted_sum(pooled, contract)
-                return ag.add_n([pick, ag.max_pool(rest)[0]])
+                peak, _ = ag.max_pool(ag.mul(gates, contract))
+                return ag.add_n([pick, peak])
 
-            worst = max(worst, max_rel_error(loss_fn, [x, w, b, mat]))
+            worst = max(worst, max_rel_error(loss_fn, [x, w, b, mix]))
         assert worst < 1e-4, f"max relative error {worst}"
 
     def test_gather_rows_gradient(self):
@@ -231,6 +229,27 @@ class TestFiniteDifferences:
                 ag.gather_rows(table, rows)
         with pytest.raises(ShapeMismatchError):
             ag.gather_rows(Tensor(np.zeros(3)), [0])
+
+
+class TestConvNbest:
+    def test_rejects_inputs_that_do_not_fit(self):
+        rows = np.zeros((2, 5, 3))
+        pair = (Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
+        np.testing.assert_array_equal(ag.conv_nbest(rows, [5, 2], [0.5, 0.5], [pair]).data, np.zeros(4))
+        for bad_rows, lengths, weights, filters in (
+            (np.zeros((5, 3)), [5], [1.0], [pair]),
+            (np.zeros((0, 5, 3)), [], [], [pair]),
+            (rows, [5], [0.5, 0.5], [pair]),
+            (rows, [5, 2], [1.0], [pair]),
+            (rows, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)))]),
+            (rows, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((6, 4))), Tensor(np.zeros(3)))]),
+        ):
+            with pytest.raises(ShapeMismatchError):
+                ag.conv_nbest(bad_rows, lengths, weights, filters)
+        for lengths in ([5, 1], [6, 2]):
+            with pytest.raises(DomainError):
+                ag.conv_nbest(rows, lengths, [0.5, 0.5], [pair])
+
 
 class TestDropout:
     def test_infer_mode_is_identity(self):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nbestslu import checkpoint, cli
 from nbestslu.checkpoint import MAGIC, load_container, save_container
 from nbestslu.cli import main
 from nbestslu.data import read_canonical
@@ -90,6 +91,21 @@ class TestPipeline:
         assert header["items"] == "step1"
         assert run(["eval", frames, dataset]) == 0
         assert "mode: step1" in capsys.readouterr().out
+
+    def test_decode_parses_the_checkpoint_config_once(self, workspace, monkeypatch):
+        tmp = workspace["tmp"]
+        dataset = tmp / "mini.ds"
+        ckpt = tmp / "ckpt1"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
+        parsed = []
+        for module in (cli, checkpoint):
+            original = module.parse_config_file
+            monkeypatch.setattr(module, "parse_config_file",
+                                lambda path, original=original: parsed.append(path) or original(path))
+        assert run(["decode", ckpt, dataset, tmp / "step1.frames", "--step1-only"]) == 0
+        assert parsed == [ckpt / "config.txt"]
 
     def test_perfect_frames_oracle_round_trip(self, workspace, capsys):
         tmp = workspace["tmp"]

@@ -14,9 +14,10 @@ from nbestslu.decoder import (
 )
 from nbestslu.errors import ConfigError, DomainError, ModelStateError
 from nbestslu.model import SlotValueModel, StepOneModel
+from nbestslu.sentence import Hypothesis, NBestList
 
 from _gradcheck import max_rel_error
-from _synth import synthetic_dataset, synthetic_table
+from _synth import synthetic_dataset, synthetic_table, synthetic_vocab
 
 TOY = RunConfig(
     model="cnn_lstm_w4",
@@ -192,6 +193,22 @@ class TestDecodeTurn:
         a = decode_turn(turn, model, {}, step1_only=True)
         b = decode_turn(stripped, model, {}, step1_only=True)
         assert a == b
+
+
+class TestTurnEncoder:
+    def test_nbest_cap_keeps_the_same_hypotheses_in_any_input_order(self, dataset, store):
+        model = build_step1(dataset, store)
+        assert model.encoder.nbest_cap == 10
+        rng = np.random.default_rng(9)
+        words = synthetic_vocab()
+        hyps = [Hypothesis(tuple(rng.choice(words, size=int(rng.integers(1, 6)))), float(c))
+                for c in rng.permutation(np.linspace(0.05, 0.6, 12))]
+        history = dataset.turns[3].system_history
+        base = model.encoder.encode(NBestList(tuple(hyps)), history).data
+        top = NBestList(tuple(sorted(hyps, key=lambda h: -h.confidence)[:10]))
+        np.testing.assert_array_equal(model.encoder.encode(top, history).data, base)
+        for order in (hyps[::-1], [hyps[int(i)] for i in rng.permutation(12)]):
+            np.testing.assert_array_equal(model.encoder.encode(NBestList(tuple(order)), history).data, base)
 
 
 class TestFullModelGradients:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nbestslu.data import normalize_confidences
 from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError
 from nbestslu.sentence import (
@@ -93,6 +94,11 @@ class TestEncodeSentence:
         e2 = encode_hypothesis(h2, self.table, self.bank).data
         np.testing.assert_allclose(sentence.data, 0.7 * e1 + 0.3 * e2, atol=1e-15)
 
+    def test_the_whole_list_is_one_tape_node(self):
+        hyps = (Hypothesis(("i", "want"), 0.6), Hypothesis(("cheap",), 0.3), Hypothesis((), 0.1))
+        out = encode_sentence(NBestList(hyps), self.table, self.bank)
+        assert list(out._parents) == list(self.bank.parameters().values())
+
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(4)
         hyps = [
@@ -127,6 +133,96 @@ class TestEncodeSentence:
         with pytest.raises(DomainError):
             NBestList(hyps).truncated(0)
 
+    def test_truncation_keeps_the_top_hypotheses_in_canonical_order(self):
+        hyps = tuple(Hypothesis((t,), c) for t, c in (("the", 0.1), ("i", 0.5), ("food", 0.3), ("want", 0.3)))
+        expected = (hyps[1], hyps[2], hyps[3])
+        assert NBestList(hyps).truncated(3).hyps == expected
+        assert NBestList(hyps[::-1]).truncated(3).hyps == expected
+
+
+def reference_encoding(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBank, upstream: np.ndarray):
+    """Features and filter gradients, one hypothesis and one window at a time.
+
+    Each hypothesis is right-padded with zero vectors up to the widest
+    window, every feature map is pooled at its first maximum, and the
+    weighted pooled vectors are summed left to right in canonical order.
+    """
+    ordered = sorted(nbest.hyps, key=lambda h: (-h.confidence, h.tokens))
+    weights = normalize_confidences([h.confidence for h in ordered])
+    grads = {name: np.zeros_like(t.data) for name, t in bank.parameters().items()}
+    total = None
+    for hyp, weight in zip(ordered, weights):
+        rows = table.hypothesis_rows(hyp.tokens)
+        rows = np.vstack([rows, np.zeros((max(0, bank.max_window - len(rows)), bank.dim))])
+        features, offset = [], 0
+        for width in bank.window_sizes:
+            filters, bias = bank.weights[width], bank.biases[width]
+            windows = [rows[s:s + width].ravel() for s in range(len(rows) - width + 1)]
+            for m in range(bank.maps_per_window):
+                responses = [np.tanh(window @ filters.data[:, m] + bias.data[m]) for window in windows]
+                best = max(range(len(windows)), key=lambda s: (responses[s], -s))
+                features.append(responses[best])
+                g = upstream[offset + m] * weight * (1.0 - responses[best] ** 2)
+                grads[filters.name][:, m] += g * windows[best]
+                grads[bias.name][m] += g
+            offset += bank.maps_per_window
+        term = np.asarray(features) * weight
+        total = term if total is None else total + term
+    return total, grads
+
+
+def encoded_with_grads(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBank, upstream: np.ndarray):
+    for tensor in bank.parameters().values():
+        tensor.zero_grad()
+    out = encode_sentence(nbest, table, bank)
+    out.backward(upstream)
+    return out.data, {name: t.grad for name, t in bank.parameters().items()}
+
+
+class TestReference:
+    """The one-node n-best op against the per-hypothesis maths, at paper dims."""
+
+    def test_random_nbest_lists_match_the_reference(self):
+        rng = np.random.default_rng(6)
+        vocab = [f"w{i}" for i in range(30)]
+        table = tiny_table({t: list(rng.uniform(-1, 1, 100)) for t in vocab})
+        for count in range(1, 11):
+            bank = ConvFilterBank(100, (3, 4, 5), 100, rng)
+            hyps = NBestList(tuple(
+                Hypothesis(tuple(rng.choice(vocab + ["unseen"], size=int(rng.integers(0, 12)))),
+                           float(rng.uniform(0.05, 1)))
+                for _ in range(count)
+            ))
+            upstream = rng.uniform(-1, 1, bank.feature_size)
+            features, grads = encoded_with_grads(hyps, table, bank, upstream)
+            ref_features, ref_grads = reference_encoding(hyps, table, bank, upstream)
+            np.testing.assert_allclose(features, ref_features, rtol=0, atol=1e-12)
+            for name, grad in ref_grads.items():
+                np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_tied_windows_route_to_the_first(self):
+        # Dyadic embeddings and weights make every product and sum exact, so
+        # windows that differ only in the rows a zeroed filter block ignores
+        # tie exactly, whatever order the products are summed in.
+        rng = np.random.default_rng(7)
+        table = tiny_table({t: list(rng.integers(-2, 3, 100) / 4) for t in "abxyz"})
+        bank = ConvFilterBank(100, (3, 4, 5), 100, rng)
+        for width in bank.window_sizes:
+            weight = rng.integers(-3, 4, (width * 100, 100)) / 64
+            weight[:100] = 0.0
+            bank.weights[width].data[...] = weight
+            bank.biases[width].data[...] = rng.integers(-4, 5, 100) / 64
+        hyps = NBestList((Hypothesis(tuple("axyzbxyz"), 0.5), Hypothesis(tuple("bxyaxy"), 0.25),
+                          Hypothesis(tuple("xy"), 0.25)))
+        upstream = rng.integers(1, 9, bank.feature_size) / 8
+        features, grads = encoded_with_grads(hyps, table, bank, upstream)
+        ref_features, ref_grads = reference_encoding(hyps, table, bank, upstream)
+        np.testing.assert_allclose(features, ref_features, rtol=0, atol=1e-12)
+        for name, grad in ref_grads.items():
+            np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+        # The zeroed block's gradient is what tells tied windows apart.
+        assert np.any(ref_grads["conv.w3"][:100] != 0.0)
+
 
 class TestSentenceGradients:
     def test_filter_gradients_through_pooling_and_weighted_sum(self):
@@ -145,6 +241,28 @@ class TestSentenceGradients:
 
             def loss_fn():
                 return weighted_sum(encode_sentence(NBestList(hyps), table, bank), contract)
+
+            worst = max(worst, max_rel_error(loss_fn, params))
+        assert worst < 1e-4, f"max relative error {worst}"
+
+    def test_gradients_over_padded_empty_and_repeated_hypotheses(self):
+        # Windows of widths 2-4 over hypotheses of 0-6 tokens from a
+        # three-word vocabulary: empty and short hypotheses take the padded,
+        # masked path and repeated tokens give tied windows.
+        rng = np.random.default_rng(8)
+        vocab = {t: list(rng.uniform(-1, 1, 3)) for t in ("a", "b", "c")}
+        table = tiny_table(vocab)
+        worst = 0.0
+        for count in range(1, 11):
+            bank = ConvFilterBank(3, (2, 3, 4), 2, rng)
+            hyps = [Hypothesis(tuple(rng.choice(list(vocab), size=int(rng.integers(0, 7)))),
+                               float(rng.uniform(0.1, 1))) for _ in range(count)]
+            hyps[0] = Hypothesis(("a",) * 5 if count % 2 else (), hyps[0].confidence)
+            contract = rng.uniform(0.5, 1.5, bank.feature_size)
+            params = list(bank.parameters().values())
+
+            def loss_fn():
+                return weighted_sum(encode_sentence(NBestList(tuple(hyps)), table, bank), contract)
 
             worst = max(worst, max_rel_error(loss_fn, params))
         assert worst < 1e-4, f"max relative error {worst}"
