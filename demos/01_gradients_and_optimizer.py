@@ -7,7 +7,7 @@ import numpy as np
 
 from nbestslu import autograd as ag
 from nbestslu.autograd import Tensor
-from nbestslu.optim import AdadeltaState, adadelta_step
+from nbestslu.optim import Adadelta
 
 print("== forward/backward on a small composite expression ==")
 x = Tensor([0.2, -0.4, 0.6], requires_grad=True, name="x")
@@ -46,12 +46,13 @@ print(f"pooled value {pooled.item()} came from index {winner}; gradient: {v.grad
 
 print()
 print("== Adadelta: no learning rate, the accumulators set the step size ==")
-param = np.array([0.0])
-state = AdadeltaState.for_param(param, rho=0.95, epsilon=1e-6)
+param = Tensor([0.0], requires_grad=True, name="param")
+optimizer = Adadelta({"param": param}, rho=0.95, epsilon=1e-6)
 print("step  param        update")
-previous = param[0]
+previous = param.data[0]
 for step in range(1, 9):
-    adadelta_step(param, np.array([1.0]), state)  # constant gradient of 1
-    print(f"{step:>4}  {param[0]: .6f}  {param[0] - previous: .6f}")
-    previous = param[0]
+    param.grad = np.array([1.0])  # constant gradient of 1
+    optimizer.step()
+    print(f"{step:>4}  {param.data[0]: .6f}  {param.data[0] - previous: .6f}")
+    previous = param.data[0]
 print("the warm-up is visible: early steps are tiny, then they grow")

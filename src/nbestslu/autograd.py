@@ -6,7 +6,8 @@ softmax heads with negative log-likelihood, max pooling with argmax
 routing, inverted dropout, embedding-row gathers, elementwise sums and
 products) plus two fused ops with hand-written backward passes: the
 n-best convolution (``conv_nbest``, one node per n-best list) and the
-LSTM over a whole sequence (``lstm_sequence``).
+LSTM over a whole sequence (``lstm_sequence``, which reads the gate
+weights where ``context.LstmParams`` stores them, stacked gate-major).
 Each op records a closure that routes the upstream gradient to its
 inputs; ``Tensor.backward`` replays the closures in reverse topological
 order, leaving gradients on every input that asked for them.
@@ -411,30 +412,29 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _make(out, (table,), backprop, "gather_rows")
 
 
-LSTM_GATES = ("i", "f", "o", "u")
-
-
 def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params) -> tuple[Tensor, Tensor]:
     """Run an LSTM over the rows of ``xs`` from state (h0, c0); returns the final (hidden, cell).
 
-    ``params`` holds per-gate tensors in the dicts ``w`` ([H, D] input
-    maps), ``u`` ([H, H] recurrent maps) and ``b`` ([H] biases), keyed by
-    the gates of ``LSTM_GATES``.  They are stacked gate-major for the call
-    into W [4H, D], U [4H, H] and b [4H], so each step's preactivations
-    are (W x + b) + U h: two matrix-vector products for all four gates.
-    (One [T, D] @ [D, 4H] product for all inputs would be fewer calls, but
-    on a busy two-core host a threaded BLAS ran a product that size several
-    times slower than T matrix-vector products.)  A 1-D ``xs`` is a single
-    step; an empty ``xs`` returns (h0, c0) themselves.
+    ``params`` is a ``context.LstmParams``: its ``stacked`` arrays W [4H, D],
+    U [4H, H] and b [4H] hold the four gates gate-major, so each step's
+    preactivations are (W x + b) + U h: two matrix-vector products for all
+    four gates.  Its dicts ``w``, ``u`` and ``b`` hold the per-gate row
+    blocks of those arrays, in the same gate order, as the tensors that
+    receive the gradients.  (One [T, D] @ [D, 4H] product for all inputs
+    would be fewer calls, but on a busy two-core host a threaded BLAS ran a
+    product that size several times slower than T matrix-vector products.)
+    A 1-D ``xs`` is a single step; an empty ``xs`` returns (h0, c0)
+    themselves.
 
     Backward is backprop through time over the kept gates, cells and
     hiddens: with dZ the [T, 4H] preactivation gradients, X the inputs and
     H_prev the hiddens entering each step, dW = dZ.T @ X, dU = dZ.T @ H_prev,
-    db = dZ summed over time, dxs = dZ @ W.  The final hidden is a second
-    tape node under the final cell; its gradient joins the cell's backward.
+    db = dZ summed over time, dxs = dZ @ W; each is split by gate onto the
+    twelve row-block tensors.  The final hidden is a second tape node under
+    the final cell; its gradient joins the cell's backward.
     """
     xs, h0, c0 = as_tensor(xs), as_tensor(h0), as_tensor(c0)
-    hidden_size, input_dim = params.w[LSTM_GATES[0]].shape
+    hidden_size, input_dim = params.hidden_size, params.input_dim
     steps = xs.data[None, :] if xs.ndim == 1 else xs.data
     if steps.ndim != 2 or steps.shape[1] != input_dim:
         raise ShapeMismatchError(f"lstm_sequence input shape {xs.shape} does not match input width {input_dim}")
@@ -445,8 +445,8 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params) -> tuple[Tensor, T
     count = steps.shape[0]
     if count == 0:
         return h0, c0
-    gate_tensors = [group[g] for group in (params.w, params.u, params.b) for g in LSTM_GATES]
-    w, u, b = (np.concatenate([t.data for t in gate_tensors[k:k + 4]]) for k in (0, 4, 8))
+    w, u, b = params.stacked
+    gate_tensors = [*params.w.values(), *params.u.values(), *params.b.values()]
     sigmoids = 3 * hidden_size  # the input, forget and output gates; the update is the last H
 
     gates = np.empty((count, 4 * hidden_size))

@@ -14,7 +14,15 @@ from typing import Iterable, Iterator
 from .data import text_lines
 from .errors import ConfigError
 
-MODEL_VARIANTS = ("cnn", "cnn_lstm_w1", "cnn_lstm_w4", "cnn_lstm_w", "lstm_all")
+# Model variant -> (context window, combiner mode), as named by
+# ``context.ContextWindow.from_name`` and ``context.Combiner.build``.
+VARIANTS: dict[str, tuple[str, str]] = {
+    "cnn": ("none", "identity"),
+    "cnn_lstm_w1": ("last_1", "tanh"),
+    "cnn_lstm_w4": ("last_4", "tanh"),
+    "cnn_lstm_w": ("all", "tanh"),
+    "lstm_all": ("all", "lstm-input"),
+}
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,8 @@ class RunConfig:
     cv_folds: int = 10
 
     def validate(self) -> "RunConfig":
-        if self.model not in MODEL_VARIANTS:
-            raise ConfigError(f"unknown model variant {self.model!r}; choose from {MODEL_VARIANTS}")
+        if self.model not in VARIANTS:
+            raise ConfigError(f"unknown model variant {self.model!r}; choose from {tuple(VARIANTS)}")
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be positive, got {self.embedding_dim}")
         if not self.filter_windows or any(w < 1 for w in self.filter_windows):

@@ -23,6 +23,9 @@ from .embeddings import EmbeddingTable, encode_system_act
 from .errors import ConfigError, DomainError
 
 
+LSTM_GATES = ("i", "f", "o", "u")
+
+
 class LstmParams:
     """Gate parameters: per gate an input map, a recurrent map and a bias.
 
@@ -35,35 +38,37 @@ class LstmParams:
         cell   = in * update + forget * cell_prev
         hidden = out * tanh(cell)
 
-    The twelve tensors (``lstm.w_i`` ... ``lstm.b_u``) are what checkpoints
-    store and what the optimizer updates.  ``autograd.lstm_sequence``
-    stacks them gate-major (i, f, o, u) into W [4H, D], U [4H, H] and
-    b [4H] on each call, so one input and one recurrent product per step
-    give all four gates.
+    The values live stacked gate-major (``LSTM_GATES``: i, f, o, u) in
+    ``stacked`` = (W [4H, D], U [4H, H], b [4H]), which
+    ``autograd.lstm_sequence`` reads as they are: one input and one
+    recurrent product per step give all four gates.  The twelve named
+    tensors (``lstm.w_i`` ... ``lstm.b_u``, in the dicts ``w``, ``u`` and
+    ``b``) are row-block views of those arrays.  They are what checkpoints
+    store, what gradients land on and what the optimizer updates, so every
+    write to them must be in place.
     """
 
-    GATES = ag.LSTM_GATES
-
-    def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator, prefix: str = "lstm"):
+    def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
         if input_dim < 1 or hidden_size < 1:
             raise DomainError(f"LSTM dims must be positive, got input {input_dim}, hidden {hidden_size}")
         self.input_dim = input_dim
         self.hidden_size = hidden_size
+        rows = len(LSTM_GATES) * hidden_size
+        self.stacked = (np.empty((rows, input_dim)), np.empty((rows, hidden_size)), np.zeros(rows))
         self.w: dict[str, Tensor] = {}
         self.u: dict[str, Tensor] = {}
         self.b: dict[str, Tensor] = {}
-        for gate in self.GATES:
-            self.w[gate] = Tensor(
-                rng.uniform(-0.1, 0.1, (hidden_size, input_dim)), requires_grad=True, name=f"{prefix}.w_{gate}"
-            )
-            self.u[gate] = Tensor(
-                rng.uniform(-0.1, 0.1, (hidden_size, hidden_size)), requires_grad=True, name=f"{prefix}.u_{gate}"
-            )
-            self.b[gate] = Tensor(np.zeros(hidden_size), requires_grad=True, name=f"{prefix}.b_{gate}")
+        for k, gate in enumerate(LSTM_GATES):
+            w, u, b = (stacked[k * hidden_size : (k + 1) * hidden_size] for stacked in self.stacked)
+            w[...] = rng.uniform(-0.1, 0.1, w.shape)
+            u[...] = rng.uniform(-0.1, 0.1, u.shape)
+            self.w[gate] = Tensor(w, requires_grad=True, name=f"lstm.w_{gate}")
+            self.u[gate] = Tensor(u, requires_grad=True, name=f"lstm.u_{gate}")
+            self.b[gate] = Tensor(b, requires_grad=True, name=f"lstm.b_{gate}")
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for gate in self.GATES:
+        for gate in LSTM_GATES:
             for t in (self.w[gate], self.u[gate], self.b[gate]):
                 out[t.name] = t
         return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -332,11 +333,18 @@ def _turn_to_dict(turn: Turn) -> dict:
     }
 
 
+def _finite_score(value) -> float:
+    score = float(value)
+    if not math.isfinite(score):
+        raise ValueError(f"ASR score must be finite, got {value!r}")
+    return score
+
+
 def _dict_to_turn(doc: dict) -> Turn:
     return Turn(
         session=str(doc["session"]),
         index=int(doc["index"]),
-        nbest=tuple(AsrHypothesis(str(h["text"]), float(h["score"])) for h in doc["hyps"]),
+        nbest=tuple(AsrHypothesis(str(h["text"]), _finite_score(h["score"])) for h in doc["hyps"]),
         system_history=tuple(
             tuple(SystemAct(str(a["act"]), tuple((str(s), str(v)) for s, v in a["slots"])) for a in st)
             for st in doc["system_acts"]

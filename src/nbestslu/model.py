@@ -21,30 +21,12 @@ import numpy as np
 from . import autograd as ag
 from . import rng as rng_mod
 from .autograd import Tensor
-from .config import RunConfig
-from .context import (
-    IDENTITY,
-    LSTM_INPUT,
-    TANH_COMBINE,
-    Combiner,
-    ContextWindow,
-    LstmParams,
-    combine,
-    context_tokens,
-    run_context_lstm,
-)
+from .config import VARIANTS, RunConfig
+from .context import IDENTITY, Combiner, ContextWindow, LstmParams, combine, context_tokens, run_context_lstm
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, ModelStateError
 from .ontology import Ontology
 from .sentence import ConvFilterBank, NBestList, encode_sentence
-
-VARIANTS: dict[str, tuple[str, str]] = {
-    "cnn": ("none", IDENTITY),
-    "cnn_lstm_w1": ("last_1", TANH_COMBINE),
-    "cnn_lstm_w4": ("last_4", TANH_COMBINE),
-    "cnn_lstm_w": ("all", TANH_COMBINE),
-    "lstm_all": ("all", LSTM_INPUT),
-}
 
 
 class TurnEncoder:

@@ -64,14 +64,7 @@ class ConvFilterBank:
     has ``len(window_sizes) * maps_per_window`` entries.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        window_sizes: tuple[int, ...] = (3, 4, 5),
-        maps_per_window: int = 100,
-        rng: np.random.Generator | None = None,
-        prefix: str = "conv",
-    ):
+    def __init__(self, dim: int, window_sizes: tuple[int, ...], maps_per_window: int, rng: np.random.Generator):
         if not window_sizes or any(w < 1 for w in window_sizes):
             raise DomainError(f"window sizes must be positive, got {window_sizes}")
         if len(set(window_sizes)) != len(window_sizes):
@@ -84,14 +77,10 @@ class ConvFilterBank:
         self.weights: dict[int, Tensor] = {}
         self.biases: dict[int, Tensor] = {}
         for width in self.window_sizes:
-            if rng is None:
-                weight = np.zeros((width * dim, maps_per_window))
-            else:
-                weight = rng.uniform(-0.1, 0.1, (width * dim, maps_per_window))
-            self.weights[width] = Tensor(weight, requires_grad=True, name=f"{prefix}.w{width}")
-            self.biases[width] = Tensor(
-                np.zeros(maps_per_window), requires_grad=True, name=f"{prefix}.b{width}"
+            self.weights[width] = Tensor(
+                rng.uniform(-0.1, 0.1, (width * dim, maps_per_window)), requires_grad=True, name=f"conv.w{width}"
             )
+            self.biases[width] = Tensor(np.zeros(maps_per_window), requires_grad=True, name=f"conv.b{width}")
 
     @property
     def feature_size(self) -> int:

@@ -77,15 +77,14 @@ def step1_head_accuracies(model: StepOneModel, turns: Sequence[Turn]) -> dict[st
 def _run_epochs(
     *,
     model,
-    params: dict[str, Tensor],
     turns: Sequence[Turn],
     val_turns: Sequence[Turn],
-    config: RunConfig,
     example_loss,
     val_metric_fn,
     log_fn: LogFn | None,
     log: TrainLog,
 ) -> None:
+    params, config = model.parameters(), model.config
     optimizer = Adadelta(params, config.adadelta_rho, config.adadelta_epsilon)
     shuffle_rng = rng_mod.substream(config.seed, rng_mod.SHUFFLE)
     dropout_rng = rng_mod.substream(config.seed, rng_mod.DROPOUT)
@@ -173,10 +172,8 @@ def train_step1(
 
     _run_epochs(
         model=model,
-        params=model.parameters(),
         turns=train_turns,
         val_turns=val_turns,
-        config=config,
         example_loss=example_loss,
         val_metric_fn=step1_f1,
         log_fn=log_fn,
@@ -236,10 +233,8 @@ def train_step2(
 
     _run_epochs(
         model=model,
-        params=model.parameters(),
         turns=train_turns,
         val_turns=val_turns,
-        config=config,
         example_loss=example_loss,
         val_metric_fn=value_accuracy,
         log_fn=log_fn,

@@ -231,6 +231,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
+    def test_decode_of_a_non_finite_score_names_the_line(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        ckpt = tmp_path / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
+        single = tmp_path / "one_turn.jsonl"
+        single.write_text('{"session": "live-1", "index": 0, "hyps": [{"text": "cheap food", "score": NaN}], '
+                          '"system_acts": [], "reference": {"act": "inform", "slots": []}}\n', encoding="utf-8")
+        capsys.readouterr()
+        assert run(["decode", ckpt, single, tmp_path / "out.frames", "--step1-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{single}:1:" in err and "Traceback" not in err
+
     def test_config_file_that_is_not_utf8_is_one(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"seed = 1\n# caf\xe9\n")

@@ -6,6 +6,7 @@ import pytest
 from nbestslu import autograd as ag
 from nbestslu.autograd import Tensor
 from nbestslu.context import (
+    LSTM_GATES,
     Combiner,
     ContextWindow,
     LstmParams,
@@ -100,12 +101,34 @@ def reference_step(x, h_prev, c_prev, params):
 def sequence_fixture(steps=5, dim=3, hidden=4, seed=20):
     rng = np.random.default_rng(seed)
     params = make_params(dim, hidden, seed=seed)
-    for gate in params.GATES:
+    for gate in LSTM_GATES:
         params.b[gate].data[...] = rng.uniform(-1, 1, hidden)
     xs = Tensor(rng.uniform(-1, 1, (steps, dim)), requires_grad=True)
     h0 = Tensor(rng.uniform(-0.5, 0.5, hidden), requires_grad=True)
     c0 = Tensor(rng.uniform(-1, 1, hidden), requires_grad=True)
     return params, xs, h0, c0, rng.uniform(0.5, 1.5, hidden), rng.uniform(0.5, 1.5, hidden)
+
+
+class TestStackedStorage:
+    def test_named_gate_tensors_are_row_blocks_of_the_stacked_arrays(self):
+        params = make_params(3, 4, seed=30)
+        stacked_w, stacked_u, stacked_b = params.stacked
+        assert (stacked_w.shape, stacked_u.shape, stacked_b.shape) == ((16, 3), (16, 4), (16,))
+        for k, gate in enumerate(LSTM_GATES):
+            rows = slice(4 * k, 4 * (k + 1))
+            for group, stacked in zip((params.w, params.u, params.b), params.stacked):
+                assert np.shares_memory(group[gate].data, stacked)
+                assert group[gate].data.base is stacked
+                np.testing.assert_array_equal(group[gate].data, stacked[rows])
+
+    def test_an_in_place_write_to_a_gate_changes_the_next_output(self):
+        params = make_params(2, 3, seed=31)
+        x, h0, c0 = Tensor(np.full(2, 0.5)), Tensor(np.zeros(3)), Tensor(np.full(3, 0.7))
+        before = ag.lstm_sequence(x, h0, c0, params)[1].data.copy()
+        params.b["f"].data[...] = 40.0
+        after = ag.lstm_sequence(x, h0, c0, params)[1].data
+        assert np.all(after != before)
+        np.testing.assert_array_equal(params.stacked[2][3:6], np.full(3, 40.0))
 
 
 class TestLstmSequence:
@@ -177,7 +200,7 @@ class TestLstmSequence:
     def test_saturated_gates_stay_finite(self):
         for bias in (40.0, -40.0):
             params, xs, h0, c0, on_hidden, on_cell = sequence_fixture(seed=23)
-            for gate in params.GATES:
+            for gate in LSTM_GATES:
                 params.b[gate].data[...] = bias
             xs.data *= 50.0
             hidden, cell = ag.lstm_sequence(xs, h0, c0, params)

@@ -11,6 +11,7 @@ from nbestslu.data import (
     normalize_confidences,
     ordered_sessions,
     read_canonical,
+    read_turns,
     split_turns,
     write_canonical,
 )
@@ -217,6 +218,39 @@ class TestCanonicalRoundTrip:
             with pytest.raises(DataFormatError) as err:
                 read_canonical(path)
             assert "checksum" in str(err.value)
+
+
+NON_FINITE_SCORES = pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")],
+                                            ids=["nan", "inf", "-inf"])
+
+
+class TestNonFiniteScores:
+    @NON_FINITE_SCORES
+    def test_canonical_dataset_names_the_line(self, tmp_path, score):
+        import hashlib
+        path = tmp_path / "scores.ds"
+        write_canonical(synthetic_dataset(2, 2), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["hyps"][0]["score"] = score
+        lines[2] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        header = json.loads(lines[0])
+        header["checksum"] = hashlib.sha256("\n".join(lines[1:]).encode()).hexdigest()
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            read_canonical(path)
+        assert f"{path}:3:" in str(err.value) and "finite" in str(err.value)
+
+    @NON_FINITE_SCORES
+    def test_headerless_turns_name_the_line(self, tmp_path, score):
+        record = {"session": "s1", "index": 0, "hyps": [{"text": "cheap food", "score": score}],
+                  "system_acts": [], "reference": {"act": "inform", "slots": []}}
+        path = tmp_path / "one_turn.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            read_turns(path)
+        assert f"{path}:1:" in str(err.value) and "finite" in str(err.value)
 
 
 class TestSplits:

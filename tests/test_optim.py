@@ -5,7 +5,7 @@ import pytest
 
 from nbestslu.autograd import Tensor
 from nbestslu.errors import DomainError, NumericFailure, ShapeMismatchError
-from nbestslu.optim import Adadelta, AdadeltaState, adadelta_step
+from nbestslu.optim import Adadelta
 
 
 def hand_update(param, grad, avg_sq_grad, avg_sq_step, rho, eps):
@@ -16,78 +16,98 @@ def hand_update(param, grad, avg_sq_grad, avg_sq_step, rho, eps):
     return param + step, avg_sq_grad, avg_sq_step, step
 
 
+def one_tensor(value, **hyper) -> tuple[Tensor, Adadelta]:
+    param = Tensor(np.array(value, dtype=float), requires_grad=True, name="p")
+    return param, Adadelta({"p": param}, **hyper)
+
+
+def step_with(param: Tensor, optimizer: Adadelta, grad) -> None:
+    param.grad = np.array(grad, dtype=float)
+    optimizer.step()
+
+
 class TestAdadeltaStep:
     def test_zero_gradient_is_a_fixed_point(self):
-        param = np.array([1.0, -2.0, 3.0])
-        state = AdadeltaState.for_param(param)
-        before = param.copy()
-        adadelta_step(param, np.zeros(3), state)
-        np.testing.assert_array_equal(param, before)
-        assert np.all(state.avg_sq_step == 0.0)
+        param, opt = one_tensor([1.0, -2.0, 3.0])
+        before = param.data.copy()
+        step_with(param, opt, np.zeros(3))
+        np.testing.assert_array_equal(param.data, before)
+        assert np.all(opt._states["p"][1] == 0.0)
 
     def test_first_step_matches_hand_execution(self):
-        param = np.array([0.0])
-        state = AdadeltaState.for_param(param, rho=0.95, epsilon=1e-6)
-        adadelta_step(param, np.array([1.0]), state)
+        param, opt = one_tensor([0.0], rho=0.95, epsilon=1e-6)
+        step_with(param, opt, [1.0])
         expected, *_ = hand_update(np.array([0.0]), np.array([1.0]), 0.0, 0.0, 0.95, 1e-6)
-        np.testing.assert_allclose(param, expected, rtol=0, atol=0)
-        assert param[0] == pytest.approx(-0.004472, abs=5e-7)
+        np.testing.assert_allclose(param.data, expected, rtol=0, atol=0)
+        assert param.data[0] == pytest.approx(-0.004472, abs=5e-7)
 
     def test_accumulator_warmup_grows_the_step(self):
-        param = np.array([0.0])
-        state = AdadeltaState.for_param(param, rho=0.95, epsilon=1e-6)
-        adadelta_step(param, np.array([1.0]), state)
-        first = abs(param[0])
-        before = param[0]
-        adadelta_step(param, np.array([1.0]), state)
-        second = abs(param[0] - before)
-        assert second > first
+        param, opt = one_tensor([0.0])
+        step_with(param, opt, [1.0])
+        first = abs(param.data[0])
+        before = param.data[0]
+        step_with(param, opt, [1.0])
+        assert abs(param.data[0] - before) > first
 
     def test_trajectory_matches_hand_execution(self):
         rng = np.random.default_rng(5)
-        param = rng.uniform(-1, 1, (3, 2))
-        state = AdadeltaState.for_param(param, rho=0.9, epsilon=1e-5)
-        expect_param = param.copy()
-        eg = np.zeros_like(param)
-        ex = np.zeros_like(param)
+        param, opt = one_tensor(rng.uniform(-1, 1, (3, 2)), rho=0.9, epsilon=1e-5)
+        expect_param = param.data.copy()
+        eg = np.zeros_like(expect_param)
+        ex = np.zeros_like(expect_param)
         for _ in range(25):
             grad = rng.uniform(-2, 2, (3, 2))
-            adadelta_step(param, grad, state)
+            step_with(param, opt, grad)
             expect_param, eg, ex, _ = hand_update(expect_param, grad, eg, ex, 0.9, 1e-5)
-        np.testing.assert_allclose(param, expect_param, atol=1e-12)
-        np.testing.assert_allclose(state.avg_sq_grad, eg, atol=1e-12)
-        np.testing.assert_allclose(state.avg_sq_step, ex, atol=1e-12)
+        np.testing.assert_allclose(param.data, expect_param, atol=1e-12)
+        np.testing.assert_allclose(opt._states["p"][0], eg, atol=1e-12)
+        np.testing.assert_allclose(opt._states["p"][1], ex, atol=1e-12)
 
     def test_accumulators_stay_non_negative(self):
         rng = np.random.default_rng(9)
-        param = np.zeros(10)
-        state = AdadeltaState.for_param(param)
+        param, opt = one_tensor(np.zeros(10))
         for _ in range(100):
-            adadelta_step(param, rng.uniform(-5, 5, 10), state)
-            assert np.all(state.avg_sq_grad >= 0) and np.all(state.avg_sq_step >= 0)
+            step_with(param, opt, rng.uniform(-5, 5, 10))
+            assert all(np.all(acc >= 0) for acc in opt._states["p"])
 
     def test_nan_gradient_aborts_without_touching_state(self):
-        param = np.array([1.0])
-        state = AdadeltaState.for_param(param)
-        adadelta_step(param, np.array([0.5]), state)
-        before = (param.copy(), state.avg_sq_grad.copy(), state.avg_sq_step.copy())
+        param, opt = one_tensor([1.0])
+        step_with(param, opt, [0.5])
+        before = (param.data.copy(), *(acc.copy() for acc in opt._states["p"]))
         with pytest.raises(NumericFailure):
-            adadelta_step(param, np.array([np.nan]), state)
-        np.testing.assert_array_equal(param, before[0])
-        np.testing.assert_array_equal(state.avg_sq_grad, before[1])
-        np.testing.assert_array_equal(state.avg_sq_step, before[2])
+            step_with(param, opt, [np.nan])
+        np.testing.assert_array_equal(param.data, before[0])
+        np.testing.assert_array_equal(opt._states["p"][0], before[1])
+        np.testing.assert_array_equal(opt._states["p"][1], before[2])
+
+    def test_a_step_is_all_or_nothing(self):
+        # The second parameter's NaN must stop the first one's update too.
+        rng = np.random.default_rng(3)
+        params = {name: Tensor(rng.uniform(-1, 1, 4), requires_grad=True, name=name) for name in ("a", "b")}
+        opt = Adadelta(params)
+        for p in params.values():
+            p.grad = rng.uniform(-1, 1, 4)
+        opt.step()
+        before = {name: (p.data.copy(), *(acc.copy() for acc in opt._states[name])) for name, p in params.items()}
+        params["a"].grad = rng.uniform(-1, 1, 4)
+        params["b"].grad = np.array([0.1, np.nan, 0.2, 0.3])
+        with pytest.raises(NumericFailure, match="for b"):
+            opt.step()
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name][0], err_msg=name)
+            np.testing.assert_array_equal(opt._states[name][0], before[name][1], err_msg=name)
+            np.testing.assert_array_equal(opt._states[name][1], before[name][2], err_msg=name)
 
     def test_shape_mismatch_rejected(self):
-        param = np.zeros(3)
-        state = AdadeltaState.for_param(param)
+        param, opt = one_tensor(np.zeros(3))
         with pytest.raises(ShapeMismatchError):
-            adadelta_step(param, np.zeros(4), state)
+            step_with(param, opt, np.zeros(4))
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(DomainError):
-            AdadeltaState.for_param(np.zeros(2), rho=1.0)
+            one_tensor(np.zeros(2), rho=1.0)
         with pytest.raises(DomainError):
-            AdadeltaState.for_param(np.zeros(2), epsilon=0.0)
+            one_tensor(np.zeros(2), epsilon=0.0)
 
 
 class TestAdadeltaOptimizer:
@@ -110,15 +130,30 @@ class TestAdadeltaOptimizer:
         assert a.grad is None  # step clears gradients
 
     def test_unset_gradient_leaves_value_and_decays_accumulators(self):
-        p = Tensor(np.ones(3), requires_grad=True, name="p")
-        opt = Adadelta({"p": p})
-        p.grad = np.ones(3)
-        opt.step()
-        after_first = p.data.copy()
-        sq = opt._states["p"].avg_sq_grad.copy()
+        param, opt = one_tensor(np.ones(3))
+        step_with(param, opt, np.ones(3))
+        after_first = param.data.copy()
+        sq_grad, sq_step = (acc.copy() for acc in opt._states["p"])
         opt.step()  # no gradient accumulated
-        np.testing.assert_array_equal(p.data, after_first)
-        np.testing.assert_allclose(opt._states["p"].avg_sq_grad, sq * 0.95)
+        np.testing.assert_array_equal(param.data, after_first)
+        np.testing.assert_array_equal(opt._states["p"][0], sq_grad * 0.95)
+        np.testing.assert_array_equal(opt._states["p"][1], sq_step * 0.95)
+
+    def test_parameters_of_different_sizes_share_the_scratch(self):
+        rng = np.random.default_rng(4)
+        shapes = {"big": (3, 4), "small": (2,), "scalar": ()}
+        params = {name: Tensor(rng.uniform(-1, 1, shape), requires_grad=True, name=name)
+                  for name, shape in shapes.items()}
+        alone = {name: one_tensor(p.data.copy()) for name, p in params.items()}
+        opt = Adadelta(params)
+        for _ in range(5):
+            for name, p in params.items():
+                grad = rng.uniform(-1, 1, shapes[name])
+                p.grad = grad.copy()
+                step_with(*alone[name], grad)
+            opt.step()
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, alone[name][0].data, err_msg=name)
 
     def test_updates_shared_storage_in_place(self):
         backing = np.zeros(3)

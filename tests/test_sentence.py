@@ -25,7 +25,7 @@ def tiny_table(vectors: dict[str, list[float]]) -> EmbeddingTable:
 
 
 def single_filter_bank(dim, width, weights, bias=0.0) -> ConvFilterBank:
-    bank = ConvFilterBank(dim, (width,), 1)
+    bank = ConvFilterBank(dim, (width,), 1, np.random.default_rng(0))
     bank.weights[width].data[...] = np.asarray(weights, dtype=float).reshape(-1, 1)
     bank.biases[width].data[...] = bias
     return bank
