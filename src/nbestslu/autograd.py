@@ -15,7 +15,8 @@ order, leaving gradients on every input that asked for them.
 Graphs are single-use: once ``backward`` has run, the tape is released
 and a fresh forward pass is required.  Parameters (leaf tensors with
 ``requires_grad=True``) accumulate gradients across backward calls until
-``zero_grad`` is invoked, which is how mini-batch gradients are summed.
+the optimizer's step clears them, which is how mini-batch gradients are
+summed.
 """
 
 from __future__ import annotations
@@ -70,9 +71,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.item())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" name={self.name!r}" if self.name else ""
@@ -496,26 +494,18 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params) -> tuple[Tensor, T
     return _make(hiddens[-1], (cell,), route_hidden, "lstm_sequence"), cell
 
 
-TRAIN = "train"
-INFER = "infer"
+def dropout_apply(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout for training: mask, then rescale by 1/(1-rate).
 
-
-def dropout_apply(t: Tensor, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: mask then rescale by 1/(1-rate) in training mode.
-
-    Inference mode is the identity, so no rescaling is ever needed at
-    decode time.  Backward multiplies by the same mask used forward.
+    Decoding never calls it, so no rescaling is needed at decode time.
+    Rate zero returns ``t`` itself.  Backward multiplies by the forward mask.
     """
     t = as_tensor(t)
     rate = float(rate)
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {rate}")
-    if mode not in (TRAIN, INFER):
-        raise DomainError(f"dropout mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
-    if mode == INFER or rate == 0.0:
+    if rate == 0.0:
         return t
-    if rng is None:
-        raise DomainError("training-mode dropout needs a random generator")
     keep = 1.0 - rate
     mask = (rng.random(t.shape) >= rate).astype(np.float64) / keep
     out = t.data * mask

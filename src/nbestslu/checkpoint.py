@@ -8,9 +8,9 @@ models produce byte-identical files.
 
 Loading rebuilds the model skeleton from the stored configuration and
 seed, then overwrites every parameter in place with the stored values.
-The freshly drawn hypothesis OOV row must match the stored one bit for
-bit; a mismatch means the checkpoint was written against a different
-embedding store or seed and is rejected.
+Every stored value must be finite.  The freshly drawn hypothesis OOV row
+must match the stored one bit for bit; a mismatch means the checkpoint
+was written against a different embedding store or seed and is rejected.
 """
 
 from __future__ import annotations
@@ -132,6 +132,11 @@ def _collect_arrays(model) -> dict[str, np.ndarray]:
 
 
 def _overwrite_params(model, stored: dict[str, np.ndarray], path) -> None:
+    # The one finiteness check of loaded parameters: training keeps them
+    # finite, since the optimizer refuses a non-finite gradient.
+    for name, array in stored.items():
+        if not np.all(np.isfinite(array)):
+            raise DataFormatError(f"{path}: parameter {name} contains non-finite values")
     params = model.parameters()
     expected = set(params) | {"embed.hyp_oov"}
     if expected != set(stored):
@@ -151,7 +156,6 @@ def _overwrite_params(model, stored: dict[str, np.ndarray], path) -> None:
                 f"{path}: parameter {name} has shape {stored[name].shape}, expected {tensor.data.shape}"
             )
         tensor.data[...] = stored[name]
-    model.mark_dirty()
 
 
 def save_model(model: StepOneModel | SlotValueModel, path, ontology: Ontology) -> None:

@@ -15,9 +15,10 @@ from .data import text_lines
 from .errors import ConfigError
 
 # Model variant -> (context window, combiner mode), as named by
-# ``context.ContextWindow.from_name`` and ``context.Combiner.build``.
-VARIANTS: dict[str, tuple[str, str]] = {
-    "cnn": ("none", "identity"),
+# ``context.ContextWindow.from_name`` and ``context.Combiner.build``; the
+# one variant without a context model has no combiner.
+VARIANTS: dict[str, tuple[str, str | None]] = {
+    "cnn": ("none", None),
     "cnn_lstm_w1": ("last_1", "tanh"),
     "cnn_lstm_w4": ("last_4", "tanh"),
     "cnn_lstm_w": ("all", "tanh"),

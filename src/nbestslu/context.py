@@ -1,5 +1,5 @@
-"""Dialogue context: an LSTM over flattened system acts, plus the schemes
-for combining the context vector with the sentence vector.
+"""Dialogue context: an LSTM over flattened system acts, plus the two
+schemes for combining the context state with the sentence vector.
 
 System acts are flattened to word streams (act name, slot names, value
 words) and run through the LSTM oldest first from a zero initial state;
@@ -136,7 +136,6 @@ def run_context_lstm(
 # combining sentence and context
 # ---------------------------------------------------------------------------
 
-IDENTITY = "identity"
 TANH_COMBINE = "tanh"
 LSTM_INPUT = "lstm-input"
 
@@ -145,7 +144,6 @@ LSTM_INPUT = "lstm-input"
 class Combiner:
     """One way of merging sentence and context vectors: a mode and its tensors.
 
-    ``identity`` (no tensors) passes the sentence vector through.
     ``tanh`` (ws, wc) computes tanh(ws @ sentence + wc @ context).
     ``lstm-input`` (p,) projects the sentence vector to the LSTM input
     width and feeds it as one final LSTM step; the resulting hidden state
@@ -159,7 +157,6 @@ class Combiner:
     def build(cls, mode: str, sentence_dim: int, hidden_size: int, input_dim: int,
               rng: np.random.Generator) -> "Combiner":
         shapes = {
-            IDENTITY: {},
             TANH_COMBINE: {"ws": (hidden_size, sentence_dim), "wc": (hidden_size, hidden_size)},
             LSTM_INPUT: {"p": (input_dim, sentence_dim)},
         }
@@ -174,22 +171,12 @@ class Combiner:
         return {t.name: t for t in self.tensors}
 
 
-def combine(
-    sentence: Tensor,
-    context_state: tuple[Tensor, Tensor] | None,
-    combiner: Combiner,
-    lstm: LstmParams | None = None,
-) -> Tensor:
-    """Merge sentence and context per the combiner's mode."""
-    if combiner.mode == IDENTITY:
-        return sentence
-    if context_state is None:
-        raise ConfigError(f"combiner mode {combiner.mode!r} needs a context state")
+def combine(sentence: Tensor, context_state: tuple[Tensor, Tensor], combiner: Combiner,
+            lstm: LstmParams) -> Tensor:
+    """Merge sentence and context per the combiner's mode; ``lstm`` runs the ``lstm-input`` step."""
     if combiner.mode == TANH_COMBINE:
         sentence_weight, context_weight = combiner.tensors
         return ag.tanh(ag.add(ag.matmul(sentence_weight, sentence), ag.matmul(context_weight, context_state[0])))
-    if lstm is None:
-        raise ConfigError("lstm-input combiner needs the LSTM parameters")
     (projection,) = combiner.tensors
     hidden, _ = lstm_step(ag.matmul(projection, sentence), context_state[0], context_state[1], lstm)
     return hidden

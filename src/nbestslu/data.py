@@ -261,8 +261,11 @@ def import_dstc2(root, flist, *, channel: str = "live", max_act_patterns: int = 
 # ---------------------------------------------------------------------------
 
 def dumps(obj) -> str:
-    """Canonical JSON: sorted keys and no whitespace, so equal content gives equal bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical strict JSON: sorted keys and no whitespace, so equal content gives equal bytes.
+
+    A non-finite float raises ``ValueError``: strict JSON has no NaN or Infinity.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def write_lines(path, header: dict, lines: Iterable[str]) -> None:
@@ -333,18 +336,20 @@ def _turn_to_dict(turn: Turn) -> dict:
     }
 
 
-def _finite_score(value) -> float:
+def _confidence(value) -> float:
     score = float(value)
-    if not math.isfinite(score):
-        raise ValueError(f"ASR score must be finite, got {value!r}")
+    if not (math.isfinite(score) and score >= 0.0):
+        raise ValueError(f"ASR score must be finite and non-negative, got {value!r}")
     return score
 
 
 def _dict_to_turn(doc: dict) -> Turn:
+    if not doc["hyps"]:
+        raise ValueError("empty hyps list; supply a single empty hypothesis instead")
     return Turn(
         session=str(doc["session"]),
         index=int(doc["index"]),
-        nbest=tuple(AsrHypothesis(str(h["text"]), _finite_score(h["score"])) for h in doc["hyps"]),
+        nbest=tuple(AsrHypothesis(str(h["text"]), _confidence(h["score"])) for h in doc["hyps"]),
         system_history=tuple(
             tuple(SystemAct(str(a["act"]), tuple((str(s), str(v)) for s, v in a["slots"])) for a in st)
             for st in doc["system_acts"]

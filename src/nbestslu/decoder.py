@@ -60,7 +60,6 @@ class JointPrediction:
 
 def predict_joint(model: StepOneModel, turn: Turn) -> JointPrediction:
     """Act distribution and per-slot presence probabilities for one turn."""
-    model.validate_finite()
     hidden = model.encoder.encode(turn_nbest(turn), turn.system_history)
     act, slots = model.head_probs(hidden)
     presence = {slot: float(slots[slot].data[StepOneModel.PRESENT]) for slot in model.ontology.slots}
@@ -71,7 +70,6 @@ def predict_value(model: SlotValueModel, turn: Turn, slot: str) -> np.ndarray:
     """Value distribution for one detected slot."""
     if slot != model.slot:
         raise DomainError(f"model predicts values for slot {model.slot!r}, not {slot!r}")
-    model.validate_finite()
     hidden = model.encoder.encode(turn_nbest(turn), turn.system_history)
     return model.value_probs(hidden).data.copy()
 

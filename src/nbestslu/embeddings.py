@@ -21,36 +21,19 @@ from .errors import DataFormatError, DomainError, ModelStateError, ParseError
 
 log = logging.getLogger(__name__)
 
-USER_HYPOTHESIS = "user-hypothesis"
-SYSTEM_ACT = "system-act"
-_ORIGINS = (USER_HYPOTHESIS, SYSTEM_ACT)
-
 INIT_SCALE = 0.1  # fresh rows are drawn uniform(-INIT_SCALE, INIT_SCALE)
 
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """An ordered run of tokens tagged with where they came from."""
+    """An ordered run of non-empty tokens, from a hypothesis or a system act."""
 
     tokens: tuple[str, ...]
-    origin: str
-
-    def __post_init__(self):
-        if self.origin not in _ORIGINS:
-            raise DomainError(f"unknown token origin {self.origin!r}")
-        if any(not t for t in self.tokens):
-            raise DomainError("token sequences may not contain empty tokens")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
 
 
-def tokenize(text: str, origin: str = USER_HYPOTHESIS) -> TokenSequence:
+def tokenize(text: str) -> TokenSequence:
     """Lowercase and split on whitespace; nothing else is stripped."""
-    return TokenSequence(tuple(text.lower().split()), origin)
+    return TokenSequence(tuple(text.lower().split()))
 
 
 def encode_system_act(act: SystemAct) -> TokenSequence:
@@ -63,7 +46,7 @@ def encode_system_act(act: SystemAct) -> TokenSequence:
     for slot, value in act.pairs:
         tokens.extend(slot.lower().split())
         tokens.extend(str(value).lower().split())
-    return TokenSequence(tuple(tokens), SYSTEM_ACT)
+    return TokenSequence(tuple(tokens))
 
 
 class EmbeddingTable:

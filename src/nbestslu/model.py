@@ -2,16 +2,19 @@
 
 Five variants cover the studied configurations:
 
-    cnn          sentence features only, no context model
+    cnn          sentence features only: no context model and no combiner
     cnn_lstm_w1  tanh combination with the last system turn as context
     cnn_lstm_w4  tanh combination with the last four system turns
     cnn_lstm_w   tanh combination with the whole system history
     lstm_all     context LSTM that receives the projected sentence vector
                  as its final input step
 
-The joint model reads one combined vector through an act head and one
-presence head per slot; each slot-value model reads its own combined
-vector through a single head over that slot's value inventory.
+The joint model reads one hidden vector (the combined vector, or the
+sentence vector for ``cnn``) through an act head and one presence head
+per slot; each slot-value model reads its own hidden vector through a
+single head over that slot's value inventory.  Nothing checks the
+parameters per prediction: loading refuses a checkpoint with a non-finite
+value, and an optimizer step refuses a non-finite gradient.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ from . import autograd as ag
 from . import rng as rng_mod
 from .autograd import Tensor
 from .config import VARIANTS, RunConfig
-from .context import IDENTITY, Combiner, ContextWindow, LstmParams, combine, context_tokens, run_context_lstm
+from .context import Combiner, ContextWindow, LstmParams, combine, context_tokens, run_context_lstm
 from .embeddings import EmbeddingTable
-from .errors import ConfigError, ModelStateError
+from .errors import ConfigError
 from .ontology import Ontology
 from .sentence import ConvFilterBank, NBestList, encode_sentence
 
 
 class TurnEncoder:
-    """Everything between raw turn inputs and the combined hidden vector."""
+    """Everything between raw turn inputs and the hidden vector the heads read."""
 
     def __init__(self, config: RunConfig, store: EmbeddingTable, system_tokens, rng: np.random.Generator):
         if config.model not in VARIANTS:
@@ -41,9 +44,8 @@ class TurnEncoder:
         self.table = store.view()
         self.nbest_cap = config.nbest_cap
         self.bank = ConvFilterBank(store.dim, config.filter_windows, config.filters_per_window, rng)
-        if combine_mode == IDENTITY:
+        if combine_mode is None:
             self.table.prepare_runtime_rows((), rng)
-            self.system_embeddings = None
             self.lstm = None
             self.out_dim = self.bank.feature_size
         else:
@@ -51,7 +53,7 @@ class TurnEncoder:
             self.system_embeddings = Tensor(self.table.system_matrix, requires_grad=True, name="embed.system")
             self.lstm = LstmParams(store.dim, config.hidden_size, rng)
             self.out_dim = config.hidden_size
-        self.combiner = Combiner.build(combine_mode, self.bank.feature_size, config.hidden_size, store.dim, rng)
+            self.combiner = Combiner.build(combine_mode, self.bank.feature_size, config.hidden_size, store.dim, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         out = dict(self.bank.parameters())
@@ -62,13 +64,13 @@ class TurnEncoder:
         return out
 
     def encode(self, nbest: NBestList, system_history) -> Tensor:
-        """Combined hidden vector for one turn."""
+        """Hidden vector for one turn: the sentence vector alone when there is no context model."""
         sentence = encode_sentence(nbest.truncated(self.nbest_cap), self.table, self.bank)
         if self.lstm is None:
             return sentence
         tokens = context_tokens(system_history, self.window)
         state = run_context_lstm(tokens, self.table, self.system_embeddings, self.lstm)
-        return combine(sentence, state, self.combiner, lstm=self.lstm)
+        return combine(sentence, state, self.combiner, self.lstm)
 
 
 class HeadedModel:
@@ -89,7 +91,6 @@ class HeadedModel:
             weight = Tensor(rng.uniform(-0.1, 0.1, (classes, self.encoder.out_dim)), requires_grad=True,
                             name=f"{name}.w")
             self.heads[name] = (weight, Tensor(np.zeros(classes), requires_grad=True, name=f"{name}.b"))
-        self._validated = False
 
     @classmethod
     def build(cls, *args, **kwargs):
@@ -103,18 +104,8 @@ class HeadedModel:
         return out
 
     def probs(self, head: str, hidden: Tensor) -> Tensor:
-        """Softmax distribution of one head over a combined vector."""
+        """Softmax distribution of one head over a hidden vector."""
         return ag.softmax(ag.affine(hidden, *self.heads[head]))
-
-    def validate_finite(self) -> None:
-        if not self._validated:
-            for name, tensor in self.parameters().items():
-                if not np.all(np.isfinite(tensor.data)):
-                    raise ModelStateError(f"parameter {name} contains non-finite values; model is unusable")
-            self._validated = True
-
-    def mark_dirty(self) -> None:
-        self._validated = False
 
 
 class StepOneModel(HeadedModel):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import decoder
 from . import rng as rng_mod
-from .autograd import TRAIN, Tensor, add_n, dropout_apply, nll_loss
+from .autograd import Tensor, add_n, dropout_apply, nll_loss
 from .config import RunConfig
 from .data import Dataset, Turn, collect_system_tokens, make_folds, split_turns
 from .errors import DomainError, NumericFailure
@@ -34,11 +34,11 @@ LogFn = Callable[[str], None]
 
 @dataclass
 class TrainLog:
-    """Per-epoch record of one training run."""
+    """Per-epoch record of one training run; a metric is None when there is no validation split."""
 
     epochs: list[dict] = dataclass_field(default_factory=list)
     best_epoch: int = 0
-    best_metric: float = float("nan")
+    best_metric: float | None = None
     notes: list[str] = dataclass_field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -111,10 +111,10 @@ def _run_epochs(
         if not math.isfinite(mean_loss):
             raise NumericFailure(f"training loss became non-finite at epoch {epoch}")
 
-        val_metric = val_metric_fn(model, val_turns) if val_turns else float("nan")
+        val_metric = val_metric_fn(model, val_turns) if val_turns else None
         log.epochs.append({"epoch": epoch, "loss": mean_loss, "val_metric": val_metric})
         if log_fn:
-            shown = f"{val_metric:.4f}" if not math.isnan(val_metric) else "n/a"
+            shown = "n/a" if val_metric is None else f"{val_metric:.4f}"
             log_fn(f"epoch {epoch}: loss {mean_loss:.4f} val {shown}")
 
         if early_stopping:
@@ -134,8 +134,7 @@ def _run_epochs(
         _restore(params, best_snapshot)
     else:
         log.best_epoch = len(log.epochs)
-        log.best_metric = log.epochs[-1]["val_metric"] if log.epochs else float("nan")
-    model.mark_dirty()
+        log.best_metric = log.epochs[-1]["val_metric"] if log.epochs else None
 
 
 def train_step1(
@@ -161,7 +160,7 @@ def train_step1(
 
     def example_loss(model: StepOneModel, turn: Turn, nbest, dropout_rng) -> Tensor:
         hidden = model.encoder.encode(nbest, turn.system_history)
-        hidden = dropout_apply(hidden, config.dropout, TRAIN, dropout_rng)
+        hidden = dropout_apply(hidden, config.dropout, dropout_rng)
         act_probs, slot_probs = model.head_probs(hidden)
         terms = [nll_loss(act_probs, act_targets[id(turn)])]
         if not config.act_only:
@@ -220,7 +219,7 @@ def train_step2(
 
     def example_loss(model: SlotValueModel, turn: Turn, nbest, dropout_rng) -> Tensor:
         hidden = model.encoder.encode(nbest, turn.system_history)
-        hidden = dropout_apply(hidden, config.dropout, TRAIN, dropout_rng)
+        hidden = dropout_apply(hidden, config.dropout, dropout_rng)
         return nll_loss(model.value_probs(hidden), targets[id(turn)])
 
     def value_accuracy(model: SlotValueModel, val: Sequence[Turn]) -> float:

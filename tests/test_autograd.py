@@ -158,8 +158,9 @@ class TestBackwardContracts:
         ag.tanh(x).backward(np.ones(1))
         ag.tanh(x).backward(np.ones(1))
         np.testing.assert_array_equal(x.grad, [2.0])
-        x.zero_grad()
-        assert x.grad is None
+        x.grad = None
+        ag.tanh(x).backward(np.ones(1))
+        np.testing.assert_array_equal(x.grad, [1.0])
 
     def test_shared_subexpression_gets_both_contributions(self):
         # y = x * x built by sharing the same node twice.
@@ -252,21 +253,16 @@ class TestConvNbest:
 
 
 class TestDropout:
-    def test_infer_mode_is_identity(self):
-        v = Tensor([1.0, -2.0, 3.0])
-        out = ag.dropout_apply(v, 0.5, ag.INFER)
-        np.testing.assert_array_equal(out.data, v.data)
-
     def test_rate_zero_in_train_mode_is_identity(self):
         v = Tensor([1.0, -2.0, 3.0])
-        out = ag.dropout_apply(v, 0.0, ag.TRAIN, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.data, v.data)
+        out = ag.dropout_apply(v, 0.0, np.random.default_rng(0))
+        assert out is v
 
     def test_rate_at_or_above_one_rejected(self):
         v = Tensor([1.0])
         for rate in (1.0, 1.5, -0.1):
             with pytest.raises(DomainError):
-                ag.dropout_apply(v, rate, ag.TRAIN, np.random.default_rng(0))
+                ag.dropout_apply(v, rate, np.random.default_rng(0))
 
     def test_inverted_scaling_preserves_expectation(self):
         # Monte-Carlo estimate of E[dropout(v)] over 10,000 masks.
@@ -275,13 +271,13 @@ class TestDropout:
         total = np.zeros(50)
         trials = 10_000
         for _ in range(trials):
-            total += ag.dropout_apply(v, 0.5, ag.TRAIN, rng).data
+            total += ag.dropout_apply(v, 0.5, rng).data
         np.testing.assert_allclose(total / trials, v.data, rtol=0.05)
 
     def test_backward_reuses_forward_mask(self):
         rng = np.random.default_rng(7)
         v = Tensor(np.ones(32), requires_grad=True)
-        out = ag.dropout_apply(v, 0.5, ag.TRAIN, rng)
+        out = ag.dropout_apply(v, 0.5, rng)
         mask = out.data.copy()  # v is all ones, so the output is the scaled mask
         out.backward(np.ones(32))
         np.testing.assert_array_equal(v.grad, mask)
@@ -289,7 +285,7 @@ class TestDropout:
     def test_mask_is_bernoulli_keep_rate(self):
         rng = np.random.default_rng(11)
         v = Tensor(np.ones(20_000))
-        out = ag.dropout_apply(v, 0.3, ag.TRAIN, rng).data
+        out = ag.dropout_apply(v, 0.3, rng).data
         kept = np.count_nonzero(out)
         assert kept / v.size == pytest.approx(0.7, abs=0.02)
         np.testing.assert_allclose(out[out != 0], 1.0 / 0.7)

@@ -1,6 +1,7 @@
 """Checkpoint containers: bit-exact round trips and compatibility checks."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,55 @@ class TestModelRoundTrip:
         save_container(path, kind, params, meta)
         with pytest.raises(DataFormatError):
             load_model(path, store, STEP1_KIND)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["head.act.w", "lstm.w_f", "embed.hyp_oov"])
+    def test_non_finite_parameter_is_a_format_error_naming_it(self, tmp_path, dataset, store, name, value):
+        path = tmp_path / "step1.ckpt"
+        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        kind, params, meta = load_container(path)
+        params[name].flat[-1] = value
+        save_container(path, kind, params, meta)
+        with pytest.raises(DataFormatError) as err:
+            load_model(path, store, STEP1_KIND)
+        assert str(path) in str(err.value) and f"parameter {name} " in str(err.value)
+
+
+# The v1 contract: the entries of a step-one checkpoint, in file order, at toy
+# dims (12-d vectors, windows 2 and 3 with 4 maps each, hidden size 5) on the
+# module's dataset (3 acts, 4 slots, 11 system tokens).
+CONV = [("conv.w2", (24, 4)), ("conv.b2", (4,)), ("conv.w3", (36, 4)), ("conv.b3", (4,))]
+LSTM = [(f"lstm.{kind}_{gate}", shape) for gate in "ifou"
+        for kind, shape in (("w", (5, 12)), ("u", (5, 5)), ("b", (5,)))]
+SYSTEM = [("embed.system", (12, 12))]
+OOV = [("embed.hyp_oov", (12,))]
+
+
+def heads(width):
+    return [("head.act.w", (3, width)), ("head.act.b", (3,))] + [
+        entry for slot in ("area", "food", "pricerange", "slot")
+        for entry in ((f"head.slot.{slot}.w", (2, width)), (f"head.slot.{slot}.b", (2,)))
+    ]
+
+
+TANH = CONV + LSTM + [("comb.ws", (5, 8)), ("comb.wc", (5, 5))] + SYSTEM + heads(5) + OOV
+STEP1_ENTRIES = {
+    "cnn": CONV + heads(8) + OOV,
+    "cnn_lstm_w1": TANH,
+    "cnn_lstm_w4": TANH,
+    "cnn_lstm_w": TANH,
+    "lstm_all": CONV + LSTM + [("comb.p", (12, 8))] + SYSTEM + heads(5) + OOV,
+}
+
+
+@pytest.mark.parametrize("variant", list(STEP1_ENTRIES))
+def test_step1_entry_names_and_shapes_are_pinned(tmp_path, dataset, store, variant):
+    path = tmp_path / "step1.ckpt"
+    config = replace(CFG, model=variant, hidden_size=5)
+    save_model(StepOneModel.build(config, dataset.ontology, collect_system_tokens(dataset.turns), store),
+               path, dataset.ontology)
+    _, params, _ = load_container(path)
+    assert [(name, array.shape) for name, array in params.items()] == STEP1_ENTRIES[variant]
 
 
 class TestCheckpointDir:

@@ -238,12 +238,29 @@ class TestExitCodes:
                     "--config", workspace["config"]]) == 0
         assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
         single = tmp_path / "one_turn.jsonl"
-        single.write_text('{"session": "live-1", "index": 0, "hyps": [{"text": "cheap food", "score": NaN}], '
-                          '"system_acts": [], "reference": {"act": "inform", "slots": []}}\n', encoding="utf-8")
+        # A non-finite score, an empty n-best list and a negative score.
+        for hyps in ('[{"text": "cheap food", "score": NaN}]', '[]', '[{"text": "cheap food", "score": -0.5}]'):
+            single.write_text('{"session": "live-1", "index": 0, "hyps": ' + hyps + ', '
+                              '"system_acts": [], "reference": {"act": "inform", "slots": []}}\n', encoding="utf-8")
+            capsys.readouterr()
+            assert run(["decode", ckpt, single, tmp_path / "out.frames", "--step1-only"]) == 2, hyps
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and f"{single}:1:" in err and "Traceback" not in err, hyps
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_decode_of_a_non_finite_checkpoint_parameter_is_two(self, workspace, tmp_path, capsys, value):
+        dataset = tmp_path / "mini.ds"
+        ckpt = tmp_path / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
+        kind, params, meta = load_container(ckpt / "step1.ckpt")
+        params["head.act.w"][0, 0] = value
+        save_container(ckpt / "step1.ckpt", kind, params, meta)
         capsys.readouterr()
-        assert run(["decode", ckpt, single, tmp_path / "out.frames", "--step1-only"]) == 2
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and f"{single}:1:" in err and "Traceback" not in err
+        assert err.startswith("data error:") and str(ckpt / "step1.ckpt") in err and "head.act.w" in err
 
     def test_config_file_that_is_not_utf8_is_one(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -160,7 +160,7 @@ class TestLstmSequence:
 
         def run(fused):
             for tensor in [*params.parameters().values(), xs, *rows, *states]:
-                tensor.zero_grad()
+                tensor.grad = None
             if fused:
                 hidden, cell = ag.lstm_sequence(xs, h0, c0, params)
             else:
@@ -292,10 +292,9 @@ class TestCombine:
         rng = np.random.default_rng(9)
         shapes = {
             name: {n: t.shape for n, t in Combiner.build(mode, 6, 4, 3, rng).parameters().items()}
-            for name, mode in (("identity", "identity"), ("tanh", "tanh"), ("lstm", "lstm-input"))
+            for name, mode in (("tanh", "tanh"), ("lstm", "lstm-input"))
         }
         assert shapes == {
-            "identity": {},
             "tanh": {"comb.ws": (4, 6), "comb.wc": (4, 4)},
             "lstm": {"comb.p": (3, 6)},
         }
@@ -304,20 +303,15 @@ class TestCombine:
         rng = np.random.default_rng(6)
         combiner = Combiner.build("tanh", 6, 4, 3, rng)
         state = (Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-        out = combine(Tensor(np.zeros(6)), state, combiner)
+        out = combine(Tensor(np.zeros(6)), state, combiner, make_params(3, 4, seed=1))
         np.testing.assert_array_equal(out.data, np.zeros(4))
-
-    def test_identity_mode_returns_sentence(self):
-        sentence = Tensor(np.array([0.1, 0.2]))
-        out = combine(sentence, None, Combiner.build("identity", 2, 4, 3, np.random.default_rng(0)))
-        assert out is sentence
 
     def test_scalar_tanh_evaluation(self):
         combiner = Combiner.build("tanh", 1, 1, 1, np.random.default_rng(0))
         for weight in combiner.tensors:
             weight.data[...] = 1.0
         state = (Tensor(np.array([0.25])), Tensor(np.array([0.0])))
-        out = combine(Tensor(np.array([0.5])), state, combiner)
+        out = combine(Tensor(np.array([0.5])), state, combiner, make_params(1, 1, seed=1))
         assert out.data[0] == pytest.approx(np.tanh(0.75), abs=1e-15)
         assert out.data[0] == pytest.approx(0.63514895, abs=1e-8)
 
@@ -327,19 +321,14 @@ class TestCombine:
         combiner = Combiner.build("lstm-input", 6, 4, 3, rng)
         state = (Tensor(rng.uniform(-0.5, 0.5, 4)), Tensor(rng.uniform(-0.5, 0.5, 4)))
         sentence = Tensor(rng.uniform(-0.5, 0.5, 6))
-        out = combine(sentence, state, combiner, lstm=params)
+        out = combine(sentence, state, combiner, params)
         projected = Tensor(combiner.tensors[0].data @ sentence.data)
         expected, _ = lstm_step(projected, state[0], state[1], params)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-15)
 
     def test_mode_parameter_mismatches_are_config_errors(self):
+        # The cnn variant builds no combiner, so "identity" is no mode either.
         rng = np.random.default_rng(8)
-        with pytest.raises(ConfigError):
-            Combiner.build("nonsense", 4, 3, 3, rng)
-        combiner = Combiner.build("tanh", 4, 3, 3, rng)
-        with pytest.raises(ConfigError):
-            combine(Tensor(np.zeros(4)), None, combiner)
-        projector = Combiner.build("lstm-input", 4, 3, 3, rng)
-        state = (Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-        with pytest.raises(ConfigError):
-            combine(Tensor(np.zeros(4)), state, projector, lstm=None)
+        for mode in ("nonsense", "identity"):
+            with pytest.raises(ConfigError):
+                Combiner.build(mode, 4, 3, 3, rng)

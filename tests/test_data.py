@@ -220,19 +220,27 @@ class TestCanonicalRoundTrip:
             assert "checksum" in str(err.value)
 
 
-NON_FINITE_SCORES = pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")],
-                                            ids=["nan", "inf", "-inf"])
+# n-best lists that break the documented ``hyps`` contract, with a word the error must contain.
+BAD_HYPS = pytest.mark.parametrize("hyps, word", [
+    ([{"text": "cheap food", "score": float("nan")}], "finite"),
+    ([{"text": "cheap food", "score": float("inf")}], "finite"),
+    ([{"text": "cheap food", "score": float("-inf")}], "finite"),
+    ([], "empty"),
+    ([{"text": "cheap food", "score": -0.5}], "non-negative"),
+], ids=["nan", "inf", "-inf", "empty", "negative"])
 
 
 class TestNonFiniteScores:
-    @NON_FINITE_SCORES
-    def test_canonical_dataset_names_the_line(self, tmp_path, score):
+    """Every turn reader refuses a bad n-best list, naming the file and the line."""
+
+    @BAD_HYPS
+    def test_canonical_dataset_names_the_line(self, tmp_path, hyps, word):
         import hashlib
         path = tmp_path / "scores.ds"
         write_canonical(synthetic_dataset(2, 2), path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[2])
-        record["hyps"][0]["score"] = score
+        record["hyps"] = hyps
         lines[2] = json.dumps(record, sort_keys=True, separators=(",", ":"))
         header = json.loads(lines[0])
         header["checksum"] = hashlib.sha256("\n".join(lines[1:]).encode()).hexdigest()
@@ -240,17 +248,17 @@ class TestNonFiniteScores:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as err:
             read_canonical(path)
-        assert f"{path}:3:" in str(err.value) and "finite" in str(err.value)
+        assert f"{path}:3:" in str(err.value) and word in str(err.value)
 
-    @NON_FINITE_SCORES
-    def test_headerless_turns_name_the_line(self, tmp_path, score):
-        record = {"session": "s1", "index": 0, "hyps": [{"text": "cheap food", "score": score}],
+    @BAD_HYPS
+    def test_headerless_turns_name_the_line(self, tmp_path, hyps, word):
+        record = {"session": "s1", "index": 0, "hyps": hyps,
                   "system_acts": [], "reference": {"act": "inform", "slots": []}}
         path = tmp_path / "one_turn.jsonl"
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(DataFormatError) as err:
             read_turns(path)
-        assert f"{path}:1:" in str(err.value) and "finite" in str(err.value)
+        assert f"{path}:1:" in str(err.value) and word in str(err.value)
 
 
 class TestSplits:

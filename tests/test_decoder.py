@@ -12,7 +12,7 @@ from nbestslu.decoder import (
     predict_joint,
     predict_value,
 )
-from nbestslu.errors import ConfigError, DomainError, ModelStateError
+from nbestslu.errors import ConfigError, DomainError
 from nbestslu.model import SlotValueModel, StepOneModel
 from nbestslu.sentence import Hypothesis, NBestList
 
@@ -69,12 +69,6 @@ class TestPredictJoint:
         joint = predict_joint(model, dataset.turns[0])
         n_acts = len(dataset.ontology.acts)
         assert joint.act_probs[1] == pytest.approx(2.0 / (n_acts + 1), abs=1e-12)
-
-    def test_nan_parameters_are_a_model_state_error(self, dataset, store):
-        model = build_step1(dataset, store)
-        model.heads["head.act"][0].data[0, 0] = np.nan
-        with pytest.raises(ModelStateError):
-            predict_joint(model, dataset.turns[0])
 
 
 class TestPredictValue:

@@ -6,16 +6,8 @@ import numpy as np
 import pytest
 
 from nbestslu.data import SystemAct
-from nbestslu.embeddings import (
-    SYSTEM_ACT,
-    USER_HYPOTHESIS,
-    EmbeddingTable,
-    TokenSequence,
-    encode_system_act,
-    load_vectors,
-    tokenize,
-)
-from nbestslu.errors import DataFormatError, DomainError, ModelStateError, ParseError
+from nbestslu.embeddings import EmbeddingTable, encode_system_act, load_vectors, tokenize
+from nbestslu.errors import DataFormatError, ModelStateError, ParseError
 
 
 def write_lines(path, lines):
@@ -68,13 +60,7 @@ class TestTokenize:
         assert tokenize("").tokens == ()
 
     def test_three_tokens(self):
-        assert len(tokenize("moderately priced restaurant")) == 3
-
-    def test_origin_tag(self):
-        assert tokenize("hi", USER_HYPOTHESIS).origin == USER_HYPOTHESIS
-        assert tokenize("hi", SYSTEM_ACT).origin == SYSTEM_ACT
-        with pytest.raises(DomainError):
-            TokenSequence(("a",), "elsewhere")
+        assert len(tokenize("moderately priced restaurant").tokens) == 3
 
 
 class TestEncodeSystemAct:
@@ -84,7 +70,6 @@ class TestEncodeSystemAct:
     def test_single_pair(self):
         seq = encode_system_act(SystemAct("offer", (("name", "meghna"),)))
         assert seq.tokens == ("offer", "name", "meghna")
-        assert seq.origin == SYSTEM_ACT
 
     def test_multiple_pairs_keep_order(self):
         seq = encode_system_act(
@@ -145,13 +130,13 @@ class TestLookup:
 
     def test_system_origin_rows_are_trainable(self):
         table = prepared_table()
-        sequence = TokenSequence(("offer", "meghna", "unseen"), SYSTEM_ACT)
-        rows = table.system_matrix[table.system_row_indices(sequence.tokens)]
+        tokens = ("offer", "meghna", "unseen")
+        rows = table.system_matrix[table.system_row_indices(tokens)]
         # "offer" starts from a copy of its pretrained vector, in the trainable block.
         np.testing.assert_array_equal(rows[0], table.frozen_vector("offer"))
         assert not np.shares_memory(table.system_matrix, table.frozen_vector("offer"))
         # unseen system tokens share the system OOV row (row 0).
-        assert table.system_row_indices(sequence.tokens)[2] == 0
+        assert table.system_row_indices(tokens)[2] == 0
         np.testing.assert_array_equal(rows[2], table.system_matrix[0])
 
     def test_lookup_before_prepare_is_a_state_error(self):

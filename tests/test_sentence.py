@@ -173,7 +173,7 @@ def reference_encoding(nbest: NBestList, table: EmbeddingTable, bank: ConvFilter
 
 def encoded_with_grads(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBank, upstream: np.ndarray):
     for tensor in bank.parameters().values():
-        tensor.zero_grad()
+        tensor.grad = None
     out = encode_sentence(nbest, table, bank)
     out.backward(upstream)
     return out.data, {name: t.grad for name, t in bank.parameters().items()}

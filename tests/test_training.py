@@ -1,10 +1,12 @@
 """Training regime: overfit capacity, loss decomposition, frozen rows."""
 
+import json
+
 import numpy as np
 import pytest
 
 from nbestslu.config import RunConfig
-from nbestslu.data import collect_system_tokens
+from nbestslu.data import collect_system_tokens, dumps
 from nbestslu.decoder import predict_value
 from nbestslu.errors import DomainError
 from nbestslu.model import StepOneModel
@@ -116,6 +118,17 @@ class TestEarlyStopping:
         )
         _, log = train_step1(dataset, config, store)
         assert all(0.0 <= e["val_metric"] <= 1.0 for e in log.epochs)
+
+    def test_without_validation_the_log_is_strict_json_with_null_metrics(self, store):
+        config = RunConfig(
+            model="cnn", embedding_dim=12, filter_windows=(2,), filters_per_window=3,
+            hidden_size=8, batch_size=10, patience=3, max_epochs=2, seed=8,
+        )
+        _, log = train_step1(synthetic_dataset(1, 4, seed=2), config, store)
+        doc = json.loads(dumps(log.to_json_dict()), parse_constant=lambda name: pytest.fail(name))
+        assert doc["best_metric"] is None and [e["val_metric"] for e in doc["epochs"]] == [None, None]
+        with pytest.raises(ValueError):
+            dumps({"best_metric": float("nan")})
 
 
 class TestStepTwoTraining:
