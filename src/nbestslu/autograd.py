@@ -5,8 +5,10 @@ semantic decoder composes (affine maps, tanh/sigmoid nonlinearities,
 softmax heads with negative log-likelihood, max pooling with argmax
 routing, inverted dropout, embedding-row gathers, elementwise sums and
 products) plus two fused ops with hand-written backward passes: the
-n-best convolution (``conv_nbest``, one node per n-best list) and the
-LSTM over a whole sequence (``lstm_sequence``, which reads the gate
+n-best convolution (``conv_nbest``, one node per n-best list, which
+reads each distinct word's row once plus an index of where it occurs,
+pools by max and finds the argmax only in backward) and the LSTM over a
+whole sequence (``lstm_sequence``, which reads the gate
 weights where ``context.LstmParams`` stores them, stacked gate-major).
 Each op records a closure that routes the upstream gradient to its
 inputs; ``Tensor.backward`` replays the closures in reverse topological
@@ -333,56 +335,81 @@ def max_pool(t: Tensor) -> tuple[Tensor, int]:
     return _make(out, (t,), backprop, "max_pool"), idx
 
 
-def conv_nbest(rows, lengths, weights, filters: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     """Weighted sum over an n-best list of max-pooled tanh convolutions.
 
-    Hypothesis i spans the first ``lengths[i]`` of its zero-padded word
-    rows ``rows[i]`` ([n, L, D]) and has weight ``weights[i]``.  Per
-    (weight [w*D, M], bias [M]) pair of ``filters``, all width-w windows
-    run through one [n*(L-w+1), w*D] @ [w*D, M] product, ``+ bias`` and
-    tanh; windows starting past ``lengths[i] - w`` are masked, each map is
-    pooled at its first maximum, and the weighted pooled rows are summed
-    left to right.  The output concatenates the pairs' sums.
+    ``rows`` [U, D] holds each distinct word's vector once and ``index``
+    [n, L] names, per hypothesis, the row at each of its L positions;
+    hypothesis i spans its first ``lengths[i]`` positions and has weight
+    ``weights[i]``.  Per (weight [w*D, M], bias [M]) pair of ``filters``,
+    every distinct row goes through each of the w D-row blocks W_k of the
+    weight once, proj_k = rows @ W_k, and the response of the window
+    starting at s is sum over k of proj_k[index[:, s + k]], plus bias,
+    through tanh.  Windows starting past ``lengths[i] - w`` are masked,
+    each map is max-pooled, and the weighted pooled rows are summed left
+    to right.  The output concatenates the pairs' sums.  Identical windows
+    give bit-identical responses.
 
-    Backward: with dMaps the tanh-input gradient, one non-zero per
+    Backward finds each map's first maximum (the argmax that routes the
+    gradient) and rebuilds the [n*(L-w+1), w*D] windows from
+    ``rows[index]``: with dMaps the tanh-input gradient, one non-zero per
     (hypothesis, filter) at its pooled window, d_weight = windows.T @ dMaps
-    and d_bias = dMaps summed.  Rows, lengths and weights get no gradient.
+    and d_bias = dMaps summed.  Rows, index, lengths and weights get no
+    gradient.
     """
     rows = np.asarray(rows, dtype=np.float64)
+    index = np.asarray(index, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    if rows.ndim != 3 or rows.shape[0] == 0 or lengths.shape != rows.shape[:1] or weights.shape != lengths.shape:
-        raise ShapeMismatchError(f"conv_nbest needs [n, L, D] rows with n lengths and n weights, got rows "
-                                 f"{rows.shape}, lengths {lengths.shape}, weights {weights.shape}")
-    count, span, dim = rows.shape
+    if (rows.ndim != 2 or index.ndim != 2 or index.shape[0] == 0 or lengths.shape != index.shape[:1]
+            or weights.shape != lengths.shape):
+        raise ShapeMismatchError(f"conv_nbest needs [U, D] rows, an [n, L] index, n lengths and n weights, got "
+                                 f"rows {rows.shape}, index {index.shape}, lengths {lengths.shape}, "
+                                 f"weights {weights.shape}")
+    if index.size and not (0 <= index.min() and index.max() < len(rows)):
+        raise DomainError(f"conv_nbest index {index.tolist()} out of range for {len(rows)} rows")
+    count, span = index.shape
+    dim = rows.shape[1]
+    shortest, longest = lengths.min(), lengths.max()
     filters = tuple((as_tensor(w), as_tensor(b)) for w, b in filters)
-    pieces, kept = [], []
+    responses = []
     for weight, bias in filters:
-        width = weight.shape[0] // dim if weight.ndim == 2 else 0
+        width = weight.shape[0] // dim if weight.ndim == 2 and dim else 0
         if width < 1 or weight.shape[0] != width * dim or bias.shape != weight.shape[1:]:
             raise ShapeMismatchError(f"conv_nbest filter {weight.shape} + {bias.shape} does not fit {dim}-d rows")
-        if lengths.min() < width or lengths.max() > span:
+        if shortest < width or longest > span:
             raise DomainError(f"hypothesis lengths {lengths.tolist()} leave no width-{width} window in {span} rows")
         starts = span - width + 1
-        windows = sliding_window_view(rows, (width, dim), axis=(1, 2)).reshape(count * starts, width * dim)
-        maps = np.tanh(windows @ weight.data + bias.data).reshape(count, starts, -1)
+        proj = rows @ weight.data.reshape(width, dim, -1)
+        maps = proj[0].take(index[:, :starts], axis=0)
+        for k in range(1, width):
+            maps += proj[k].take(index[:, k : k + starts], axis=0)
+        maps += bias.data
+        np.tanh(maps, out=maps)
         maps[np.arange(starts)[None, :] > (lengths - width)[:, None]] = -np.inf
-        best = np.argmax(maps, axis=1)
-        pooled = np.take_along_axis(maps, best[:, None, :], axis=1)[:, 0]
-        # accumulate adds the weighted rows strictly in order; sum may pair them.
-        pieces.append(np.add.accumulate(pooled * weights[:, None])[-1])
-        kept.append((windows, best, pooled))
-    bounds = np.cumsum([piece.size for piece in pieces])[:-1]
+        responses.append(maps)
+    maxima = [maps.max(axis=1) for maps in responses]
+    pooled = np.concatenate(maxima, axis=1)
+    bounds = np.cumsum([maximum.shape[1] for maximum in maxima])[:-1]
+    # accumulate adds the weighted rows strictly in order; sum may pair them.
+    out = np.add.accumulate(pooled * weights[:, None])[-1]
 
     def backprop(g: np.ndarray) -> None:
-        for (weight, bias), (windows, best, pooled), upstream in zip(filters, kept, np.split(g, bounds)):
-            dpooled = weights[:, None] * upstream * (1.0 - pooled * pooled)
-            dmaps = np.zeros((count, len(windows) // count, pooled.shape[1]))
-            np.put_along_axis(dmaps, best[:, None, :], dpooled[:, None, :], axis=1)
-            _accumulate(weight, windows.T @ dmaps.reshape(len(windows), -1))
-            _accumulate(bias, dpooled.sum(axis=0))
+        words = rows.take(index, axis=0)
+        dpooled = np.split(weights[:, None] * g * (1.0 - pooled * pooled), bounds, axis=1)
+        for (weight, bias), maps, maximum, dmaximum in zip(filters, responses, maxima, dpooled):
+            starts, width = maps.shape[1], span - maps.shape[1] + 1
+            # The first window at the maximum: the highest (starts - s) among the windows that reach
+            # it.  A NaN map reaches everywhere, so its gradient stays NaN for the optimizer to refuse.
+            reached = ~(maps < maximum[:, None, :])
+            best = starts - (reached * np.arange(starts, 0, -1)[:, None]).max(axis=1)
+            dmaps = np.zeros(maps.shape)
+            dmaps[np.arange(count)[:, None], best, np.arange(maps.shape[2])] = dmaximum
+            windows = sliding_window_view(words, (width, dim), axis=(1, 2)).reshape(count * starts, width * dim)
+            _accumulate(weight, windows.T @ dmaps.reshape(count * starts, -1))
+            _accumulate(bias, dmaximum.sum(axis=0))
 
-    return _make(np.concatenate(pieces), tuple(t for pair in filters for t in pair), backprop, "conv_nbest")
+    return _make(out, tuple(t for pair in filters for t in pair), backprop, "conv_nbest")
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:

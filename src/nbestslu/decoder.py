@@ -6,6 +6,10 @@ when its presence probability exceeds one half.  Step two asks each
 detected slot's value model for the most probable value.  Item
 confidences compose multiplicatively: a slot-value item carries
 P(present) * P(value | slot), the act item carries P(act).
+
+Each ``decode_turn`` call reads the turn's n-best list once, and step one
+and every value model encode that one ``NBestList``, sharing its layout.
+Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ class SemanticFrame:
 
 
 def turn_nbest(turn: Turn) -> NBestList:
+    """The turn's hypotheses, tokenized."""
     return NBestList.from_texts((h.text, h.score) for h in turn.nbest)
 
 
@@ -58,19 +63,19 @@ class JointPrediction:
         return int(np.argmax(self.act_probs))
 
 
-def predict_joint(model: StepOneModel, turn: Turn) -> JointPrediction:
-    """Act distribution and per-slot presence probabilities for one turn."""
-    hidden = model.encoder.encode(turn_nbest(turn), turn.system_history)
+def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList) -> JointPrediction:
+    """Act distribution and per-slot presence probabilities for one turn, whose n-best list is ``nbest``."""
+    hidden = model.encoder.encode(nbest, turn.system_history)
     act, slots = model.head_probs(hidden)
     presence = {slot: float(slots[slot].data[StepOneModel.PRESENT]) for slot in model.ontology.slots}
     return JointPrediction(act.data.copy(), presence)
 
 
-def predict_value(model: SlotValueModel, turn: Turn, slot: str) -> np.ndarray:
-    """Value distribution for one detected slot."""
+def predict_value(model: SlotValueModel, turn: Turn, slot: str, nbest: NBestList) -> np.ndarray:
+    """Value distribution for one detected slot of a turn whose n-best list is ``nbest``."""
     if slot != model.slot:
         raise DomainError(f"model predicts values for slot {model.slot!r}, not {slot!r}")
-    hidden = model.encoder.encode(turn_nbest(turn), turn.system_history)
+    hidden = model.encoder.encode(nbest, turn.system_history)
     return model.value_probs(hidden).data.copy()
 
 
@@ -82,7 +87,8 @@ def decode_turn(
     step1_only: bool = False,
 ) -> SemanticFrame:
     """Assemble the semantic frame for one turn."""
-    joint = predict_joint(step1, turn)
+    nbest = turn_nbest(turn)
+    joint = predict_joint(step1, turn, nbest)
     act_label = step1.ontology.acts[joint.act_index]
     act_conf = float(joint.act_probs[joint.act_index])
 
@@ -104,7 +110,7 @@ def decode_turn(
             # Single-value slots skip value prediction: detection decides.
             slots.append(SlotValuePrediction(slot, inventory[0], presence))
             continue
-        probs = predict_value(model, turn, slot)
+        probs = predict_value(model, turn, slot, nbest)
         best = int(np.argmax(probs))
         slots.append(SlotValuePrediction(slot, model.values[best], presence * float(probs[best])))
     return SemanticFrame(act_label, act_conf, tuple(slots))

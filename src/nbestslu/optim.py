@@ -33,9 +33,10 @@ class Adadelta:
 
     ``step(batch_size)`` treats each tensor's accumulated ``grad`` as a sum
     over the batch and divides by ``batch_size``, so the update sees the
-    mean per-example gradient.  A parameter whose gradient is unset this
-    batch goes through the same rule with a zero gradient: its value is a
-    fixed point and its accumulators decay.
+    mean per-example gradient, and then clears it for the next batch.  A
+    parameter whose gradient is unset this batch goes through the same rule
+    with a zero gradient: its value is a fixed point and its accumulators
+    decay.
     """
 
     def __init__(self, params: Mapping[str, Tensor], rho: float = 0.95, epsilon: float = 1e-6):
@@ -50,10 +51,6 @@ class Adadelta:
         self._states = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in self._params.items()}
         largest = max((p.size for p in self._params.values()), default=0)
         self._scratch = np.empty((3, largest))
-
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = None
 
     def step(self, batch_size: int = 1) -> None:
         if batch_size < 1:
@@ -93,4 +90,4 @@ class Adadelta:
             avg_sq_step *= rho
             avg_sq_step += tmp
             p.data += step
-        self.zero_grad()
+            p.grad = None

@@ -222,10 +222,12 @@ def train_step2(
         hidden = dropout_apply(hidden, config.dropout, dropout_rng)
         return nll_loss(model.value_probs(hidden), targets[id(turn)])
 
+    val_nbests = {id(t): decoder.turn_nbest(t) for t in val_turns}
+
     def value_accuracy(model: SlotValueModel, val: Sequence[Turn]) -> float:
         hits = 0
         for t in val:
-            probs = model.value_probs(model.encoder.encode(decoder.turn_nbest(t), t.system_history))
+            probs = model.value_probs(model.encoder.encode(val_nbests[id(t)], t.system_history))
             if int(np.argmax(probs.data)) == targets[id(t)]:
                 hits += 1
         return hits / len(val)

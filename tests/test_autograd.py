@@ -234,22 +234,29 @@ class TestFiniteDifferences:
 
 class TestConvNbest:
     def test_rejects_inputs_that_do_not_fit(self):
-        rows = np.zeros((2, 5, 3))
+        rows = np.zeros((4, 3))
+        index = np.array([[1, 2, 3, 1, 2], [3, 1, 0, 0, 0]])
         pair = (Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
-        np.testing.assert_array_equal(ag.conv_nbest(rows, [5, 2], [0.5, 0.5], [pair]).data, np.zeros(4))
-        for bad_rows, lengths, weights, filters in (
-            (np.zeros((5, 3)), [5], [1.0], [pair]),
-            (np.zeros((0, 5, 3)), [], [], [pair]),
-            (rows, [5], [0.5, 0.5], [pair]),
-            (rows, [5, 2], [1.0], [pair]),
-            (rows, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)))]),
-            (rows, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((6, 4))), Tensor(np.zeros(3)))]),
+        np.testing.assert_array_equal(ag.conv_nbest(rows, index, [5, 2], [0.5, 0.5], [pair]).data, np.zeros(4))
+        for bad_rows, bad_index, lengths, weights, filters in (
+            (np.zeros((2, 4, 3)), index, [5, 2], [0.5, 0.5], [pair]),
+            (rows, index[0], [5], [1.0], [pair]),
+            (rows, np.zeros((0, 5), dtype=int), [], [], [pair]),
+            (rows, index, [5], [0.5, 0.5], [pair]),
+            (rows, index, [5, 2], [1.0], [pair]),
+            (rows, index, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)))]),
+            (rows, index, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((6, 4))), Tensor(np.zeros(3)))]),
         ):
             with pytest.raises(ShapeMismatchError):
-                ag.conv_nbest(bad_rows, lengths, weights, filters)
+                ag.conv_nbest(bad_rows, bad_index, lengths, weights, filters)
         for lengths in ([5, 1], [6, 2]):
             with pytest.raises(DomainError):
-                ag.conv_nbest(rows, lengths, [0.5, 0.5], [pair])
+                ag.conv_nbest(rows, index, lengths, [0.5, 0.5], [pair])
+        for row in (-1, 4):
+            bad_index = index.copy()
+            bad_index[1, 3] = row
+            with pytest.raises(DomainError):
+                ag.conv_nbest(rows, bad_index, [5, 2], [0.5, 0.5], [pair])
 
 
 class TestDropout:

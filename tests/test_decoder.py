@@ -11,6 +11,7 @@ from nbestslu.decoder import (
     decode_turn,
     predict_joint,
     predict_value,
+    turn_nbest,
 )
 from nbestslu.errors import ConfigError, DomainError
 from nbestslu.model import SlotValueModel, StepOneModel
@@ -55,7 +56,7 @@ class TestPredictJoint:
     def test_zero_weight_heads_give_uniform_distributions(self, dataset, store):
         model = build_step1(dataset, store)
         zero_heads(model)
-        joint = predict_joint(model, dataset.turns[0])
+        joint = predict_joint(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
         n_acts = len(dataset.ontology.acts)
         np.testing.assert_allclose(joint.act_probs, np.full(n_acts, 1.0 / n_acts), atol=1e-12)
         for slot in dataset.ontology.slots:
@@ -66,7 +67,7 @@ class TestPredictJoint:
         zero_heads(model)
         # Force the act head to produce logits [0, ln 2, 0, ...].
         model.heads["head.act"][1].data[1] = np.log(2.0)
-        joint = predict_joint(model, dataset.turns[0])
+        joint = predict_joint(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
         n_acts = len(dataset.ontology.acts)
         assert joint.act_probs[1] == pytest.approx(2.0 / (n_acts + 1), abs=1e-12)
 
@@ -79,7 +80,7 @@ class TestPredictValue:
         )
         for tensor in model.heads["head.value.pricerange"]:
             tensor.data[...] = 0.0
-        probs = predict_value(model, dataset.turns[0], "pricerange")
+        probs = predict_value(model, dataset.turns[0], "pricerange", turn_nbest(dataset.turns[0]))
         np.testing.assert_allclose(probs, np.full(len(values), 1.0 / len(values)), atol=1e-12)
 
     def test_wrong_slot_rejected(self, dataset, store):
@@ -88,7 +89,7 @@ class TestPredictValue:
             TOY, "pricerange", 0, values, collect_system_tokens(dataset.turns), store
         )
         with pytest.raises(DomainError):
-            predict_value(model, dataset.turns[0], "food")
+            predict_value(model, dataset.turns[0], "food", turn_nbest(dataset.turns[0]))
 
     def test_single_value_slots_cannot_build_a_model(self, dataset, store):
         with pytest.raises(ConfigError):
@@ -130,6 +131,34 @@ class TestDecodeTurn:
         assert found[slot].confidence == pytest.approx(0.72, abs=1e-12)
         with pytest.raises(DomainError):
             SemanticFrame("inform", 0.9, (SlotValuePrediction("a", "v", 0.0),))
+
+    def test_each_call_tokenizes_the_turn_once(self, dataset, store, monkeypatch):
+        model = build_step1(dataset, store)
+        zero_heads(model)
+        slots = [slot for slot in dataset.ontology.slots if len(dataset.ontology.slot_values(slot)) >= 2][:2]
+        assert len(slots) == 2
+        value_models = {}
+        for slot in slots:
+            model.heads[f"head.slot.{slot}"][1].data[...] = np.log([0.2, 0.8])
+            value_models[slot] = SlotValueModel.build(
+                TOY, slot, dataset.ontology.slots.index(slot), dataset.ontology.slot_values(slot),
+                collect_system_tokens(dataset.turns), store,
+            )
+        built = []
+        from_texts = NBestList.from_texts.__func__
+
+        def counted(cls, pairs):
+            built.append(pairs)
+            return from_texts(cls, pairs)
+
+        monkeypatch.setattr(NBestList, "from_texts", classmethod(counted))
+        turn = dataset.turns[0]
+        frame = decode_turn(turn, model, value_models)
+        assert {item.slot for item in frame.slots} == set(slots)
+        assert len(built) == 1
+        # Nothing is kept between calls: the same turn is read again.
+        assert decode_turn(turn, model, value_models) == frame
+        assert len(built) == 2
 
     def test_decode_determinism(self, dataset, store):
         model = build_step1(dataset, store)
@@ -209,7 +238,6 @@ class TestFullModelGradients:
     @pytest.mark.parametrize("variant", ["cnn", "cnn_lstm_w4", "lstm_all"])
     def test_loss_gradients_for_each_variant(self, dataset, store, variant):
         from nbestslu.autograd import add_n, nll_loss
-        from nbestslu.decoder import turn_nbest
 
         config = RunConfig(
             model=variant, embedding_dim=12, filter_windows=(2, 3), filters_per_window=2,

@@ -1,14 +1,18 @@
 """Convolutional sentence features and the confidence-weighted sum."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from nbestslu import autograd as ag
 from nbestslu.data import normalize_confidences
 from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError
 from nbestslu.sentence import (
     ConvFilterBank,
     Hypothesis,
+    NBestLayout,
     NBestList,
     encode_hypothesis,
     encode_sentence,
@@ -138,6 +142,60 @@ class TestEncodeSentence:
         expected = (hyps[1], hyps[2], hyps[3])
         assert NBestList(hyps).truncated(3).hyps == expected
         assert NBestList(hyps[::-1]).truncated(3).hyps == expected
+
+
+class TestLayout:
+    HYPS = (Hypothesis(("i", "want", "cheap"), 0.3), Hypothesis(("want", "food"), 0.3), Hypothesis((), 0.1),
+            Hypothesis(("cheap", "i", "the", "food"), 0.3))
+
+    def test_rows_number_the_distinct_tokens_in_canonical_order(self):
+        layout = NBestList(self.HYPS).layout
+        assert layout.ranked == (self.HYPS[3], self.HYPS[0], self.HYPS[1], self.HYPS[2])
+        assert layout.distinct == ("cheap", "i", "the", "food", "want")
+        np.testing.assert_array_equal(layout.index, [[1, 2, 3, 4], [2, 5, 1, 0], [5, 4, 0, 0], [0, 0, 0, 0]])
+        np.testing.assert_array_equal(layout.counts, [4, 3, 2, 0])
+
+    def test_every_permutation_gives_a_bit_equal_layout(self):
+        base = NBestList(self.HYPS).layout
+        for perm in itertools.permutations(self.HYPS):
+            layout = NBestList(perm).layout
+            assert layout.ranked == base.ranked and layout.distinct == base.distinct
+            assert layout.index.tobytes() == base.index.tobytes()
+            assert layout.weights.tobytes() == base.weights.tobytes()
+
+    def test_truncation_keeps_the_first_rows_of_the_layout(self):
+        nbest = NBestList(self.HYPS)
+        for cap in range(1, 6):
+            top = nbest.truncated(cap).layout
+            fresh = NBestLayout.build(nbest.truncated(cap).hyps)
+            assert top.ranked == fresh.ranked and top.distinct == fresh.distinct
+            assert top.index.tobytes() == fresh.index.tobytes()
+            assert top.weights.tobytes() == fresh.weights.tobytes()
+        assert nbest.truncated(1).layout.distinct == ("cheap", "i", "the", "food")
+
+    def test_a_repeated_trigram_gives_identical_responses_and_one_gradient(self):
+        # Filters aligned with the trigram "a b c" make it every map's maximum,
+        # once in the second hypothesis and twice (a tie) in the first.
+        rng = np.random.default_rng(9)
+        table = tiny_table({t: list(rng.uniform(-1, 1, 100)) for t in "abcde"})
+        bank = ConvFilterBank(100, (3,), 50, rng)
+        trigram = table.hypothesis_rows(tuple("abc")).ravel()
+        weight, bias = bank.weights[3], bank.biases[3]
+        weight.data[...] = np.outer(trigram, rng.uniform(0.01, 0.02, 50)) + rng.uniform(-0.01, 0.01, (300, 50))
+        nbest = NBestList((Hypothesis(tuple("eabc"), 0.5), Hypothesis(tuple("abcdabc"), 0.5)))
+        layout = nbest.layout
+        rows = np.vstack([np.zeros(100), table.hypothesis_rows(layout.distinct)])
+        pooled = [ag.conv_nbest(rows, layout.index, layout.counts, alone, [(weight, bias)]).data
+                  for alone in ([1.0, 0.0], [0.0, 1.0])]
+        np.testing.assert_array_equal(pooled[0], pooled[1])
+
+        upstream = rng.uniform(-1, 1, 50)
+        features, grads = encoded_with_grads(nbest, table, bank, upstream)
+        np.testing.assert_array_equal(features, pooled[0])
+        # Each hypothesis sends its gradient to one trigram window: the tie is neither split nor doubled.
+        np.testing.assert_allclose(grads["conv.w3"], np.outer(trigram, upstream * (1.0 - features ** 2)),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grads["conv.b3"], upstream * (1.0 - features ** 2), rtol=0, atol=1e-14)
 
 
 def reference_encoding(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBank, upstream: np.ndarray):

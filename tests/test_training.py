@@ -7,7 +7,7 @@ import pytest
 
 from nbestslu.config import RunConfig
 from nbestslu.data import collect_system_tokens, dumps
-from nbestslu.decoder import predict_value
+from nbestslu.decoder import predict_value, turn_nbest
 from nbestslu.errors import DomainError
 from nbestslu.model import StepOneModel
 from nbestslu.training import step1_head_accuracies, train_step1, train_step2
@@ -140,7 +140,7 @@ class TestStepTwoTraining:
         assert model is not None
         hits = 0
         for t in turns:
-            probs = predict_value(model, t, "pricerange")
+            probs = predict_value(model, t, "pricerange", turn_nbest(t))
             predicted = model.values[int(np.argmax(probs))]
             reference = next(v for s, v in t.reference.pairs if s == "pricerange")
             hits += predicted == reference
