@@ -17,8 +17,11 @@ order, leaving gradients on every input that asked for them.
 Graphs are single-use: once ``backward`` has run, the tape is released
 and a fresh forward pass is required.  Parameters (leaf tensors with
 ``requires_grad=True``) accumulate gradients across backward calls until
-the optimizer's step clears them, which is how mini-batch gradients are
-summed.
+the optimizer's step consumes them, which is how mini-batch gradients are
+summed.  During a training run each parameter's ``grad`` is a view into
+the run's flat gradient buffer (see ``optim``): ops add into it in place,
+``gather_rows`` scatters into it, and the step zero-fills it.  Only
+tensors inside a graph get freshly allocated gradients.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GraphStateError, NumericFailure, ShapeMismatchError
 
@@ -350,12 +352,13 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
     to right.  The output concatenates the pairs' sums.  Identical windows
     give bit-identical responses.
 
-    Backward finds each map's first maximum (the argmax that routes the
-    gradient) and rebuilds the [n*(L-w+1), w*D] windows from
-    ``rows[index]``: with dMaps the tanh-input gradient, one non-zero per
-    (hypothesis, filter) at its pooled window, d_weight = windows.T @ dMaps
-    and d_bias = dMaps summed.  Rows, index, lengths and weights get no
-    gradient.
+    Backward routes each map's gradient to its argmax over windows, the
+    first window at the maximum since masked windows are -inf, and gathers
+    the [n*(L-w+1), w*D] windows with one take of ``rows`` at
+    ``index[:, s + k]``: with dMaps the tanh-input gradient, one non-zero
+    per (hypothesis, filter) at its pooled window, d_weight = windows.T @
+    dMaps and d_bias = dMaps summed.  A NaN map routes a NaN, so its filter
+    gradient is NaN.  Rows, index, lengths and weights get no gradient.
     """
     rows = np.asarray(rows, dtype=np.float64)
     index = np.asarray(index, dtype=np.int64)
@@ -388,25 +391,24 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
         np.tanh(maps, out=maps)
         maps[np.arange(starts)[None, :] > (lengths - width)[:, None]] = -np.inf
         responses.append(maps)
-    maxima = [maps.max(axis=1) for maps in responses]
-    pooled = np.concatenate(maxima, axis=1)
-    bounds = np.cumsum([maximum.shape[1] for maximum in maxima])[:-1]
+    pooled = np.concatenate([maps.max(axis=1) for maps in responses], axis=1)
     # accumulate adds the weighted rows strictly in order; sum may pair them.
     out = np.add.accumulate(pooled * weights[:, None])[-1]
 
     def backprop(g: np.ndarray) -> None:
-        words = rows.take(index, axis=0)
-        dpooled = np.split(weights[:, None] * g * (1.0 - pooled * pooled), bounds, axis=1)
-        for (weight, bias), maps, maximum, dmaximum in zip(filters, responses, maxima, dpooled):
-            starts, width = maps.shape[1], span - maps.shape[1] + 1
-            # The first window at the maximum: the highest (starts - s) among the windows that reach
-            # it.  A NaN map reaches everywhere, so its gradient stays NaN for the optimizer to refuse.
-            reached = ~(maps < maximum[:, None, :])
-            best = starts - (reached * np.arange(starts, 0, -1)[:, None]).max(axis=1)
+        dpooled = weights[:, None] * g * (1.0 - pooled * pooled)
+        offset = 0
+        for (weight, bias), maps in zip(filters, responses):
+            starts, maps_count = maps.shape[1:]
+            width = span - starts + 1
+            dmaximum = dpooled[:, offset : offset + maps_count]
+            offset += maps_count
+            # Masked windows are -inf, so the argmax is the first window at the maximum; a NaN map's
+            # argmax is its first NaN, whose NaN gradient the optimizer then refuses.
             dmaps = np.zeros(maps.shape)
-            dmaps[np.arange(count)[:, None], best, np.arange(maps.shape[2])] = dmaximum
-            windows = sliding_window_view(words, (width, dim), axis=(1, 2)).reshape(count * starts, width * dim)
-            _accumulate(weight, windows.T @ dmaps.reshape(count * starts, -1))
+            dmaps[np.arange(count)[:, None], maps.argmax(axis=1), np.arange(maps_count)] = dmaximum
+            windows = rows.take(index[:, np.arange(starts)[:, None] + np.arange(width)], axis=0)
+            _accumulate(weight, windows.reshape(count * starts, width * dim).T @ dmaps.reshape(count * starts, -1))
             _accumulate(bias, dmaximum.sum(axis=0))
 
     return _make(out, tuple(t for pair in filters for t in pair), backprop, "conv_nbest")
@@ -454,9 +456,10 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params) -> tuple[Tensor, T
     Backward is backprop through time over the kept gates, cells and
     hiddens: with dZ the [T, 4H] preactivation gradients, X the inputs and
     H_prev the hiddens entering each step, dW = dZ.T @ X, dU = dZ.T @ H_prev,
-    db = dZ summed over time, dxs = dZ @ W; each is split by gate onto the
-    twelve row-block tensors.  The final hidden is a second tape node under
-    the final cell; its gradient joins the cell's backward.
+    db = dZ summed over time, dxs = dZ @ W.  Each stacked product is added
+    by gate onto the twelve row-block tensors before the next is computed,
+    so at most one [4H, *] temporary is alive.  The final hidden is a second
+    tape node under the final cell; its gradient joins the cell's backward.
     """
     xs, h0, c0 = as_tensor(xs), as_tensor(h0), as_tensor(c0)
     hidden_size, input_dim = params.hidden_size, params.input_dim
@@ -504,9 +507,10 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params) -> tuple[Tensor, T
             dzt[3] = dc * i * (1.0 - g * g)
             dh = u.T @ dz[t]
             dc *= f
-        grads = np.split(dz.T @ steps, 4) + np.split(dz.T @ hiddens[:-1], 4) + np.split(dz.sum(axis=0), 4)
-        for tensor, grad in zip(gate_tensors, grads):
-            _accumulate(tensor, grad)
+        # One stacked product at a time, so no two [4H, *] temporaries are alive together.
+        _accumulate_gates(params.w, dz.T @ steps)
+        _accumulate_gates(params.u, dz.T @ hiddens[:-1])
+        _accumulate_gates(params.b, dz.sum(axis=0))
         if xs.requires_grad:
             _accumulate(xs, (dz @ w).reshape(xs.shape))
         _accumulate(h0, dh)
@@ -519,6 +523,12 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params) -> tuple[Tensor, T
         _accumulate(cell, np.zeros(hidden_size))
 
     return _make(hiddens[-1], (cell,), route_hidden, "lstm_sequence"), cell
+
+
+def _accumulate_gates(tensors: dict[str, Tensor], grad: np.ndarray) -> None:
+    """Add a stacked gate-major gradient onto its per-gate row-block tensors."""
+    for tensor, block in zip(tensors.values(), grad.reshape(len(tensors), -1, *grad.shape[1:])):
+        _accumulate(tensor, block)
 
 
 def dropout_apply(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

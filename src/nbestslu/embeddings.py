@@ -167,10 +167,13 @@ def load_vectors(path, expected_dim: int | None = None) -> EmbeddingTable:
     """Load a pretrained vector file: one token plus its reals per line.
 
     The first line fixes the dimensionality; duplicate tokens keep their
-    first occurrence (with a warning).
+    first occurrence (with a warning).  A kept vector with a component that
+    is not finite (``nan``, ``inf``, ``-inf``) is a parse error naming its
+    line.
     """
     tokens: list[str] = []
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     seen: set[str] = set()
     dim: int | None = None
     for lineno, raw in enumerate(text_lines(path), start=1):
@@ -198,6 +201,11 @@ def load_vectors(path, expected_dim: int | None = None) -> EmbeddingTable:
         seen.add(token)
         tokens.append(token)
         rows.append(vector)
+        linenos.append(lineno)
     if not tokens:
         raise DataFormatError(f"{path}: no vectors found")
-    return EmbeddingTable(tokens, np.vstack(rows))
+    matrix = np.vstack(rows)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}:{linenos[int(finite.argmin())]}: non-finite vector component")
+    return EmbeddingTable(tokens, matrix)

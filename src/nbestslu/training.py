@@ -129,6 +129,8 @@ def _run_epochs(
                 if epochs_since_best >= config.patience:
                     log.notes.append(f"early stop at epoch {epoch} (best epoch {log.best_epoch})")
                     break
+    # A model that outlives its run must not pin the run's gradient buffers.
+    optimizer.release()
 
     if early_stopping and best_snapshot is not None:
         _restore(params, best_snapshot)

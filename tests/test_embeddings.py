@@ -38,6 +38,13 @@ class TestLoadVectors:
             load_vectors(write_lines(tmp_path / "v.txt", lines))
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component_names_the_line(self, tmp_path, component):
+        for lines, lineno in (([f"a {component} 0.5", "b 0.1 0.2"], 1), (["a 0.1 0.5", f"b 0.1 {component}"], 2)):
+            with pytest.raises(ParseError) as err:
+                load_vectors(write_lines(tmp_path / "v.txt", lines))
+            assert f"v.txt:{lineno}: non-finite" in str(err.value)
+
     def test_expected_dim_mismatch_is_a_format_error(self, tmp_path):
         lines = ["a 0.1 0.2 0.3"]
         with pytest.raises(DataFormatError):

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
+from nbestslu import autograd as ag
 from nbestslu.autograd import Tensor
+from nbestslu.context import LstmParams
+from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError, NumericFailure, ShapeMismatchError
-from nbestslu.optim import Adadelta
+from nbestslu.optim import CHUNK, Adadelta
 
 
-def hand_update(param, grad, avg_sq_grad, avg_sq_step, rho, eps):
-    """Independent execution of the three update formulas."""
-    avg_sq_grad = rho * avg_sq_grad + (1 - rho) * grad**2
+def hand_update(param, grad_sum, batch_size, avg_sq_grad, avg_sq_step, rho, eps):
+    """Independent execution of the three update formulas on the mean gradient.
+
+    Written left to right in the optimizer's operation order, so the bits must match.
+    """
+    grad = grad_sum * (1.0 / batch_size)
+    avg_sq_grad = rho * avg_sq_grad + (1 - rho) * grad * grad
     step = -np.sqrt(avg_sq_step + eps) / np.sqrt(avg_sq_grad + eps) * grad
-    avg_sq_step = rho * avg_sq_step + (1 - rho) * step**2
-    return param + step, avg_sq_grad, avg_sq_step, step
+    avg_sq_step = rho * avg_sq_step + (1 - rho) * step * step
+    return param + step, avg_sq_grad, avg_sq_step
 
 
 def one_tensor(value, **hyper) -> tuple[Tensor, Adadelta]:
@@ -37,7 +44,7 @@ class TestAdadeltaStep:
     def test_first_step_matches_hand_execution(self):
         param, opt = one_tensor([0.0], rho=0.95, epsilon=1e-6)
         step_with(param, opt, [1.0])
-        expected, *_ = hand_update(np.array([0.0]), np.array([1.0]), 0.0, 0.0, 0.95, 1e-6)
+        expected, *_ = hand_update(np.array([0.0]), np.array([1.0]), 1, 0.0, 0.0, 0.95, 1e-6)
         np.testing.assert_allclose(param.data, expected, rtol=0, atol=0)
         assert param.data[0] == pytest.approx(-0.004472, abs=5e-7)
 
@@ -58,10 +65,10 @@ class TestAdadeltaStep:
         for _ in range(25):
             grad = rng.uniform(-2, 2, (3, 2))
             step_with(param, opt, grad)
-            expect_param, eg, ex, _ = hand_update(expect_param, grad, eg, ex, 0.9, 1e-5)
-        np.testing.assert_allclose(param.data, expect_param, atol=1e-12)
-        np.testing.assert_allclose(opt._states["p"][0], eg, atol=1e-12)
-        np.testing.assert_allclose(opt._states["p"][1], ex, atol=1e-12)
+            expect_param, eg, ex = hand_update(expect_param, grad, 1, eg, ex, 0.9, 1e-5)
+        np.testing.assert_array_equal(param.data, expect_param)
+        np.testing.assert_array_equal(opt._states["p"][0], eg)
+        np.testing.assert_array_equal(opt._states["p"][1], ex)
 
     def test_accumulators_stay_non_negative(self):
         rng = np.random.default_rng(9)
@@ -127,7 +134,9 @@ class TestAdadeltaOptimizer:
         opt_b.step(batch_size=1)
 
         np.testing.assert_array_equal(a.data, b.data)
-        assert a.grad is None  # step clears gradients
+        np.testing.assert_array_equal(a.grad, np.zeros(4))  # step zero-fills the gradient buffer
+        opt_a.release()
+        assert a.grad is None
 
     def test_unset_gradient_leaves_value_and_decays_accumulators(self):
         param, opt = one_tensor(np.ones(3))
@@ -163,3 +172,56 @@ class TestAdadeltaOptimizer:
         p.grad = np.ones(3)
         opt.step()
         assert np.all(backing != 0.0)
+
+
+class TestGradientBuffer:
+    def test_mixed_parameter_set_matches_the_direct_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        lstm = LstmParams(3, 2, rng)
+        table = EmbeddingTable(["a", "b"], rng.uniform(-1, 1, (2, 3))).view()
+        table.prepare_runtime_rows(["a", "c"], rng)
+        system = Tensor(table.system_matrix, requires_grad=True, name="embed.system")
+        idle = Tensor(rng.uniform(-1, 1, 5), requires_grad=True, name="idle")  # never gets a gradient
+        rebound = Tensor(rng.uniform(-1, 1, (CHUNK // 64 + 1, 64)), requires_grad=True, name="rebound")
+        params = {**lstm.parameters(), "embed.system": system, "idle": idle, "rebound": rebound}
+        opt = Adadelta(params, rho=0.9, epsilon=1e-5)
+        idle_before = idle.data.copy()
+        expected = {name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for name, p in params.items()}
+        for batch_size in (2, 3, 1):
+            for _ in range(batch_size):
+                xs = ag.gather_rows(system, rng.integers(0, 3, 4))
+                hidden, _ = ag.lstm_sequence(xs, Tensor(np.zeros(2)), Tensor(np.zeros(2)), lstm)
+                hidden.backward(rng.uniform(-1, 1, 2))
+            rebound.grad = rng.uniform(-1, 1, rebound.shape)  # a caller's own array
+            grads = {name: p.grad.copy() for name, p in params.items()}
+            opt.step(batch_size)
+            for name, p in params.items():
+                value, avg_sq_grad, avg_sq_step = expected[name]
+                expected[name] = hand_update(value, grads[name], batch_size, avg_sq_grad, avg_sq_step, 0.9, 1e-5)
+                np.testing.assert_array_equal(p.data, expected[name][0], err_msg=name)
+                np.testing.assert_array_equal(opt._states[name][0], expected[name][1], err_msg=name)
+                np.testing.assert_array_equal(opt._states[name][1], expected[name][2], err_msg=name)
+                assert not p.grad.any(), name
+        np.testing.assert_array_equal(idle.data, idle_before)
+        assert system.data is table.system_matrix
+        for gate in ("i", "f", "o", "u"):
+            assert np.shares_memory(lstm.w[gate].data, lstm.stacked[0]), gate
+        np.testing.assert_array_equal(lstm.stacked[0][2:4], expected["lstm.w_f"][0])
+
+    def test_a_nan_in_the_last_gradient_leaves_everything_untouched(self):
+        rng = np.random.default_rng(13)
+        params = {name: Tensor(rng.uniform(-1, 1, size), requires_grad=True, name=name)
+                  for name, size in (("wide", CHUNK + 7), ("middle", 3), ("last", 5))}
+        opt = Adadelta(params)
+        for p in params.values():
+            p.grad += rng.uniform(-1, 1, p.shape)
+        opt.step(2)
+        before = {name: (p.data.copy(), *(acc.copy() for acc in opt._states[name])) for name, p in params.items()}
+        for p in params.values():
+            p.grad += rng.uniform(-1, 1, p.shape)
+        params["last"].grad[-1] = np.nan
+        with pytest.raises(NumericFailure, match="for last"):
+            opt.step(2)
+        for name, p in params.items():
+            for now, then in zip((p.data, *opt._states[name]), before[name]):
+                np.testing.assert_array_equal(now, then, err_msg=name)

@@ -8,7 +8,8 @@ import pytest
 from nbestslu import autograd as ag
 from nbestslu.data import normalize_confidences
 from nbestslu.embeddings import EmbeddingTable
-from nbestslu.errors import DomainError
+from nbestslu.errors import DomainError, NumericFailure
+from nbestslu.optim import Adadelta
 from nbestslu.sentence import (
     ConvFilterBank,
     Hypothesis,
@@ -280,6 +281,24 @@ class TestReference:
             np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
         # The zeroed block's gradient is what tells tied windows apart.
         assert np.any(ref_grads["conv.w3"][:100] != 0.0)
+
+
+class TestNonFiniteMaps:
+    def test_a_nan_map_gives_nan_filter_gradients_that_the_step_refuses(self):
+        ag.set_finite_checks(False)  # as in training, where only the optimizer step checks
+        table = tiny_table({"good": [0.1, 0.2, 0.3], "bad": [0.1, np.nan, 0.3], "word": [0.3, -0.2, 0.5]})
+        bank = ConvFilterBank(3, (2, 3), 4, np.random.default_rng(8))
+        optimizer = Adadelta(bank.parameters())
+        before = {name: t.data.copy() for name, t in bank.parameters().items()}
+        nbest = NBestList((Hypothesis(("good", "bad", "word"), 0.7), Hypothesis(("word", "good", "word"), 0.3)))
+        encode_sentence(nbest, table, bank).backward(np.ones(bank.feature_size))
+        # Every window of the first hypothesis holds the NaN word, so every map pools a NaN.
+        for name, tensor in bank.parameters().items():
+            assert np.isnan(tensor.grad).all(), name
+        with pytest.raises(NumericFailure, match="non-finite gradient"):
+            optimizer.step()
+        for name, tensor in bank.parameters().items():
+            np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
 
 
 class TestSentenceGradients:

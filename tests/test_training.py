@@ -1,6 +1,7 @@
 """Training regime: overfit capacity, loss decomposition, frozen rows."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ class TestStepOneTraining:
                 np.testing.assert_array_equal(trained_t.data, fresh_t.data)
         # The act head did train.
         assert np.abs(model.heads["head.act"][0].data - fresh.heads["head.act"][0].data).max() > 0
+
+
+class TestGradientBuffers:
+    def test_no_parameter_holds_a_gradient_after_training(self, dataset, store, trained):
+        # Early stopping on and off, both steps: a trained model must not pin its run's buffers.
+        short = replace(OVERFIT, max_epochs=2, patience=1)
+        models = [trained[0], train_step1(dataset, short, store)[0], train_step2(dataset, "pricerange", short, store)[0]]
+        for model in models:
+            assert [name for name, p in model.parameters().items() if p.grad is not None] == []
 
 
 class TestEarlyStopping:
