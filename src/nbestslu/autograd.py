@@ -11,8 +11,11 @@ pools by max and finds the argmax only in backward) and the LSTM over a
 whole sequence (``lstm_sequence``, which reads the gate
 weights where ``context.LstmParams`` stores them, stacked gate-major).
 Each op records a closure that routes the upstream gradient to its
-inputs; ``Tensor.backward`` replays the closures in reverse topological
-order, leaving gradients on every input that asked for them.
+inputs, and stamps the node with a serial number.  A node is always
+recorded after its inputs, so creation order is a topological order (the
+tape is a Wengert list): ``Tensor.backward`` replays the reachable
+closures in reverse serial order, leaving gradients on every input that
+asked for them.
 
 Graphs are single-use: once ``backward`` has run, the tape is released
 and a fresh forward pass is required.  Parameters (leaf tensors with
@@ -26,6 +29,7 @@ tensors inside a graph get freshly allocated gradients.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +54,7 @@ def _checked(opname: str, data: np.ndarray) -> np.ndarray:
 class Tensor:
     """A float64 array plus the tape entry that produced it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backprop", "_freed")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backprop", "_freed", "_serial")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -101,32 +105,28 @@ class Tensor:
                     f"upstream gradient shape {upstream.shape} does not match output shape {self.data.shape}"
                 )
 
-        # Post-order DFS over the recorded graph; reversed, it is a valid
-        # topological order (each node handled before any of its inputs).
-        order: list[Tensor] = []
-        seen: set[int] = {id(self)}
-        frames = [(self, iter(self._parents))]
-        while frames:
-            node, parents = frames[-1]
-            pushed = False
-            for parent in parents:
-                if parent._backprop is not None and id(parent) not in seen:
-                    seen.add(id(parent))
-                    frames.append((parent, iter(parent._parents)))
-                    pushed = True
-                    break
-            if not pushed:
-                order.append(node)
-                frames.pop()
+        # Every node is recorded after its inputs, so reverse creation order
+        # handles each node before any of its inputs.
+        reached = {self}
+        frontier = [self]
+        while frontier:
+            for parent in frontier.pop()._parents:
+                if parent._backprop is not None and parent not in reached:
+                    reached.add(parent)
+                    frontier.append(parent)
 
         self.grad = upstream.copy() if self.grad is None else self.grad + upstream
-        for node in reversed(order):
+        for node in sorted(reached, key=lambda node: node._serial, reverse=True):
             node._backprop(node.grad)
             node._parents = ()
             node._backprop = None
             node._freed = True
             if node is not self:
                 node.grad = None
+
+
+# Stamps each recorded node in creation order (see ``Tensor.backward``).
+_serials = itertools.count()
 
 
 def as_tensor(value) -> Tensor:
@@ -139,6 +139,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backprop, opname: str) 
         out.requires_grad = True
         out._parents = parents
         out._backprop = backprop
+        out._serial = next(_serials)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -64,7 +65,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cv", help="k-fold cross-validation of the joint model")
     p.add_argument("dataset", help="canonical dataset file")
     p.add_argument("outdir", help="directory for per-fold and summary reports")
-    p.add_argument("--folds", type=int, default=None, help="number of folds (default: cv_folds)")
+    p.add_argument("--folds", type=int, default=None, help="number of folds, at least 2 (default: cv_folds)")
     add_config_args(p)
 
     p = sub.add_parser("decode", help="decode a dataset (or single-turn file) into frames")
@@ -127,9 +128,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_cv(args) -> int:
     cfg = _resolve_config(args)
+    if args.folds is not None:
+        cfg = replace(cfg, cv_folds=args.folds).validate()
     store = _load_store(cfg)
     dataset = read_canonical(args.dataset)
-    reports, summary = cross_validate_step1(dataset, cfg, store, k=args.folds, log_fn=print)
+    reports, summary = cross_validate_step1(dataset, cfg, store, log_fn=print)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for fold, report in enumerate(reports):

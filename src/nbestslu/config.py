@@ -8,6 +8,7 @@ can be detected later.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator
 
@@ -57,6 +58,8 @@ class RunConfig:
             raise ConfigError(f"embedding_dim must be positive, got {self.embedding_dim}")
         if not self.filter_windows or any(w < 1 for w in self.filter_windows):
             raise ConfigError(f"filter_windows must be positive, got {self.filter_windows}")
+        if len(set(self.filter_windows)) != len(self.filter_windows):
+            raise ConfigError(f"filter_windows must be distinct, got {self.filter_windows}")
         if self.filters_per_window < 1:
             raise ConfigError(f"filters_per_window must be positive, got {self.filters_per_window}")
         if self.hidden_size < 1:
@@ -69,14 +72,16 @@ class RunConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ConfigError(f"adadelta_rho must lie in (0, 1), got {self.adadelta_rho}")
-        if self.adadelta_epsilon <= 0:
-            raise ConfigError(f"adadelta_epsilon must be positive, got {self.adadelta_epsilon}")
+        if not 0.0 < self.adadelta_epsilon < math.inf:
+            raise ConfigError(f"adadelta_epsilon must be finite and positive, got {self.adadelta_epsilon}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
         if self.patience < 0:
             raise ConfigError(f"patience must be non-negative, got {self.patience}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.asr_channel not in ("live", "batch"):
             raise ConfigError(f"asr_channel must be 'live' or 'batch', got {self.asr_channel!r}")
         if self.max_act_patterns < 1:

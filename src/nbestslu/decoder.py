@@ -8,7 +8,8 @@ confidences compose multiplicatively: a slot-value item carries
 P(present) * P(value | slot), the act item carries P(act).
 
 Each ``decode_turn`` call reads the turn's n-best list once, and step one
-and every value model encode that one ``NBestList``, sharing its layout.
+and every value model encode that one ``NBestList``, reading the arrays it
+built when it was made.
 Nothing is kept from one call to the next.
 """
 

@@ -58,8 +58,8 @@ class Adadelta:
     def __init__(self, params: Mapping[str, Tensor], rho: float = 0.95, epsilon: float = 1e-6):
         if not 0.0 < rho < 1.0:
             raise DomainError(f"adadelta decay must lie in (0, 1), got {rho}")
-        if epsilon <= 0.0:
-            raise DomainError(f"adadelta stabilizer must be positive, got {epsilon}")
+        if not 0.0 < epsilon < np.inf:
+            raise DomainError(f"adadelta stabilizer must be finite and positive, got {epsilon}")
         self._rho = rho
         self._epsilon = epsilon
         self._params = dict(params)

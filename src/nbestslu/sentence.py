@@ -6,16 +6,16 @@ and the pooled vectors of all hypotheses are combined by a posterior-
 weighted sum.  The result is one fixed-length vector per user turn.
 
 The whole list is one ``autograd.conv_nbest`` tape node; one hypothesis
-is a list of one.  The op reads the list's ``NBestLayout``, built once
-per ``NBestList`` and kept on it.  The layout holds tokens, not vectors,
-so one layout serves every model that encodes the list; each encode
-looks the distinct tokens up in its model's own table view.
+is a list of one.  The op reads the arrays an ``NBestList`` builds once,
+when it is made: the hypotheses in canonical order, their weights, and
+an index of their distinct tokens.  These hold tokens, not vectors, so
+one list serves every model that encodes it; each encode looks the
+distinct tokens up in its model's own table view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,83 +36,51 @@ class Hypothesis:
             raise DomainError(f"hypothesis confidence must be non-negative, got {self.confidence}")
 
 
-@dataclass(frozen=True, eq=False)
-class NBestLayout:
-    """An n-best list in canonical order, as the convolution reads it.
+class NBestList:
+    """An ASR n-best list in canonical order, as the convolution reads it.
 
-    Holds the hypotheses in canonical order (confidence descending, then
-    tokens) with their normalized weights and token counts, the distinct
+    Building the list sorts the hypotheses into canonical order
+    (confidence descending, then tokens) and derives, once, their
+    normalized ``weights``, their token ``counts``, the ``distinct``
     tokens, and ``index``: ``index[i, j]`` is the row of hypothesis i's
     token j, where row r > 0 is ``distinct[r - 1]`` and row 0 pads each
     hypothesis out to the longest.  Distinct tokens are numbered in the
-    order they first occur in canonical order, so the layout of the top k
-    hypotheses is a prefix of this one, and every permutation of a list
-    has the same layout.
+    order they first occur in canonical order, so the top k hypotheses'
+    arrays are the first rows of these, and every permutation of a list
+    builds bit-identical arrays.  Nothing changes a list once it is built;
+    its arrays are read-only.
     """
 
-    ranked: tuple[Hypothesis, ...]
-    weights: np.ndarray  # normalized confidences, in canonical order
-    counts: np.ndarray  # tokens per hypothesis
-    distinct: tuple[str, ...]
-    index: np.ndarray  # [n, longest count]
-
-    @classmethod
-    def build(cls, hyps) -> "NBestLayout":
-        if not hyps:
-            raise DomainError("empty n-best list; supply a single empty hypothesis instead")
+    def __init__(self, hyps):
         ranked = tuple(sorted(hyps, key=lambda h: (-h.confidence, h.tokens)))
+        if not ranked:
+            raise DomainError("empty n-best list; supply a single empty hypothesis instead")
         counts = np.array([len(h.tokens) for h in ranked])
         rows: dict[str, int] = {}
         index = np.zeros((len(ranked), counts.max()), dtype=np.int64)
         for i, hyp in enumerate(ranked):
             index[i, : len(hyp.tokens)] = [rows.setdefault(token, len(rows) + 1) for token in hyp.tokens]
-        return cls._assemble(ranked, counts, tuple(rows), index)
-
-    @classmethod
-    def _assemble(cls, ranked, counts, distinct, index) -> "NBestLayout":
+        self.hyps: tuple[Hypothesis, ...] = ranked
         # Canonical order before normalization: the raw-score sum and the
         # divisions then round identically for any input order.
-        weights = normalize_confidences([h.confidence for h in ranked])
-        for array in (weights, counts, index):
+        self.weights = normalize_confidences([h.confidence for h in ranked])
+        self.counts = counts
+        self.distinct: tuple[str, ...] = tuple(rows)
+        self.index = index  # [n, longest count]
+        for array in (self.weights, counts, index):
             array.setflags(write=False)
-        return cls(ranked, weights, counts, distinct, index)
-
-    def head(self, cap: int) -> "NBestLayout":
-        """The layout of the top ``cap`` hypotheses: the first rows, renormalized."""
-        if cap >= len(self.ranked):
-            return self
-        counts = self.counts[:cap]
-        index = self.index[:cap, : counts.max()]
-        return self._assemble(self.ranked[:cap], counts, self.distinct[: index.max(initial=0)], index)
-
-
-@dataclass(frozen=True)
-class NBestList:
-    """Ranked alternative transcriptions with non-negative confidences."""
-
-    hyps: tuple[Hypothesis, ...]
 
     @classmethod
     def from_texts(cls, pairs) -> "NBestList":
-        return cls(tuple(Hypothesis(tokenize(text).tokens, float(conf)) for text, conf in pairs))
-
-    @cached_property
-    def layout(self) -> NBestLayout:
-        """Built on first use and kept: the list is immutable."""
-        return NBestLayout.build(self.hyps)
+        return cls(Hypothesis(tokenize(text).tokens, float(conf)) for text, conf in pairs)
 
     def truncated(self, cap: int) -> "NBestList":
-        """The top ``cap`` hypotheses in canonical order, whatever the input order.
-
-        The result carries the first ``cap`` rows of this list's layout
-        rather than building its own.
-        """
+        """The top ``cap`` hypotheses, renormalized; the list itself when it is no longer."""
         if cap < 1:
             raise DomainError(f"n-best cap must be at least 1, got {cap}")
-        layout = self.layout.head(cap)
-        top = NBestList(layout.ranked)
-        top.__dict__["layout"] = layout  # where cached_property keeps its value
-        return top
+        if cap >= len(self.hyps):
+            return self
+        return NBestList(self.hyps[:cap])
 
     def __len__(self) -> int:
         return len(self.hyps)
@@ -174,17 +142,16 @@ def encode_sentence(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBan
     """Confidence-weighted sum of per-hypothesis feature vectors.
 
     Raw confidences are renormalized to sum to one, which makes the result
-    invariant to uniform rescaling.  Terms are summed in the canonical order
-    of ``NBestLayout.ranked``, so permuting the n-best list yields a
-    bit-identical vector.
+    invariant to uniform rescaling.  Terms are summed in the list's
+    canonical order, so permuting the n-best list yields a bit-identical
+    vector.
     """
     if table.dim != bank.dim:
         raise DomainError(f"embedding dim {table.dim} does not match filter bank dim {bank.dim}")
-    layout = nbest.layout
-    rows = np.zeros((len(layout.distinct) + 1, table.dim))
-    rows[1:] = table.hypothesis_rows(layout.distinct)
-    index = layout.index
+    rows = np.zeros((len(nbest.distinct) + 1, table.dim))
+    rows[1:] = table.hypothesis_rows(nbest.distinct)
+    index = nbest.index
     if index.shape[1] < bank.max_window:
         index = np.pad(index, ((0, 0), (0, bank.max_window - index.shape[1])))
     filters = [(bank.weights[width], bank.biases[width]) for width in bank.window_sizes]
-    return ag.conv_nbest(rows, index, np.maximum(layout.counts, bank.max_window), layout.weights, filters)
+    return ag.conv_nbest(rows, index, np.maximum(nbest.counts, bank.max_window), nbest.weights, filters)

@@ -256,7 +256,7 @@ def cross_validate_step1(
     derived ontology and is scored on the held-out fold in presence mode.
     """
     config = config.validate()
-    k = k or config.cv_folds
+    k = config.cv_folds if k is None else k
     plan = make_folds(dataset, k, config.seed)
     reports = []
     for fold in range(k):

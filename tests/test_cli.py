@@ -164,7 +164,7 @@ class TestPipeline:
         outdir = tmp / "cv"
         assert run(["cv", dataset, outdir, "--folds", "3", "--config", workspace["config"]]) == 0
         assert (outdir / "summary.json").is_file()
-        assert (outdir / "config.txt").is_file()
+        assert "cv_folds = 3\n" in (outdir / "config.txt").read_text()
         for fold in range(3):
             assert (outdir / f"fold_{fold}.txt").is_file()
             assert (outdir / f"fold_{fold}.tsv").is_file()
@@ -183,6 +183,43 @@ class TestExitCodes:
         bad.write_text("warp_speed = 9\n", encoding="utf-8")
         assert run(["import", workspace["root"], workspace["flist"], tmp_path / "x.ds",
                     "--config", bad]) == 1
+
+    @pytest.mark.parametrize("setting", ["seed=-1", "adadelta_epsilon=nan", "adadelta_epsilon=inf",
+                                         "filter_windows=3,3"])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_out_of_range_setting_is_one(self, workspace, tmp_path, capsys, command, setting):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        capsys.readouterr()
+        assert run([command, dataset, tmp_path / "out", "--config", workspace["config"], "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and setting.split("=")[0] in err and "Traceback" not in err
+
+    def test_decode_with_a_negative_checkpoint_seed_is_one(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        ckpt = tmp_path / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
+        kind, params, meta = load_container(ckpt / "step1.ckpt")
+        save_container(ckpt / "step1.ckpt", kind, params,
+                       {**meta, "config_text": meta["config_text"].replace("seed = 5", "seed = -1")})
+        capsys.readouterr()
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "seed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("folds", ["0", "1", "-3"])
+    def test_cv_with_fewer_than_two_folds_is_one(self, workspace, tmp_path, capsys, folds):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        capsys.readouterr()
+        assert run(["cv", dataset, tmp_path / "cv", "--folds", folds, "--config", workspace["config"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "cv_folds" in err and f"got {folds}" in err
+        assert not (tmp_path / "cv").exists()
 
     def test_missing_corpus_is_two(self, workspace, tmp_path, capsys):
         missing = tmp_path / "nowhere.flist"

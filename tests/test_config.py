@@ -1,5 +1,8 @@
 """Configuration parsing, defaults, and hashing."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
 from nbestslu.config import (
@@ -61,7 +64,7 @@ class TestParsing:
 
     def test_invalid_settings_rejected(self):
         for text in ("model = transformer", "dropout = 1.0", "adadelta_rho = 0",
-                     "validation_fraction = 1.5", "asr_channel = tape"):
+                     "validation_fraction = 1.5", "asr_channel = tape", "filter_windows = 3,3"):
             with pytest.raises(ConfigError):
                 parse_config_text(text)
 
@@ -90,3 +93,39 @@ class TestRoundTripAndHash:
         path = tmp_path / "cfg.txt"
         write_resolved(cfg, path)
         assert parse_config_file(path) == cfg
+
+
+# What docs/formats.md states is valid, per numeric key.
+VALID = {
+    "embedding_dim": lambda v: v >= 1,
+    "filter_windows": lambda v: len(v) > 0 and min(v) >= 1 and len(set(v)) == len(v),
+    "filters_per_window": lambda v: v >= 1,
+    "hidden_size": lambda v: v >= 1,
+    "nbest_cap": lambda v: v >= 1,
+    "batch_size": lambda v: v >= 1,
+    "dropout": lambda v: 0.0 <= v < 1.0,
+    "adadelta_rho": lambda v: 0.0 < v < 1.0,
+    "adadelta_epsilon": lambda v: 0.0 < v < math.inf,
+    "validation_fraction": lambda v: 0.0 < v < 1.0,
+    "patience": lambda v: v >= 0,
+    "max_epochs": lambda v: v >= 1,
+    "seed": lambda v: v >= 0,
+    "max_act_patterns": lambda v: v >= 1,
+    "cv_folds": lambda v: v >= 2,
+}
+
+
+def test_every_numeric_key_has_a_documented_range():
+    numeric = {f.name for f in fields(RunConfig) if f.type in ("int", "float", "tuple[int, ...]")}
+    assert numeric == set(VALID)
+
+
+@pytest.mark.parametrize("text", ["-1", "nan", "inf", "1e400"])
+@pytest.mark.parametrize("key", sorted(VALID))
+def test_out_of_range_numbers_are_refused(key, text):
+    try:
+        cfg = apply_overrides(RunConfig(), [f"{key}={text}"])
+    except ConfigError as err:
+        assert key in str(err)
+    else:
+        assert VALID[key](getattr(cfg, key)), getattr(cfg, key)

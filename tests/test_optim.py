@@ -113,8 +113,9 @@ class TestAdadeltaStep:
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(DomainError):
             one_tensor(np.zeros(2), rho=1.0)
-        with pytest.raises(DomainError):
-            one_tensor(np.zeros(2), epsilon=0.0)
+        for epsilon in (0.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                one_tensor(np.zeros(2), epsilon=epsilon)
 
 
 class TestAdadeltaOptimizer:

@@ -13,7 +13,6 @@ from nbestslu.optim import Adadelta
 from nbestslu.sentence import (
     ConvFilterBank,
     Hypothesis,
-    NBestLayout,
     NBestList,
     encode_hypothesis,
     encode_sentence,
@@ -150,29 +149,33 @@ class TestLayout:
             Hypothesis(("cheap", "i", "the", "food"), 0.3))
 
     def test_rows_number_the_distinct_tokens_in_canonical_order(self):
-        layout = NBestList(self.HYPS).layout
-        assert layout.ranked == (self.HYPS[3], self.HYPS[0], self.HYPS[1], self.HYPS[2])
-        assert layout.distinct == ("cheap", "i", "the", "food", "want")
-        np.testing.assert_array_equal(layout.index, [[1, 2, 3, 4], [2, 5, 1, 0], [5, 4, 0, 0], [0, 0, 0, 0]])
-        np.testing.assert_array_equal(layout.counts, [4, 3, 2, 0])
+        nbest = NBestList(self.HYPS)
+        assert nbest.hyps == (self.HYPS[3], self.HYPS[0], self.HYPS[1], self.HYPS[2])
+        assert nbest.distinct == ("cheap", "i", "the", "food", "want")
+        np.testing.assert_array_equal(nbest.index, [[1, 2, 3, 4], [2, 5, 1, 0], [5, 4, 0, 0], [0, 0, 0, 0]])
+        np.testing.assert_array_equal(nbest.counts, [4, 3, 2, 0])
+        for array in (nbest.weights, nbest.counts, nbest.index):
+            assert not array.flags.writeable
 
     def test_every_permutation_gives_a_bit_equal_layout(self):
-        base = NBestList(self.HYPS).layout
+        base = NBestList(self.HYPS)
         for perm in itertools.permutations(self.HYPS):
-            layout = NBestList(perm).layout
-            assert layout.ranked == base.ranked and layout.distinct == base.distinct
-            assert layout.index.tobytes() == base.index.tobytes()
-            assert layout.weights.tobytes() == base.weights.tobytes()
+            nbest = NBestList(perm)
+            assert nbest.hyps == base.hyps and nbest.distinct == base.distinct
+            assert nbest.index.tobytes() == base.index.tobytes()
+            assert nbest.weights.tobytes() == base.weights.tobytes()
 
     def test_truncation_keeps_the_first_rows_of_the_layout(self):
         nbest = NBestList(self.HYPS)
         for cap in range(1, 6):
-            top = nbest.truncated(cap).layout
-            fresh = NBestLayout.build(nbest.truncated(cap).hyps)
-            assert top.ranked == fresh.ranked and top.distinct == fresh.distinct
+            top = nbest.truncated(cap)
+            fresh = NBestList(nbest.hyps[:cap])
+            assert top.hyps == fresh.hyps and top.distinct == fresh.distinct
+            assert top.counts.tobytes() == fresh.counts.tobytes()
             assert top.index.tobytes() == fresh.index.tobytes()
             assert top.weights.tobytes() == fresh.weights.tobytes()
-        assert nbest.truncated(1).layout.distinct == ("cheap", "i", "the", "food")
+        assert nbest.truncated(1).distinct == ("cheap", "i", "the", "food")
+        assert nbest.truncated(len(nbest)) is nbest
 
     def test_a_repeated_trigram_gives_identical_responses_and_one_gradient(self):
         # Filters aligned with the trigram "a b c" make it every map's maximum,
@@ -184,9 +187,8 @@ class TestLayout:
         weight, bias = bank.weights[3], bank.biases[3]
         weight.data[...] = np.outer(trigram, rng.uniform(0.01, 0.02, 50)) + rng.uniform(-0.01, 0.01, (300, 50))
         nbest = NBestList((Hypothesis(tuple("eabc"), 0.5), Hypothesis(tuple("abcdabc"), 0.5)))
-        layout = nbest.layout
-        rows = np.vstack([np.zeros(100), table.hypothesis_rows(layout.distinct)])
-        pooled = [ag.conv_nbest(rows, layout.index, layout.counts, alone, [(weight, bias)]).data
+        rows = np.vstack([np.zeros(100), table.hypothesis_rows(nbest.distinct)])
+        pooled = [ag.conv_nbest(rows, nbest.index, nbest.counts, alone, [(weight, bias)]).data
                   for alone in ([1.0, 0.0], [0.0, 1.0])]
         np.testing.assert_array_equal(pooled[0], pooled[1])
 

@@ -11,7 +11,7 @@ from nbestslu.data import collect_system_tokens, dumps
 from nbestslu.decoder import predict_value, turn_nbest
 from nbestslu.errors import DomainError
 from nbestslu.model import StepOneModel
-from nbestslu.training import step1_head_accuracies, train_step1, train_step2
+from nbestslu.training import cross_validate_step1, step1_head_accuracies, train_step1, train_step2
 
 from _synth import synthetic_dataset, synthetic_table
 
@@ -184,6 +184,13 @@ class TestStepTwoTraining:
     def test_unknown_slot_rejected(self, dataset, store):
         with pytest.raises(DomainError):
             train_step2(dataset, "starsign", OVERFIT, store)
+
+
+class TestCrossValidation:
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_an_explicit_fold_count_below_two_is_refused(self, dataset, store, k):
+        with pytest.raises(DomainError, match=f"got {k}"):
+            cross_validate_step1(dataset, replace(OVERFIT, max_epochs=1), store, k=k)
 
 
 class TestDeterminism:
