@@ -242,7 +242,10 @@ def load_checkpoint_dir(dirpath, store, config: RunConfig | None = None
     for slot in step1.ontology.slots:
         path = dirpath / slot_file(slot)
         if path.is_file():
-            slot_models[slot] = load_model(path, store, SLOT_KIND, ontology_hash=expected_hash)
+            model = load_model(path, store, SLOT_KIND, ontology_hash=expected_hash)
+            if model.slot != slot:
+                raise DataFormatError(f"{path}: holds the value model of slot {model.slot!r}, not {slot!r}")
+            slot_models[slot] = model
     if config is None:
         config = parse_config_file(dirpath / CONFIG_FILE) if (dirpath / CONFIG_FILE).is_file() else step1.config
     return step1, slot_models, config

@@ -120,7 +120,7 @@ def context_tokens(system_turns: Sequence, window: ContextWindow) -> list[str]:
     tokens: list[str] = []
     for system_turn in window.select(system_turns):
         for act in system_turn:
-            tokens.extend(encode_system_act(act).tokens)
+            tokens.extend(encode_system_act(act))
     return tokens
 
 

@@ -120,7 +120,7 @@ def collect_system_tokens(turns: Iterable[Turn]) -> tuple[str, ...]:
     for turn in turns:
         for system_turn in turn.system_history:
             for act in system_turn:
-                tokens.update(encode_system_act(act).tokens)
+                tokens.update(encode_system_act(act))
     return tuple(sorted(tokens))
 
 
@@ -445,37 +445,18 @@ def split_turns(
     return [t for t in turns if t.session not in val_sessions], [t for t in turns if t.session in val_sessions]
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Dialogue-level cross-validation assignments."""
+def make_folds(dataset: Dataset, k: int = 10, seed: int = 0) -> tuple[tuple[str, ...], ...]:
+    """The held-out sessions of each of k dialogue-level folds, in dataset order.
 
-    k: int
-    seed: int
-    assignment: Mapping[str, int]
-
-    def fold_sessions(self, fold: int) -> tuple[str, ...]:
-        return tuple(s for s, f in self.assignment.items() if f == fold)
-
-    def split(self, dataset: Dataset, fold: int) -> tuple[Dataset, Dataset]:
-        """(train, held-out) datasets for one fold."""
-        if not 0 <= fold < self.k:
-            raise DomainError(f"fold {fold} out of range for k={self.k}")
-        held = set(self.fold_sessions(fold))
-        train = dataset.subset([s for s in dataset.sessions if s not in held], note=f"cv-train-{fold}")
-        test = dataset.subset(held, note=f"cv-held-{fold}")
-        return train, test
-
-
-def make_folds(dataset: Dataset, k: int = 10, seed: int = 0) -> FoldPlan:
-    """Partition dialogues into k folds whose sizes differ by at most one."""
+    The ``FOLDS`` substream of ``seed`` permutes the sessions, and the
+    session at position p of that permutation goes to fold p mod k, so
+    fold sizes differ by at most one.
+    """
     sessions = dataset.sessions
     if k < 2:
         raise DomainError(f"need at least 2 folds, got {k}")
     if k > len(sessions):
         raise DomainError(f"cannot make {k} folds from {len(sessions)} dialogues")
-    rng = substream(seed, FOLDS)
-    order = rng.permutation(len(sessions))
-    assignment = {sessions[int(i)]: pos % k for pos, i in enumerate(order)}
-    # Keep the mapping in dataset order for reproducible serialization.
-    assignment = {s: assignment[s] for s in sessions}
-    return FoldPlan(k=k, seed=seed, assignment=assignment)
+    order = substream(seed, FOLDS).permutation(len(sessions))
+    fold_of = {sessions[int(i)]: pos % k for pos, i in enumerate(order)}
+    return tuple(tuple(s for s in sessions if fold_of[s] == fold) for fold in range(k))

@@ -7,10 +7,11 @@ detected slot's value model for the most probable value.  Item
 confidences compose multiplicatively: a slot-value item carries
 P(present) * P(value | slot), the act item carries P(act).
 
-Each ``decode_turn`` call reads the turn's n-best list once, and step one
-and every value model encode that one ``NBestList``, reading the arrays it
-built when it was made.
-Nothing is kept from one call to the next.
+Each ``decode_turn`` call tokenizes the turn's n-best list once, and step
+one and every value model encode that one ``NBestList``, reading the
+arrays it built when it was made.  The predictors return plain arrays and
+floats; ``decode_turn`` takes the argmax itself.  Nothing is kept from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Turn, dumps, parse_records, read_header, write_lines
+from .embeddings import tokenize
 from .errors import ConfigError, DataFormatError, DomainError
 from .model import SlotValueModel, StepOneModel
-from .sentence import NBestList
+from .sentence import Hypothesis, NBestList
 
 
 @dataclass(frozen=True)
@@ -51,25 +53,15 @@ class SemanticFrame:
 
 def turn_nbest(turn: Turn) -> NBestList:
     """The turn's hypotheses, tokenized."""
-    return NBestList.from_texts((h.text, h.score) for h in turn.nbest)
+    return NBestList(Hypothesis(tokenize(h.text).tokens, float(h.score)) for h in turn.nbest)
 
 
-@dataclass(frozen=True)
-class JointPrediction:
-    act_probs: np.ndarray
-    slot_presence: dict[str, float]
-
-    @property
-    def act_index(self) -> int:
-        return int(np.argmax(self.act_probs))
-
-
-def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList) -> JointPrediction:
-    """Act distribution and per-slot presence probabilities for one turn, whose n-best list is ``nbest``."""
+def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList) -> tuple[np.ndarray, dict[str, float]]:
+    """(act distribution, presence probability per slot) for one turn, whose n-best list is ``nbest``."""
     hidden = model.encoder.encode(nbest, turn.system_history)
     act, slots = model.head_probs(hidden)
     presence = {slot: float(slots[slot].data[StepOneModel.PRESENT]) for slot in model.ontology.slots}
-    return JointPrediction(act.data.copy(), presence)
+    return act.data.copy(), presence
 
 
 def predict_value(model: SlotValueModel, turn: Turn, slot: str, nbest: NBestList) -> np.ndarray:
@@ -89,13 +81,12 @@ def decode_turn(
 ) -> SemanticFrame:
     """Assemble the semantic frame for one turn."""
     nbest = turn_nbest(turn)
-    joint = predict_joint(step1, turn, nbest)
-    act_label = step1.ontology.acts[joint.act_index]
-    act_conf = float(joint.act_probs[joint.act_index])
+    act_probs, slot_presence = predict_joint(step1, turn, nbest)
+    act_index = int(np.argmax(act_probs))
 
     slots: list[SlotValuePrediction] = []
     for slot in step1.ontology.slots:
-        presence = joint.slot_presence[slot]
+        presence = slot_presence[slot]
         if presence <= 0.5:
             continue
         if step1_only:
@@ -114,7 +105,7 @@ def decode_turn(
         probs = predict_value(model, turn, slot, nbest)
         best = int(np.argmax(probs))
         slots.append(SlotValuePrediction(slot, model.values[best], presence * float(probs[best])))
-    return SemanticFrame(act_label, act_conf, tuple(slots))
+    return SemanticFrame(step1.ontology.acts[act_index], float(act_probs[act_index]), tuple(slots))
 
 
 def decode_dataset(

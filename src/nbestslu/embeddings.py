@@ -26,7 +26,7 @@ INIT_SCALE = 0.1  # fresh rows are drawn uniform(-INIT_SCALE, INIT_SCALE)
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """An ordered run of non-empty tokens, from a hypothesis or a system act."""
+    """An ordered run of non-empty tokens from one hypothesis."""
 
     tokens: tuple[str, ...]
 
@@ -36,17 +36,17 @@ def tokenize(text: str) -> TokenSequence:
     return TokenSequence(tuple(text.lower().split()))
 
 
-def encode_system_act(act: SystemAct) -> TokenSequence:
-    """Flatten a system act to tokens: act name, then each slot and value.
+def encode_system_act(act: SystemAct) -> tuple[str, ...]:
+    """Flatten a system act to a token tuple: act name, then each slot and value.
 
     Multi-word values contribute one token per word, e.g.
-    offer(name=golden wok) -> [offer, name, golden, wok].
+    offer(name=golden wok) -> (offer, name, golden, wok).
     """
     tokens: list[str] = act.name.lower().split()
     for slot, value in act.pairs:
         tokens.extend(slot.lower().split())
         tokens.extend(str(value).lower().split())
-    return TokenSequence(tuple(tokens))
+    return tuple(tokens)
 
 
 class EmbeddingTable:

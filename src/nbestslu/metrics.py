@@ -136,7 +136,11 @@ def joint_accuracy(
 def ice(
     scored: Sequence[Mapping[Item, float]], reference: Sequence[Iterable[Item]], floor: float = PROB_FLOOR
 ) -> float:
-    """Item cross-entropy of hypothesized confidences against references."""
+    """Item cross-entropy of hypothesized confidences against references.
+
+    Each turn's items are summed in sorted order: set order follows the
+    per-process string hash seed, and the rounding must not.
+    """
     if len(scored) != len(reference):
         raise DomainError(f"prediction/reference length mismatch: {len(scored)} vs {len(reference)}")
     total_refs = sum(len(set(r)) for r in reference)
@@ -145,7 +149,7 @@ def ice(
     total = 0.0
     for hyp, ref in zip(scored, reference):
         ref = set(ref)
-        for item in set(hyp) | ref:
+        for item in sorted(set(hyp) | ref):
             confidence = float(hyp.get(item, 0.0))
             assigned_to_truth = confidence if item in ref else 1.0 - confidence
             total += -math.log(min(max(assigned_to_truth, floor), 1.0))

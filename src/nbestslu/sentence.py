@@ -22,7 +22,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import normalize_confidences
-from .embeddings import EmbeddingTable, tokenize
+from .embeddings import EmbeddingTable
 from .errors import DomainError
 
 
@@ -32,8 +32,8 @@ class Hypothesis:
     confidence: float
 
     def __post_init__(self):
-        if self.confidence < 0:
-            raise DomainError(f"hypothesis confidence must be non-negative, got {self.confidence}")
+        if not 0 <= self.confidence < np.inf:
+            raise DomainError(f"hypothesis confidence must be finite and non-negative, got {self.confidence}")
 
 
 class NBestList:
@@ -69,10 +69,6 @@ class NBestList:
         self.index = index  # [n, longest count]
         for array in (self.weights, counts, index):
             array.setflags(write=False)
-
-    @classmethod
-    def from_texts(cls, pairs) -> "NBestList":
-        return cls(Hypothesis(tokenize(text).tokens, float(conf)) for text, conf in pairs)
 
     def truncated(self, cap: int) -> "NBestList":
         """The top ``cap`` hypotheses, renormalized; the list itself when it is no longer."""

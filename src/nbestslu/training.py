@@ -74,44 +74,47 @@ def step1_head_accuracies(model: StepOneModel, turns: Sequence[Turn]) -> dict[st
     return head_accuracies(frames, [t.reference for t in turns], model.ontology.slots, model.ontology.act_label)
 
 
-def _run_epochs(
-    *,
-    model,
-    turns: Sequence[Turn],
-    val_turns: Sequence[Turn],
-    example_loss,
-    val_metric_fn,
-    log_fn: LogFn | None,
-    log: TrainLog,
-) -> None:
+def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_metric_fn,
+                log_fn: LogFn | None, log: TrainLog) -> None:
+    """Train ``model`` in place on ``examples``, a list of (turn, target) pairs.
+
+    Each epoch visits the examples in a fresh ``SHUFFLE`` order, in
+    mini-batches.  Example by example, the turn is encoded, its hidden
+    vector takes dropout from the ``DROPOUT`` stream, and
+    ``loss_fn(model, hidden, target)`` gives its loss.  ``val_metric_fn(model)``
+    scores each epoch; it is None when there are no validation turns, and
+    early stopping is then off.
+    """
     params, config = model.parameters(), model.config
     optimizer = Adadelta(params, config.adadelta_rho, config.adadelta_epsilon)
     shuffle_rng = rng_mod.substream(config.seed, rng_mod.SHUFFLE)
     dropout_rng = rng_mod.substream(config.seed, rng_mod.DROPOUT)
-    nbests = [decoder.turn_nbest(t) for t in turns]
+    nbests = [decoder.turn_nbest(turn) for turn, _ in examples]
 
-    early_stopping = config.patience > 0 and len(val_turns) > 0
-    if config.patience > 0 and not val_turns:
+    early_stopping = config.patience > 0 and val_metric_fn is not None
+    if config.patience > 0 and val_metric_fn is None:
         log.notes.append("no validation dialogues available; early stopping disabled")
     best_metric = -math.inf
     best_snapshot: dict[str, np.ndarray] | None = None
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(turns))
+        order = shuffle_rng.permutation(len(examples))
         total_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             for j in batch:
-                loss = example_loss(model, turns[int(j)], nbests[int(j)], dropout_rng)
+                turn, target = examples[j]
+                hidden = model.encoder.encode(nbests[j], turn.system_history)
+                loss = loss_fn(model, dropout_apply(hidden, config.dropout, dropout_rng), target)
                 total_loss += loss.item()
                 loss.backward()
             optimizer.step(len(batch))
-        mean_loss = total_loss / len(turns)
+        mean_loss = total_loss / len(examples)
         if not math.isfinite(mean_loss):
             raise NumericFailure(f"training loss became non-finite at epoch {epoch}")
 
-        val_metric = val_metric_fn(model, val_turns) if val_turns else None
+        val_metric = val_metric_fn(model) if val_metric_fn else None
         log.epochs.append({"epoch": epoch, "loss": mean_loss, "val_metric": val_metric})
         if log_fn:
             shown = "n/a" if val_metric is None else f"{val_metric:.4f}"
@@ -154,29 +157,25 @@ def train_step1(
         log.notes.append("dataset has a single dialogue; trained without validation split")
 
     ontology = model.ontology
-    act_targets = {id(t): ontology.act_index(ontology.act_label(t.reference.act_pattern)) for t in train_turns}
-    presence_targets = {
-        id(t): {slot: 1 if slot in {s for s, _ in t.reference.pairs} else 0 for slot in ontology.slots}
-        for t in train_turns
-    }
 
-    def example_loss(model: StepOneModel, turn: Turn, nbest, dropout_rng) -> Tensor:
-        hidden = model.encoder.encode(nbest, turn.system_history)
-        hidden = dropout_apply(hidden, config.dropout, dropout_rng)
+    def target_of(turn: Turn) -> tuple[int, tuple[int, ...]]:
+        present = {s for s, _ in turn.reference.pairs}
+        act = ontology.act_index(ontology.act_label(turn.reference.act_pattern))
+        return act, tuple(int(slot in present) for slot in ontology.slots)
+
+    def loss_fn(model: StepOneModel, hidden: Tensor, target) -> Tensor:
+        act, presence = target
         act_probs, slot_probs = model.head_probs(hidden)
-        terms = [nll_loss(act_probs, act_targets[id(turn)])]
+        terms = [nll_loss(act_probs, act)]
         if not config.act_only:
-            presence = presence_targets[id(turn)]
-            for slot in ontology.slots:
-                terms.append(nll_loss(slot_probs[slot], presence[slot]))
+            terms += [nll_loss(slot_probs[slot], p) for slot, p in zip(ontology.slots, presence)]
         return add_n(terms)
 
     _run_epochs(
         model=model,
-        turns=train_turns,
-        val_turns=val_turns,
-        example_loss=example_loss,
-        val_metric_fn=step1_f1,
+        examples=[(t, target_of(t)) for t in train_turns],
+        loss_fn=loss_fn,
+        val_metric_fn=(lambda model: step1_f1(model, val_turns)) if val_turns else None,
         log_fn=log_fn,
         log=log,
     )
@@ -209,37 +208,27 @@ def train_step2(
     model = SlotValueModel.build(
         config, slot, slot_position, values, collect_system_tokens(dataset.turns), store
     )
-    value_index = {v: i for i, v in enumerate(values)}
-    targets = {}
-    for t in turns:
-        first = next(v for s, v in t.reference.pairs if s == slot)
-        targets[id(t)] = value_index[first]
+
+    def target_of(turn: Turn) -> int:
+        return values.index(next(v for s, v in turn.reference.pairs if s == slot))
 
     train_turns, val_turns = split_turns(
         turns, config.validation_fraction, config.seed, extra=(slot_position + 1,)
     )
+    val = [(t, decoder.turn_nbest(t), target_of(t)) for t in val_turns]
 
-    def example_loss(model: SlotValueModel, turn: Turn, nbest, dropout_rng) -> Tensor:
-        hidden = model.encoder.encode(nbest, turn.system_history)
-        hidden = dropout_apply(hidden, config.dropout, dropout_rng)
-        return nll_loss(model.value_probs(hidden), targets[id(turn)])
-
-    val_nbests = {id(t): decoder.turn_nbest(t) for t in val_turns}
-
-    def value_accuracy(model: SlotValueModel, val: Sequence[Turn]) -> float:
+    def value_accuracy(model: SlotValueModel) -> float:
         hits = 0
-        for t in val:
-            probs = model.value_probs(model.encoder.encode(val_nbests[id(t)], t.system_history))
-            if int(np.argmax(probs.data)) == targets[id(t)]:
-                hits += 1
+        for t, nbest, value in val:
+            probs = model.value_probs(model.encoder.encode(nbest, t.system_history))
+            hits += int(np.argmax(probs.data)) == value
         return hits / len(val)
 
     _run_epochs(
         model=model,
-        turns=train_turns,
-        val_turns=val_turns,
-        example_loss=example_loss,
-        val_metric_fn=value_accuracy,
+        examples=[(t, target_of(t)) for t in train_turns],
+        loss_fn=lambda model, hidden, value: nll_loss(model.value_probs(hidden), value),
+        val_metric_fn=value_accuracy if val else None,
         log_fn=log_fn,
         log=log,
     )
@@ -257,10 +246,10 @@ def cross_validate_step1(
     """
     config = config.validate()
     k = config.cv_folds if k is None else k
-    plan = make_folds(dataset, k, config.seed)
     reports = []
-    for fold in range(k):
-        train_ds, held_ds = plan.split(dataset, fold)
+    for fold, held in enumerate(make_folds(dataset, k, config.seed)):
+        train_ds = dataset.subset([s for s in dataset.sessions if s not in held], note=f"cv-train-{fold}")
+        held_ds = dataset.subset(held, note=f"cv-held-{fold}")
         if log_fn:
             log_fn(f"fold {fold}: {train_ds.dialogue_count} train / {held_ds.dialogue_count} held dialogues")
         model, _ = train_step1(train_ds, config, store, log_fn=log_fn)

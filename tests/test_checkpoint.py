@@ -16,6 +16,7 @@ from nbestslu.checkpoint import (
     save_checkpoint_dir,
     save_container,
     save_model,
+    slot_file,
 )
 from nbestslu.config import RunConfig
 from nbestslu.data import collect_system_tokens
@@ -256,6 +257,24 @@ class TestCheckpointDir:
         assert set(loaded_slots) == {"pricerange"}
         for name, tensor in step1.parameters().items():
             assert loaded_step1.parameters()[name].data.tobytes() == tensor.data.tobytes()
+
+    def test_a_slot_file_holding_another_slots_model_is_refused(self, tmp_path, dataset, store):
+        slots = [s for s in dataset.ontology.slots if len(dataset.ontology.slot_values(s)) >= 2][:2]
+        assert len(slots) == 2
+        models = {
+            slot: SlotValueModel.build(CFG, slot, dataset.ontology.slots.index(slot),
+                                       dataset.ontology.slot_values(slot),
+                                       collect_system_tokens(dataset.turns), store)
+            for slot in slots
+        }
+        out = tmp_path / "ckpt"
+        save_checkpoint_dir(out, fresh_step1(dataset, store), models, CFG)
+        first, second = (out / slot_file(slot) for slot in slots)
+        first_bytes = first.read_bytes()
+        first.write_bytes(second.read_bytes())
+        second.write_bytes(first_bytes)
+        with pytest.raises(DataFormatError, match=slot_file(slots[0])):
+            load_checkpoint_dir(out, store)
 
     def test_mismatched_ontology_rejected(self, tmp_path, dataset, store):
         step1 = fresh_step1(dataset, store)

@@ -210,6 +210,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "seed" in err and "Traceback" not in err
 
+    def test_decode_with_swapped_slot_files_is_two(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        ckpt = tmp_path / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"]]) == 0
+        first, second = sorted(ckpt.glob("slot_*.ckpt"))[:2]
+        first_bytes = first.read_bytes()
+        first.write_bytes(second.read_bytes())
+        second.write_bytes(first_bytes)
+        capsys.readouterr()
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
+        err = capsys.readouterr().err
+        assert first.name in err and "Traceback" not in err
+        assert not (tmp_path / "out.frames").exists()
+
     @pytest.mark.parametrize("folds", ["0", "1", "-3"])
     def test_cv_with_fewer_than_two_folds_is_one(self, workspace, tmp_path, capsys, folds):
         dataset = tmp_path / "mini.ds"

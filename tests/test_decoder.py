@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nbestslu import decoder
 from nbestslu.config import RunConfig
 from nbestslu.data import collect_system_tokens
 from nbestslu.decoder import (
@@ -13,6 +14,7 @@ from nbestslu.decoder import (
     predict_value,
     turn_nbest,
 )
+from nbestslu.embeddings import tokenize
 from nbestslu.errors import ConfigError, DomainError
 from nbestslu.model import SlotValueModel, StepOneModel
 from nbestslu.sentence import Hypothesis, NBestList
@@ -56,20 +58,20 @@ class TestPredictJoint:
     def test_zero_weight_heads_give_uniform_distributions(self, dataset, store):
         model = build_step1(dataset, store)
         zero_heads(model)
-        joint = predict_joint(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
+        act_probs, presence = predict_joint(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
         n_acts = len(dataset.ontology.acts)
-        np.testing.assert_allclose(joint.act_probs, np.full(n_acts, 1.0 / n_acts), atol=1e-12)
+        np.testing.assert_allclose(act_probs, np.full(n_acts, 1.0 / n_acts), atol=1e-12)
         for slot in dataset.ontology.slots:
-            assert joint.slot_presence[slot] == pytest.approx(0.5, abs=1e-12)
+            assert presence[slot] == pytest.approx(0.5, abs=1e-12)
 
     def test_single_ln2_logit_closed_form(self, dataset, store):
         model = build_step1(dataset, store)
         zero_heads(model)
         # Force the act head to produce logits [0, ln 2, 0, ...].
         model.heads["head.act"][1].data[1] = np.log(2.0)
-        joint = predict_joint(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
+        act_probs, _ = predict_joint(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
         n_acts = len(dataset.ontology.acts)
-        assert joint.act_probs[1] == pytest.approx(2.0 / (n_acts + 1), abs=1e-12)
+        assert act_probs[1] == pytest.approx(2.0 / (n_acts + 1), abs=1e-12)
 
 
 class TestPredictValue:
@@ -144,21 +146,20 @@ class TestDecodeTurn:
                 TOY, slot, dataset.ontology.slots.index(slot), dataset.ontology.slot_values(slot),
                 collect_system_tokens(dataset.turns), store,
             )
-        built = []
-        from_texts = NBestList.from_texts.__func__
+        tokenized = []
 
-        def counted(cls, pairs):
-            built.append(pairs)
-            return from_texts(cls, pairs)
+        def counted(text):
+            tokenized.append(text)
+            return tokenize(text)
 
-        monkeypatch.setattr(NBestList, "from_texts", classmethod(counted))
+        monkeypatch.setattr(decoder, "tokenize", counted)
         turn = dataset.turns[0]
         frame = decode_turn(turn, model, value_models)
         assert {item.slot for item in frame.slots} == set(slots)
-        assert len(built) == 1
+        assert tokenized == [h.text for h in turn.nbest]
         # Nothing is kept between calls: the same turn is read again.
         assert decode_turn(turn, model, value_models) == frame
-        assert len(built) == 2
+        assert tokenized == [h.text for h in turn.nbest] * 2
 
     def test_decode_determinism(self, dataset, store):
         model = build_step1(dataset, store)

@@ -1,10 +1,15 @@
 """Item counting, precision/recall/F1, joint accuracy, and ICE."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbestslu
 from nbestslu.data import ReferenceFrame
 from nbestslu.decoder import SemanticFrame, SlotValuePrediction
 from nbestslu.errors import DomainError
@@ -173,6 +178,27 @@ class TestIce:
         scored = [{act_item("a"): 0.5}, {act_item("b"): 0.5, slot_value_item("s", "v"): 0.5}]
         refs = [{act_item("a")}, {act_item("b"), slot_value_item("s", "v")}]
         assert ice(scored, refs) == pytest.approx(3 * math.log(2.0) / 3, abs=1e-12)
+
+    def test_the_sum_does_not_depend_on_the_string_hash_seed(self):
+        # Set iteration order follows PYTHONHASHSEED; a float sum in that
+        # order would round differently from one process to the next.
+        script = (
+            "import numpy as np\n"
+            "from nbestslu.metrics import ice, slot_value_item\n"
+            "rng = np.random.default_rng(5)\n"
+            "items = [slot_value_item(f's{i}', f'v{i}') for i in range(40)]\n"
+            "scored = [{item: float(c) for item, c in zip(items, rng.uniform(0.01, 0.99, 40))}]\n"
+            "print(repr(ice(scored, [set(items[::3])])))\n"
+        )
+        src = str(Path(nbestslu.__file__).resolve().parents[1])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            ).stdout
+            for seed in range(6)
+        }
+        assert len(outputs) == 1, outputs
 
     def test_no_reference_items_is_an_explicit_condition(self):
         with pytest.raises(DomainError):

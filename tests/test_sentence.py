@@ -1,6 +1,7 @@
 """Convolutional sentence features and the confidence-weighted sum."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -130,6 +131,11 @@ class TestEncodeSentence:
     def test_negative_confidence_rejected(self):
         with pytest.raises(DomainError):
             Hypothesis(("i",), -0.1)
+
+    @pytest.mark.parametrize("confidence", [math.nan, math.inf])
+    def test_non_finite_confidence_rejected(self, confidence):
+        with pytest.raises(DomainError, match="finite"):
+            Hypothesis(("i",), confidence)
 
     def test_truncation_cap(self):
         hyps = tuple(Hypothesis(("i",), 1.0 / (j + 1)) for j in range(12))
