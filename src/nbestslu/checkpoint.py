@@ -15,6 +15,7 @@ was written against a different embedding store or seed and is rejected.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -35,6 +36,11 @@ STEP1_FILE = "step1.ckpt"
 ONTOLOGY_FILE = "ontology.json"
 CONFIG_FILE = "config.txt"
 TRAIN_LOG_FILE = "train_log.json"
+
+
+def ontology_hash(ontology: Ontology) -> str:
+    """sha256 of the ontology's canonical JSON; checkpoints and frames headers record it."""
+    return hashlib.sha256(dumps(ontology.to_json_dict()).encode("utf-8")).hexdigest()
 
 
 def save_container(path, kind: str, params: dict[str, np.ndarray], meta: dict) -> None:
@@ -166,7 +172,7 @@ def save_model(model: StepOneModel | SlotValueModel, path, ontology: Ontology) -
         "config_text": resolved_text(model.config),
         "config_hash": config_hash(model.config),
         "ontology": ontology.to_json_dict(),
-        "ontology_hash": ontology.canonical_hash(),
+        "ontology_hash": ontology_hash(ontology),
         "system_tokens": list(table.system_tokens),
         "store_fingerprint": table.fingerprint(),
     }
@@ -177,16 +183,16 @@ def save_model(model: StepOneModel | SlotValueModel, path, ontology: Ontology) -
     save_container(path, kind, _collect_arrays(model), meta)
 
 
-def load_model(path, store, kind: str, ontology_hash: str | None = None) -> StepOneModel | SlotValueModel:
+def load_model(path, store, kind: str, expected_hash: str | None = None) -> StepOneModel | SlotValueModel:
     """Rebuild a ``kind`` model from its stored config and seed, then load its parameters.
 
-    With ``ontology_hash``, the model must have been trained against that ontology.
+    With ``expected_hash``, the model must have been trained against the ontology of that hash.
     """
     found, params, meta = load_container(path)
     if found != kind:
         raise DataFormatError(f"{path}: expected a {kind} checkpoint, found {found}")
     _check_meta(meta, kind, path)
-    if ontology_hash is not None and meta["ontology_hash"] != ontology_hash:
+    if expected_hash is not None and meta["ontology_hash"] != expected_hash:
         raise ConfigError(f"{path}: model was trained against a different ontology")
     _check_store(meta, store, path)
     config = parse_config_text(meta["config_text"])
@@ -229,20 +235,20 @@ def load_checkpoint_dir(dirpath, store, config: RunConfig | None = None
     if not step1_path.is_file():
         raise DataFormatError(f"{dirpath}: missing {STEP1_FILE}")
     step1 = load_model(step1_path, store, STEP1_KIND)
-    expected_hash = step1.ontology.canonical_hash()
+    expected_hash = ontology_hash(step1.ontology)
 
     ontology_path = dirpath / ONTOLOGY_FILE
     if ontology_path.is_file():
         doc = parse_json("\n".join(text_lines(ontology_path)), ontology_path)
         on_disk = Ontology.from_json_dict(doc, where=ontology_path)
-        if on_disk.canonical_hash() != expected_hash:
+        if ontology_hash(on_disk) != expected_hash:
             raise ConfigError(f"{dirpath}: {ONTOLOGY_FILE} does not match the step-one model's ontology")
 
     slot_models: dict[str, SlotValueModel] = {}
     for slot in step1.ontology.slots:
         path = dirpath / slot_file(slot)
         if path.is_file():
-            model = load_model(path, store, SLOT_KIND, ontology_hash=expected_hash)
+            model = load_model(path, store, SLOT_KIND, expected_hash)
             if model.slot != slot:
                 raise DataFormatError(f"{path}: holds the value model of slot {model.slot!r}, not {slot!r}")
             slot_models[slot] = model

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import CONFIG_FILE, load_checkpoint_dir, save_checkpoint_dir
+from .checkpoint import CONFIG_FILE, load_checkpoint_dir, ontology_hash, save_checkpoint_dir
 from .config import RunConfig, apply_overrides, config_hash, parse_config_file, write_resolved
 from .data import import_dstc2, read_canonical, read_turns, write_canonical
 from .decoder import decode_dataset, read_frames, write_frames
@@ -147,14 +147,13 @@ def _cmd_cv(args) -> int:
 
 def _cmd_decode(args) -> int:
     dataset = read_turns(args.dataset)
-    cfg_path = Path(args.checkpoint) / CONFIG_FILE
-    cfg = parse_config_file(cfg_path) if cfg_path.is_file() else None
-    store = _load_store(cfg or RunConfig())
+    cfg = parse_config_file(Path(args.checkpoint) / CONFIG_FILE)
+    store = _load_store(cfg)
     step1, slot_models, cfg = load_checkpoint_dir(args.checkpoint, store, config=cfg)
     frames = decode_dataset(dataset, step1, slot_models, step1_only=args.step1_only)
     mode = STEP1 if args.step1_only else FULL
     write_frames(args.out, frames, dataset.turns, mode=mode,
-                 config_hash=config_hash(cfg), ontology_hash=step1.ontology.canonical_hash())
+                 config_hash=config_hash(cfg), ontology_hash=ontology_hash(step1.ontology))
     print(f"decoded {len(frames)} turns -> {args.out}")
     return EXIT_OK
 

@@ -1,13 +1,14 @@
 """Dialogue context: an LSTM over flattened system acts, plus the two
 schemes for combining the context state with the sentence vector.
 
-System acts are flattened to word streams (act name, slot names, value
-words) and run through the LSTM oldest first from a zero initial state;
-the final hidden vector is the context representation for the turn.  The
-whole stream is two tape nodes: ``autograd.gather_rows`` looks up every
-token's embedding at once and ``autograd.lstm_sequence`` runs every step,
-with its own backprop through time.  The one-step ``lstm_step`` (used by
-the ``lstm-input`` combiner) is the same op over a single input.
+System acts are flattened to one word stream (each act's
+``data.SystemAct.words``) and run through the LSTM oldest first from a
+zero initial state; the final hidden vector is the context
+representation for the turn.  The whole stream is two tape nodes:
+``autograd.gather_rows`` looks up every token's embedding at once and
+``autograd.lstm_sequence`` runs every step, with its own backprop
+through time.  The one-step ``lstm_step`` (used by the ``lstm-input``
+combiner) is the same op over a single input.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .embeddings import EmbeddingTable, encode_system_act
+from .embeddings import EmbeddingTable
 from .errors import ConfigError, DomainError
 
 
@@ -116,11 +117,11 @@ class ContextWindow:
 
 
 def context_tokens(system_turns: Sequence, window: ContextWindow) -> list[str]:
-    """Flatten the selected system turns, oldest first, to one word stream."""
+    """Flatten the selected system turns, oldest first, to one stream of their acts' ``words``."""
     tokens: list[str] = []
     for system_turn in window.select(system_turns):
         for act in system_turn:
-            tokens.extend(encode_system_act(act))
+            tokens.extend(act.words)
     return tokens
 
 

@@ -4,7 +4,8 @@ The corpus layout is one directory per call holding a system log file
 (``log.json``) and an annotation file (``label.json``), plus list files
 enumerating the calls of each partition.  Import flattens every call into
 user turns: the live (or batch) ASR n-best list, the chronological system
-acts heard so far, and the reference semantics.
+acts heard so far, and the reference semantics.  ``SystemAct.words`` is
+what the context encoder reads of a system act.
 
 ASR scores are interpreted once, at import: a list containing any negative
 score is taken to be in the log domain and exponentiated, then every list
@@ -14,6 +15,7 @@ empty hypothesis with confidence one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -38,6 +40,19 @@ class SystemAct:
 
     name: str
     pairs: tuple[tuple[str, str], ...] = ()
+
+    @functools.cached_property
+    def words(self) -> tuple[str, ...]:
+        """Act name, then each slot and value, lowercased and split on whitespace.
+
+        offer(name=golden wok) -> (offer, name, golden, wok).  Computed on
+        first use; not a field, so equality, hashing and files ignore it.
+        """
+        words: list[str] = self.name.lower().split()
+        for slot, value in self.pairs:
+            words.extend(slot.lower().split())
+            words.extend(str(value).lower().split())
+        return tuple(words)
 
 
 @dataclass(frozen=True)
@@ -112,15 +127,12 @@ def normalize_confidences(scores: Sequence[float]) -> np.ndarray:
 
 
 def collect_system_tokens(turns: Iterable[Turn]) -> tuple[str, ...]:
-    """Sorted vocabulary of every token reachable through system acts."""
-    # Local import: embeddings depends on this module for SystemAct.
-    from .embeddings import encode_system_act
-
+    """Sorted vocabulary of every word reachable through system acts."""
     tokens: set[str] = set()
     for turn in turns:
         for system_turn in turn.system_history:
             for act in system_turn:
-                tokens.update(encode_system_act(act))
+                tokens.update(act.words)
     return tuple(sorted(tokens))
 
 

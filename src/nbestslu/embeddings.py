@@ -4,7 +4,8 @@ User hypotheses and system acts draw on the same pretrained vectors but
 follow different training regimes: rows reached through hypothesis text
 stay frozen at their loaded values, while rows reached through system
 acts are copied into a per-model trainable block that the optimizer may
-tune.  Out-of-vocabulary tokens share one vector per regime.
+tune.  Out-of-vocabulary tokens share one vector per regime.  A system
+act's tokens are its ``data.SystemAct.words``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import SystemAct, text_lines
+from .data import text_lines
 from .errors import DataFormatError, DomainError, ModelStateError, ParseError
 
 log = logging.getLogger(__name__)
@@ -34,19 +35,6 @@ class TokenSequence:
 def tokenize(text: str) -> TokenSequence:
     """Lowercase and split on whitespace; nothing else is stripped."""
     return TokenSequence(tuple(text.lower().split()))
-
-
-def encode_system_act(act: SystemAct) -> tuple[str, ...]:
-    """Flatten a system act to a token tuple: act name, then each slot and value.
-
-    Multi-word values contribute one token per word, e.g.
-    offer(name=golden wok) -> (offer, name, golden, wok).
-    """
-    tokens: list[str] = act.name.lower().split()
-    for slot, value in act.pairs:
-        tokens.extend(slot.lower().split())
-        tokens.extend(str(value).lower().split())
-    return tuple(tokens)
 
 
 class EmbeddingTable:

@@ -75,9 +75,6 @@ class Counts:
     fp: int = 0
     fn: int = 0
 
-    def __add__(self, other: "Counts") -> "Counts":
-        return Counts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
 
 def item_counts(predicted: Sequence[Iterable[Item]], reference: Sequence[Iterable[Item]]) -> Counts:
     """Micro-aggregated exact-match counts over aligned turn lists."""

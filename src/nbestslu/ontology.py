@@ -10,7 +10,6 @@ frequency in the training data.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -122,9 +121,3 @@ class Ontology:
             values={s: strings(v) for s, v in doc["values"].items()},
             max_patterns=max_patterns,
         )
-
-    def canonical_hash(self) -> str:
-        # Local import: data depends on this module for Ontology.
-        from .data import dumps
-
-        return hashlib.sha256(dumps(self.to_json_dict()).encode("utf-8")).hexdigest()

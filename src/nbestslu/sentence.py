@@ -146,8 +146,8 @@ def encode_sentence(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBan
         raise DomainError(f"embedding dim {table.dim} does not match filter bank dim {bank.dim}")
     rows = np.zeros((len(nbest.distinct) + 1, table.dim))
     rows[1:] = table.hypothesis_rows(nbest.distinct)
-    index = nbest.index
-    if index.shape[1] < bank.max_window:
-        index = np.pad(index, ((0, 0), (0, bank.max_window - index.shape[1])))
+    # Row 0 pads every hypothesis out to at least the largest window.
+    index = np.zeros((len(nbest), max(nbest.index.shape[1], bank.max_window)), dtype=np.int64)
+    index[:, : nbest.index.shape[1]] = nbest.index
     filters = [(bank.weights[width], bank.biases[width]) for width in bank.window_sizes]
     return ag.conv_nbest(rows, index, np.maximum(nbest.counts, bank.max_window), nbest.weights, filters)

@@ -13,6 +13,7 @@ from nbestslu.checkpoint import (
     load_checkpoint_dir,
     load_container,
     load_model,
+    ontology_hash,
     save_checkpoint_dir,
     save_container,
     save_model,
@@ -47,6 +48,13 @@ def fresh_step1(dataset, store, config=CFG):
     for tensor in model.parameters().values():
         tensor.data += rng.uniform(-0.05, 0.05, tensor.shape)  # make values non-initial
     return model
+
+
+def test_ontology_hash_is_pinned():
+    # Every checkpoint and frames header records this value.
+    assert ontology_hash(synthetic_dataset(4, 4, seed=18).ontology) == (
+        "ad9b552c4dbff72e1bcda2454953030d14a7460dc3c95ff25b66d76216e076ad"
+    )
 
 
 def _framed(header) -> bytes:

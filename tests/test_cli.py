@@ -256,6 +256,20 @@ class TestExitCodes:
         assert run(["train", tmp_path / "absent.ds", tmp_path / "ckpt",
                     "--config", workspace["config"]]) == 2
 
+    @pytest.mark.parametrize("make_dir", [False, True], ids=["missing-dir", "no-config"])
+    def test_decode_without_a_checkpoint_config_is_two(self, workspace, tmp_path, capsys, make_dir):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        ckpt = tmp_path / "ckpt"
+        if make_dir:
+            ckpt.mkdir()
+        capsys.readouterr()
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ckpt / "config.txt") in err and "Traceback" not in err
+        assert not (tmp_path / "out.frames").exists()
+
     @pytest.mark.parametrize("blob", [MAGIC + b"12", MAGIC + b"2\n{}\n"], ids=["no-newline", "no-params"])
     def test_decode_with_corrupt_checkpoint_is_two(self, workspace, tmp_path, capsys, blob):
         dataset = tmp_path / "mini.ds"

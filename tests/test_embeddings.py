@@ -1,12 +1,13 @@
 """Vector loading, tokenization, system-act flattening, row routing."""
 
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from nbestslu.data import SystemAct
-from nbestslu.embeddings import EmbeddingTable, encode_system_act, load_vectors, tokenize
+from nbestslu.embeddings import EmbeddingTable, load_vectors, tokenize
 from nbestslu.errors import DataFormatError, ModelStateError, ParseError
 
 
@@ -72,17 +73,17 @@ class TestTokenize:
 
 class TestEncodeSystemAct:
     def test_bare_act(self):
-        assert encode_system_act(SystemAct("welcomemsg")) == ("welcomemsg",)
+        assert SystemAct("welcomemsg").words == ("welcomemsg",)
 
     def test_single_pair(self):
-        assert encode_system_act(SystemAct("offer", (("name", "meghna"),))) == ("offer", "name", "meghna")
+        assert SystemAct("offer", (("name", "meghna"),)).words == ("offer", "name", "meghna")
 
     def test_multiple_pairs_keep_order(self):
-        tokens = encode_system_act(SystemAct("inform", (("pricerange", "moderate"), ("area", "north"))))
+        tokens = SystemAct("inform", (("pricerange", "moderate"), ("area", "north"))).words
         assert tokens == ("inform", "pricerange", "moderate", "area", "north")
 
     def test_multiword_value_splits(self):
-        tokens = encode_system_act(SystemAct("offer", (("name", "golden wok"),)))
+        tokens = SystemAct("offer", (("name", "golden wok"),)).words
         assert tokens == ("offer", "name", "golden", "wok")
 
     def test_injective_up_to_flattening(self):
@@ -99,10 +100,17 @@ class TestEncodeSystemAct:
                 for _ in range(n_pairs)
             )
             act = SystemAct(name, pairs)
-            key = encode_system_act(act)
+            key = act.words
             if key in seen:
                 assert seen[key] == act
             seen[key] = act
+
+    def test_words_are_not_a_field(self):
+        act = SystemAct("offer", (("name", "golden wok"),))
+        assert act.words is act.words
+        assert [f.name for f in fields(act)] == ["name", "pairs"]
+        assert act == SystemAct("offer", (("name", "golden wok"),))
+        assert hash(act) == hash(SystemAct("offer", (("name", "golden wok"),)))
 
 
 def prepared_table():
