@@ -3,13 +3,14 @@
 The tape is deliberately small: it covers exactly the operations the
 semantic decoder composes (affine maps, tanh/sigmoid nonlinearities,
 softmax heads with negative log-likelihood, max pooling with argmax
-routing, inverted dropout, embedding-row gathers, elementwise sums and
-products) plus two fused ops with hand-written backward passes: the
-n-best convolution (``conv_nbest``, one node per n-best list, which
-reads each distinct word's row once plus an index of where it occurs,
-pools by max and finds the argmax only in backward) and the LSTM over a
-whole sequence (``lstm_sequence``, which reads the gate
-weights where ``context.LstmParams`` stores them, stacked gate-major).
+routing, inverted dropout, embedding-row gathers, splitting a matrix into
+its rows, elementwise sums and products) plus two fused ops with
+hand-written backward passes: the n-best convolution (``conv_nbest``, one
+node per n-best list, which reads each distinct word's row once plus an
+index of where it occurs, pools by max and finds the argmax only in
+backward) and the LSTM (``lstm_sequence``, one packed kernel over a batch
+of whole sequences, which reads the gate weights where
+``context.LstmParams`` stores them, stacked gate-major).
 Each op records a closure that routes the upstream gradient to its
 inputs, and stamps the node with a serial number.  A node is always
 recorded after its inputs, so creation order is a topological order (the
@@ -440,96 +441,171 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _make(out, (table,), backprop, "gather_rows")
 
 
-def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params) -> tuple[Tensor, Tensor]:
-    """Run an LSTM over the rows of ``xs`` from state (h0, c0); returns the final (hidden, cell).
+def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> tuple[Tensor, Tensor]:
+    """Run an LSTM over B sequences packed in the rows of ``xs``; returns their final (hidden, cell).
 
-    ``params`` is a ``context.LstmParams``: its ``stacked`` arrays W [4H, D],
-    U [4H, H] and b [4H] hold the four gates gate-major, so each step's
-    preactivations are (W x + b) + U h: two matrix-vector products for all
-    four gates.  Its dicts ``w``, ``u`` and ``b`` hold the per-gate row
-    blocks of those arrays, in the same gate order, as the tensors that
-    receive the gradients.  (One [T, D] @ [D, 4H] product for all inputs
-    would be fewer calls, but on a busy two-core host a threaded BLAS ran a
-    product that size several times slower than T matrix-vector products.)
-    A 1-D ``xs`` is a single step; an empty ``xs`` returns (h0, c0)
-    themselves.
+    ``lengths[b]`` rows of ``xs`` belong to sequence b, the sequences one
+    after another; ``h0``, ``c0`` and the results are [B, H].  Without
+    ``lengths``, ``xs`` is one sequence (1-D: a single step) and the states
+    are vectors.  An ``xs`` without rows returns (h0, c0) themselves.
+    ``params`` is a ``context.LstmParams``, whose ``stacked`` W [4H, D], U
+    [4H, H] and b [4H] hold the gates gate-major and whose per-gate row
+    blocks in ``w``, ``u`` and ``b`` receive the gradients.
 
-    Backward is backprop through time over the kept gates, cells and
-    hiddens: with dZ the [T, 4H] preactivation gradients, X the inputs and
-    H_prev the hiddens entering each step, dW = dZ.T @ X, dU = dZ.T @ H_prev,
-    db = dZ summed over time, dxs = dZ @ W.  Each stacked product is added
-    by gate onto the twelve row-block tensors before the next is computed,
-    so at most one [4H, *] temporary is alive.  The final hidden is a second
-    tape node under the final cell; its gradient joins the cell's backward.
+    The sequences are sorted by length, stably and longest first, and laid
+    out time-major, so the n_t still running at step t are the first n_t of
+    step t - 1 and each step reads and writes contiguous rows (sequence
+    bucketing, Khomenko et al. 2016, https://arxiv.org/abs/1708.05604).  As
+    in Appleyard et al. 2016 (https://arxiv.org/abs/1604.01946), one [N, D]
+    @ [D, 4H] product gives every input preactivation, and step t adds one
+    [n_t, H] @ [H, 4H] recurrent product.  At paper sizes on two cores,
+    sixteen [400 x 100] matrix-vector products took 167 us and one
+    [16 x 100] @ [100 x 400] product 47 us.
+
+    Backward through time computes the gates' local derivatives for all
+    steps at once; step t scales them by its hidden and cell gradients and
+    sends one [n_t, 4H] @ [4H, H] product to step t - 1.  With dZ the [N, 4H]
+    preactivation gradients, dW = dZ.T @ X, dU = dZ.T @ H_prev, db = dZ
+    summed and dX = dZ @ W are one product each over the packed rows.  The
+    final hidden is a second tape node under the final cell; its gradient
+    joins the cell's backward.
     """
     xs, h0, c0 = as_tensor(xs), as_tensor(h0), as_tensor(c0)
     hidden_size, input_dim = params.hidden_size, params.input_dim
-    steps = xs.data[None, :] if xs.ndim == 1 else xs.data
-    if steps.ndim != 2 or steps.shape[1] != input_dim:
+    inputs = xs.data[None, :] if xs.ndim == 1 else xs.data
+    if inputs.ndim != 2 or inputs.shape[1] != input_dim:
         raise ShapeMismatchError(f"lstm_sequence input shape {xs.shape} does not match input width {input_dim}")
-    if h0.shape != (hidden_size,) or c0.shape != (hidden_size,):
+    if lengths is None:
+        lengths, state_shape = np.array([len(inputs)]), (hidden_size,)
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        state_shape = (len(lengths), hidden_size)
+        if lengths.ndim != 1 or lengths.sum() != len(inputs):
+            raise ShapeMismatchError(f"lstm_sequence lengths {lengths.tolist()} do not cover {len(inputs)} rows")
+        if lengths.size and lengths.min() < 0:
+            raise DomainError(f"lstm_sequence lengths must not be negative, got {lengths.tolist()}")
+    if h0.shape != state_shape or c0.shape != state_shape:
         raise ShapeMismatchError(
-            f"lstm_sequence state shapes h0 {h0.shape}, c0 {c0.shape} do not match hidden size {hidden_size}"
+            f"lstm_sequence state shapes h0 {h0.shape}, c0 {c0.shape} do not match {state_shape}"
         )
-    count = steps.shape[0]
-    if count == 0:
+    if len(inputs) == 0:
         return h0, c0
     w, u, b = params.stacked
     gate_tensors = [*params.w.values(), *params.u.values(), *params.b.values()]
-    sigmoids = 3 * hidden_size  # the input, forget and output gates; the update is the last H
+    count, total, size = len(lengths), len(inputs), hidden_size
 
-    gates = np.empty((count, 4 * hidden_size))
-    hiddens = np.empty((count + 1, hidden_size))
-    cells = np.empty((count + 1, hidden_size))
-    hiddens[0], cells[0] = h0.data, c0.data
-    for t in range(count):
-        z = gates[t]
-        np.add(w @ steps[t], b, out=z)
-        z += u @ hiddens[t]
-        z[:sigmoids] = _sigmoid(z[:sigmoids])
-        z[sigmoids:] = np.tanh(z[sigmoids:])
-        i, f, o, g = z.reshape(4, hidden_size)
-        cells[t + 1] = i * g + f * cells[t]
-        hiddens[t + 1] = o * np.tanh(cells[t + 1])
-    squashed = np.tanh(cells[1:])
+    # The layout.  The state of the k-th longest sequence after t steps is state row
+    # index[t, k]: the initial states first, then each step's new states, running sequences
+    # only, so every step reads and writes contiguous rows.  Packed row p is state row count + p.
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.argsort(order)
+    by_length = lengths[order]
+    alive = np.arange(by_length[0] + 1)[:, None] <= by_length
+    index = np.cumsum(alive).reshape(alive.shape) - 1
+    step_of, seq_of = np.nonzero(alive[1:])
+    source = (np.cumsum(lengths) - lengths)[order][seq_of] + step_of  # the input row of each packed row
+    prev = index[step_of, seq_of]  # the state row each packed row reads
+    final = index[lengths, rank]  # each sequence's last state row
+    # Per step: the state rows it reads, the state rows it writes, and its packed rows.
+    steps = [(slice(read, read + rows), slice(write, write + rows), slice(write - count, write - count + rows))
+             for read, write, rows in zip(index[:-1, 0].tolist(), index[1:, 0].tolist(),
+                                          alive[1:].sum(axis=1).tolist())]
+
+    sigmoids = 3 * size  # the input, forget and output gates; the update is the last H
+    packed = inputs[source]
+    gates = packed @ w.T
+    gates += b
+    # With several rows per step the recurrent product runs about three times faster on a
+    # C-ordered copy of U.T; one sequence's single rows multiply by U as it is.
+    recurrent = u.T if count == 1 else np.ascontiguousarray(u.T)
+    hiddens = np.empty((count + total, size))
+    cells = np.empty((count + total, size))
+    hiddens[:count] = h0.data.reshape(count, size)[order]
+    cells[:count] = c0.data.reshape(count, size)[order]
+    squashed = np.empty((total, size))  # tanh of each new cell
+    for before, after, here in steps:
+        z = gates[here]
+        z += hiddens[before] @ recurrent
+        # s(z) = (1 + tanh(z / 2)) / 2, so one tanh over contiguous rows covers all four gates.
+        s = z[:, :sigmoids]
+        s *= 0.5
+        np.tanh(z, out=z)
+        s *= 0.5
+        s += 0.5
+        cell = cells[after]
+        np.multiply(z[:, :size], z[:, sigmoids:], out=cell)
+        cell += z[:, size : 2 * size] * cells[before]
+        np.tanh(cell, out=squashed[here])
+        np.multiply(z[:, 2 * size : sigmoids], squashed[here], out=hiddens[after])
     final_hidden_grad: list[np.ndarray] = []
 
     def backprop(dc: np.ndarray) -> None:
-        dh = final_hidden_grad.pop() if final_hidden_grad else np.zeros(hidden_size)
-        dc = dc.copy()
-        dz = np.empty_like(gates)
-        for t in range(count - 1, -1, -1):
-            i, f, o, g = gates[t].reshape(4, hidden_size)
-            dc += dh * o * (1.0 - squashed[t] * squashed[t])
-            dzt = dz[t].reshape(4, hidden_size)
-            dzt[0] = dc * g * i * (1.0 - i)
-            dzt[1] = dc * cells[t] * f * (1.0 - f)
-            dzt[2] = dh * squashed[t] * o * (1.0 - o)
-            dzt[3] = dc * i * (1.0 - g * g)
-            dh = u.T @ dz[t]
-            dc *= f
+        dhiddens = np.zeros_like(hiddens)
+        dcells = np.zeros_like(cells)
+        if final_hidden_grad:
+            dhiddens[final] = final_hidden_grad.pop().reshape(count, size)
+        dcells[final] = dc.reshape(count, size)
+        # Local derivatives for all steps at once: the preactivation gradient of gate block k is
+        # scale[:, k] times the row's cell gradient (its hidden gradient for the output gate).
+        gate = gates.reshape(total, 4, size)
+        i, f, o, g = (gate[:, k] for k in range(4))
+        scale = np.empty_like(gate)
+        np.multiply(gate[:, :3], 1.0 - gate[:, :3], out=scale[:, :3])
+        scale[:, 0] *= g
+        scale[:, 1] *= cells[prev]
+        scale[:, 2] *= squashed
+        np.multiply(i, 1.0 - g * g, out=scale[:, 3])
+        carry = o * (1.0 - squashed * squashed)  # d cell / d hidden of the same step
+        dz = np.empty_like(gate)
+        for before, after, here in reversed(steps):
+            dh, dcell = dhiddens[after], dcells[after]
+            dcell += dh * carry[here]
+            np.multiply(scale[here], dcell[:, None, :], out=dz[here])
+            np.multiply(scale[here, 2], dh, out=dz[here, 2])
+            dhiddens[before] += dz[here].reshape(-1, 4 * size) @ u
+            dcells[before] += dcell * f[here]
+        dz = dz.reshape(total, 4 * size)
         # One stacked product at a time, so no two [4H, *] temporaries are alive together.
-        _accumulate_gates(params.w, dz.T @ steps)
-        _accumulate_gates(params.u, dz.T @ hiddens[:-1])
+        _accumulate_gates(params.w, dz.T @ packed)
+        _accumulate_gates(params.u, dz.T @ hiddens[prev])
         _accumulate_gates(params.b, dz.sum(axis=0))
         if xs.requires_grad:
-            _accumulate(xs, (dz @ w).reshape(xs.shape))
-        _accumulate(h0, dh)
-        _accumulate(c0, dc)
+            dxs = np.empty_like(inputs)
+            dxs[source] = dz @ w
+            _accumulate(xs, dxs.reshape(xs.shape))
+        _accumulate(h0, dhiddens[rank].reshape(state_shape))
+        _accumulate(c0, dcells[rank].reshape(state_shape))
 
-    cell = _make(cells[-1], (xs, h0, c0, *gate_tensors), backprop, "lstm_sequence")
+    cell = _make(cells[final].reshape(state_shape), (xs, h0, c0, *gate_tensors), backprop, "lstm_sequence")
 
     def route_hidden(g: np.ndarray) -> None:
         final_hidden_grad.append(g)
-        _accumulate(cell, np.zeros(hidden_size))
+        _accumulate(cell, np.zeros(state_shape))
 
-    return _make(hiddens[-1], (cell,), route_hidden, "lstm_sequence"), cell
+    return _make(hiddens[final].reshape(state_shape), (cell,), route_hidden, "lstm_sequence"), cell
 
 
 def _accumulate_gates(tensors: dict[str, Tensor], grad: np.ndarray) -> None:
     """Add a stacked gate-major gradient onto its per-gate row-block tensors."""
     for tensor, block in zip(tensors.values(), grad.reshape(len(tensors), -1, *grad.shape[1:])):
         _accumulate(tensor, block)
+
+
+def unstack(t: Tensor) -> tuple[Tensor, ...]:
+    """The rows of a matrix as separate tensors; backward adds each row's gradient into its row."""
+    t = as_tensor(t)
+    if t.ndim != 2:
+        raise ShapeMismatchError(f"unstack needs a matrix, got shape {t.shape}")
+
+    def row(k: int) -> Tensor:
+        def backprop(g: np.ndarray) -> None:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad[k] += g
+
+        return _make(t.data[k], (t,), backprop, "unstack")
+
+    return tuple(row(k) for k in range(len(t.data)))
 
 
 def dropout_apply(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -4,11 +4,13 @@ schemes for combining the context state with the sentence vector.
 System acts are flattened to one word stream (each act's
 ``data.SystemAct.words``) and run through the LSTM oldest first from a
 zero initial state; the final hidden vector is the context
-representation for the turn.  The whole stream is two tape nodes:
-``autograd.gather_rows`` looks up every token's embedding at once and
-``autograd.lstm_sequence`` runs every step, with its own backprop
-through time.  The one-step ``lstm_step`` (used by the ``lstm-input``
-combiner) is the same op over a single input.
+representation for the turn.  ``run_context_lstm`` runs one turn's
+stream, or the streams of a whole mini-batch or validation set at once,
+as two tape nodes: ``autograd.gather_rows`` looks up every token's
+embedding and ``autograd.lstm_sequence`` runs every stream in one packed
+kernel, with its own backprop through time.  The one-step ``lstm_step``
+(used by the ``lstm-input`` combiner) is the same kernel over a single
+input.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ class LstmParams:
 
     The values live stacked gate-major (``LSTM_GATES``: i, f, o, u) in
     ``stacked`` = (W [4H, D], U [4H, H], b [4H]), which
-    ``autograd.lstm_sequence`` reads as they are: one input and one
-    recurrent product per step give all four gates.  The twelve named
-    tensors (``lstm.w_i`` ... ``lstm.b_u``, in the dicts ``w``, ``u`` and
-    ``b``) are row-block views of those arrays.  They are what checkpoints
-    store, what gradients land on and what the optimizer updates, so every
-    write to them must be in place.
+    ``autograd.lstm_sequence`` reads as they are: one input product for
+    all steps and one recurrent product per step give all four gates.  The
+    twelve named tensors (``lstm.w_i`` ... ``lstm.b_u``, in the dicts
+    ``w``, ``u`` and ``b``) are row-block views of those arrays.  They are
+    what checkpoints store, what gradients land on and what the optimizer
+    updates, so every write to them must be in place.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
@@ -126,11 +128,18 @@ def context_tokens(system_turns: Sequence, window: ContextWindow) -> list[str]:
 
 
 def run_context_lstm(
-    tokens: Sequence[str], table: EmbeddingTable, system_embeddings: Tensor, params: LstmParams
+    tokens: Sequence[str], table: EmbeddingTable, system_embeddings: Tensor, params: LstmParams,
+    lengths: Sequence[int] | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Run the LSTM over system-act tokens from a zero initial state."""
+    """Run the LSTM over system-act tokens from a zero initial state; returns the final (hidden, cell).
+
+    ``tokens`` is one stream, or with ``lengths`` the streams of B turns one
+    after another, ``lengths[b]`` tokens for turn b; the results are then
+    [B, H], row b for turn b.
+    """
     xs = ag.gather_rows(system_embeddings, table.system_row_indices(tokens))
-    return ag.lstm_sequence(xs, Tensor(np.zeros(params.hidden_size)), Tensor(np.zeros(params.hidden_size)), params)
+    state = np.zeros(params.hidden_size if lengths is None else (len(lengths), params.hidden_size))
+    return ag.lstm_sequence(xs, Tensor(state), Tensor(state), params, lengths)
 
 
 # ---------------------------------------------------------------------------

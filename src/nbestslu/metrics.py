@@ -275,7 +275,7 @@ def report_text(report: ScoreReport) -> str:
         f"recall:    {report.recall:.4f}",
         f"f1:        {report.f1:.4f}",
         f"ice:       {report.ice:.4f}",
-        f"reference items outside the model ontology: {report.out_of_ontology}",
+        f"reference items outside the scoring ontology: {report.out_of_ontology}",
     ]
     if report.per_slot:
         lines.append("per-slot breakdown:")

@@ -63,14 +63,35 @@ class TurnEncoder:
             out[self.system_embeddings.name] = self.system_embeddings
         return out
 
-    def encode(self, nbest: NBestList, system_history) -> Tensor:
-        """Hidden vector for one turn: the sentence vector alone when there is no context model."""
+    def contexts(self, histories) -> list:
+        """Each history's context state (hidden, cell), from one LSTM run over all of them.
+
+        A state is ``encode``'s ``context`` for its turn.  Without a context
+        model every state is None.
+        """
+        if self.lstm is None:
+            return [None] * len(histories)
+        streams = [context_tokens(history, self.window) for history in histories]
+        hidden, cell = run_context_lstm([token for stream in streams for token in stream], self.table,
+                                        self.system_embeddings, self.lstm, [len(stream) for stream in streams])
+        return list(zip(ag.unstack(hidden), ag.unstack(cell)))
+
+    def encode(self, nbest: NBestList, system_history, context=None) -> Tensor:
+        """Hidden vector for one turn: the sentence vector alone when there is no context model.
+
+        ``context`` is the turn's state from ``contexts``; without it the
+        context LSTM runs over ``system_history`` alone, a batch of one.
+        Callers pass the turn's own history either way, so every call names
+        its turn (the benchmark's tracer ties ``model.encode`` spans to
+        turns by it).
+        """
         sentence = encode_sentence(nbest.truncated(self.nbest_cap), self.table, self.bank)
         if self.lstm is None:
             return sentence
-        tokens = context_tokens(system_history, self.window)
-        state = run_context_lstm(tokens, self.table, self.system_embeddings, self.lstm)
-        return combine(sentence, state, self.combiner, self.lstm)
+        if context is None:
+            context = run_context_lstm(context_tokens(system_history, self.window), self.table,
+                                       self.system_embeddings, self.lstm)
+        return combine(sentence, context, self.combiner, self.lstm)
 
 
 class HeadedModel:

@@ -17,14 +17,17 @@ order: the gradients and the two accumulators.  From construction until
 so backward adds into it and never allocates a parameter-sized array.
 Training releases the buffers when its run ends, so a trained model pins
 none of them.  Parameter values stay where they live (the LSTM's row
-blocks, the embedding table's system block): the step adds each
-parameter's slice of the update into its data in place.
+blocks, the embedding table's system block): the step subtracts each
+parameter's slice of the negated update from its data in place.
 
 A step is all or nothing: every gradient is checked for shape and
 finiteness before any parameter or accumulator changes.  The rule then
 runs over the whole vector in chunks of ``CHUNK`` elements, in the
 formulas' own operation order, so its bits are those of evaluating them
-directly, and the gradient vector is zero-filled for the next batch.
+directly, and the gradient vector is zero-filled for the next batch.  It
+keeps -step, the update without its sign: in IEEE 754 arithmetic p - s
+equals p + (-s) and s * s equals (-s) * (-s), signed zeros included, so
+leaving out the negation changes no bit and saves a pass.
 """
 
 from __future__ import annotations
@@ -101,14 +104,14 @@ class Adadelta:
             grad, tmp = self._scratch[:, : step.size]
             np.multiply(step, inv, out=grad)
             # The formulas above in their own operation order, so the bits are those of
-            # evaluating them directly; each operator is one pass into a kept buffer.
+            # evaluating them directly; each operator is one pass into a kept buffer, and
+            # the buffer named ``step`` holds -step, the negated update.
             np.multiply(grad, keep, out=tmp)
             tmp *= grad
             avg_sq_grad *= rho
             avg_sq_grad += tmp
             np.add(avg_sq_step, eps, out=step)
             np.sqrt(step, out=step)
-            np.negative(step, out=step)
             np.add(avg_sq_grad, eps, out=tmp)
             np.sqrt(tmp, out=tmp)
             step /= tmp
@@ -118,7 +121,7 @@ class Adadelta:
             avg_sq_step *= rho
             avg_sq_step += tmp
         for p, view in zip(self._params.values(), self._views.values()):
-            p.data += view
+            p.data -= view
         flat.fill(0.0)
 
     def release(self) -> None:

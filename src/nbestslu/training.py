@@ -8,7 +8,9 @@ the best-on-validation parameters; setting ``patience`` to zero disables
 early stopping and keeps the final epoch instead.
 
 Mini-batch gradients are the mean of per-example gradients, so the loss
-scale does not depend on the batch size.
+scale does not depend on the batch size.  A mini-batch is one context-LSTM
+run over its examples' histories and one backward pass over the sum of
+their losses.
 """
 
 from __future__ import annotations
@@ -79,11 +81,15 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
     """Train ``model`` in place on ``examples``, a list of (turn, target) pairs.
 
     Each epoch visits the examples in a fresh ``SHUFFLE`` order, in
-    mini-batches.  Example by example, the turn is encoded, its hidden
-    vector takes dropout from the ``DROPOUT`` stream, and
-    ``loss_fn(model, hidden, target)`` gives its loss.  ``val_metric_fn(model)``
-    scores each epoch; it is None when there are no validation turns, and
-    early stopping is then off.
+    mini-batches.  The context LSTM runs once over a mini-batch's
+    histories (``TurnEncoder.contexts``).  Then, example by example, the
+    turn is encoded with its context state, its hidden vector takes dropout
+    from the ``DROPOUT`` stream, and ``loss_fn(model, hidden, target)`` gives
+    its loss, read with ``item`` for the epoch's mean.  One backward pass
+    over the ``add_n`` of the mini-batch's losses leaves their summed
+    gradients for the optimizer step.  ``val_metric_fn(model)`` scores each
+    epoch; it is None when there are no validation turns, and early
+    stopping is then off.
     """
     params, config = model.parameters(), model.config
     optimizer = Adadelta(params, config.adadelta_rho, config.adadelta_epsilon)
@@ -103,12 +109,14 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
         total_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            for j in batch:
+            contexts = model.encoder.contexts([examples[j][0].system_history for j in batch])
+            losses = []
+            for j, context in zip(batch, contexts):
                 turn, target = examples[j]
-                hidden = model.encoder.encode(nbests[j], turn.system_history)
-                loss = loss_fn(model, dropout_apply(hidden, config.dropout, dropout_rng), target)
-                total_loss += loss.item()
-                loss.backward()
+                hidden = model.encoder.encode(nbests[j], turn.system_history, context)
+                losses.append(loss_fn(model, dropout_apply(hidden, config.dropout, dropout_rng), target))
+                total_loss += losses[-1].item()
+            add_n(losses).backward()
             optimizer.step(len(batch))
         mean_loss = total_loss / len(examples)
         if not math.isfinite(mean_loss):
@@ -219,8 +227,9 @@ def train_step2(
 
     def value_accuracy(model: SlotValueModel) -> float:
         hits = 0
-        for t, nbest, value in val:
-            probs = model.value_probs(model.encoder.encode(nbest, t.system_history))
+        contexts = model.encoder.contexts([t.system_history for t, _, _ in val])
+        for (t, nbest, value), context in zip(val, contexts):
+            probs = model.value_probs(model.encoder.encode(nbest, t.system_history, context))
             hits += int(np.argmax(probs.data)) == value
         return hits / len(val)
 

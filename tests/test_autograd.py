@@ -231,6 +231,22 @@ class TestFiniteDifferences:
         with pytest.raises(ShapeMismatchError):
             ag.gather_rows(Tensor(np.zeros(3)), [0])
 
+    def test_unstack_routes_each_row_gradient_to_its_row(self):
+        rng = np.random.default_rng(5)
+        matrix = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        contracts = rng.uniform(0.5, 1.5, (2, 4))
+
+        def loss_fn():
+            rows = ag.unstack(matrix)  # the middle row is never used
+            return ag.add(weighted_sum(ag.tanh(rows[0]), contracts[0]), weighted_sum(rows[2], contracts[1]))
+
+        assert max_rel_error(loss_fn, [matrix]) < 1e-4
+        loss_fn().backward()
+        np.testing.assert_array_equal(matrix.grad[1], np.zeros(4))
+        np.testing.assert_array_equal(matrix.grad[2], contracts[1])
+        with pytest.raises(ShapeMismatchError):
+            ag.unstack(Tensor(np.zeros(3)))
+
 
 class TestConvNbest:
     def test_rejects_inputs_that_do_not_fit(self):

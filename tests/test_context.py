@@ -211,6 +211,118 @@ class TestLstmSequence:
                 assert np.all(np.isfinite(tensor.grad)), tensor.name
 
 
+RAGGED = (0, 1, 3, 7)  # includes an empty sequence and one longer than all others together
+
+
+def batch_fixture(lengths=RAGGED, dim=3, hidden=4, seed=24):
+    """Parameters, packed inputs, [B, H] initial states and two [B, H] contractions."""
+    rng = np.random.default_rng(seed)
+    params = make_params(dim, hidden, seed=seed)
+    for gate in LSTM_GATES:
+        params.b[gate].data[...] = rng.uniform(-1, 1, hidden)
+    count = len(lengths)
+    xs = Tensor(rng.uniform(-1, 1, (sum(lengths), dim)), requires_grad=True, name="xs")
+    h0 = Tensor(rng.uniform(-0.5, 0.5, (count, hidden)), requires_grad=True, name="h0")
+    c0 = Tensor(rng.uniform(-1, 1, (count, hidden)), requires_grad=True, name="c0")
+    return params, xs, h0, c0, rng.uniform(0.5, 1.5, (count, hidden)), rng.uniform(0.5, 1.5, (count, hidden))
+
+
+def batch_loss(hidden, cell, on_hidden, on_cell):
+    """A scalar over every row of the [B, H] results, through ``unstack``."""
+    terms = [weighted_sum(row, weights) for row, weights in zip(ag.unstack(hidden), on_hidden)]
+    terms += [weighted_sum(row, weights) for row, weights in zip(ag.unstack(cell), on_cell)]
+    return ag.add_n(terms)
+
+
+class TestPackedBatch:
+    """The kernel over B sequences at once, sorted by length and packed time-major."""
+
+    @pytest.mark.parametrize("lengths", [RAGGED, (5,)], ids=["ragged", "one"])
+    def test_gradients_of_every_input_over_a_batch(self, lengths):
+        params, xs, h0, c0, on_hidden, on_cell = batch_fixture(lengths)
+        tensors = list(params.parameters().values()) + [xs, h0, c0]
+
+        def loss_fn():
+            return batch_loss(*ag.lstm_sequence(xs, h0, c0, params, lengths), on_hidden, on_cell)
+
+        assert max_rel_error(loss_fn, tensors) < 1e-4
+        for tensor in tensors:
+            assert np.any(tensor.grad != 0.0), tensor.name
+
+    def test_each_sequence_agrees_with_a_batch_of_one(self):
+        # A batch changes the shapes of the products, and so may change how they round:
+        # states and gradients agree within 1e-12, not bit for bit.
+        lengths = (4, 0, 9, 1, 9, 3)
+        params, xs, h0, c0, on_hidden, on_cell = batch_fixture(lengths, dim=5, hidden=6, seed=25)
+        hidden, cell = ag.lstm_sequence(xs, h0, c0, params, lengths)
+        batch_loss(hidden, cell, on_hidden, on_cell).backward()
+        batched = {name: t.grad.copy() for name, t in params.parameters().items()}
+        batched_inputs = [xs.grad.copy(), h0.grad.copy(), c0.grad.copy()]
+
+        summed = {name: np.zeros_like(grad) for name, grad in batched.items()}
+        starts = np.cumsum((0,) + lengths)
+        for b, rows in enumerate(lengths):
+            for t in params.parameters().values():
+                t.grad = None
+            x = Tensor(xs.data[starts[b] : starts[b + 1]], requires_grad=True)
+            h, c = Tensor(h0.data[b], requires_grad=True), Tensor(c0.data[b], requires_grad=True)
+            alone = ag.lstm_sequence(x, h, c, params)
+            np.testing.assert_allclose(hidden.data[b], alone[0].data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cell.data[b], alone[1].data, rtol=0, atol=1e-12)
+            ag.add(weighted_sum(alone[0], on_hidden[b]), weighted_sum(alone[1], on_cell[b])).backward()
+            np.testing.assert_allclose(batched_inputs[1][b], h.grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batched_inputs[2][b], c.grad, rtol=0, atol=1e-12)
+            if rows:
+                np.testing.assert_allclose(batched_inputs[0][starts[b] : starts[b + 1]], x.grad, rtol=0, atol=1e-12)
+                for name, t in params.parameters().items():
+                    summed[name] += t.grad
+        for name, grad in batched.items():
+            np.testing.assert_allclose(grad, summed[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_the_order_of_the_batch_does_not_matter(self):
+        lengths = (2, 6, 6, 0, 3)
+        params, xs, h0, c0, _, _ = batch_fixture(lengths, seed=26)
+        hidden, cell = ag.lstm_sequence(xs, h0, c0, params, lengths)
+        perm = [3, 1, 4, 0, 2]
+        starts = np.cumsum((0,) + lengths)
+        rows = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in perm])
+        shuffled = ag.lstm_sequence(Tensor(xs.data[rows]), Tensor(h0.data[perm]), Tensor(c0.data[perm]), params,
+                                    [lengths[b] for b in perm])
+        np.testing.assert_allclose(shuffled[0].data, hidden.data[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shuffled[1].data, cell.data[perm], rtol=0, atol=1e-12)
+
+    def test_a_batch_without_rows_returns_the_initial_states(self):
+        params, _, h0, c0, _, _ = batch_fixture((0, 0))
+        hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, params, (0, 0))
+        assert hidden is h0 and cell is c0
+
+    def test_lengths_that_do_not_cover_the_rows_are_refused(self):
+        params, xs, h0, c0, _, _ = batch_fixture()
+        with pytest.raises(ShapeMismatchError):
+            ag.lstm_sequence(xs, h0, c0, params, (0, 1, 3, 6))
+        with pytest.raises(ShapeMismatchError):
+            ag.lstm_sequence(xs, Tensor(h0.data[:3]), c0, params, RAGGED)
+        with pytest.raises(DomainError):
+            ag.lstm_sequence(xs, h0, c0, params, (2, -1, 3, 7))
+
+    def test_run_context_lstm_batches_turns_like_one_at_a_time(self):
+        table, embeddings, params = context_fixture()
+        histories = [
+            [],
+            [(SystemAct("welcomemsg"),)],
+            [(SystemAct("welcomemsg"),), (SystemAct("offer", (("name", "meghna"),)),
+                                          SystemAct("inform", (("area", "north"),)))],
+        ]
+        window = ContextWindow.from_name("all")
+        streams = [context_tokens(history, window) for history in histories]
+        hidden, cell = run_context_lstm([t for s in streams for t in s], table, embeddings, params,
+                                        [len(s) for s in streams])
+        for b, stream in enumerate(streams):
+            alone = run_context_lstm(stream, table, embeddings, params)
+            np.testing.assert_allclose(hidden.data[b], alone[0].data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cell.data[b], alone[1].data, rtol=0, atol=1e-12)
+
+
 class TestContextWindow:
     def test_selection_modes(self):
         history = ["s0", "s1", "s2", "s3", "s4"]

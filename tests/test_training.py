@@ -1,16 +1,20 @@
 """Training regime: overfit capacity, loss decomposition, frozen rows."""
 
+import copy
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nbestslu import rng as rng_mod
+from nbestslu import training
+from nbestslu.autograd import nll_loss
 from nbestslu.config import RunConfig
 from nbestslu.data import collect_system_tokens, dumps
 from nbestslu.decoder import predict_value, turn_nbest
 from nbestslu.errors import DomainError
-from nbestslu.model import StepOneModel
+from nbestslu.model import StepOneModel, TurnEncoder
 from nbestslu.training import cross_validate_step1, step1_head_accuracies, train_step1, train_step2
 
 from _synth import synthetic_dataset, synthetic_table
@@ -207,3 +211,95 @@ class TestDeterminism:
         for name in params_a:
             np.testing.assert_array_equal(params_a[name].data, params_b[name].data)
         assert log_a.epochs == log_b.epochs
+
+
+SMALL = RunConfig(
+    model="cnn_lstm_w4", embedding_dim=12, filter_windows=(2,), filters_per_window=4, hidden_size=5,
+    batch_size=4, dropout=0.3, patience=0, max_epochs=2, seed=9,
+)
+
+
+def act_examples(model, turns):
+    ontology = model.ontology
+    return [(t, ontology.act_index(ontology.act_label(t.reference.act_pattern))) for t in turns]
+
+
+def act_loss(model, hidden, target):
+    return nll_loss(model.probs("head.act", hidden), target)
+
+
+def tape_nodes(out):
+    """Every recorded node that ``out``'s backward would replay."""
+    seen, frontier = {id(out): out}, [out]
+    while frontier:
+        for parent in frontier.pop()._parents:
+            if parent._backprop is not None and id(parent) not in seen:
+                seen[id(parent)] = parent
+                frontier.append(parent)
+    return list(seen.values())
+
+
+class TestMiniBatches:
+    """``_run_epochs`` runs the context LSTM once per mini-batch and backward once per mini-batch."""
+
+    def test_dropout_draws_follow_the_examples_in_shuffled_order(self, dataset, store, monkeypatch):
+        model = StepOneModel.build(SMALL, dataset.ontology, collect_system_tokens(dataset.turns), store)
+        turns = dataset.turns[:11]  # mini-batches of 4, 4 and 3
+        encoded, dropped = [], []
+        encode, apply = TurnEncoder.encode, training.dropout_apply
+
+        def recording_encode(encoder, nbest, history, context=None):
+            encoded.append((history, encode(encoder, nbest, history, context)))
+            return encoded[-1][1]
+
+        def recording_dropout(t, rate, rng):
+            drawn = copy.deepcopy(rng).random(t.shape) >= rate
+            dropped.append((t, drawn))
+            return apply(t, rate, rng)
+
+        monkeypatch.setattr(TurnEncoder, "encode", recording_encode)
+        monkeypatch.setattr(training, "dropout_apply", recording_dropout)
+        training._run_epochs(model=model, examples=act_examples(model, turns), loss_fn=act_loss,
+                             val_metric_fn=None, log_fn=None, log=training.TrainLog())
+
+        shuffle = rng_mod.substream(SMALL.seed, rng_mod.SHUFFLE)
+        order = [j for _ in range(SMALL.max_epochs) for j in shuffle.permutation(len(turns))]
+        assert len(encoded) == len(dropped) == len(order)
+        assert all(history is turns[j].system_history for (history, _), j in zip(encoded, order))
+        assert all(t is hidden for (t, _), (_, hidden) in zip(dropped, encoded))
+        direct = rng_mod.substream(SMALL.seed, rng_mod.DROPOUT)
+        for t, drawn in dropped:
+            np.testing.assert_array_equal(drawn, direct.random(t.shape) >= SMALL.dropout)
+
+    def test_one_mini_batch_frees_its_graph_and_sums_the_examples_gradients(self, dataset, store, monkeypatch):
+        config = replace(SMALL, dropout=0.0, max_epochs=1, batch_size=6)
+        tokens = collect_system_tokens(dataset.turns)
+        model = StepOneModel.build(config, dataset.ontology, tokens, store)
+        examples = act_examples(model, dataset.turns[:6])
+        graphs, stepped = [], []
+        add_n = training.add_n
+
+        def recording_add_n(parts):
+            out = add_n(parts)
+            graphs.append(tape_nodes(out))
+            return out
+
+        class RecordingAdadelta(training.Adadelta):
+            def step(self, batch_size=1):
+                stepped.append({name: p.grad.copy() for name, p in model.parameters().items()})
+                super().step(batch_size)
+
+        monkeypatch.setattr(training, "add_n", recording_add_n)
+        monkeypatch.setattr(training, "Adadelta", RecordingAdadelta)
+        training._run_epochs(model=model, examples=examples, loss_fn=act_loss, val_metric_fn=None,
+                             log_fn=None, log=training.TrainLog())
+        assert len(graphs) == len(stepped) == 1
+        assert graphs[0] and all(node._freed and node._backprop is None and not node._parents for node in graphs[0])
+
+        # The same initial model, one backward per example, each a batch of one for the context LSTM.
+        reference = StepOneModel.build(config, dataset.ontology, tokens, store)
+        for turn, target in examples:
+            act_loss(reference, reference.encoder.encode(turn_nbest(turn), turn.system_history), target).backward()
+        for name, p in reference.parameters().items():
+            expected = np.zeros(p.shape) if p.grad is None else p.grad
+            np.testing.assert_allclose(stepped[0][name], expected, rtol=0, atol=1e-12, err_msg=name)
