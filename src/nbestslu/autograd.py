@@ -3,8 +3,8 @@
 The tape is deliberately small: it covers exactly the operations the
 semantic decoder composes (affine maps, tanh/sigmoid nonlinearities,
 softmax heads with negative log-likelihood, max pooling with argmax
-routing, inverted dropout, embedding-row gathers, splitting a matrix into
-its rows, elementwise sums and products) plus two fused ops with
+routing, inverted dropout, embedding-row gathers, splitting a tensor
+along its first axis, elementwise sums and products) plus two fused ops with
 hand-written backward passes: the n-best convolution (``conv_nbest``, one
 node per n-best list, which reads each distinct word's row once plus an
 index of where it occurs, pools by max and finds the argmax only in
@@ -466,9 +466,9 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
     steps at once; step t scales them by its hidden and cell gradients and
     sends one [n_t, 4H] @ [4H, H] product to step t - 1.  With dZ the [N, 4H]
     preactivation gradients, dW = dZ.T @ X, dU = dZ.T @ H_prev, db = dZ
-    summed and dX = dZ @ W are one product each over the packed rows.  The
-    final hidden is a second tape node under the final cell; its gradient
-    joins the cell's backward.
+    summed and dX = dZ @ W are one product each over the packed rows.  A
+    run is one tape node: the final hidden and cell states stacked on a new
+    leading axis, returned split by ``unstack``.
     """
     xs, h0, c0 = as_tensor(xs), as_tensor(h0), as_tensor(c0)
     hidden_size, input_dim = params.hidden_size, params.input_dim
@@ -518,8 +518,8 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
     # With several rows per step the recurrent product runs about three times faster on a
     # C-ordered copy of U.T; one sequence's single rows multiply by U as it is.
     recurrent = u.T if count == 1 else np.ascontiguousarray(u.T)
-    hiddens = np.empty((count + total, size))
-    cells = np.empty((count + total, size))
+    states = np.empty((2, count + total, size))  # hidden over cell: one index reads both final states
+    hiddens, cells = states
     hiddens[:count] = h0.data.reshape(count, size)[order]
     cells[:count] = c0.data.reshape(count, size)[order]
     squashed = np.empty((total, size))  # tanh of each new cell
@@ -537,14 +537,11 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
         cell += z[:, size : 2 * size] * cells[before]
         np.tanh(cell, out=squashed[here])
         np.multiply(z[:, 2 * size : sigmoids], squashed[here], out=hiddens[after])
-    final_hidden_grad: list[np.ndarray] = []
 
-    def backprop(dc: np.ndarray) -> None:
-        dhiddens = np.zeros_like(hiddens)
-        dcells = np.zeros_like(cells)
-        if final_hidden_grad:
-            dhiddens[final] = final_hidden_grad.pop().reshape(count, size)
-        dcells[final] = dc.reshape(count, size)
+    def backprop(dstate: np.ndarray) -> None:
+        dstates = np.zeros_like(states)
+        dhiddens, dcells = dstates
+        dstates[:, final] = dstate.reshape(2, count, size)
         # Local derivatives for all steps at once: the preactivation gradient of gate block k is
         # scale[:, k] times the row's cell gradient (its hidden gradient for the output gate).
         gate = gates.reshape(total, 4, size)
@@ -576,13 +573,8 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
         _accumulate(h0, dhiddens[rank].reshape(state_shape))
         _accumulate(c0, dcells[rank].reshape(state_shape))
 
-    cell = _make(cells[final].reshape(state_shape), (xs, h0, c0, *gate_tensors), backprop, "lstm_sequence")
-
-    def route_hidden(g: np.ndarray) -> None:
-        final_hidden_grad.append(g)
-        _accumulate(cell, np.zeros(state_shape))
-
-    return _make(hiddens[final].reshape(state_shape), (cell,), route_hidden, "lstm_sequence"), cell
+    return unstack(_make(states[:, final].reshape(2, *state_shape), (xs, h0, c0, *gate_tensors), backprop,
+                         "lstm_sequence"))
 
 
 def _accumulate_gates(tensors: dict[str, Tensor], grad: np.ndarray) -> None:
@@ -592,10 +584,14 @@ def _accumulate_gates(tensors: dict[str, Tensor], grad: np.ndarray) -> None:
 
 
 def unstack(t: Tensor) -> tuple[Tensor, ...]:
-    """The rows of a matrix as separate tensors; backward adds each row's gradient into its row."""
+    """The slices of a tensor along its first axis as separate tensors.
+
+    ``t`` has two or more dimensions; backward adds each slice's gradient
+    into its slice.
+    """
     t = as_tensor(t)
-    if t.ndim != 2:
-        raise ShapeMismatchError(f"unstack needs a matrix, got shape {t.shape}")
+    if t.ndim < 2:
+        raise ShapeMismatchError(f"unstack needs two or more dimensions, got shape {t.shape}")
 
     def row(k: int) -> Tensor:
         def backprop(g: np.ndarray) -> None:

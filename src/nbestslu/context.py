@@ -4,9 +4,9 @@ schemes for combining the context state with the sentence vector.
 System acts are flattened to one word stream (each act's
 ``data.SystemAct.words``) and run through the LSTM oldest first from a
 zero initial state; the final hidden vector is the context
-representation for the turn.  ``run_context_lstm`` runs one turn's
-stream, or the streams of a whole mini-batch or validation set at once,
-as two tape nodes: ``autograd.gather_rows`` looks up every token's
+representation for the turn.  ``run_context_lstm`` runs the streams of a
+batch of turns at once (a mini-batch, a validation set, or one decoded
+turn as a batch of one): ``autograd.gather_rows`` looks up every token's
 embedding and ``autograd.lstm_sequence`` runs every stream in one packed
 kernel, with its own backprop through time.  The one-step ``lstm_step``
 (used by the ``lstm-input`` combiner) is the same kernel over a single
@@ -129,16 +129,15 @@ def context_tokens(system_turns: Sequence, window: ContextWindow) -> list[str]:
 
 def run_context_lstm(
     tokens: Sequence[str], table: EmbeddingTable, system_embeddings: Tensor, params: LstmParams,
-    lengths: Sequence[int] | None = None,
+    lengths: Sequence[int],
 ) -> tuple[Tensor, Tensor]:
     """Run the LSTM over system-act tokens from a zero initial state; returns the final (hidden, cell).
 
-    ``tokens`` is one stream, or with ``lengths`` the streams of B turns one
-    after another, ``lengths[b]`` tokens for turn b; the results are then
-    [B, H], row b for turn b.
+    ``tokens`` holds the streams of B turns one after another, ``lengths[b]``
+    tokens for turn b; the results are [B, H], row b for turn b.
     """
     xs = ag.gather_rows(system_embeddings, table.system_row_indices(tokens))
-    state = np.zeros(params.hidden_size if lengths is None else (len(lengths), params.hidden_size))
+    state = np.zeros((len(lengths), params.hidden_size))
     return ag.lstm_sequence(xs, Tensor(state), Tensor(state), params, lengths)
 
 

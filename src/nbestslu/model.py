@@ -80,17 +80,16 @@ class TurnEncoder:
         """Hidden vector for one turn: the sentence vector alone when there is no context model.
 
         ``context`` is the turn's state from ``contexts``; without it the
-        context LSTM runs over ``system_history`` alone, a batch of one.
-        Callers pass the turn's own history either way, so every call names
-        its turn (the benchmark's tracer ties ``model.encode`` spans to
-        turns by it).
+        state comes from ``contexts([system_history])``, the same packed run
+        over a batch of one.  Callers pass the turn's own history either way,
+        so every call names its turn (the benchmark's tracer ties
+        ``model.encode`` spans to turns by it).
         """
         sentence = encode_sentence(nbest.truncated(self.nbest_cap), self.table, self.bank)
         if self.lstm is None:
             return sentence
         if context is None:
-            context = run_context_lstm(context_tokens(system_history, self.window), self.table,
-                                       self.system_embeddings, self.lstm)
+            (context,) = self.contexts([system_history])
         return combine(sentence, context, self.combiner, self.lstm)
 
 

@@ -68,14 +68,10 @@ class Adadelta:
         self._params = dict(params)
         self._grad, *self._accumulators = np.zeros((3, sum(p.size for p in self._params.values())))
         self._views: dict[str, np.ndarray] = {}
-        # Per parameter: (E[g^2], E[dx^2]), views shaped like the parameter.
-        self._states: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         start = 0
         for name, p in self._params.items():
-            part = slice(start, start + p.size)
+            self._views[name] = p.grad = self._grad[start : start + p.size].reshape(p.shape)
             start += p.size
-            self._views[name] = p.grad = self._grad[part].reshape(p.shape)
-            self._states[name] = tuple(acc[part].reshape(p.shape) for acc in self._accumulators)
         self._scratch = np.empty((2, min(CHUNK, self._grad.size)))
 
     def step(self, batch_size: int = 1) -> None:

@@ -247,6 +247,15 @@ class TestFiniteDifferences:
         with pytest.raises(ShapeMismatchError):
             ag.unstack(Tensor(np.zeros(3)))
 
+    def test_unstack_splits_along_the_first_axis_of_any_rank(self):
+        stacked = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        first, second = ag.unstack(stacked)
+        np.testing.assert_array_equal(second.data, stacked.data[1])
+        upstream = np.full((3, 4), 2.0)
+        ag.unstack(second)[2].backward(upstream[2])
+        np.testing.assert_array_equal(stacked.grad[0], np.zeros((3, 4)))
+        np.testing.assert_array_equal(stacked.grad[1], np.where(np.arange(3)[:, None] == 2, upstream, 0.0))
+
 
 class TestConvNbest:
     def test_rejects_inputs_that_do_not_fit(self):

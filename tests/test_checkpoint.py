@@ -201,6 +201,25 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError):
             load_model(path, store, STEP1_KIND)
 
+    def test_another_hypothesis_oov_row_is_a_config_error(self, tmp_path, dataset, store):
+        # The row is redrawn from the stored seed, so a stored row that differs means another store or seed.
+        path = tmp_path / "step1.ckpt"
+        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        kind, params, meta = load_container(path)
+        params["embed.hyp_oov"] = params["embed.hyp_oov"] + 0.5
+        save_container(path, kind, params, meta)
+        with pytest.raises(ConfigError, match="different embedding store or seed"):
+            load_model(path, store, STEP1_KIND)
+
+    def test_a_stored_shape_mismatch_is_a_format_error_naming_it(self, tmp_path, dataset, store):
+        path = tmp_path / "step1.ckpt"
+        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        kind, params, meta = load_container(path)
+        params["head.act.b"] = np.zeros(len(params["head.act.b"]) + 1)
+        save_container(path, kind, params, meta)
+        with pytest.raises(DataFormatError, match="parameter head.act.b has shape"):
+            load_model(path, store, STEP1_KIND)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("name", ["head.act.w", "lstm.w_f", "embed.hyp_oov"])
     def test_non_finite_parameter_is_a_format_error_naming_it(self, tmp_path, dataset, store, name, value):
@@ -282,6 +301,19 @@ class TestCheckpointDir:
         first.write_bytes(second.read_bytes())
         second.write_bytes(first_bytes)
         with pytest.raises(DataFormatError, match=slot_file(slots[0])):
+            load_checkpoint_dir(out, store)
+
+    def test_a_slot_model_trained_against_another_ontology_is_refused(self, tmp_path, dataset, store):
+        slot = "pricerange"
+        model = SlotValueModel.build(CFG, slot, dataset.ontology.slots.index(slot),
+                                     dataset.ontology.slot_values(slot), collect_system_tokens(dataset.turns),
+                                     store)
+        out = tmp_path / "ckpt"
+        save_checkpoint_dir(out, fresh_step1(dataset, store), {slot: model}, CFG)
+        other = synthetic_dataset(3, 3, seed=77).ontology
+        assert ontology_hash(other) != ontology_hash(dataset.ontology)
+        save_model(model, out / slot_file(slot), other)
+        with pytest.raises(ConfigError, match="trained against a different ontology"):
             load_checkpoint_dir(out, store)
 
     def test_mismatched_ontology_rejected(self, tmp_path, dataset, store):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from nbestslu import checkpoint, cli
+from nbestslu.autograd import Tensor
 from nbestslu.checkpoint import MAGIC, load_container, save_container
 from nbestslu.cli import main
 from nbestslu.data import read_canonical
@@ -269,6 +270,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(ckpt / "config.txt") in err and "Traceback" not in err
         assert not (tmp_path / "out.frames").exists()
+
+    def test_decode_of_a_directory_without_a_step_one_model_is_two(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "config.txt").write_text(workspace["config"].read_text(), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "missing step1.ckpt" in err and "Traceback" not in err
+        assert not (tmp_path / "out.frames").exists()
+
+    def test_a_non_finite_training_loss_is_three(self, workspace, tmp_path, capsys, monkeypatch):
+        # Every loss reads as infinite, while the graph and its gradients stay finite, so the
+        # epoch's mean-loss check is what stops the run.
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        monkeypatch.setattr(Tensor, "item", lambda self: math.inf)
+        capsys.readouterr()
+        assert run(["train", dataset, tmp_path / "ckpt", "--config", workspace["config"]]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: training loss became non-finite at epoch 1\n"
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("blob", [MAGIC + b"12", MAGIC + b"2\n{}\n"], ids=["no-newline", "no-params"])
     def test_decode_with_corrupt_checkpoint_is_two(self, workspace, tmp_path, capsys, blob):

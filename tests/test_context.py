@@ -291,6 +291,15 @@ class TestPackedBatch:
         np.testing.assert_allclose(shuffled[0].data, hidden.data[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(shuffled[1].data, cell.data[perm], rtol=0, atol=1e-12)
 
+    def test_a_run_is_one_tape_node_holding_hidden_over_cell(self):
+        params, xs, h0, c0, _, _ = batch_fixture()
+        hidden, cell = ag.lstm_sequence(xs, h0, c0, params, RAGGED)
+        ((run,),) = {hidden._parents, cell._parents}
+        assert run.shape == (2, len(RAGGED), 4)
+        assert xs in run._parents and h0 in run._parents and c0 in run._parents
+        np.testing.assert_array_equal(run.data[0], hidden.data)
+        np.testing.assert_array_equal(run.data[1], cell.data)
+
     def test_a_batch_without_rows_returns_the_initial_states(self):
         params, _, h0, c0, _, _ = batch_fixture((0, 0))
         hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, params, (0, 0))
@@ -318,9 +327,9 @@ class TestPackedBatch:
         hidden, cell = run_context_lstm([t for s in streams for t in s], table, embeddings, params,
                                         [len(s) for s in streams])
         for b, stream in enumerate(streams):
-            alone = run_context_lstm(stream, table, embeddings, params)
-            np.testing.assert_allclose(hidden.data[b], alone[0].data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(cell.data[b], alone[1].data, rtol=0, atol=1e-12)
+            alone = run_context_lstm(stream, table, embeddings, params, [len(stream)])
+            np.testing.assert_allclose(hidden.data[b], alone[0].data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cell.data[b], alone[1].data[0], rtol=0, atol=1e-12)
 
 
 class TestContextWindow:
@@ -351,7 +360,9 @@ class TestContextWindow:
 
 
 def context_vector(history, window, table, embeddings, params):
-    return run_context_lstm(context_tokens(history, window), table, embeddings, params)[0]
+    tokens = context_tokens(history, window)
+    (hidden,) = ag.unstack(run_context_lstm(tokens, table, embeddings, params, [len(tokens)])[0])
+    return hidden
 
 
 def context_fixture(hidden=4, seed=5):

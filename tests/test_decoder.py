@@ -1,5 +1,7 @@
 """Joint prediction, value prediction, and frame assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,18 @@ class TestDecodeTurn:
         assert len(dataset.ontology.slot_values(slot)) >= 2
         with pytest.raises(ConfigError):
             decode_turn(dataset.turns[0], model, {})
+
+    def test_a_single_value_slot_takes_its_value_at_the_presence_confidence(self, dataset, store):
+        slot = "area"
+        ontology = replace(dataset.ontology, values={**dataset.ontology.values, slot: ("north",)})
+        model = StepOneModel.build(TOY, ontology, collect_system_tokens(dataset.turns), store)
+        zero_heads(model)  # every presence is 0.5: nothing else is detected
+        model.heads[f"head.slot.{slot}"][1].data[...] = np.log([0.3, 0.7])
+        turn = dataset.turns[0]
+        _, presence = predict_joint(model, turn, turn_nbest(turn))
+        frame = decode_turn(turn, model, {})  # no value model for any slot
+        assert frame.slots == (SlotValuePrediction(slot, "north", presence[slot]),)
+        assert presence[slot] == pytest.approx(0.7, abs=1e-12)
 
     def test_step1_only_frames_carry_presence_confidence(self, dataset, store):
         model = build_step1(dataset, store)

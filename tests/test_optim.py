@@ -23,6 +23,16 @@ def hand_update(param, grad_sum, batch_size, avg_sq_grad, avg_sq_step, rho, eps)
     return param + step, avg_sq_grad, avg_sq_step
 
 
+def states(optimizer: Adadelta, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A parameter's (E[g^2], E[dx^2]): its slices of the flat accumulators, laid out in parameter order."""
+    start = 0
+    for key, p in optimizer._params.items():
+        if key == name:
+            return tuple(acc[start : start + p.size].reshape(p.shape) for acc in optimizer._accumulators)
+        start += p.size
+    raise KeyError(name)
+
+
 def one_tensor(value, **hyper) -> tuple[Tensor, Adadelta]:
     param = Tensor(np.array(value, dtype=float), requires_grad=True, name="p")
     return param, Adadelta({"p": param}, **hyper)
@@ -39,7 +49,7 @@ class TestAdadeltaStep:
         before = param.data.copy()
         step_with(param, opt, np.zeros(3))
         np.testing.assert_array_equal(param.data, before)
-        assert np.all(opt._states["p"][1] == 0.0)
+        assert np.all(states(opt, "p")[1] == 0.0)
 
     def test_first_step_matches_hand_execution(self):
         param, opt = one_tensor([0.0], rho=0.95, epsilon=1e-6)
@@ -67,25 +77,25 @@ class TestAdadeltaStep:
             step_with(param, opt, grad)
             expect_param, eg, ex = hand_update(expect_param, grad, 1, eg, ex, 0.9, 1e-5)
         np.testing.assert_array_equal(param.data, expect_param)
-        np.testing.assert_array_equal(opt._states["p"][0], eg)
-        np.testing.assert_array_equal(opt._states["p"][1], ex)
+        np.testing.assert_array_equal(states(opt, "p")[0], eg)
+        np.testing.assert_array_equal(states(opt, "p")[1], ex)
 
     def test_accumulators_stay_non_negative(self):
         rng = np.random.default_rng(9)
         param, opt = one_tensor(np.zeros(10))
         for _ in range(100):
             step_with(param, opt, rng.uniform(-5, 5, 10))
-            assert all(np.all(acc >= 0) for acc in opt._states["p"])
+            assert all(np.all(acc >= 0) for acc in states(opt, "p"))
 
     def test_nan_gradient_aborts_without_touching_state(self):
         param, opt = one_tensor([1.0])
         step_with(param, opt, [0.5])
-        before = (param.data.copy(), *(acc.copy() for acc in opt._states["p"]))
+        before = (param.data.copy(), *(acc.copy() for acc in states(opt, "p")))
         with pytest.raises(NumericFailure):
             step_with(param, opt, [np.nan])
         np.testing.assert_array_equal(param.data, before[0])
-        np.testing.assert_array_equal(opt._states["p"][0], before[1])
-        np.testing.assert_array_equal(opt._states["p"][1], before[2])
+        np.testing.assert_array_equal(states(opt, "p")[0], before[1])
+        np.testing.assert_array_equal(states(opt, "p")[1], before[2])
 
     def test_a_step_is_all_or_nothing(self):
         # The second parameter's NaN must stop the first one's update too.
@@ -95,15 +105,15 @@ class TestAdadeltaStep:
         for p in params.values():
             p.grad = rng.uniform(-1, 1, 4)
         opt.step()
-        before = {name: (p.data.copy(), *(acc.copy() for acc in opt._states[name])) for name, p in params.items()}
+        before = {name: (p.data.copy(), *(acc.copy() for acc in states(opt, name))) for name, p in params.items()}
         params["a"].grad = rng.uniform(-1, 1, 4)
         params["b"].grad = np.array([0.1, np.nan, 0.2, 0.3])
         with pytest.raises(NumericFailure, match="for b"):
             opt.step()
         for name, p in params.items():
             np.testing.assert_array_equal(p.data, before[name][0], err_msg=name)
-            np.testing.assert_array_equal(opt._states[name][0], before[name][1], err_msg=name)
-            np.testing.assert_array_equal(opt._states[name][1], before[name][2], err_msg=name)
+            np.testing.assert_array_equal(states(opt, name)[0], before[name][1], err_msg=name)
+            np.testing.assert_array_equal(states(opt, name)[1], before[name][2], err_msg=name)
 
     def test_shape_mismatch_rejected(self):
         param, opt = one_tensor(np.zeros(3))
@@ -143,11 +153,11 @@ class TestAdadeltaOptimizer:
         param, opt = one_tensor(np.ones(3))
         step_with(param, opt, np.ones(3))
         after_first = param.data.copy()
-        sq_grad, sq_step = (acc.copy() for acc in opt._states["p"])
+        sq_grad, sq_step = (acc.copy() for acc in states(opt, "p"))
         opt.step()  # no gradient accumulated
         np.testing.assert_array_equal(param.data, after_first)
-        np.testing.assert_array_equal(opt._states["p"][0], sq_grad * 0.95)
-        np.testing.assert_array_equal(opt._states["p"][1], sq_step * 0.95)
+        np.testing.assert_array_equal(states(opt, "p")[0], sq_grad * 0.95)
+        np.testing.assert_array_equal(states(opt, "p")[1], sq_step * 0.95)
 
     def test_parameters_of_different_sizes_share_the_scratch(self):
         rng = np.random.default_rng(4)
@@ -200,8 +210,8 @@ class TestGradientBuffer:
                 value, avg_sq_grad, avg_sq_step = expected[name]
                 expected[name] = hand_update(value, grads[name], batch_size, avg_sq_grad, avg_sq_step, 0.9, 1e-5)
                 np.testing.assert_array_equal(p.data, expected[name][0], err_msg=name)
-                np.testing.assert_array_equal(opt._states[name][0], expected[name][1], err_msg=name)
-                np.testing.assert_array_equal(opt._states[name][1], expected[name][2], err_msg=name)
+                np.testing.assert_array_equal(states(opt, name)[0], expected[name][1], err_msg=name)
+                np.testing.assert_array_equal(states(opt, name)[1], expected[name][2], err_msg=name)
                 assert not p.grad.any(), name
         np.testing.assert_array_equal(idle.data, idle_before)
         assert system.data is table.system_matrix
@@ -217,12 +227,12 @@ class TestGradientBuffer:
         for p in params.values():
             p.grad += rng.uniform(-1, 1, p.shape)
         opt.step(2)
-        before = {name: (p.data.copy(), *(acc.copy() for acc in opt._states[name])) for name, p in params.items()}
+        before = {name: (p.data.copy(), *(acc.copy() for acc in states(opt, name))) for name, p in params.items()}
         for p in params.values():
             p.grad += rng.uniform(-1, 1, p.shape)
         params["last"].grad[-1] = np.nan
         with pytest.raises(NumericFailure, match="for last"):
             opt.step(2)
         for name, p in params.items():
-            for now, then in zip((p.data, *opt._states[name]), before[name]):
+            for now, then in zip((p.data, *states(opt, name)), before[name]):
                 np.testing.assert_array_equal(now, then, err_msg=name)
