@@ -285,8 +285,9 @@ class TestExitCodes:
         assert not (tmp_path / "out.frames").exists()
 
     def test_a_non_finite_training_loss_is_three(self, workspace, tmp_path, capsys, monkeypatch):
-        # Every loss reads as infinite, while the graph and its gradients stay finite, so the
-        # epoch's mean-loss check is what stops the run.
+        # A defensive check that real training does not reach: a non-finite loss comes with a
+        # NaN gradient, which the optimizer refuses first.  Every loss here reads as infinite
+        # while the gradients stay finite, so the epoch's mean-loss check is what stops the run.
         dataset = tmp_path / "mini.ds"
         assert run(["import", workspace["root"], workspace["flist"], dataset,
                     "--config", workspace["config"]]) == 0

@@ -24,7 +24,7 @@ def hand_update(param, grad_sum, batch_size, avg_sq_grad, avg_sq_step, rho, eps)
 
 
 def states(optimizer: Adadelta, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """A parameter's (E[g^2], E[dx^2]): its slices of the flat accumulators, laid out in parameter order."""
+    """A parameter's (E[g^2], E[dx^2]) in a multi-parameter optimizer: its slices of the flat accumulators."""
     start = 0
     for key, p in optimizer._params.items():
         if key == name:
@@ -49,7 +49,7 @@ class TestAdadeltaStep:
         before = param.data.copy()
         step_with(param, opt, np.zeros(3))
         np.testing.assert_array_equal(param.data, before)
-        assert np.all(states(opt, "p")[1] == 0.0)
+        assert np.all(opt._accumulators[1] == 0.0)
 
     def test_first_step_matches_hand_execution(self):
         param, opt = one_tensor([0.0], rho=0.95, epsilon=1e-6)
@@ -77,25 +77,25 @@ class TestAdadeltaStep:
             step_with(param, opt, grad)
             expect_param, eg, ex = hand_update(expect_param, grad, 1, eg, ex, 0.9, 1e-5)
         np.testing.assert_array_equal(param.data, expect_param)
-        np.testing.assert_array_equal(states(opt, "p")[0], eg)
-        np.testing.assert_array_equal(states(opt, "p")[1], ex)
+        np.testing.assert_array_equal(opt._accumulators[0], eg.ravel())
+        np.testing.assert_array_equal(opt._accumulators[1], ex.ravel())
 
     def test_accumulators_stay_non_negative(self):
         rng = np.random.default_rng(9)
         param, opt = one_tensor(np.zeros(10))
         for _ in range(100):
             step_with(param, opt, rng.uniform(-5, 5, 10))
-            assert all(np.all(acc >= 0) for acc in states(opt, "p"))
+            assert all(np.all(acc >= 0) for acc in opt._accumulators)
 
     def test_nan_gradient_aborts_without_touching_state(self):
         param, opt = one_tensor([1.0])
         step_with(param, opt, [0.5])
-        before = (param.data.copy(), *(acc.copy() for acc in states(opt, "p")))
+        before = (param.data.copy(), *(acc.copy() for acc in opt._accumulators))
         with pytest.raises(NumericFailure):
             step_with(param, opt, [np.nan])
         np.testing.assert_array_equal(param.data, before[0])
-        np.testing.assert_array_equal(states(opt, "p")[0], before[1])
-        np.testing.assert_array_equal(states(opt, "p")[1], before[2])
+        np.testing.assert_array_equal(opt._accumulators[0], before[1])
+        np.testing.assert_array_equal(opt._accumulators[1], before[2])
 
     def test_a_step_is_all_or_nothing(self):
         # The second parameter's NaN must stop the first one's update too.
@@ -153,11 +153,11 @@ class TestAdadeltaOptimizer:
         param, opt = one_tensor(np.ones(3))
         step_with(param, opt, np.ones(3))
         after_first = param.data.copy()
-        sq_grad, sq_step = (acc.copy() for acc in states(opt, "p"))
+        sq_grad, sq_step = (acc.copy() for acc in opt._accumulators)
         opt.step()  # no gradient accumulated
         np.testing.assert_array_equal(param.data, after_first)
-        np.testing.assert_array_equal(states(opt, "p")[0], sq_grad * 0.95)
-        np.testing.assert_array_equal(states(opt, "p")[1], sq_step * 0.95)
+        np.testing.assert_array_equal(opt._accumulators[0], sq_grad * 0.95)
+        np.testing.assert_array_equal(opt._accumulators[1], sq_step * 0.95)
 
     def test_parameters_of_different_sizes_share_the_scratch(self):
         rng = np.random.default_rng(4)

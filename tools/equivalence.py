@@ -16,8 +16,8 @@ output file, in ``sha256sum`` format.  ``OUT/report.txt`` names each file
 that differs or exists on one side only and, for each checkpoint that
 differs, the largest absolute difference of every array.  The exit code is
 0 when the manifests are identical, 1 when they differ, and 2 when a
-command fails or an argument is wrong.  The two trees run side by side,
-one command at a time each.
+command fails or an argument is wrong.  The old tree runs its commands
+first, then the new tree.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,9 +54,8 @@ def commands(out: Path, side: str, variants, seeds, folds: int) -> list[list[str
             runs.append(["train", corpus / "train.ds", run / "ckpt", *chosen])
             runs.append(["decode", run / "ckpt", corpus / "test.ds", run / "full.frames"])
             runs.append(["decode", run / "ckpt", corpus / "test.ds", run / "step1.frames", "--step1-only"])
-    if folds:
-        runs.append(["cv", corpus / "train.ds", base / "cv", "--folds", str(folds), "--config", config,
-                     "--set", f"model={variants[0]}", "--set", f"seed={seeds[0]}"])
+    runs.append(["cv", corpus / "train.ds", base / "cv", "--folds", str(folds), "--config", config,
+                 "--set", f"model={variants[0]}", "--set", f"seed={seeds[0]}"])
     return [[str(arg) for arg in argv] for argv in runs]
 
 
@@ -119,8 +117,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     parser.add_argument("--train-dialogues", type=int, default=20)
     parser.add_argument("--test-dialogues", type=int, default=10)
-    parser.add_argument("--corpus-seed", type=int, default=1)
-    parser.add_argument("--folds", type=int, default=3, help="cv folds; 0 skips cv")
+    parser.add_argument("--folds", type=int, default=3, help="cv folds")
     parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
                         help="override one key of the reduced run config (repeatable)")
     args = parser.parse_args(argv)
@@ -138,15 +135,14 @@ def main(argv=None) -> int:
             parser.error(f"--set needs KEY=VALUE, got {pair!r}")
         settings[key.strip()] = value.strip()
 
-    files = generate(CorpusShape(args.train_dialogues, args.test_dialogues), args.corpus_seed, out / "corpus")
+    files = generate(CorpusShape(args.train_dialogues, args.test_dialogues), 1, out / "corpus")
     settings["embeddings"] = files.vectors
     (out / "run.cfg").write_text("".join(f"{key} = {value}\n" for key, value in settings.items()), encoding="utf-8")
-    with ThreadPoolExecutor(len(SIDES)) as pool:
-        jobs = [pool.submit(run_tree, trees[side], out, commands(out, side, args.variants, args.seeds, args.folds))
-                for side in SIDES]
-    failures = [str(job.exception()) for job in jobs if job.exception() is not None]
-    if failures:
-        print("\n".join(failures), file=sys.stderr)
+    try:
+        for side in SIDES:
+            run_tree(trees[side], out, commands(out, side, args.variants, args.seeds, args.folds))
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
     lines = compare(out)
