@@ -355,22 +355,54 @@ def _confidence(value) -> float:
     return score
 
 
-def _dict_to_turn(doc: dict) -> Turn:
-    if not doc["hyps"]:
-        raise ValueError("empty hyps list; supply a single empty hypothesis instead")
-    return Turn(
-        session=str(doc["session"]),
-        index=int(doc["index"]),
-        nbest=tuple(AsrHypothesis(str(h["text"]), _confidence(h["score"])) for h in doc["hyps"]),
-        system_history=tuple(
-            tuple(SystemAct(str(a["act"]), tuple((str(s), str(v)) for s, v in a["slots"])) for a in st)
-            for st in doc["system_acts"]
-        ),
-        reference=ReferenceFrame(
-            str(doc["reference"]["act"]),
-            tuple((str(s), str(v)) for s, v in doc["reference"]["slots"]),
-        ),
-    )
+def _system_turn(raw) -> tuple[SystemAct, ...]:
+    return tuple(SystemAct(str(a["act"]), tuple((str(s), str(v)) for s, v in a["slots"])) for a in raw)
+
+
+def _all_text(raw) -> bool:
+    """Whether a system turn's record holds only strings, where equal records read equal."""
+    return all(type(a["act"]) is str and all(type(s) is str and type(v) is str for s, v in a["slots"])
+               for a in raw)
+
+
+def _turn_reader() -> Callable[[dict], Turn]:
+    """A record-to-``Turn`` parser for the records of one file, in order.
+
+    A dialogue's records repeat its earlier system turns, so a system turn
+    whose record equals the previous record's at the same position reuses
+    that record's tuple instead of building it again.  Only all-string
+    records are reused: 1, 1.0 and true compare equal but read as different
+    strings.  Each history is a new outer tuple, so no two non-empty
+    histories are the same object.
+    """
+    previous: list = []  # (record, tuple) per position of the previous record's history, reusable or None
+
+    def parse(doc: dict) -> Turn:
+        if not doc["hyps"]:
+            raise ValueError("empty hyps list; supply a single empty hypothesis instead")
+        history, shared = [], []
+        for position, raw in enumerate(doc["system_acts"]):
+            old = previous[position] if position < len(previous) else None
+            if old is not None and old[0] == raw:
+                system_turn = old[1]
+            else:
+                system_turn = _system_turn(raw)
+                old = (raw, system_turn) if _all_text(raw) else None
+            history.append(system_turn)
+            shared.append(old)
+        previous[:] = shared
+        return Turn(
+            session=str(doc["session"]),
+            index=int(doc["index"]),
+            nbest=tuple(AsrHypothesis(str(h["text"]), _confidence(h["score"])) for h in doc["hyps"]),
+            system_history=tuple(history),
+            reference=ReferenceFrame(
+                str(doc["reference"]["act"]),
+                tuple((str(s), str(v)) for s, v in doc["reference"]["slots"]),
+            ),
+        )
+
+    return parse
 
 
 def _checksum(lines: Sequence[str]) -> str:
@@ -403,7 +435,7 @@ def read_canonical(path) -> Dataset:
     if type(max_patterns) is not int or max_patterns < 1:
         raise DataFormatError(f"{path}: max_act_patterns must be a positive integer, got {max_patterns!r}")
 
-    turns = parse_records(path, enumerate(lines, start=2), _dict_to_turn, "turn")
+    turns = parse_records(path, enumerate(lines, start=2), _turn_reader(), "turn")
     seen: set[tuple[str, int]] = set()
     for number, turn in enumerate(turns, start=2):
         key = (turn.session, turn.index)
@@ -422,7 +454,7 @@ def read_turns(path) -> Dataset:
     if isinstance(first, dict) and first.get("format"):
         return read_canonical(path)
     numbered = ((n, line) for n, line in enumerate(text_lines(path), start=1) if line.strip())
-    turns = parse_records(path, numbered, _dict_to_turn, "turn")
+    turns = parse_records(path, numbered, _turn_reader(), "turn")
     if not turns:
         raise DataFormatError(f"{path}: no turns found")
     return Dataset(tuple(turns), Ontology.derive(turns), {"source": str(path), "derived": "headerless"})

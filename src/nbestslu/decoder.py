@@ -7,16 +7,20 @@ detected slot's value model for the most probable value.  Item
 confidences compose multiplicatively: a slot-value item carries
 P(present) * P(value | slot), the act item carries P(act).
 
-Each ``decode_turn`` call tokenizes the turn's n-best list once, and step
-one and every value model encode that one ``NBestList``, reading the
-arrays it built when it was made.  The predictors return plain arrays and
-floats; ``decode_turn`` takes the argmax itself.  Nothing is kept from one
-call to the next.
+``decode_turns`` decodes a list of turns: it tokenizes each turn's n-best
+list once, and each model takes the context states of the turns it reads
+from one ``TurnEncoder.contexts`` call, then encodes turn by turn with
+them.  ``decode_turn`` is a list of one.  The predictors return plain
+arrays and floats; ``decode_turns`` takes the argmax itself.  Nothing is
+kept from one call to the next.  A batched LSTM run may round in the last
+bits differently from a run over fewer turns, so a turn's confidences can
+depend that far on the list it was decoded in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,20 +60,74 @@ def turn_nbest(turn: Turn) -> NBestList:
     return NBestList(Hypothesis(tokenize(h.text).tokens, float(h.score)) for h in turn.nbest)
 
 
-def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList) -> tuple[np.ndarray, dict[str, float]]:
-    """(act distribution, presence probability per slot) for one turn, whose n-best list is ``nbest``."""
-    hidden = model.encoder.encode(nbest, turn.system_history)
+def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList,
+                  context=None) -> tuple[np.ndarray, dict[str, float]]:
+    """(act distribution, presence probability per slot) for one turn, whose n-best list is ``nbest``.
+
+    ``context`` is the turn's state from ``model.encoder.contexts``; without
+    it ``encode`` runs the turn's history alone.
+    """
+    hidden = model.encoder.encode(nbest, turn.system_history, context)
     act, slots = model.head_probs(hidden)
     presence = {slot: float(slots[slot].data[StepOneModel.PRESENT]) for slot in model.ontology.slots}
     return act.data.copy(), presence
 
 
-def predict_value(model: SlotValueModel, turn: Turn, slot: str, nbest: NBestList) -> np.ndarray:
-    """Value distribution for one detected slot of a turn whose n-best list is ``nbest``."""
+def predict_value(model: SlotValueModel, turn: Turn, slot: str, nbest: NBestList, context=None) -> np.ndarray:
+    """Value distribution for one detected slot of a turn whose n-best list is ``nbest``.
+
+    ``context`` is as in ``predict_joint``.
+    """
     if slot != model.slot:
         raise DomainError(f"model predicts values for slot {model.slot!r}, not {slot!r}")
-    hidden = model.encoder.encode(nbest, turn.system_history)
+    hidden = model.encoder.encode(nbest, turn.system_history, context)
     return model.value_probs(hidden).data.copy()
+
+
+def decode_turns(
+    turns: Sequence[Turn],
+    step1: StepOneModel,
+    slot_models: dict[str, SlotValueModel],
+    *,
+    step1_only: bool = False,
+) -> list[SemanticFrame]:
+    """Assemble the semantic frame of each turn, in order.
+
+    Step one takes every turn's context state from one ``contexts`` call;
+    step two, per slot with a value model, from one call over the turns
+    where step one detected that slot.
+    """
+    nbests = [turn_nbest(turn) for turn in turns]
+    contexts = step1.encoder.contexts([turn.system_history for turn in turns])
+    acts, found = [], []  # per turn: (act, confidence); (value, confidence) of each detected slot, in ontology order
+    for turn, nbest, context in zip(turns, nbests, contexts):
+        act_probs, presence = predict_joint(step1, turn, nbest, context)
+        best = int(np.argmax(act_probs))
+        acts.append((step1.ontology.acts[best], float(act_probs[best])))
+        found.append({slot: (None, p) for slot, p in presence.items() if p > 0.5})
+
+    detected = set() if step1_only else {slot for items in found for slot in items}
+    for slot in step1.ontology.slots:
+        if slot not in detected:
+            continue
+        positions = [i for i, items in enumerate(found) if slot in items]
+        model = slot_models.get(slot)
+        if model is None:
+            inventory = step1.ontology.slot_values(slot)
+            if len(inventory) != 1:
+                raise ConfigError(f"no value model for multi-valued slot {slot!r}; checkpoint is incomplete")
+            # Single-value slots skip value prediction: detection decides.
+            for i in positions:
+                found[i][slot] = inventory[0], found[i][slot][1]
+            continue
+        contexts = model.encoder.contexts([turns[i].system_history for i in positions])
+        for i, context in zip(positions, contexts):
+            probs = predict_value(model, turns[i], slot, nbests[i], context)
+            best = int(np.argmax(probs))
+            found[i][slot] = model.values[best], found[i][slot][1] * float(probs[best])
+
+    return [SemanticFrame(act, confidence, tuple(SlotValuePrediction(slot, *item) for slot, item in items.items()))
+            for (act, confidence), items in zip(acts, found)]
 
 
 def decode_turn(
@@ -79,33 +137,9 @@ def decode_turn(
     *,
     step1_only: bool = False,
 ) -> SemanticFrame:
-    """Assemble the semantic frame for one turn."""
-    nbest = turn_nbest(turn)
-    act_probs, slot_presence = predict_joint(step1, turn, nbest)
-    act_index = int(np.argmax(act_probs))
-
-    slots: list[SlotValuePrediction] = []
-    for slot in step1.ontology.slots:
-        presence = slot_presence[slot]
-        if presence <= 0.5:
-            continue
-        if step1_only:
-            slots.append(SlotValuePrediction(slot, None, presence))
-            continue
-        model = slot_models.get(slot)
-        if model is None:
-            inventory = step1.ontology.slot_values(slot)
-            if len(inventory) != 1:
-                raise ConfigError(
-                    f"no value model for multi-valued slot {slot!r}; checkpoint is incomplete"
-                )
-            # Single-value slots skip value prediction: detection decides.
-            slots.append(SlotValuePrediction(slot, inventory[0], presence))
-            continue
-        probs = predict_value(model, turn, slot, nbest)
-        best = int(np.argmax(probs))
-        slots.append(SlotValuePrediction(slot, model.values[best], presence * float(probs[best])))
-    return SemanticFrame(step1.ontology.acts[act_index], float(act_probs[act_index]), tuple(slots))
+    """Assemble the semantic frame for one turn: ``decode_turns`` over a list of one."""
+    (frame,) = decode_turns([turn], step1, slot_models, step1_only=step1_only)
+    return frame
 
 
 def decode_dataset(
@@ -115,7 +149,7 @@ def decode_dataset(
     *,
     step1_only: bool = False,
 ) -> list[SemanticFrame]:
-    return [decode_turn(t, step1, slot_models, step1_only=step1_only) for t in dataset.turns]
+    return decode_turns(dataset.turns, step1, slot_models, step1_only=step1_only)
 
 
 # ---------------------------------------------------------------------------

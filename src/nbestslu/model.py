@@ -31,6 +31,11 @@ from .errors import ConfigError
 from .ontology import Ontology
 from .sentence import ConvFilterBank, NBestList, encode_sentence
 
+# Most context tokens one LSTM run holds.  The kernel keeps about 7.2 KB per
+# token at paper sizes (inputs, gates, states and squashed cells), so a run
+# stays under 60 MB however many turns a list holds.
+CONTEXT_TOKENS = 8192
+
 
 class TurnEncoder:
     """Everything between raw turn inputs and the hidden vector the heads read."""
@@ -64,17 +69,31 @@ class TurnEncoder:
         return out
 
     def contexts(self, histories) -> list:
-        """Each history's context state (hidden, cell), from one LSTM run over all of them.
+        """Each history's context state (hidden, cell), in order.
 
-        A state is ``encode``'s ``context`` for its turn.  Without a context
-        model every state is None.
+        A state is ``encode``'s ``context`` for its turn.  The histories'
+        token streams run through the LSTM in consecutive runs of at most
+        ``CONTEXT_TOKENS`` tokens (a longer stream runs alone), so a long
+        list of turns holds bounded memory; a mini-batch within the bound
+        is one run.  Without a context model every state is None.
         """
         if self.lstm is None:
             return [None] * len(histories)
-        streams = [context_tokens(history, self.window) for history in histories]
-        hidden, cell = run_context_lstm([token for stream in streams for token in stream], self.table,
-                                        self.system_embeddings, self.lstm, [len(stream) for stream in streams])
-        return list(zip(ag.unstack(hidden), ag.unstack(cell)))
+        runs: list[list[list[str]]] = []
+        size = 0
+        for history in histories:
+            stream = context_tokens(history, self.window)
+            if not runs or size + len(stream) > CONTEXT_TOKENS:
+                runs.append([])
+                size = 0
+            runs[-1].append(stream)
+            size += len(stream)
+        states: list = []
+        for run in runs:
+            hidden, cell = run_context_lstm([token for stream in run for token in stream], self.table,
+                                            self.system_embeddings, self.lstm, [len(stream) for stream in run])
+            states += zip(ag.unstack(hidden), ag.unstack(cell))
+        return states
 
     def encode(self, nbest: NBestList, system_history, context=None) -> Tensor:
         """Hidden vector for one turn: the sentence vector alone when there is no context model.

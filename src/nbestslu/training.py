@@ -9,8 +9,11 @@ early stopping and keeps the final epoch instead.
 
 Mini-batch gradients are the mean of per-example gradients, so the loss
 scale does not depend on the batch size.  A mini-batch is one context-LSTM
-run over its examples' histories and one backward pass over the sum of
-their losses.
+run over its examples' histories (while they hold at most
+``model.CONTEXT_TOKENS`` tokens) and one backward pass over the sum of
+their losses.  Validation decodes its whole split as one list, through
+``decoder.decode_turns`` or, for value models, ``decoder.predict_value``
+with one context pass.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _restore(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -> None
 
 def step1_f1(model: StepOneModel, turns: Sequence[Turn]) -> float:
     """Micro item-F1 of act plus slot-presence items."""
-    frames = [decoder.decode_turn(t, model, {}, step1_only=True) for t in turns]
+    frames = decoder.decode_turns(turns, model, {}, step1_only=True)
     preds = [frame_items(f, STEP1) for f in frames]
     refs = [reference_items(t.reference, STEP1) for t in turns]
     return prf1(item_counts(preds, refs))[2]
@@ -72,7 +75,7 @@ def step1_f1(model: StepOneModel, turns: Sequence[Turn]) -> float:
 
 def step1_head_accuracies(model: StepOneModel, turns: Sequence[Turn]) -> dict[str, float]:
     """Per-head accuracy against the model's own training targets."""
-    frames = [decoder.decode_turn(t, model, {}, step1_only=True) for t in turns]
+    frames = decoder.decode_turns(turns, model, {}, step1_only=True)
     return head_accuracies(frames, [t.reference for t in turns], model.ontology.slots, model.ontology.act_label)
 
 
@@ -229,8 +232,7 @@ def train_step2(
         hits = 0
         contexts = model.encoder.contexts([t.system_history for t, _, _ in val])
         for (t, nbest, value), context in zip(val, contexts):
-            probs = model.value_probs(model.encoder.encode(nbest, t.system_history, context))
-            hits += int(np.argmax(probs.data)) == value
+            hits += int(np.argmax(decoder.predict_value(model, t, slot, nbest, context))) == value
         return hits / len(val)
 
     _run_epochs(
@@ -262,7 +264,7 @@ def cross_validate_step1(
         if log_fn:
             log_fn(f"fold {fold}: {train_ds.dialogue_count} train / {held_ds.dialogue_count} held dialogues")
         model, _ = train_step1(train_ds, config, store, log_fn=log_fn)
-        frames = [decoder.decode_turn(t, model, {}, step1_only=True) for t in held_ds.turns]
+        frames = decoder.decode_turns(held_ds.turns, model, {}, step1_only=True)
         report = score_frames(frames, held_ds.turns, model.ontology, STEP1)
         reports.append(report)
         if log_fn:

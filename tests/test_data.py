@@ -155,6 +155,33 @@ class TestCanonicalRoundTrip:
         write_canonical(ds, path)
         assert read_canonical(path) == ds
 
+    @pytest.mark.parametrize("turns_per_dialogue", [1, 4])
+    def test_a_read_shares_system_turns_but_never_a_history(self, tmp_path, turns_per_dialogue):
+        ds = synthetic_dataset(5, turns_per_dialogue)
+        path = tmp_path / "shared.ds"
+        write_canonical(ds, path)
+        read = read_canonical(path)
+        assert read == ds
+        for earlier, later in zip(read.turns, read.turns[1:]):
+            if earlier.session == later.session:
+                assert all(a is b for a, b in zip(earlier.system_history, later.system_history))
+        # One-turn dialogues open with equal system turns: their histories are equal, not one object.
+        histories = [t.system_history for t in read.turns if t.system_history]
+        assert len({id(h) for h in histories}) == len(histories) == len(read.turns)
+
+    def test_values_that_compare_equal_but_print_differently_are_not_shared(self, tmp_path):
+        def record(index, act, value):
+            return {"session": "s", "index": index, "hyps": [{"text": "hi", "score": 1.0}],
+                    "system_acts": [[{"act": act, "slots": [["count", value]]}]],
+                    "reference": {"act": "hello", "slots": []}}
+
+        path = tmp_path / "loose.jsonl"
+        path.write_text("".join(json.dumps(record(i, act, value)) + "\n"
+                                for i, (act, value) in enumerate([(True, 1), (1, 1.0), ("1", "1")])))
+        acts = [t.system_history[0][0] for t in read_turns(path).turns]
+        assert [(a.name, a.pairs) for a in acts] == [("True", (("count", "1"),)), ("1", (("count", "1.0"),)),
+                                                     ("1", (("count", "1"),))]
+
     def test_hand_written_two_turn_file(self, tmp_path):
         turns = [
             {"session": "s1", "index": 0,

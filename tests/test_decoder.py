@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from nbestslu import decoder
+from nbestslu import model as model_mod
 from nbestslu.config import RunConfig
 from nbestslu.data import collect_system_tokens
 from nbestslu.decoder import (
     SemanticFrame,
     SlotValuePrediction,
     decode_turn,
+    decode_turns,
     predict_joint,
     predict_value,
     turn_nbest,
@@ -231,6 +233,92 @@ class TestDecodeTurn:
         a = decode_turn(turn, model, {}, step1_only=True)
         b = decode_turn(stripped, model, {}, step1_only=True)
         assert a == b
+
+
+def detecting_models(dataset, store, config=TOY):
+    """A step-one model with random presence heads, so some slots are detected, and every value model."""
+    model = build_step1(dataset, store, config)
+    rng = np.random.default_rng(4)
+    for slot in dataset.ontology.slots:
+        for tensor in model.heads[f"head.slot.{slot}"]:
+            tensor.data[...] = rng.uniform(-2, 2, tensor.shape)
+    slot_models = {
+        slot: SlotValueModel.build(config, slot, pos, dataset.ontology.slot_values(slot),
+                                   collect_system_tokens(dataset.turns), store)
+        for pos, slot in enumerate(dataset.ontology.slots) if len(dataset.ontology.slot_values(slot)) >= 2
+    }
+    return model, slot_models
+
+
+def count_runs(monkeypatch) -> list:
+    """The ``lengths`` of every context-LSTM run from now on, in call order."""
+    runs = []
+    run_context_lstm = model_mod.run_context_lstm
+
+    def counted(tokens, table, embeddings, params, lengths):
+        runs.append(lengths)
+        return run_context_lstm(tokens, table, embeddings, params, lengths)
+
+    monkeypatch.setattr(model_mod, "run_context_lstm", counted)
+    return runs
+
+
+def assert_frames_close(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.act, [(s.slot, s.value) for s in a.slots]) == (b.act, [(s.slot, s.value) for s in b.slots])
+        np.testing.assert_allclose([a.act_confidence, *(s.confidence for s in a.slots)],
+                                   [b.act_confidence, *(s.confidence for s in b.slots)], rtol=0, atol=1e-12)
+
+
+class TestDecodeTurns:
+    CNN = replace(TOY, model="cnn")
+
+    @pytest.mark.parametrize("config", [TOY, CNN], ids=["cnn_lstm_w4", "cnn"])
+    @pytest.mark.parametrize("step1_only", [False, True], ids=["full", "step1_only"])
+    def test_a_list_decodes_as_each_turn_alone(self, dataset, store, config, step1_only):
+        model, slot_models = detecting_models(dataset, store, config)
+        alone = [decode_turn(t, model, slot_models, step1_only=step1_only) for t in dataset.turns]
+        assert any(frame.slots for frame in alone)
+        assert_frames_close(decode_turns(dataset.turns, model, slot_models, step1_only=step1_only), alone)
+
+    def test_a_turn_decodes_the_same_in_any_list(self, dataset, store, monkeypatch):
+        model, slot_models = detecting_models(dataset, store)
+        turns = list(dataset.turns)
+        whole = decode_turns(turns, model, slot_models)
+        order = np.random.default_rng(5).permutation(len(turns))
+        shuffled = decode_turns([turns[i] for i in order], model, slot_models)
+        assert_frames_close([shuffled[list(order).index(i)] for i in range(len(turns))], whole)
+        half = len(turns) // 2
+        assert_frames_close(decode_turns(turns[:half], model, slot_models)
+                            + decode_turns(turns[half:], model, slot_models), whole)
+
+        runs = count_runs(monkeypatch)
+        monkeypatch.setattr(model_mod, "CONTEXT_TOKENS", 12)
+        split = decode_turns(turns, model, slot_models)
+        assert_frames_close(split, whole)
+        assert all(sum(lengths) <= 12 or len(lengths) == 1 for lengths in runs)
+        assert len(runs[0]) < len(turns) and sum(len(lengths) for lengths in runs) > len(turns)
+
+    def test_each_model_runs_its_contexts_once(self, dataset, store, monkeypatch):
+        model, slot_models = detecting_models(dataset, store)
+        runs = count_runs(monkeypatch)
+        frames = decode_turns(dataset.turns, model, slot_models)
+        detected = {item.slot for frame in frames for item in frame.slots if item.slot in slot_models}
+        assert [len(lengths) for lengths in runs] == [len(dataset.turns)] + [
+            sum(slot in {item.slot for item in frame.slots} for frame in frames)
+            for slot in dataset.ontology.slots if slot in detected]
+
+    def test_an_empty_list_decodes_to_nothing(self, dataset, store):
+        model, slot_models = detecting_models(dataset, store)
+        assert decode_turns([], model, slot_models) == []
+
+    def test_a_missing_multi_valued_model_is_an_error(self, dataset, store):
+        model, slot_models = detecting_models(dataset, store)
+        frames = decode_turns(dataset.turns, model, slot_models)
+        slot = next(item.slot for frame in frames for item in frame.slots if item.slot in slot_models)
+        with pytest.raises(ConfigError):
+            decode_turns(dataset.turns, model, {k: v for k, v in slot_models.items() if k != slot})
 
 
 class TestTurnEncoder:

@@ -3,7 +3,11 @@
 import importlib.util
 from pathlib import Path
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 from nbestslu.checkpoint import load_container, save_container
+from nbestslu.decoder import read_frames, write_frames
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("equivalence", ROOT / "tools" / "equivalence.py")
@@ -34,3 +38,34 @@ def test_one_tree_twice_gives_identical_manifests_and_a_changed_array_is_reporte
     assert "  head.act.b: max abs diff 2.500e-01" in report
     assert "  head.act.w: max abs diff 0.000e+00" in report
     assert sum(line.endswith(": differs") for line in report) == 1
+
+
+def _rewrite_frames(path, change) -> int:
+    """Rewrite a frames file with ``change`` applied to its frame list; returns the frame count."""
+    header, rows = read_frames(path)
+    frames = change([frame for _, _, frame in rows])
+    turns = [SimpleNamespace(session=session, index=index) for session, index, _ in rows]
+    write_frames(path, frames, turns, mode=header["items"], config_hash=header["config_hash"],
+                 ontology_hash=header["ontology_hash"])
+    return len(frames)
+
+
+def test_differing_frames_and_cv_rows_are_explained(tmp_path):
+    out = tmp_path / "out"
+    assert equivalence.main([str(ROOT), str(ROOT), str(out), *TINY]) == 0
+    run = out / "new" / "cnn_lstm_w1-s1"
+    count = _rewrite_frames(run / "full.frames", lambda frames: [
+        replace(frames[0], act_confidence=frames[0].act_confidence * (1 - 2e-13)), *frames[1:]])
+    _rewrite_frames(run / "step1.frames", lambda frames: [*frames[:-1], replace(frames[-1], act="not-an-act")])
+    tsv = out / "new" / "cv" / "fold_0.tsv"
+    tsv.write_text(tsv.read_text(encoding="utf-8").replace("\nturns\t", "\nturns\t1", 1), encoding="utf-8")
+
+    report = equivalence.compare(out)
+    full = report.index("cnn_lstm_w1-s1/full.frames: differs")
+    assert report[full + 1].startswith(f"  {count} frames: acts, slots and values identical; max confidence diff ")
+    assert 0 < float(report[full + 1].rsplit(" ", 1)[1]) < 1e-12
+    step1 = report.index("cnn_lstm_w1-s1/step1.frames: differs")
+    assert report[step1 + 1] == f"  1 of {count} frames differ in turn, act, slots or values"
+    fold = report.index("cv/fold_0.tsv: differs")
+    assert report[fold + 1].startswith("  turns: abs diff ") and float(report[fold + 1].rsplit(" ", 1)[1]) >= 9
+    assert len(report) == 6

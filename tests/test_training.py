@@ -12,8 +12,9 @@ from nbestslu import training
 from nbestslu.autograd import nll_loss
 from nbestslu.config import RunConfig
 from nbestslu.data import collect_system_tokens, dumps
-from nbestslu.decoder import predict_value, turn_nbest
+from nbestslu.decoder import decode_turn, predict_value, turn_nbest
 from nbestslu.errors import DomainError
+from nbestslu.metrics import STEP1, frame_items, item_counts, prf1, reference_items
 from nbestslu.model import StepOneModel, TurnEncoder
 from nbestslu.training import cross_validate_step1, step1_head_accuracies, train_step1, train_step2
 
@@ -53,6 +54,15 @@ class TestStepOneTraining:
         model, log = trained
         accuracies = step1_head_accuracies(model, dataset.turns)
         assert min(accuracies.values()) >= 0.95, accuracies
+
+    def test_validation_f1_is_that_of_each_turn_decoded_alone(self, dataset, trained):
+        model, _ = trained
+        turns = dataset.turns[::2]
+        frames = [decode_turn(t, model, {}, step1_only=True) for t in turns]
+        counts = item_counts([frame_items(f, STEP1) for f in frames],
+                             [reference_items(t.reference, STEP1) for t in turns])
+        assert counts.tp > 0
+        assert training.step1_f1(model, turns) == prf1(counts)[2]
 
     def test_losses_are_finite_and_decrease(self, trained):
         _, log = trained

@@ -13,11 +13,13 @@ frames' ``config_hash`` record the vector file's path.
 
 ``OUT/old.manifest`` and ``OUT/new.manifest`` list the sha256 of every
 output file, in ``sha256sum`` format.  ``OUT/report.txt`` names each file
-that differs or exists on one side only and, for each checkpoint that
-differs, the largest absolute difference of every array.  The exit code is
-0 when the manifests are identical, 1 when they differ, and 2 when a
-command fails or an argument is wrong.  The old tree runs its commands
-first, then the new tree.
+that differs or exists on one side only.  For a checkpoint that differs
+it gives the largest absolute difference of every array; for a frames
+file, whether every turn's act, slots and values match and the largest
+confidence difference; for a cv report ``.tsv``, each differing row's
+absolute difference.  The exit code is 0 when the manifests are
+identical, 1 when they differ, and 2 when a command fails or an argument
+is wrong.  The old tree runs its commands first, then the new tree.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np  # noqa: E402
 
 from nbestslu.checkpoint import load_container  # noqa: E402
 from nbestslu.config import VARIANTS  # noqa: E402
+from nbestslu.decoder import read_frames  # noqa: E402
 from perfbench.corpus import CorpusShape, generate  # noqa: E402
 
 SIDES = ("old", "new")
@@ -89,6 +92,45 @@ def array_differences(old: Path, new: Path) -> list[str]:
     return lines
 
 
+def frame_differences(old: Path, new: Path) -> list[str]:
+    """Whether two frames files decode the same acts, slots and values, and their largest confidence difference."""
+    (_, old_rows), (_, new_rows) = read_frames(old), read_frames(new)
+
+    def items(row):
+        session, index, frame = row
+        return session, index, frame.act, [(item.slot, item.value) for item in frame.slots]
+
+    def confidences(rows):
+        return [c for _, _, frame in rows for c in (frame.act_confidence, *(item.confidence for item in frame.slots))]
+
+    changed = sum(items(a) != items(b) for a, b in zip(old_rows, new_rows)) + abs(len(old_rows) - len(new_rows))
+    if changed:
+        return [f"  {changed} of {len(new_rows)} frames differ in turn, act, slots or values"]
+    largest = max((abs(a - b) for a, b in zip(confidences(old_rows), confidences(new_rows))), default=0.0)
+    return [f"  {len(new_rows)} frames: acts, slots and values identical; max confidence diff {largest:.3e}"]
+
+
+def row_differences(old: Path, new: Path) -> list[str]:
+    """One line per differing row of two report ``.tsv`` files: its absolute difference, or both values."""
+    old_rows, new_rows = ([line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+                          for path in (old, new))
+    if [row[0] for row in old_rows] != [row[0] for row in new_rows]:
+        return ["  the rows differ"]
+    lines = []
+    for (name, a), (_, b) in zip(old_rows, new_rows):
+        if a == b:
+            continue
+        try:
+            lines.append(f"  {name}: abs diff {abs(float(a) - float(b)):.3e}")
+        except ValueError:
+            lines.append(f"  {name}: {a} -> {b}")
+    return lines
+
+
+# What the report says about a file that differs, by the file's suffix.
+EXPLAIN = {".ckpt": array_differences, ".frames": frame_differences, ".tsv": row_differences}
+
+
 def compare(out: Path) -> list[str]:
     """Write both manifests; returns the report's lines, empty when every file is identical."""
     found = {}
@@ -103,8 +145,9 @@ def compare(out: Path) -> list[str]:
             lines.append(f"{path}: only in {'new' if path not in old else 'old'}")
         elif old[path] != new[path]:
             lines.append(f"{path}: differs")
-            if path.endswith(".ckpt"):
-                lines += array_differences(out / "old" / path, out / "new" / path)
+            explain = EXPLAIN.get(Path(path).suffix)
+            if explain:
+                lines += explain(out / "old" / path, out / "new" / path)
     return lines
 
 
