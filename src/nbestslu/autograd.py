@@ -11,12 +11,14 @@ index of where it occurs, pools by max and finds the argmax only in
 backward) and the LSTM (``lstm_sequence``, one packed kernel over a batch
 of whole sequences, which reads the gate weights where
 ``context.LstmParams`` stores them, stacked gate-major).
-Each op records a closure that routes the upstream gradient to its
-inputs, and stamps the node with a serial number.  A node is always
-recorded after its inputs, so creation order is a topological order (the
-tape is a Wengert list): ``Tensor.backward`` replays the reachable
-closures in reverse serial order, leaving gradients on every input that
-asked for them.
+Ops take ``Tensor`` inputs; only index, length and weight arguments are
+plain arrays.  Each op records a closure that routes the upstream
+gradient to its inputs, and stamps the node with a serial number.  A node
+is always recorded after its inputs, so creation order is a topological
+order (the tape is a Wengert list): ``Tensor.backward`` runs from a
+scalar loss, seeded with gradient 1, and replays the reachable closures
+in reverse serial order, leaving gradients on every input that asked for
+them.
 
 Graphs are single-use: once ``backward`` has run, the tape is released
 and a fresh forward pass is required.  Parameters (leaf tensors with
@@ -85,26 +87,17 @@ class Tensor:
         label = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape},{label} requires_grad={self.requires_grad})"
 
-    def backward(self, upstream=None) -> None:
-        """Propagate gradients from this tensor back to every graph input.
+    def backward(self) -> None:
+        """Propagate gradients from this scalar loss back to every graph input.
 
-        ``upstream`` seeds the gradient at this tensor; it defaults to 1
-        for scalar outputs.  After the call the tape is released.
+        The loss's own gradient is 1.  After the call the tape is released.
         """
         if self._freed:
             raise GraphStateError("graph already consumed by a previous backward; run a new forward pass")
         if self._backprop is None:
             raise GraphStateError("backward requires a completed forward pass with gradient-tracked inputs")
-        if upstream is None:
-            if self.data.size != 1:
-                raise DomainError(f"implicit upstream gradient needs a scalar output, got shape {self.data.shape}")
-            upstream = np.ones_like(self.data)
-        else:
-            upstream = np.asarray(upstream, dtype=np.float64)
-            if upstream.shape != self.data.shape:
-                raise ShapeMismatchError(
-                    f"upstream gradient shape {upstream.shape} does not match output shape {self.data.shape}"
-                )
+        if self.data.size != 1:
+            raise DomainError(f"backward needs a scalar loss, got shape {self.data.shape}")
 
         # Every node is recorded after its inputs, so reverse creation order
         # handles each node before any of its inputs.
@@ -116,7 +109,7 @@ class Tensor:
                     reached.add(parent)
                     frontier.append(parent)
 
-        self.grad = upstream.copy() if self.grad is None else self.grad + upstream
+        self.grad = np.ones_like(self.data)
         for node in sorted(reached, key=lambda node: node._serial, reverse=True):
             node._backprop(node.grad)
             node._parents = ()
@@ -128,10 +121,6 @@ class Tensor:
 
 # Stamps each recorded node in creation order (see ``Tensor.backward``).
 _serials = itertools.count()
-
-
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backprop, opname: str) -> Tensor:
@@ -162,7 +151,6 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     Backward: d_weight = outer(g, x), d_x = weight.T @ g, d_bias = g.
     """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if (
         weight.ndim != 2
         or x.ndim != 1
@@ -188,7 +176,6 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product: [m,n] @ [n] -> [m] or [m,n] @ [n,p] -> [m,p]."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
     out = a.data @ b.data
@@ -204,7 +191,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"add shapes do not conform: {a.shape} + {b.shape}")
     out = a.data + b.data
@@ -218,7 +204,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"mul shapes do not conform: {a.shape} * {b.shape}")
     out = a.data * b.data
@@ -236,7 +221,6 @@ def add_n(parts: Sequence[Tensor]) -> Tensor:
     """Sum a sequence of same-shape tensors, left to right."""
     if not parts:
         raise DomainError("add_n needs at least one term")
-    parts = tuple(as_tensor(p) for p in parts)
     shape = parts[0].shape
     for p in parts[1:]:
         if p.shape != shape:
@@ -249,12 +233,11 @@ def add_n(parts: Sequence[Tensor]) -> Tensor:
         for p in parts:
             _accumulate(p, g)
 
-    return _make(out, parts, backprop, "add_n")
+    return _make(out, tuple(parts), backprop, "add_n")
 
 
 def tanh(t: Tensor) -> Tensor:
     """Elementwise hyperbolic tangent; derivative is 1 - tanh(x)^2."""
-    t = as_tensor(t)
     out = np.tanh(t.data)
 
     def backprop(g: np.ndarray) -> None:
@@ -271,7 +254,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(t: Tensor) -> Tensor:
     """Elementwise logistic sigmoid; derivative is s(x)(1 - s(x))."""
-    t = as_tensor(t)
     out = _sigmoid(t.data)
 
     def backprop(g: np.ndarray) -> None:
@@ -287,7 +269,6 @@ def softmax(logits: Tensor) -> Tensor:
     large inputs cannot overflow, and the argmax of the output always
     equals the argmax of the input.
     """
-    logits = as_tensor(logits)
     if logits.ndim != 1 or logits.size == 0:
         raise DomainError(f"softmax needs a non-empty vector of logits, got shape {logits.shape}")
     shifted = logits.data - logits.data.max()
@@ -302,7 +283,6 @@ def softmax(logits: Tensor) -> Tensor:
 
 def nll_loss(probs: Tensor, target: int) -> Tensor:
     """Negative log-likelihood of ``target`` under a probability vector."""
-    probs = as_tensor(probs)
     if probs.ndim != 1:
         raise DomainError(f"nll_loss needs a probability vector, got shape {probs.shape}")
     target = int(target)
@@ -325,7 +305,6 @@ def max_pool(t: Tensor) -> tuple[Tensor, int]:
     The index is what routes the gradient: backward delivers the upstream
     gradient to that single position and zero everywhere else.
     """
-    t = as_tensor(t)
     if t.ndim != 1 or t.size == 0:
         raise DomainError(f"max_pool needs a non-empty vector, got shape {t.shape}")
     idx = int(np.argmax(t.data))
@@ -376,7 +355,6 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
     count, span = index.shape
     dim = rows.shape[1]
     shortest, longest = lengths.min(), lengths.max()
-    filters = tuple((as_tensor(w), as_tensor(b)) for w, b in filters)
     responses = []
     for weight, bias in filters:
         width = weight.shape[0] // dim if weight.ndim == 2 and dim else 0
@@ -422,7 +400,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     Backward scatters every row gradient into the table with one
     ``np.add.at``, so repeated indices sum their contributions.
     """
-    table = as_tensor(table)
     if table.ndim != 2:
         raise ShapeMismatchError(f"gather_rows needs a matrix, got shape {table.shape}")
     indices = np.asarray(indices, dtype=np.int64)
@@ -470,7 +447,6 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
     run is one tape node: the final hidden and cell states stacked on a new
     leading axis, returned split by ``unstack``.
     """
-    xs, h0, c0 = as_tensor(xs), as_tensor(h0), as_tensor(c0)
     hidden_size, input_dim = params.hidden_size, params.input_dim
     inputs = xs.data[None, :] if xs.ndim == 1 else xs.data
     if inputs.ndim != 2 or inputs.shape[1] != input_dim:
@@ -589,7 +565,6 @@ def unstack(t: Tensor) -> tuple[Tensor, ...]:
     ``t`` has two or more dimensions; backward adds each slice's gradient
     into its slice.
     """
-    t = as_tensor(t)
     if t.ndim < 2:
         raise ShapeMismatchError(f"unstack needs two or more dimensions, got shape {t.shape}")
 
@@ -610,7 +585,6 @@ def dropout_apply(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     Decoding never calls it, so no rescaling is needed at decode time.
     Rate zero returns ``t`` itself.  Backward multiplies by the forward mask.
     """
-    t = as_tensor(t)
     rate = float(rate)
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {rate}")

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import text_lines
-from .errors import DataFormatError, DomainError, ModelStateError, ParseError
+from .errors import DataFormatError, ModelStateError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -63,18 +63,8 @@ class EmbeddingTable:
         self._system_index: dict[str, int] = {}
         self.system_matrix: np.ndarray | None = None
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self._index)
-
     def __contains__(self, token: str) -> bool:
         return token in self._index
-
-    def frozen_vector(self, token: str) -> np.ndarray:
-        try:
-            return self._frozen[self._index[token]]
-        except KeyError:
-            raise DomainError(f"token {token!r} is not in the pretrained vocabulary") from None
 
     def fingerprint(self) -> str:
         """Content hash of the frozen block (vocabulary and values)."""

@@ -44,7 +44,6 @@ class TurnEncoder:
         if config.model not in VARIANTS:
             raise ConfigError(f"unknown model variant {config.model!r}")
         window_name, combine_mode = VARIANTS[config.model]
-        self.variant = config.model
         self.window = ContextWindow.from_name(window_name)
         self.table = store.view()
         self.nbest_cap = config.nbest_cap

@@ -16,7 +16,6 @@ SHUFFLE = 1
 DROPOUT = 2
 SPLIT = 3
 FOLDS = 4
-SYNTH = 5
 
 
 def substream(seed: int, role: int, *extra: int) -> np.random.Generator:

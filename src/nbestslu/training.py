@@ -29,7 +29,7 @@ from . import rng as rng_mod
 from .autograd import Tensor, add_n, dropout_apply, nll_loss
 from .config import RunConfig
 from .data import Dataset, Turn, collect_system_tokens, make_folds, split_turns
-from .errors import DomainError, NumericFailure
+from .errors import DomainError
 from .metrics import STEP1, frame_items, head_accuracies, item_counts, prf1, reference_items, score_frames
 from .model import SlotValueModel, StepOneModel
 from .optim import Adadelta
@@ -122,8 +122,6 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
             add_n(losses).backward()
             optimizer.step(len(batch))
         mean_loss = total_loss / len(examples)
-        if not math.isfinite(mean_loss):
-            raise NumericFailure(f"training loss became non-finite at epoch {epoch}")
 
         val_metric = val_metric_fn(model) if val_metric_fn else None
         log.epochs.append({"epoch": epoch, "loss": mean_loss, "val_metric": val_metric})
@@ -246,19 +244,16 @@ def train_step2(
     return model, log
 
 
-def cross_validate_step1(
-    dataset: Dataset, config: RunConfig, store, k: int | None = None, *, log_fn: LogFn | None = None
-):
-    """K-fold dialogue-level cross-validation of the joint model.
+def cross_validate_step1(dataset: Dataset, config: RunConfig, store, *, log_fn: LogFn | None = None):
+    """``config.cv_folds``-fold dialogue-level cross-validation of the joint model.
 
     Returns (per-fold ScoreReports, summary dict with mean and population
     stdev per metric).  Each fold trains on the other folds with its own
     derived ontology and is scored on the held-out fold in presence mode.
     """
     config = config.validate()
-    k = config.cv_folds if k is None else k
     reports = []
-    for fold, held in enumerate(make_folds(dataset, k, config.seed)):
+    for fold, held in enumerate(make_folds(dataset, config.cv_folds, config.seed)):
         train_ds = dataset.subset([s for s in dataset.sessions if s not in held], note=f"cv-train-{fold}")
         held_ds = dataset.subset(held, note=f"cv-held-{fold}")
         if log_fn:

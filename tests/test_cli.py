@@ -3,10 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from nbestslu import checkpoint, cli
-from nbestslu.autograd import Tensor
+from nbestslu import checkpoint, cli, training
+from nbestslu.autograd import Tensor, mul, nll_loss, set_finite_checks
 from nbestslu.checkpoint import MAGIC, load_container, save_container
 from nbestslu.cli import main
 from nbestslu.data import read_canonical
@@ -285,17 +286,19 @@ class TestExitCodes:
         assert not (tmp_path / "out.frames").exists()
 
     def test_a_non_finite_training_loss_is_three(self, workspace, tmp_path, capsys, monkeypatch):
-        # A defensive check that real training does not reach: a non-finite loss comes with a
-        # NaN gradient, which the optimizer refuses first.  Every loss here reads as infinite
-        # while the gradients stay finite, so the epoch's mean-loss check is what stops the run.
+        # A non-finite loss comes with a NaN gradient, as a saturated softmax gives, and the
+        # optimizer refuses that gradient before any parameter moves.  Every probability the
+        # loss reads is NaN here; op checks are off, as in a real run.
         dataset = tmp_path / "mini.ds"
         assert run(["import", workspace["root"], workspace["flist"], dataset,
                     "--config", workspace["config"]]) == 0
-        monkeypatch.setattr(Tensor, "item", lambda self: math.inf)
+        set_finite_checks(False)
+        monkeypatch.setattr(training, "nll_loss",
+                            lambda probs, target: nll_loss(mul(probs, Tensor(np.full(probs.shape, np.nan))), target))
         capsys.readouterr()
         assert run(["train", dataset, tmp_path / "ckpt", "--config", workspace["config"]]) == 3
         err = capsys.readouterr().err
-        assert err == "numeric failure: training loss became non-finite at epoch 1\n"
+        assert err.startswith("numeric failure: non-finite gradient for ") and err.endswith("; update aborted\n")
         assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("blob", [MAGIC + b"12", MAGIC + b"2\n{}\n"], ids=["no-newline", "no-params"])

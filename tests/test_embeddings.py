@@ -18,14 +18,14 @@ def write_lines(path, lines):
 
 class TestLoadVectors:
     def test_two_valid_lines(self, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = [
-            "the " + " ".join(repr(float(x)) for x in rng.uniform(-1, 1, 100)),
-            "north " + " ".join(repr(float(x)) for x in rng.uniform(-1, 1, 100)),
-        ]
+        vectors = np.random.default_rng(0).uniform(-1, 1, (2, 100))
+        lines = [token + " " + " ".join(repr(float(x)) for x in row) for token, row in zip(("the", "north"), vectors)]
         table = load_vectors(write_lines(tmp_path / "v.txt", lines))
-        assert table.vocab_size == 2 and table.dim == 100
-        assert "the" in table and "north" in table
+        assert table.dim == 100
+        assert "the" in table and "north" in table and "south" not in table
+        assert table.fingerprint() == EmbeddingTable(["the", "north"], vectors).fingerprint()
+        table.prepare_runtime_rows((), np.random.default_rng(1))
+        np.testing.assert_array_equal(table.hypothesis_rows(("the", "north")), vectors)
 
     def test_wrong_arity_names_the_line(self, tmp_path):
         lines = ["a 0.1 0.2 0.3", "the 0.1 0.2"]
@@ -55,8 +55,7 @@ class TestLoadVectors:
         lines = ["north 1.0 2.0", "south 3.0 4.0", "north 9.0 9.0"]
         with caplog.at_level(logging.WARNING):
             table = load_vectors(write_lines(tmp_path / "v.txt", lines))
-        assert table.vocab_size == 2
-        np.testing.assert_array_equal(table.frozen_vector("north"), [1.0, 2.0])
+        assert table.fingerprint() == EmbeddingTable(["north", "south"], [[1.0, 2.0], [3.0, 4.0]]).fingerprint()
         assert any("duplicate" in r.message for r in caplog.records)
 
 
@@ -145,8 +144,8 @@ class TestLookup:
         tokens = ("offer", "meghna", "unseen")
         rows = table.system_matrix[table.system_row_indices(tokens)]
         # "offer" starts from a copy of its pretrained vector, in the trainable block.
-        np.testing.assert_array_equal(rows[0], table.frozen_vector("offer"))
-        assert not np.shares_memory(table.system_matrix, table.frozen_vector("offer"))
+        np.testing.assert_array_equal(rows[0], table.hypothesis_rows(("offer",))[0])
+        assert not np.shares_memory(table.system_matrix, table._frozen)
         # unseen system tokens share the system OOV row (row 0).
         assert table.system_row_indices(tokens)[2] == 0
         np.testing.assert_array_equal(rows[2], table.system_matrix[0])
@@ -174,4 +173,4 @@ class TestLookup:
     def test_frozen_block_is_write_protected(self):
         table = prepared_table()
         with pytest.raises(ValueError):
-            table.frozen_vector("north")[0] = 99.0
+            table._frozen[0, 0] = 99.0

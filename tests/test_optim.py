@@ -10,6 +10,8 @@ from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError, NumericFailure, ShapeMismatchError
 from nbestslu.optim import CHUNK, Adadelta
 
+from _gradcheck import weighted_sum
+
 
 def hand_update(param, grad_sum, batch_size, avg_sq_grad, avg_sq_step, rho, eps):
     """Independent execution of the three update formulas on the mean gradient.
@@ -202,7 +204,7 @@ class TestGradientBuffer:
             for _ in range(batch_size):
                 xs = ag.gather_rows(system, rng.integers(0, 3, 4))
                 hidden, _ = ag.lstm_sequence(xs, Tensor(np.zeros(2)), Tensor(np.zeros(2)), lstm)
-                hidden.backward(rng.uniform(-1, 1, 2))
+                weighted_sum(hidden, rng.uniform(-1, 1, 2)).backward()
             rebound.grad = rng.uniform(-1, 1, rebound.shape)  # a caller's own array
             grads = {name: p.grad.copy() for name, p in params.items()}
             opt.step(batch_size)

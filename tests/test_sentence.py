@@ -242,7 +242,7 @@ def encoded_with_grads(nbest: NBestList, table: EmbeddingTable, bank: ConvFilter
     for tensor in bank.parameters().values():
         tensor.grad = None
     out = encode_sentence(nbest, table, bank)
-    out.backward(upstream)
+    weighted_sum(out, upstream).backward()
     return out.data, {name: t.grad for name, t in bank.parameters().items()}
 
 
@@ -299,7 +299,7 @@ class TestNonFiniteMaps:
         optimizer = Adadelta(bank.parameters())
         before = {name: t.data.copy() for name, t in bank.parameters().items()}
         nbest = NBestList((Hypothesis(("good", "bad", "word"), 0.7), Hypothesis(("word", "good", "word"), 0.3)))
-        encode_sentence(nbest, table, bank).backward(np.ones(bank.feature_size))
+        weighted_sum(encode_sentence(nbest, table, bank), np.ones(bank.feature_size)).backward()
         # Every window of the first hypothesis holds the NaN word, so every map pools a NaN.
         for name, tensor in bank.parameters().items():
             assert np.isnan(tensor.grad).all(), name

@@ -13,12 +13,12 @@ from nbestslu.autograd import nll_loss
 from nbestslu.config import RunConfig
 from nbestslu.data import collect_system_tokens, dumps
 from nbestslu.decoder import decode_turn, predict_value, turn_nbest
-from nbestslu.errors import DomainError
+from nbestslu.errors import ConfigError, DomainError
 from nbestslu.metrics import STEP1, frame_items, item_counts, prf1, reference_items
 from nbestslu.model import StepOneModel, TurnEncoder
 from nbestslu.training import cross_validate_step1, step1_head_accuracies, train_step1, train_step2
 
-from _synth import synthetic_dataset, synthetic_table
+from _synth import synthetic_dataset, synthetic_table, synthetic_vocab
 
 OVERFIT = RunConfig(
     model="cnn_lstm_w4",
@@ -80,10 +80,10 @@ class TestStepOneTraining:
 
     def test_frozen_hypothesis_rows_are_bit_identical_after_training(self, dataset, store, trained):
         model, _ = trained
-        view = model.encoder.table
         fresh = synthetic_table(dim=12)
-        for token in ("cheap", "north", "restaurant", "i"):
-            np.testing.assert_array_equal(view.frozen_vector(token), fresh.frozen_vector(token))
+        fresh.prepare_runtime_rows((), np.random.default_rng(0))
+        vocab = synthetic_vocab()
+        np.testing.assert_array_equal(model.encoder.table.hypothesis_rows(vocab), fresh.hypothesis_rows(vocab))
 
     def test_system_rows_moved_during_training(self, dataset, store, trained):
         model, _ = trained
@@ -203,8 +203,8 @@ class TestStepTwoTraining:
 class TestCrossValidation:
     @pytest.mark.parametrize("k", [0, 1])
     def test_an_explicit_fold_count_below_two_is_refused(self, dataset, store, k):
-        with pytest.raises(DomainError, match=f"got {k}"):
-            cross_validate_step1(dataset, replace(OVERFIT, max_epochs=1), store, k=k)
+        with pytest.raises(ConfigError, match=f"got {k}"):
+            cross_validate_step1(dataset, replace(OVERFIT, max_epochs=1, cv_folds=k), store)
 
 
 class TestDeterminism:
