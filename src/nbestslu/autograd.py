@@ -57,7 +57,7 @@ def _checked(opname: str, data: np.ndarray) -> np.ndarray:
 class Tensor:
     """A float64 array plus the tape entry that produced it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backprop", "_freed", "_serial")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backprop", "_serial")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -66,7 +66,6 @@ class Tensor:
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backprop: Callable[[np.ndarray], None] | None = None
-        self._freed = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,10 +91,8 @@ class Tensor:
 
         The loss's own gradient is 1.  After the call the tape is released.
         """
-        if self._freed:
-            raise GraphStateError("graph already consumed by a previous backward; run a new forward pass")
         if self._backprop is None:
-            raise GraphStateError("backward requires a completed forward pass with gradient-tracked inputs")
+            raise GraphStateError("no unconsumed graph: run a forward pass with gradient-tracked inputs before each backward")
         if self.data.size != 1:
             raise DomainError(f"backward needs a scalar loss, got shape {self.data.shape}")
 
@@ -114,7 +111,6 @@ class Tensor:
             node._backprop(node.grad)
             node._parents = ()
             node._backprop = None
-            node._freed = True
             if node is not self:
                 node.grad = None
 

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator
 
-from .data import text_lines
+from .data import ASR_CHANNELS, text_lines
 from .errors import ConfigError
+from .ontology import MAX_PATTERNS
 
 # Model variant -> (context window, combiner mode), as named by
 # ``context.ContextWindow.from_name`` and ``context.Combiner.build``; the
@@ -48,7 +49,7 @@ class RunConfig:
     seed: int = 1
     act_only: bool = False
     asr_channel: str = "live"
-    max_act_patterns: int = 14
+    max_act_patterns: int = MAX_PATTERNS
     cv_folds: int = 10
 
     def validate(self) -> "RunConfig":
@@ -82,8 +83,8 @@ class RunConfig:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.asr_channel not in ("live", "batch"):
-            raise ConfigError(f"asr_channel must be 'live' or 'batch', got {self.asr_channel!r}")
+        if self.asr_channel not in ASR_CHANNELS:
+            raise ConfigError(f"asr_channel must be one of {ASR_CHANNELS}, got {self.asr_channel!r}")
         if self.max_act_patterns < 1:
             raise ConfigError(f"max_act_patterns must be positive, got {self.max_act_patterns}")
         if self.cv_folds < 2:
@@ -144,13 +145,13 @@ def _config_lines(lines: Iterable[str]) -> Iterator[tuple[str, str]]:
             yield f"line {lineno}", line
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
-    return _apply(base or RunConfig(), _config_lines(text.splitlines()))
+def parse_config_text(text: str) -> RunConfig:
+    """Parse ``key = value`` lines over the defaults; ``#`` starts a comment."""
+    return _apply(RunConfig(), _config_lines(text.splitlines()))
 
 
-def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
-    return _apply(base or RunConfig(), _config_lines(text_lines(path, ConfigError)))
+def parse_config_file(path) -> RunConfig:
+    return _apply(RunConfig(), _config_lines(text_lines(path, ConfigError)))
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:

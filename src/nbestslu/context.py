@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .embeddings import EmbeddingTable
+from .embeddings import INIT_SCALE, EmbeddingTable
 from .errors import ConfigError, DomainError
 
 
@@ -63,8 +63,8 @@ class LstmParams:
         self.b: dict[str, Tensor] = {}
         for k, gate in enumerate(LSTM_GATES):
             w, u, b = (stacked[k * hidden_size : (k + 1) * hidden_size] for stacked in self.stacked)
-            w[...] = rng.uniform(-0.1, 0.1, w.shape)
-            u[...] = rng.uniform(-0.1, 0.1, u.shape)
+            w[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, w.shape)
+            u[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, u.shape)
             self.w[gate] = Tensor(w, requires_grad=True, name=f"lstm.w_{gate}")
             self.u[gate] = Tensor(u, requires_grad=True, name=f"lstm.u_{gate}")
             self.b[gate] = Tensor(b, requires_grad=True, name=f"lstm.b_{gate}")
@@ -172,7 +172,7 @@ class Combiner:
         if mode not in shapes:
             raise ConfigError(f"unknown combiner mode {mode!r}")
         return cls(mode, tuple(
-            Tensor(rng.uniform(-0.1, 0.1, shape), requires_grad=True, name=f"comb.{name}")
+            Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, shape), requires_grad=True, name=f"comb.{name}")
             for name, shape in shapes[mode].items()
         ))
 

@@ -26,12 +26,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CorpusError, DataFormatError, DomainError, SluError
-from .ontology import Ontology, act_pattern
+from .ontology import MAX_PATTERNS, Ontology, act_pattern
 from .rng import FOLDS, SPLIT, substream
 
 FORMAT_NAME = "nbestslu-dataset"
 FORMAT_VERSION = 1
 SCORE_RULE = "exp-if-negative,renormalize"
+ASR_CHANNELS = ("live", "batch")
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,9 @@ class Dataset:
     def subset(self, sessions: Iterable[str], note: str = "subset") -> "Dataset":
         wanted = set(sessions)
         turns = tuple(t for t in self.turns if t.session in wanted)
-        max_patterns = int(self.provenance.get("max_act_patterns", self.ontology.max_patterns))
         provenance = dict(self.provenance)
         provenance["derived"] = note
-        return Dataset(turns, Ontology.derive(turns, max_patterns), provenance)
+        return Dataset(turns, Ontology.derive(turns, self.ontology.max_patterns), provenance)
 
 
 def normalize_confidences(scores: Sequence[float]) -> np.ndarray:
@@ -234,10 +234,10 @@ def _parse_call(call_dir: Path, call: str, channel: str) -> list[Turn]:
     return turns
 
 
-def import_dstc2(root, flist, *, channel: str = "live", max_act_patterns: int = 14) -> Dataset:
+def import_dstc2(root, flist, *, channel: str = "live", max_act_patterns: int = MAX_PATTERNS) -> Dataset:
     """Import the call directories named by ``flist`` under ``root``."""
-    if channel not in ("live", "batch"):
-        raise DomainError(f"ASR channel must be 'live' or 'batch', got {channel!r}")
+    if channel not in ASR_CHANNELS:
+        raise DomainError(f"ASR channel must be one of {ASR_CHANNELS}, got {channel!r}")
     root = Path(root)
     flist = Path(flist)
     if not flist.is_file():
@@ -431,7 +431,7 @@ def read_canonical(path) -> Dataset:
     provenance, counts = header.get("provenance", {}), header.get("counts", {})
     if not (isinstance(provenance, dict) and isinstance(counts, dict)):
         raise DataFormatError(f"{path}: provenance and counts must be JSON objects")
-    max_patterns = provenance.get("max_act_patterns", 14)
+    max_patterns = provenance.get("max_act_patterns", MAX_PATTERNS)
     if type(max_patterns) is not int or max_patterns < 1:
         raise DataFormatError(f"{path}: max_act_patterns must be a positive integer, got {max_patterns!r}")
 

@@ -73,13 +73,11 @@ def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList,
     return act.data.copy(), presence
 
 
-def predict_value(model: SlotValueModel, turn: Turn, slot: str, nbest: NBestList, context=None) -> np.ndarray:
-    """Value distribution for one detected slot of a turn whose n-best list is ``nbest``.
+def predict_value(model: SlotValueModel, turn: Turn, nbest: NBestList, context=None) -> np.ndarray:
+    """Distribution over ``model.values`` of ``model.slot`` for a turn whose n-best list is ``nbest``.
 
     ``context`` is as in ``predict_joint``.
     """
-    if slot != model.slot:
-        raise DomainError(f"model predicts values for slot {model.slot!r}, not {slot!r}")
     hidden = model.encoder.encode(nbest, turn.system_history, context)
     return model.value_probs(hidden).data.copy()
 
@@ -122,7 +120,7 @@ def decode_turns(
             continue
         contexts = model.encoder.contexts([turns[i].system_history for i in positions])
         for i, context in zip(positions, contexts):
-            probs = predict_value(model, turns[i], slot, nbests[i], context)
+            probs = predict_value(model, turns[i], nbests[i], context)
             best = int(np.argmax(probs))
             found[i][slot] = model.values[best], found[i][slot][1] * float(probs[best])
 

@@ -22,7 +22,7 @@ from .errors import DataFormatError, ModelStateError, ParseError
 
 log = logging.getLogger(__name__)
 
-INIT_SCALE = 0.1  # fresh rows are drawn uniform(-INIT_SCALE, INIT_SCALE)
+INIT_SCALE = 0.1  # fresh rows and every initialized weight are drawn uniform(-INIT_SCALE, INIT_SCALE)
 
 
 @dataclass(frozen=True)

@@ -130,10 +130,8 @@ def joint_accuracy(
     return sum(accuracies.values()) / len(accuracies)
 
 
-def ice(
-    scored: Sequence[Mapping[Item, float]], reference: Sequence[Iterable[Item]], floor: float = PROB_FLOOR
-) -> float:
-    """Item cross-entropy of hypothesized confidences against references.
+def ice(scored: Sequence[Mapping[Item, float]], reference: Sequence[Iterable[Item]]) -> float:
+    """Item cross-entropy of hypothesized confidences against references, floored at ``PROB_FLOOR``.
 
     Each turn's items are summed in sorted order: set order follows the
     per-process string hash seed, and the rounding must not.
@@ -149,7 +147,7 @@ def ice(
         for item in sorted(set(hyp) | ref):
             confidence = float(hyp.get(item, 0.0))
             assigned_to_truth = confidence if item in ref else 1.0 - confidence
-            total += -math.log(min(max(assigned_to_truth, floor), 1.0))
+            total += -math.log(min(max(assigned_to_truth, PROB_FLOOR), 1.0))
     return total / total_refs
 
 

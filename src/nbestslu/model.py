@@ -26,7 +26,7 @@ from . import rng as rng_mod
 from .autograd import Tensor
 from .config import VARIANTS, RunConfig
 from .context import Combiner, ContextWindow, LstmParams, combine, context_tokens, run_context_lstm
-from .embeddings import EmbeddingTable
+from .embeddings import INIT_SCALE, EmbeddingTable
 from .errors import ConfigError
 from .ontology import Ontology
 from .sentence import ConvFilterBank, NBestList, encode_sentence
@@ -126,7 +126,7 @@ class HeadedModel:
         self.encoder = TurnEncoder(config, store, system_tokens, rng)
         self.heads: dict[str, tuple[Tensor, Tensor]] = {}
         for name, classes in heads:
-            weight = Tensor(rng.uniform(-0.1, 0.1, (classes, self.encoder.out_dim)), requires_grad=True,
+            weight = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, (classes, self.encoder.out_dim)), requires_grad=True,
                             name=f"{name}.w")
             self.heads[name] = (weight, Tensor(np.zeros(classes), requires_grad=True, name=f"{name}.b"))
 

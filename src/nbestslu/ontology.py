@@ -18,6 +18,7 @@ from .errors import DataFormatError, DomainError
 
 PATTERN_SEPARATOR = "|"
 NULL_PATTERN = "null"
+MAX_PATTERNS = 14  # default size of the act-pattern inventory
 
 
 def act_pattern(names: Iterable[str]) -> str:
@@ -34,14 +35,14 @@ class Ontology:
     act_priority: tuple[str, ...]
     slots: tuple[str, ...]
     values: Mapping[str, tuple[str, ...]]
-    max_patterns: int = 14
+    max_patterns: int = MAX_PATTERNS
     _act_index: Mapping[str, int] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_act_index", {a: i for i, a in enumerate(self.acts)})
 
     @classmethod
-    def derive(cls, turns: Sequence, max_patterns: int = 14) -> "Ontology":
+    def derive(cls, turns: Sequence, max_patterns: int = MAX_PATTERNS) -> "Ontology":
         """Build inventories from a dataset's reference frames."""
         if max_patterns < 1:
             raise DomainError(f"need at least one act pattern, got {max_patterns}")
@@ -111,7 +112,7 @@ class Ontology:
 
         if not (isinstance(doc, dict) and isinstance(doc.get("values"), dict) and doc.get("acts")):
             raise DataFormatError(f"{where}: an ontology is an object with acts and a values object")
-        max_patterns = doc.get("max_patterns", 14)
+        max_patterns = doc.get("max_patterns", MAX_PATTERNS)
         if type(max_patterns) is not int or max_patterns < 1:
             raise DataFormatError(f"{where}: max_patterns must be a positive integer, got {max_patterns!r}")
         return cls(

@@ -22,7 +22,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import normalize_confidences
-from .embeddings import EmbeddingTable
+from .embeddings import INIT_SCALE, EmbeddingTable
 from .errors import DomainError
 
 
@@ -103,9 +103,8 @@ class ConvFilterBank:
         self.weights: dict[int, Tensor] = {}
         self.biases: dict[int, Tensor] = {}
         for width in self.window_sizes:
-            self.weights[width] = Tensor(
-                rng.uniform(-0.1, 0.1, (width * dim, maps_per_window)), requires_grad=True, name=f"conv.w{width}"
-            )
+            self.weights[width] = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, (width * dim, maps_per_window)),
+                                         requires_grad=True, name=f"conv.w{width}")
             self.biases[width] = Tensor(np.zeros(maps_per_window), requires_grad=True, name=f"conv.b{width}")
 
     @property

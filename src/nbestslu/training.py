@@ -19,7 +19,7 @@ with one context pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,12 +47,7 @@ class TrainLog:
     notes: list[str] = dataclass_field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_metric": self.best_metric,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -230,7 +225,7 @@ def train_step2(
         hits = 0
         contexts = model.encoder.contexts([t.system_history for t, _, _ in val])
         for (t, nbest, value), context in zip(val, contexts):
-            hits += int(np.argmax(decoder.predict_value(model, t, slot, nbest, context))) == value
+            hits += int(np.argmax(decoder.predict_value(model, t, nbest, context))) == value
         return hits / len(val)
 
     _run_epochs(

@@ -164,7 +164,7 @@ class TestPipeline:
         assert run(["import", workspace["root"], workspace["flist"], dataset,
                     "--config", workspace["config"]]) == 0
         outdir = tmp / "cv"
-        assert run(["cv", dataset, outdir, "--folds", "3", "--config", workspace["config"]]) == 0
+        assert run(["cv", dataset, outdir, "--config", workspace["config"], "--set", "cv_folds=3"]) == 0
         assert (outdir / "summary.json").is_file()
         assert "cv_folds = 3\n" in (outdir / "config.txt").read_text()
         for fold in range(3):
@@ -234,7 +234,7 @@ class TestExitCodes:
         assert run(["import", workspace["root"], workspace["flist"], dataset,
                     "--config", workspace["config"]]) == 0
         capsys.readouterr()
-        assert run(["cv", dataset, tmp_path / "cv", "--folds", folds, "--config", workspace["config"]]) == 1
+        assert run(["cv", dataset, tmp_path / "cv", "--config", workspace["config"], "--set", f"cv_folds={folds}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "cv_folds" in err and f"got {folds}" in err
         assert not (tmp_path / "cv").exists()

@@ -86,16 +86,8 @@ class TestPredictValue:
         )
         for tensor in model.heads["head.value.pricerange"]:
             tensor.data[...] = 0.0
-        probs = predict_value(model, dataset.turns[0], "pricerange", turn_nbest(dataset.turns[0]))
+        probs = predict_value(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
         np.testing.assert_allclose(probs, np.full(len(values), 1.0 / len(values)), atol=1e-12)
-
-    def test_wrong_slot_rejected(self, dataset, store):
-        values = dataset.ontology.slot_values("pricerange")
-        model = SlotValueModel.build(
-            TOY, "pricerange", 0, values, collect_system_tokens(dataset.turns), store
-        )
-        with pytest.raises(DomainError):
-            predict_value(model, dataset.turns[0], "food", turn_nbest(dataset.turns[0]))
 
     def test_single_value_slots_cannot_build_a_model(self, dataset, store):
         with pytest.raises(ConfigError):

@@ -1,0 +1,51 @@
+"""The documentation and the CI workflow name what the tree has.
+
+The configuration table in ``docs/formats.md`` and the variant table in
+the README are written by hand, and the workflow names test files,
+benchmark workloads and demos by path; each check fails when one side
+changes without the other.
+"""
+
+import itertools
+import json
+import re
+from dataclasses import fields
+from pathlib import Path
+
+from nbestslu.config import VARIANTS, RunConfig, resolved_text
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def table(text: str, header: str) -> list[list[str]]:
+    """The body rows of the first markdown table in ``text`` whose header row starts with ``header``."""
+    lines = text[text.index(f"\n{header}") + 1:].splitlines()
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines))[2:]
+    return [[cell.strip().strip("`") for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_the_config_table_lists_every_key_with_its_default():
+    formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    rows = table(formats[formats.index("\n## Configuration files\n"):], "| key")
+    documented = [(key, default) for key, default, *_ in rows]
+    resolved = dict(line.split(" = ", 1) for line in resolved_text(RunConfig()).splitlines())
+    expected = [(f.name, resolved[f.name] or "(empty)") for f in fields(RunConfig)]
+    assert documented == expected
+
+
+def test_the_readme_variant_table_lists_every_variant():
+    rows = table((ROOT / "README.md").read_text(encoding="utf-8"), "| variant")
+    assert [variant for variant, *_ in rows] == list(VARIANTS)
+
+
+def test_every_name_the_workflow_uses_is_in_the_tree():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    paths = set(re.findall(r"\b(?:tests|perfbench)/[\w/]+\.py\b", text))
+    assert paths and [p for p in sorted(paths) if not (ROOT / p).is_file()] == []
+    workloads = set(re.findall(r"--workload (\S+)", text))
+    declared = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]}
+    assert workloads and workloads <= declared
+    demo_globs = re.findall(r"demos/\S*\*\S*\.py", text)
+    assert demo_globs == ["demos/0[1-4]_*.py"]
+    assert len(sorted(ROOT.glob(demo_globs[0]))) == 4

@@ -1,9 +1,10 @@
-"""The package's shape: a strict layering, and no name that only tests reach.
+"""The package's shape: a strict layering, and no name or setting that only tests reach.
 
 A module that imports another from inside a function body hides an
 import cycle; each rule should live in the module that owns its data.
 A function, class, method or property that only tests call is surface to
-keep working that the decoder never uses.
+keep working that the decoder never uses, and so is a defaulted parameter
+that only tests set.
 """
 
 import ast
@@ -52,6 +53,12 @@ def defined_names(source: str, filename: str) -> list[str]:
     return names
 
 
+def caller_paths() -> list[Path]:
+    """The package, the benchmark, the tools, the demos and the acceptance criteria."""
+    return [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("perfbench/**/*.py")), *sorted(ROOT.glob("tools/**/*.py")),
+            *sorted(ROOT.glob("demos/**/*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+
 def word_counts(paths) -> Counter:
     counts = Counter()
     for path in paths:
@@ -65,10 +72,67 @@ def test_every_name_has_a_caller_outside_the_tests():
     # by syntax, so no word shows their use.
     sources = sorted(PACKAGE.glob("*.py"))
     defined = Counter(name for path in sources for name in defined_names(path.read_text(encoding="utf-8"), path.name))
-    callers = [*sorted(ROOT.glob("perfbench/**/*.py")), *sorted(ROOT.glob("tools/**/*.py")),
-               *sorted(ROOT.glob("demos/**/*.py")), ROOT / "tests" / "test_acceptance.py"]
-    uses = word_counts(sources) - defined + word_counts(callers)
+    uses = word_counts(caller_paths()) - defined
     unreached = sorted(name for name in defined
                        if uses[name] == 0 and name not in TEST_ONLY and not re.fullmatch(r"__\w+__", name))
     assert unreached == [], f"only tests reach these, or nothing does: {unreached}"
     assert [name for name in TEST_ONLY if uses[name]] == [], "an allowed test-only name now has a caller"
+
+
+def defaulted_parameters(source: str, filename: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, call position) of each defaulted parameter of every function and method but ``__init__``.
+
+    The position is the parameter's index among a call's positional arguments:
+    a method's first parameter is bound by the attribute lookup.  Keyword-only
+    parameters have none.
+    """
+    found = []
+
+    def visit(body, in_class: bool) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, True)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                bound = in_class and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if node.name != "__init__":
+                    first = len(positional) - len(args.defaults)
+                    found.extend((node.name, arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first)
+                    found.extend((node.name, arg.arg, None)
+                                 for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+                visit(node.body, False)
+
+    visit(ast.parse(source, filename).body, False)
+    return found
+
+
+def calls_by_name(paths) -> dict[str, list[ast.Call]]:
+    """Every call in ``paths`` to a plain or attribute name, keyed by that name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` sets ``parameter``: by keyword, through ``**``, or by ``position`` (or a ``*`` argument)."""
+    if any(keyword.arg in (None, parameter) for keyword in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    # A parameter with a default that no call outside the tests passes, by keyword or by
+    # position, is a setting only tests use.  Calls match by name alone, so a call to any
+    # function of that name counts.
+    calls = calls_by_name(caller_paths())
+    unset = [f"{path.name}: {function}({parameter})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function, parameter, position in defaulted_parameters(path.read_text(encoding="utf-8"), path.name)
+             if not any(passes(call, parameter, position) for call in calls.get(function, []))]
+    assert unset == [], f"only tests set these parameters, or nothing does: {unset}"

@@ -164,7 +164,7 @@ class TestStepTwoTraining:
         assert model is not None
         hits = 0
         for t in turns:
-            probs = predict_value(model, t, "pricerange", turn_nbest(t))
+            probs = predict_value(model, t, turn_nbest(t))
             predicted = model.values[int(np.argmax(probs))]
             reference = next(v for s, v in t.reference.pairs if s == "pricerange")
             hits += predicted == reference
@@ -304,7 +304,7 @@ class TestMiniBatches:
         training._run_epochs(model=model, examples=examples, loss_fn=act_loss, val_metric_fn=None,
                              log_fn=None, log=training.TrainLog())
         assert len(graphs) == len(stepped) == 1
-        assert graphs[0] and all(node._freed and node._backprop is None and not node._parents for node in graphs[0])
+        assert graphs[0] and all(node._backprop is None and not node._parents for node in graphs[0])
 
         # The same initial model, one backward per example, each a batch of one for the context LSTM.
         reference = StepOneModel.build(config, dataset.ontology, tokens, store)

@@ -57,7 +57,7 @@ def commands(out: Path, side: str, variants, seeds, folds: int) -> list[list[str
             runs.append(["train", corpus / "train.ds", run / "ckpt", *chosen])
             runs.append(["decode", run / "ckpt", corpus / "test.ds", run / "full.frames"])
             runs.append(["decode", run / "ckpt", corpus / "test.ds", run / "step1.frames", "--step1-only"])
-    runs.append(["cv", corpus / "train.ds", base / "cv", "--folds", str(folds), "--config", config,
+    runs.append(["cv", corpus / "train.ds", base / "cv", "--config", config, "--set", f"cv_folds={folds}",
                  "--set", f"model={variants[0]}", "--set", f"seed={seeds[0]}"])
     return [[str(arg) for arg in argv] for argv in runs]
 
