@@ -6,11 +6,12 @@ softmax heads with negative log-likelihood, max pooling with argmax
 routing, inverted dropout, embedding-row gathers, splitting a tensor
 along its first axis, elementwise sums and products) plus two fused ops with
 hand-written backward passes: the n-best convolution (``conv_nbest``, one
-node per n-best list, which reads each distinct word's row once plus an
-index of where it occurs, pools by max and finds the argmax only in
-backward) and the LSTM (``lstm_sequence``, one packed kernel over a batch
-of whole sequences, which reads the gate weights where
-``context.LstmParams`` stores them, stacked gate-major).
+node per batch of n-best lists, which projects each distinct word of the
+batch once, pools pre-activations by max, and finds the argmax only in
+backward, where it scatters the gradient back onto the projections) and
+the LSTM (``lstm_sequence``, one packed kernel over a batch of whole
+sequences, which reads the gate weights where ``context.LstmParams``
+stores them, stacked gate-major).
 Ops take ``Tensor`` inputs; only index, length and weight arguments are
 plain arrays.  Each op records a closure that routes the upstream
 gradient to its inputs, and stamps the node with a serial number.  A node
@@ -314,80 +315,98 @@ def max_pool(t: Tensor) -> tuple[Tensor, int]:
     return _make(out, (t,), backprop, "max_pool"), idx
 
 
-def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """Weighted sum over an n-best list of max-pooled tanh convolutions.
+def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Tensor]], sizes=None) -> Tensor:
+    """Weighted sums of max-pooled tanh convolutions over B n-best lists; returns [B, F].
 
     ``rows`` [U, D] holds each distinct word's vector once and ``index``
-    [n, L] names, per hypothesis, the row at each of its L positions;
-    hypothesis i spans its first ``lengths[i]`` positions and has weight
-    ``weights[i]``.  Per (weight [w*D, M], bias [M]) pair of ``filters``,
-    every distinct row goes through each of the w D-row blocks W_k of the
-    weight once, proj_k = rows @ W_k, and the response of the window
-    starting at s is sum over k of proj_k[index[:, s + k]], plus bias,
-    through tanh.  Windows starting past ``lengths[i] - w`` are masked,
-    each map is max-pooled, and the weighted pooled rows are summed left
-    to right.  The output concatenates the pairs' sums.  Identical windows
-    give bit-identical responses.
+    [n, L] names, per hypothesis, the row at each of its L positions.  The
+    lists' hypotheses come one list after another, ``sizes[b]`` of them for
+    list b; without ``sizes`` they are one list, and the result is its [F]
+    vector.  Hypothesis i spans its first ``lengths[i]`` positions and has
+    weight ``weights[i]``.  Per (weight [w*D, M], bias [M]) pair of
+    ``filters`` (all with one M), every row goes through each D-row block
+    W_k of the weight once, proj_k = rows @ W_k, and the pre-activation of
+    the window starting at s is the sum over k of proj_k[index[:, s + k]],
+    plus bias.  Windows past a hypothesis's length are masked, each map is
+    max-pooled on its pre-activations, and tanh, being monotone, is applied
+    once to the pooled [n, F].  Each list's weighted pooled rows are summed
+    left to right into its output row.  Identical windows give
+    bit-identical pre-activations.
 
-    Backward routes each map's gradient to its argmax over windows, the
-    first window at the maximum since masked windows are -inf, and gathers
-    the [n*(L-w+1), w*D] windows with one take of ``rows`` at
-    ``index[:, s + k]``: with dMaps the tanh-input gradient, one non-zero
-    per (hypothesis, filter) at its pooled window, d_weight = windows.T @
-    dMaps and d_bias = dMaps summed.  A NaN map routes a NaN, so its filter
-    gradient is NaN.  Rows, index, lengths and weights get no gradient.
+    Backward routes each map's gradient to the first window at its maximum
+    pre-activation.  Per pair, one ``np.bincount`` adds each routed gradient
+    onto the projected rows of its window, giving dProj [w, U, M], and
+    d_weight is the product rows.T @ dProj, a row-block per W_k; d_bias is
+    the routed gradients summed.  A NaN map routes a NaN, so its filter
+    gradient is NaN.  Only the filters get gradients.
     """
     rows = np.asarray(rows, dtype=np.float64)
     index = np.asarray(index, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
+    stacked = sizes is not None
+    sizes = np.asarray(sizes if stacked else index.shape[:1], dtype=np.int64)
     if (rows.ndim != 2 or index.ndim != 2 or index.shape[0] == 0 or lengths.shape != index.shape[:1]
-            or weights.shape != lengths.shape):
-        raise ShapeMismatchError(f"conv_nbest needs [U, D] rows, an [n, L] index, n lengths and n weights, got "
-                                 f"rows {rows.shape}, index {index.shape}, lengths {lengths.shape}, "
-                                 f"weights {weights.shape}")
+            or weights.shape != lengths.shape or sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1
+            or sizes.sum() != len(index) or not filters):
+        raise ShapeMismatchError(f"conv_nbest needs [U, D] rows, an [n, L] index, n lengths, n weights, list "
+                                 f"sizes summing to n and filters, got rows {rows.shape}, index {index.shape}, "
+                                 f"lengths {lengths.shape}, weights {weights.shape}, sizes {sizes.tolist()} and "
+                                 f"{len(filters)} filters")
     if index.size and not (0 <= index.min() and index.max() < len(rows)):
         raise DomainError(f"conv_nbest index {index.tolist()} out of range for {len(rows)} rows")
     count, span = index.shape
-    dim = rows.shape[1]
+    dim, maps_count = rows.shape[1], filters[0][1].size
     shortest, longest = lengths.min(), lengths.max()
-    responses = []
+    # Window s of every hypothesis reads positions[s : s + w].  A position past a hypothesis's length
+    # reads row U, whose projection is -inf, so every window that reaches past the end is masked.
+    positions = np.where(np.arange(span)[:, None] < lengths, index.T, len(rows))
+    responses = []  # per pair: the [windows, n, M] pre-activations
     for weight, bias in filters:
         width = weight.shape[0] // dim if weight.ndim == 2 and dim else 0
-        if width < 1 or weight.shape[0] != width * dim or bias.shape != weight.shape[1:]:
-            raise ShapeMismatchError(f"conv_nbest filter {weight.shape} + {bias.shape} does not fit {dim}-d rows")
+        if width < 1 or weight.shape != (width * dim, maps_count) or bias.shape != (maps_count,):
+            raise ShapeMismatchError(f"conv_nbest filter {weight.shape} + {bias.shape} does not fit {dim}-d rows "
+                                     f"and {maps_count} maps")
         if shortest < width or longest > span:
             raise DomainError(f"hypothesis lengths {lengths.tolist()} leave no width-{width} window in {span} rows")
         starts = span - width + 1
-        proj = rows @ weight.data.reshape(width, dim, -1)
-        maps = proj[0].take(index[:, :starts], axis=0)
+        proj = np.empty((width, len(rows) + 1, maps_count))
+        np.matmul(rows, weight.data.reshape(width, dim, -1), out=proj[:, :-1])
+        proj[:, -1] = -np.inf
+        maps = proj[0].take(positions[:starts], axis=0)
         for k in range(1, width):
-            maps += proj[k].take(index[:, k : k + starts], axis=0)
+            maps += proj[k].take(positions[k : k + starts], axis=0)
         maps += bias.data
-        np.tanh(maps, out=maps)
-        maps[np.arange(starts)[None, :] > (lengths - width)[:, None]] = -np.inf
         responses.append(maps)
-    pooled = np.concatenate([maps.max(axis=1) for maps in responses], axis=1)
-    # accumulate adds the weighted rows strictly in order; sum may pair them.
-    out = np.add.accumulate(pooled * weights[:, None])[-1]
+    peaks = [maps.max(axis=0) for maps in responses]
+    pooled = np.tanh(np.concatenate(peaks, axis=1))
+    # Each list's weighted rows are added strictly in order, as the list alone adds them; accumulate
+    # does, where sum may pair them.
+    weighted = pooled * weights[:, None]
+    ends = np.cumsum(sizes).tolist()
+    out = np.array([np.add.accumulate(weighted[end - size : end])[-1] for end, size in zip(ends, sizes.tolist())])
 
     def backprop(g: np.ndarray) -> None:
-        dpooled = weights[:, None] * g * (1.0 - pooled * pooled)
-        offset = 0
-        for (weight, bias), maps in zip(filters, responses):
-            starts, maps_count = maps.shape[1:]
-            width = span - starts + 1
-            dmaximum = dpooled[:, offset : offset + maps_count]
-            offset += maps_count
-            # Masked windows are -inf, so the argmax is the first window at the maximum; a NaN map's
-            # argmax is its first NaN, whose NaN gradient the optimizer then refuses.
-            dmaps = np.zeros(maps.shape)
-            dmaps[np.arange(count)[:, None], maps.argmax(axis=1), np.arange(maps_count)] = dmaximum
-            windows = rows.take(index[:, np.arange(starts)[:, None] + np.arange(width)], axis=0)
-            _accumulate(weight, windows.reshape(count * starts, width * dim).T @ dmaps.reshape(count * starts, -1))
+        g = g.reshape(len(sizes), -1)
+        dpooled = weights[:, None] * g[np.repeat(np.arange(len(sizes)), sizes)] * (1.0 - pooled * pooled)
+        block_size = len(rows) * maps_count  # the entries of one block of dProj
+        for (weight, bias), maps, peak, dmaximum in zip(filters, responses, peaks,
+                                                       np.split(dpooled, len(filters), axis=1)):
+            width = span - len(maps) + 1
+            # The first window at the peak, as a flat position in index: window s scores S - s where it
+            # reaches the peak, and a NaN map, which reaches it nowhere, takes window 0.
+            score = (maps == peak) * np.arange(len(maps), 0, -1, dtype=np.int32)[:, None, None]
+            best = (len(maps) - score.max(axis=0)) % len(maps) + np.arange(0, count * span, span)[:, None]
+            # The dProj entry [k, row, map] of each (block k, hypothesis, map): the row its window reads at k.
+            targets = index.take(best + np.arange(width)[:, None, None])
+            targets *= maps_count
+            targets += np.arange(0, width * block_size, block_size)[:, None, None] + np.arange(maps_count)
+            dproj = np.bincount(targets.ravel(), np.broadcast_to(dmaximum, targets.shape).ravel(),
+                                minlength=width * block_size)
+            _accumulate(weight, (rows.T @ dproj.reshape(width, len(rows), maps_count)).reshape(width * dim, -1))
             _accumulate(bias, dmaximum.sum(axis=0))
 
-    return _make(out, tuple(t for pair in filters for t in pair), backprop, "conv_nbest")
+    return _make(out if stacked else out[0], tuple(t for pair in filters for t in pair), backprop, "conv_nbest")
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:

@@ -29,7 +29,7 @@ from .context import Combiner, ContextWindow, LstmParams, combine, context_token
 from .embeddings import INIT_SCALE, EmbeddingTable
 from .errors import ConfigError
 from .ontology import Ontology
-from .sentence import ConvFilterBank, NBestList, encode_sentence
+from .sentence import ConvFilterBank, NBestList, encode_sentence, encode_sentences
 
 # Most context tokens one LSTM run holds.  The kernel keeps about 7.2 KB per
 # token at paper sizes (inputs, gates, states and squashed cells), so a run
@@ -94,16 +94,28 @@ class TurnEncoder:
             states += zip(ag.unstack(hidden), ag.unstack(cell))
         return states
 
-    def encode(self, nbest: NBestList, system_history, context=None) -> Tensor:
+    def sentences(self, nbests) -> list:
+        """Each n-best list's sentence vector, in order, from one convolution over all of them.
+
+        A vector is ``encode``'s ``sentence`` for its turn; each list is
+        truncated to the n-best cap first, as ``encode`` truncates it.
+        """
+        return list(ag.unstack(encode_sentences([nbest.truncated(self.nbest_cap) for nbest in nbests],
+                                                self.table, self.bank)))
+
+    def encode(self, nbest: NBestList, system_history, context=None, sentence=None) -> Tensor:
         """Hidden vector for one turn: the sentence vector alone when there is no context model.
 
-        ``context`` is the turn's state from ``contexts``; without it the
-        state comes from ``contexts([system_history])``, the same packed run
-        over a batch of one.  Callers pass the turn's own history either way,
-        so every call names its turn (the benchmark's tracer ties
-        ``model.encode`` spans to turns by it).
+        ``context`` is the turn's state from ``contexts`` and ``sentence`` its
+        vector from ``sentences``; without them the state comes from
+        ``contexts([system_history])``, the same packed run over a batch of
+        one, and the vector from ``encode_sentence``, the same convolution
+        over a list of one.  Callers pass the turn's own n-best list and
+        history either way, so every call names its turn (the benchmark's
+        tracer ties ``model.encode`` spans to turns by the history).
         """
-        sentence = encode_sentence(nbest.truncated(self.nbest_cap), self.table, self.bank)
+        if sentence is None:
+            sentence = encode_sentence(nbest.truncated(self.nbest_cap), self.table, self.bank)
         if self.lstm is None:
             return sentence
         if context is None:

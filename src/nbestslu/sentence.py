@@ -5,12 +5,15 @@ size, tanh nonlinearity), every feature map is max-pooled to one scalar,
 and the pooled vectors of all hypotheses are combined by a posterior-
 weighted sum.  The result is one fixed-length vector per user turn.
 
-The whole list is one ``autograd.conv_nbest`` tape node; one hypothesis
-is a list of one.  The op reads the arrays an ``NBestList`` builds once,
-when it is made: the hypotheses in canonical order, their weights, and
-an index of their distinct tokens.  These hold tokens, not vectors, so
-one list serves every model that encodes it; each encode looks the
-distinct tokens up in its model's own table view.
+Several lists are one ``autograd.conv_nbest`` tape node
+(``encode_sentences``), which projects each distinct word of all of them
+once; one list goes through the same op as a list of one
+(``encode_sentence``), and one hypothesis is a list of one.  The op reads
+the arrays an ``NBestList`` builds once, when it is made: the hypotheses
+in canonical order, their weights, and an index of their distinct tokens.
+These hold tokens, not vectors, so one list serves every model that
+encodes it; each encode looks the distinct tokens up in its model's own
+table view.
 """
 
 from __future__ import annotations
@@ -134,19 +137,47 @@ def encode_hypothesis(tokens, table: EmbeddingTable, bank: ConvFilterBank) -> Te
 
 
 def encode_sentence(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBank) -> Tensor:
-    """Confidence-weighted sum of per-hypothesis feature vectors.
+    """Confidence-weighted sum of per-hypothesis feature vectors: ``encode_sentences`` of one list, as a vector.
 
     Raw confidences are renormalized to sum to one, which makes the result
     invariant to uniform rescaling.  Terms are summed in the list's
     canonical order, so permuting the n-best list yields a bit-identical
     vector.
     """
+    return ag.conv_nbest(*_conv_inputs([nbest], table, bank))
+
+
+def encode_sentences(nbests, table: EmbeddingTable, bank: ConvFilterBank) -> Tensor:
+    """The sentence vectors of several n-best lists, as the rows of one [B, F] tensor.
+
+    One ``autograd.conv_nbest`` projects each distinct token of the lists
+    once.  A list of one runs exactly the products the list runs alone.  A
+    vector in a batch of more than about 100 distinct tokens at paper sizes
+    can move in the last bits: there OpenBLAS on AVX-512 leaves its
+    small-matrix dgemm kernel, and the two kernels round some rows apart.
+    """
+    return ag.conv_nbest(*_conv_inputs(nbests, table, bank), [len(nbest) for nbest in nbests])
+
+
+def _conv_inputs(nbests, table: EmbeddingTable, bank: ConvFilterBank):
+    """``conv_nbest``'s rows, index, lengths, weights and filters for n-best lists.
+
+    Tokens are numbered in the order they first occur, list by list, so a
+    list of one keeps its own numbering.
+    """
     if table.dim != bank.dim:
         raise DomainError(f"embedding dim {table.dim} does not match filter bank dim {bank.dim}")
-    rows = np.zeros((len(nbest.distinct) + 1, table.dim))
-    rows[1:] = table.hypothesis_rows(nbest.distinct)
+    rows_of: dict[str, int] = {}
     # Row 0 pads every hypothesis out to at least the largest window.
-    index = np.zeros((len(nbest), max(nbest.index.shape[1], bank.max_window)), dtype=np.int64)
-    index[:, : nbest.index.shape[1]] = nbest.index
-    filters = [(bank.weights[width], bank.biases[width]) for width in bank.window_sizes]
-    return ag.conv_nbest(rows, index, np.maximum(nbest.counts, bank.max_window), nbest.weights, filters)
+    index = np.zeros((sum(map(len, nbests)), max([bank.max_window, *(nbest.index.shape[1] for nbest in nbests)])),
+                     dtype=np.int64)
+    first = 0
+    for nbest in nbests:
+        remap = np.array([0, *(rows_of.setdefault(token, len(rows_of) + 1) for token in nbest.distinct)])
+        index[first : first + len(nbest), : nbest.index.shape[1]] = remap[nbest.index]
+        first += len(nbest)
+    rows = np.zeros((len(rows_of) + 1, table.dim))
+    rows[1:] = table.hypothesis_rows(tuple(rows_of))
+    lengths = np.maximum(np.concatenate([nbest.counts for nbest in nbests]), bank.max_window)
+    weights = np.concatenate([nbest.weights for nbest in nbests])
+    return rows, index, lengths, weights, [(bank.weights[width], bank.biases[width]) for width in bank.window_sizes]

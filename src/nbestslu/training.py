@@ -10,10 +10,10 @@ early stopping and keeps the final epoch instead.
 Mini-batch gradients are the mean of per-example gradients, so the loss
 scale does not depend on the batch size.  A mini-batch is one context-LSTM
 run over its examples' histories (while they hold at most
-``model.CONTEXT_TOKENS`` tokens) and one backward pass over the sum of
-their losses.  Validation decodes its whole split as one list, through
-``decoder.decode_turns`` or, for value models, ``decoder.predict_value``
-with one context pass.
+``model.CONTEXT_TOKENS`` tokens), one convolution over their n-best lists,
+and one backward pass over the sum of their losses.  Validation decodes
+its whole split as one list, through ``decoder.decode_turns`` or, for
+value models, ``decoder.predict_value`` with one context pass.
 """
 
 from __future__ import annotations
@@ -80,14 +80,15 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
 
     Each epoch visits the examples in a fresh ``SHUFFLE`` order, in
     mini-batches.  The context LSTM runs once over a mini-batch's
-    histories (``TurnEncoder.contexts``).  Then, example by example, the
-    turn is encoded with its context state, its hidden vector takes dropout
-    from the ``DROPOUT`` stream, and ``loss_fn(model, hidden, target)`` gives
-    its loss, read with ``item`` for the epoch's mean.  One backward pass
-    over the ``add_n`` of the mini-batch's losses leaves their summed
-    gradients for the optimizer step.  ``val_metric_fn(model)`` scores each
-    epoch; it is None when there are no validation turns, and early
-    stopping is then off.
+    histories (``TurnEncoder.contexts``) and the convolution once over its
+    n-best lists (``TurnEncoder.sentences``).  Then, example by example, the
+    turn is encoded with its context state and sentence vector, its hidden
+    vector takes dropout from the ``DROPOUT`` stream, and ``loss_fn(model,
+    hidden, target)`` gives its loss, read with ``item`` for the epoch's
+    mean.  One backward pass over the ``add_n`` of the mini-batch's losses
+    leaves their summed gradients for the optimizer step.
+    ``val_metric_fn(model)`` scores each epoch; it is None when there are no
+    validation turns, and early stopping is then off.
     """
     params, config = model.parameters(), model.config
     optimizer = Adadelta(params, config.adadelta_rho, config.adadelta_epsilon)
@@ -108,10 +109,11 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             contexts = model.encoder.contexts([examples[j][0].system_history for j in batch])
+            sentences = model.encoder.sentences([nbests[j] for j in batch])
             losses = []
-            for j, context in zip(batch, contexts):
+            for j, context, sentence in zip(batch, contexts, sentences):
                 turn, target = examples[j]
-                hidden = model.encoder.encode(nbests[j], turn.system_history, context)
+                hidden = model.encoder.encode(nbests[j], turn.system_history, context, sentence)
                 losses.append(loss_fn(model, dropout_apply(hidden, config.dropout, dropout_rng), target))
                 total_loss += losses[-1].item()
             add_n(losses).backward()

@@ -263,17 +263,23 @@ class TestConvNbest:
         index = np.array([[1, 2, 3, 1, 2], [3, 1, 0, 0, 0]])
         pair = (Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
         np.testing.assert_array_equal(ag.conv_nbest(rows, index, [5, 2], [0.5, 0.5], [pair]).data, np.zeros(4))
-        for bad_rows, bad_index, lengths, weights, filters in (
-            (np.zeros((2, 4, 3)), index, [5, 2], [0.5, 0.5], [pair]),
-            (rows, index[0], [5], [1.0], [pair]),
-            (rows, np.zeros((0, 5), dtype=int), [], [], [pair]),
-            (rows, index, [5], [0.5, 0.5], [pair]),
-            (rows, index, [5, 2], [1.0], [pair]),
-            (rows, index, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)))]),
-            (rows, index, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((6, 4))), Tensor(np.zeros(3)))]),
+        np.testing.assert_array_equal(ag.conv_nbest(rows, index, [5, 2], [0.5, 0.5], [pair], [1, 1]).data,
+                                      np.zeros((2, 4)))
+        for bad_rows, bad_index, lengths, weights, filters, sizes in (
+            (np.zeros((2, 4, 3)), index, [5, 2], [0.5, 0.5], [pair], None),
+            (rows, index[0], [5], [1.0], [pair], None),
+            (rows, np.zeros((0, 5), dtype=int), [], [], [pair], None),
+            (rows, index, [5], [0.5, 0.5], [pair], None),
+            (rows, index, [5, 2], [1.0], [pair], None),
+            (rows, index, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)))], None),
+            (rows, index, [5, 2], [0.5, 0.5], [(Tensor(np.zeros((6, 4))), Tensor(np.zeros(3)))], None),
+            (rows, index, [5, 2], [0.5, 0.5], [pair, (Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))], None),
+            (rows, index, [5, 2], [0.5, 0.5], [pair], [1]),
+            (rows, index, [5, 2], [0.5, 0.5], [pair], [2, 0]),
+            (rows, index, [5, 2], [0.5, 0.5], [pair], [[2]]),
         ):
             with pytest.raises(ShapeMismatchError):
-                ag.conv_nbest(bad_rows, bad_index, lengths, weights, filters)
+                ag.conv_nbest(bad_rows, bad_index, lengths, weights, filters, sizes)
         for lengths in ([5, 1], [6, 2]):
             with pytest.raises(DomainError):
                 ag.conv_nbest(rows, index, lengths, [0.5, 0.5], [pair])

@@ -328,6 +328,20 @@ class TestTurnEncoder:
         for order in (hyps[::-1], [hyps[int(i)] for i in rng.permutation(12)]):
             np.testing.assert_array_equal(model.encoder.encode(NBestList(tuple(order)), history).data, base)
 
+    def test_a_batchs_sentences_give_each_turn_the_hidden_vector_it_gets_alone(self, dataset, store):
+        model = build_step1(dataset, store)
+        turns = dataset.turns[:6]
+        rng = np.random.default_rng(10)
+        # One list past the n-best cap: ``sentences`` truncates it as ``encode`` does.
+        long = NBestList(tuple(Hypothesis(tuple(rng.choice(synthetic_vocab(), size=3)), float(c))
+                               for c in np.linspace(0.05, 0.6, 12)))
+        nbests = [turn_nbest(turn) for turn in turns[:-1]] + [long]
+        for turn, nbest, sentence in zip(turns, nbests, model.encoder.sentences(nbests)):
+            # The context state of a turn alone: a batch of histories may round it apart (``decoder``).
+            (context,) = model.encoder.contexts([turn.system_history])
+            alone = model.encoder.encode(nbest, turn.system_history).data
+            assert model.encoder.encode(nbest, turn.system_history, context, sentence).data.tobytes() == alone.tobytes()
+
 
 class TestFullModelGradients:
     @pytest.mark.parametrize("variant", ["cnn", "cnn_lstm_w4", "lstm_all"])

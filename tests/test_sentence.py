@@ -17,6 +17,7 @@ from nbestslu.sentence import (
     NBestList,
     encode_hypothesis,
     encode_sentence,
+    encode_sentences,
 )
 
 from _gradcheck import max_rel_error, weighted_sum
@@ -351,3 +352,91 @@ class TestSentenceGradients:
 
             worst = max(worst, max_rel_error(loss_fn, params))
         assert worst < 1e-4, f"max relative error {worst}"
+
+
+def paper_batch(rng, table_words, lists: int):
+    """``lists`` n-best lists of 1-10 hypotheses of 0-12 words, some of them unseen."""
+    return [NBestList(tuple(
+        Hypothesis(tuple(rng.choice(table_words + ["unseen"], size=int(rng.integers(0, 13)))),
+                   float(rng.uniform(0.05, 1)))
+        for _ in range(int(rng.integers(1, 11)))
+    )) for _ in range(lists)]
+
+
+class TestBatch:
+    """Several n-best lists as one convolution (``encode_sentences``)."""
+
+    def lists(self):
+        # Different hypothesis counts and lengths; "a" and "b" occur in two lists, "x", "y" and "z" in one;
+        # the second list is shorter than the widest filter.
+        return [NBestList((Hypothesis(("a", "b", "c", "a", "d"), 0.5), Hypothesis(("b", "c"), 0.3),
+                           Hypothesis((), 0.2))),
+                NBestList((Hypothesis(("a",), 1.0),)),
+                NBestList((Hypothesis(("x", "b", "y", "z", "x", "y", "z"), 0.6), Hypothesis(("z", "a", "x"), 0.4)))]
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.table = tiny_table({t: list(rng.uniform(-1, 1, 3)) for t in "abcdxyz"})
+        self.bank = ConvFilterBank(3, (2, 3, 4), 2, rng)
+        self.contract = rng.uniform(0.5, 1.5, (3, self.bank.feature_size))
+
+    def loss(self, nbests, contract):
+        rows = ag.unstack(encode_sentences(nbests, self.table, self.bank))
+        return ag.add_n([weighted_sum(row, weights) for row, weights in zip(rows, contract)])
+
+    def test_filter_gradients_over_several_lists(self):
+        def loss_fn():
+            return self.loss(self.lists(), self.contract)
+
+        assert max_rel_error(loss_fn, list(self.bank.parameters().values())) < 1e-4
+
+    def test_the_weight_gradient_is_the_sum_of_the_lists_gradients(self):
+        params = self.bank.parameters()
+        for nbest, weights in zip(self.lists(), self.contract):
+            weighted_sum(encode_sentence(nbest, self.table, self.bank), weights).backward()
+        alone = {name: tensor.grad.copy() for name, tensor in params.items()}
+        for tensor in params.values():
+            tensor.grad = None
+        self.loss(self.lists(), self.contract).backward()
+        for name, tensor in params.items():
+            np.testing.assert_allclose(tensor.grad, alone[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_a_list_encodes_to_the_same_bits_alone_in_a_batch_and_in_reverse(self):
+        # Paper sizes and a training mini-batch of five lists: the union of their words is well under the
+        # 100 rows below which OpenBLAS keeps one dgemm kernel (see ``encode_sentences``).
+        rng = np.random.default_rng(13)
+        words = [f"w{i}" for i in range(30)]
+        table = tiny_table({t: list(rng.uniform(-1, 1, 100)) for t in words})
+        bank = ConvFilterBank(100, (3, 4, 5), 100, rng)
+        nbests = paper_batch(rng, words, 5)
+        alone = [encode_sentence(nbest, table, bank).data for nbest in nbests]
+        batch = encode_sentences(nbests, table, bank).data
+        reverse = encode_sentences(nbests[::-1], table, bank).data[::-1]
+        for b, vector in enumerate(alone):
+            assert batch[b].tobytes() == vector.tobytes() and reverse[b].tobytes() == vector.tobytes(), b
+
+    def test_a_batch_past_100_rows_moves_a_vector_by_rounding_at_most(self):
+        # Past about 100 distinct words at paper sizes OpenBLAS may change dgemm kernels, which round
+        # some rows apart; the vectors stay within a few units in the last place.
+        rng = np.random.default_rng(14)
+        words = [f"w{i}" for i in range(300)]
+        table = tiny_table({t: list(rng.uniform(-1, 1, 100)) for t in words})
+        bank = ConvFilterBank(100, (3, 4, 5), 100, rng)
+        nbests = paper_batch(rng, words, 20)
+        assert len({token for nbest in nbests for token in nbest.distinct}) > 100
+        batch = encode_sentences(nbests, table, bank).data
+        for nbest, row in zip(nbests, batch):
+            np.testing.assert_allclose(row, encode_sentence(nbest, table, bank).data, rtol=0, atol=1e-15)
+
+    def test_a_nan_map_in_one_list_routes_a_nan_gradient(self):
+        ag.set_finite_checks(False)  # as in training, where only the optimizer step checks
+        table = tiny_table({"a": [0.1, 0.2, 0.3], "bad": [0.1, np.nan, 0.3], "x": [0.3, -0.2, 0.5]})
+        nbests = [NBestList((Hypothesis(("a", "x", "a"), 1.0),)),
+                  NBestList((Hypothesis(("x", "bad", "a", "x"), 0.7), Hypothesis(("x",), 0.3)))]
+        out = encode_sentences(nbests, table, self.bank)
+        assert np.isfinite(out.data[0]).all() and np.isnan(out.data[1]).all()
+        rows = ag.unstack(out)
+        ag.add_n([weighted_sum(row, weights) for row, weights in zip(rows, self.contract)]).backward()
+        # Every window of the bad hypothesis holds the NaN word, so every map of the second list pools a NaN.
+        for name, tensor in self.bank.parameters().items():
+            assert np.isnan(tensor.grad).all(), name

@@ -258,8 +258,8 @@ class TestMiniBatches:
         encoded, dropped = [], []
         encode, apply = TurnEncoder.encode, training.dropout_apply
 
-        def recording_encode(encoder, nbest, history, context=None):
-            encoded.append((history, encode(encoder, nbest, history, context)))
+        def recording_encode(encoder, nbest, history, context=None, sentence=None):
+            encoded.append((history, encode(encoder, nbest, history, context, sentence)))
             return encoded[-1][1]
 
         def recording_dropout(t, rate, rng):
