@@ -425,10 +425,9 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     out = table.data[indices]
 
     def backprop(g: np.ndarray) -> None:
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, indices, g)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, indices, g)
 
     return _make(out, (table,), backprop, "gather_rows")
 

@@ -149,10 +149,7 @@ def _overwrite_params(model, stored: dict[str, np.ndarray], path) -> None:
         missing = expected - set(stored)
         extra = set(stored) - expected
         raise DataFormatError(f"{path}: parameter set mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    rebuilt_oov = model.encoder.table.hypothesis_oov_vector
-    if rebuilt_oov.shape != stored["embed.hyp_oov"].shape or not np.array_equal(
-        rebuilt_oov, stored["embed.hyp_oov"]
-    ):
+    if not np.array_equal(model.encoder.table.hypothesis_oov_vector, stored["embed.hyp_oov"]):
         raise ConfigError(
             f"{path}: checkpoint was written against a different embedding store or seed"
         )
@@ -251,6 +248,8 @@ def load_checkpoint_dir(dirpath, store, config: RunConfig | None = None
             model = load_model(path, store, SLOT_KIND, expected_hash)
             if model.slot != slot:
                 raise DataFormatError(f"{path}: holds the value model of slot {model.slot!r}, not {slot!r}")
+            if model.config != step1.config:
+                raise ConfigError(f"{path}: value model comes from another run than {STEP1_FILE}")
             slot_models[slot] = model
     if config is None:
         config = parse_config_file(dirpath / CONFIG_FILE) if (dirpath / CONFIG_FILE).is_file() else step1.config

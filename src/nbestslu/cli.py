@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = parse_config_file(args.config) if args.config else RunConfig()
-    return apply_overrides(cfg, args.overrides).validate()
+    return apply_overrides(cfg, args.overrides)
 
 
 def _load_store(cfg: RunConfig):

@@ -2,7 +2,7 @@
 
 Every run resolves its configuration, writes it next to its outputs, and
 stamps artifacts with the configuration hash so that mismatched pieces
-can be detected later.
+can be detected later.  A ``RunConfig`` is valid once built.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ VARIANTS: dict[str, tuple[str, str | None]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a training or decoding run needs to be reproducible."""
+    """Everything a run needs to be reproducible; building one refuses an invalid value by key name."""
 
     model: str = "cnn_lstm_w4"
     embeddings: str = ""
@@ -52,7 +52,7 @@ class RunConfig:
     max_act_patterns: int = MAX_PATTERNS
     cv_folds: int = 10
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.model not in VARIANTS:
             raise ConfigError(f"unknown model variant {self.model!r}; choose from {tuple(VARIANTS)}")
         if self.embedding_dim < 1:
@@ -89,7 +89,6 @@ class RunConfig:
             raise ConfigError(f"max_act_patterns must be positive, got {self.max_act_patterns}")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds}")
-        return self
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -135,7 +134,7 @@ def _apply(cfg: RunConfig, entries: Iterable[tuple[str, str]]) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         updates[key] = _parse_value(key, value)
-    return replace(cfg, **updates).validate()
+    return replace(cfg, **updates)
 
 
 def _config_lines(lines: Iterable[str]) -> Iterator[tuple[str, str]]:

@@ -115,7 +115,7 @@ class ContextWindow:
             return ()
         if self.mode == "all":
             return tuple(system_turns)
-        return tuple(system_turns[-min(self.width, len(system_turns)) :]) if system_turns else ()
+        return tuple(system_turns[-self.width :])
 
 
 def context_tokens(system_turns: Sequence, window: ContextWindow) -> list[str]:

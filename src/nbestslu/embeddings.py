@@ -10,6 +10,7 @@ act's tokens are its ``data.SystemAct.words``.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import logging
 from dataclasses import dataclass
@@ -80,11 +81,7 @@ class EmbeddingTable:
 
     def view(self) -> "EmbeddingTable":
         """A new table sharing the frozen block but with no runtime rows."""
-        clone = EmbeddingTable.__new__(EmbeddingTable)
-        clone.dim = self.dim
-        clone._index = self._index
-        clone._frozen = self._frozen
-        clone._fingerprint = self._fingerprint
+        clone = copy.copy(self)
         clone._oov_vector = None
         clone._system_index = {}
         clone.system_matrix = None

@@ -41,19 +41,16 @@ class TurnEncoder:
     """Everything between raw turn inputs and the hidden vector the heads read."""
 
     def __init__(self, config: RunConfig, store: EmbeddingTable, system_tokens, rng: np.random.Generator):
-        if config.model not in VARIANTS:
-            raise ConfigError(f"unknown model variant {config.model!r}")
         window_name, combine_mode = VARIANTS[config.model]
         self.window = ContextWindow.from_name(window_name)
         self.table = store.view()
         self.nbest_cap = config.nbest_cap
         self.bank = ConvFilterBank(store.dim, config.filter_windows, config.filters_per_window, rng)
+        self.table.prepare_runtime_rows(() if combine_mode is None else system_tokens, rng)
         if combine_mode is None:
-            self.table.prepare_runtime_rows((), rng)
             self.lstm = None
             self.out_dim = self.bank.feature_size
         else:
-            self.table.prepare_runtime_rows(system_tokens, rng)
             self.system_embeddings = Tensor(self.table.system_matrix, requires_grad=True, name="embed.system")
             self.lstm = LstmParams(store.dim, config.hidden_size, rng)
             self.out_dim = config.hidden_size

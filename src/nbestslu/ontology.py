@@ -81,16 +81,10 @@ class Ontology:
         return self.acts[0]
 
     def act_index(self, label: str) -> int:
-        try:
-            return self._act_index[label]
-        except KeyError:
-            raise DomainError(f"unknown act label {label!r}") from None
+        return self._act_index[label]
 
     def slot_values(self, slot: str) -> tuple[str, ...]:
-        try:
-            return self.values[slot]
-        except KeyError:
-            raise DomainError(f"unknown slot {slot!r}") from None
+        return self.values[slot]
 
     def to_json_dict(self) -> dict:
         return {

@@ -141,18 +141,17 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
     # A model that outlives its run must not pin the run's gradient buffers.
     optimizer.release()
 
-    if early_stopping and best_snapshot is not None:
+    if early_stopping:
         _restore(params, best_snapshot)
     else:
         log.best_epoch = len(log.epochs)
-        log.best_metric = log.epochs[-1]["val_metric"] if log.epochs else None
+        log.best_metric = log.epochs[-1]["val_metric"]
 
 
 def train_step1(
     dataset: Dataset, config: RunConfig, store, *, log_fn: LogFn | None = None
 ) -> tuple[StepOneModel, TrainLog]:
     """Train the joint act / slot-presence model on a dataset."""
-    config = config.validate()
     if not dataset.turns:
         raise DomainError("cannot train on an empty dataset")
     system_tokens = collect_system_tokens(dataset.turns)
@@ -198,7 +197,6 @@ def train_step2(
     several).  Slots with fewer than two observed values are skipped:
     detecting them in step one already determines the value.
     """
-    config = config.validate()
     if slot not in dataset.ontology.slots:
         raise DomainError(f"unknown slot {slot!r}")
     log = TrainLog()
@@ -248,7 +246,6 @@ def cross_validate_step1(dataset: Dataset, config: RunConfig, store, *, log_fn: 
     stdev per metric).  Each fold trains on the other folds with its own
     derived ontology and is scored on the held-out fold in presence mode.
     """
-    config = config.validate()
     reports = []
     for fold, held in enumerate(make_folds(dataset, config.cv_folds, config.seed)):
         train_ds = dataset.subset([s for s in dataset.sessions if s not in held], note=f"cv-train-{fold}")

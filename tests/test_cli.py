@@ -10,7 +10,7 @@ from nbestslu import checkpoint, cli, training
 from nbestslu.autograd import Tensor, mul, nll_loss, set_finite_checks
 from nbestslu.checkpoint import MAGIC, load_container, save_container
 from nbestslu.cli import main
-from nbestslu.data import read_canonical
+from nbestslu.data import Dataset, read_canonical, write_canonical
 from nbestslu.decoder import SemanticFrame, SlotValuePrediction, write_frames
 
 from _synth import synthetic_vocab, write_mini_corpus, write_vectors_file
@@ -359,6 +359,126 @@ class TestExitCodes:
         assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(ckpt / "step1.ckpt") in err and "head.act.w" in err
+
+    @pytest.mark.parametrize("change", ["dropped", "added"])
+    def test_decode_of_a_checkpoint_with_another_parameter_set_is_two(self, workspace, tmp_path, capsys, change):
+        dataset = tmp_path / "mini.ds"
+        ckpt = tmp_path / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
+        kind, params, meta = load_container(ckpt / "step1.ckpt")
+        if change == "dropped":
+            del params["head.act.w"]
+        else:
+            params["head.extra.w"] = np.zeros((2, 2))
+        save_container(ckpt / "step1.ckpt", kind, params, meta)
+        capsys.readouterr()
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "parameter set mismatch" in err
+        assert ("head.act.w" if change == "dropped" else "head.extra.w") in err
+
+    def test_decode_of_a_directory_mixing_two_runs_is_one(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        runs = {}
+        for seed in (1, 2):
+            runs[seed] = tmp_path / f"seed{seed}"
+            assert run(["train", dataset, runs[seed], "--config", workspace["config"],
+                        "--set", "model=cnn", "--set", f"seed={seed}"]) == 0
+        (runs[2] / "slot_area.ckpt").write_bytes((runs[1] / "slot_area.ckpt").read_bytes())
+        capsys.readouterr()
+        assert run(["decode", runs[2], dataset, tmp_path / "out.frames"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "slot_area.ckpt" in err and "another run" in err
+        assert not (tmp_path / "out.frames").exists()
+
+    def test_train_without_an_embeddings_file_is_one(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        capsys.readouterr()
+        assert run(["train", dataset, tmp_path / "ckpt", "--config", workspace["config"],
+                    "--set", "embeddings="]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "'embeddings'" in err
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("fault", ["out-of-order", "slot-twice", "unknown-items"])
+    def test_eval_of_a_malformed_frames_file_is_two(self, workspace, tmp_path, capsys, fault):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        turns = read_canonical(dataset).turns
+        frames_path = tmp_path / "mini.frames"
+        frames = [SemanticFrame("inform", 1.0, (SlotValuePrediction("area", "north", 0.5),)) for _ in turns]
+        write_frames(frames_path, frames, turns[::-1] if fault == "out-of-order" else turns, mode="full")
+        header, *records = frames_path.read_text(encoding="utf-8").splitlines()
+        if fault == "slot-twice":
+            doc = json.loads(records[0])
+            doc["slots"] *= 2
+            records[0] = json.dumps(doc)
+        if fault == "unknown-items":
+            header = json.dumps({**json.loads(header), "items": "both"})
+        frames_path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["eval", frames_path, dataset]) == 2
+        err = capsys.readouterr().err
+        expected = {"out-of-order": "does not align", "slot-twice": "duplicate slots",
+                    "unknown-items": "unknown scoring mode 'both'"}[fault]
+        assert err.startswith("data error:") and expected in err and "Traceback" not in err
+
+    def test_a_dataset_file_without_records_is_two(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        full = read_canonical(dataset)
+        empty = tmp_path / "empty.ds"
+        write_canonical(Dataset((), full.ontology, full.provenance), empty)
+        capsys.readouterr()
+        assert run(["train", empty, tmp_path / "ckpt", "--config", workspace["config"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "cannot derive an ontology from an empty dataset" in err
+
+    @pytest.mark.parametrize("fault", ["no-semantics", "no-turn-lists", "turn-counts-differ",
+                                       "indices-not-increasing", "empty-file-list", "duplicate-session"])
+    def test_import_of_a_malformed_corpus_is_two(self, workspace, tmp_path, capsys, fault):
+        root, flist = workspace["root"], workspace["flist"]
+        call = root / "Mar13_S0A0" / "voip-mini-001"
+        log, label = (json.loads((call / name).read_text(encoding="utf-8")) for name in ("log.json", "label.json"))
+        expected = {
+            "no-semantics": "missing reference semantics",
+            "no-turn-lists": "missing turn lists",
+            "turn-counts-differ": "log has 3 turns but labels have 2",
+            "indices-not-increasing": "turn indices are not increasing",
+            "empty-file-list": "file list is empty",
+            "duplicate-session": "duplicate session id 'voip-mini-001'",
+        }[fault]
+        if fault == "no-semantics":
+            del label["turns"][0]["semantics"]
+        elif fault == "no-turn-lists":
+            del log["turns"]
+        elif fault == "turn-counts-differ":
+            label["turns"].pop()
+        elif fault == "indices-not-increasing":
+            log["turns"][1]["turn-index"] = 0
+        elif fault == "empty-file-list":
+            flist.write_text("\n", encoding="utf-8")
+        else:
+            other = root / "Mar13_S0A0" / "voip-mini-001-copy"
+            other.mkdir()
+            for name in ("log.json", "label.json"):
+                (other / name).write_bytes((call / name).read_bytes())
+            flist.write_text(flist.read_text(encoding="utf-8") + "Mar13_S0A0/voip-mini-001-copy\n", encoding="utf-8")
+        for name, doc in (("log.json", log), ("label.json", label)):
+            (call / name).write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["import", root, flist, tmp_path / "x.ds", "--config", workspace["config"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and expected in err and "Traceback" not in err
+        assert not (tmp_path / "x.ds").exists()
 
     def test_config_file_that_is_not_utf8_is_one(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

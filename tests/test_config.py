@@ -1,7 +1,7 @@
 """Configuration parsing, defaults, and hashing."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -31,7 +31,7 @@ class TestDefaults:
         assert cfg.cv_folds == 10
 
     def test_defaults_validate(self):
-        RunConfig().validate()
+        assert replace(RunConfig()) == RunConfig()
 
 
 class TestParsing:
@@ -63,10 +63,12 @@ class TestParsing:
         assert "batch_size" in str(err.value)
 
     def test_invalid_settings_rejected(self):
-        for text in ("model = transformer", "dropout = 1.0", "adadelta_rho = 0",
-                     "validation_fraction = 1.5", "asr_channel = tape", "filter_windows = 3,3"):
-            with pytest.raises(ConfigError):
-                parse_config_text(text)
+        for key, text, value in (("model", "transformer", "transformer"), ("dropout", "1.0", 1.0),
+                                 ("adadelta_rho", "0", 0.0), ("validation_fraction", "1.5", 1.5),
+                                 ("asr_channel", "tape", "tape"), ("filter_windows", "3,3", (3, 3))):
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(f"{key} = {text}")
+            assert_build_refused(key, value)
 
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), ["seed=9", "model=lstm_all"])
@@ -115,6 +117,14 @@ VALID = {
 }
 
 
+def assert_build_refused(key, value):
+    """A RunConfig holding ``value`` at ``key`` cannot be built, directly or by ``replace``."""
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        replace(RunConfig(), **{key: value})
+
+
 def test_every_numeric_key_has_a_documented_range():
     numeric = {f.name for f in fields(RunConfig) if f.type in ("int", "float", "tuple[int, ...]")}
     assert numeric == set(VALID)
@@ -129,3 +139,11 @@ def test_out_of_range_numbers_are_refused(key, text):
         assert key in str(err)
     else:
         assert VALID[key](getattr(cfg, key)), getattr(cfg, key)
+    # The value the text reads as in the key's type, where it has one.
+    kind = {f.name: f.type for f in fields(RunConfig)}[key]
+    try:
+        value = (int(text),) if kind == "tuple[int, ...]" else int(text) if kind == "int" else float(text)
+    except ValueError:
+        return
+    if not VALID[key](value):
+        assert_build_refused(key, value)

@@ -6,6 +6,7 @@ benchmark workloads and demos by path; each check fails when one side
 changes without the other.
 """
 
+import ast
 import itertools
 import json
 import re
@@ -49,3 +50,16 @@ def test_every_name_the_workflow_uses_is_in_the_tree():
     demo_globs = re.findall(r"demos/\S*\*\S*\.py", text)
     assert demo_globs == ["demos/0[1-4]_*.py"]
     assert len(sorted(ROOT.glob(demo_globs[0]))) == 4
+
+
+def test_the_lowest_ci_python_is_the_floor_and_every_file_parses_there():
+    # No runner has run the workflow's lowest leg, so its parse check runs here.
+    versions = re.search(r"python-version: \[([^\]]*)\]", WORKFLOW.read_text(encoding="utf-8")).group(1)
+    lowest = min(tuple(int(part) for part in v.strip(' "\'').split(".")) for v in versions.split(","))
+    floor = re.search(r'requires-python = ">=([\d.]+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert lowest == tuple(int(part) for part in floor.group(1).split("."))
+    sources = sorted(path for top in ("src", "tests", "perfbench", "tools", "demos")
+                     for path in (ROOT / top).rglob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=lowest)
