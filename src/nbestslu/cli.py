@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import CONFIG_FILE, load_checkpoint_dir, ontology_hash, save_checkpoint_dir
+from .checkpoint import CONFIG_FILE, load_checkpoint_dir, ontology_hash, save_checkpoint_dir, slot_file
 from .config import RunConfig, apply_overrides, config_hash, parse_config_file, write_resolved
 from .data import import_dstc2, read_canonical, read_turns, write_canonical
 from .decoder import decode_dataset, read_frames, write_frames
@@ -143,6 +143,11 @@ def _cmd_decode(args) -> int:
     cfg = parse_config_file(Path(args.checkpoint) / CONFIG_FILE)
     store = _load_store(cfg)
     step1, slot_models, cfg = load_checkpoint_dir(args.checkpoint, store, config=cfg)
+    ontology = step1.ontology
+    missing = [slot for slot in ontology.slots if slot not in slot_models and len(ontology.slot_values(slot)) != 1]
+    if missing and not args.step1_only:
+        raise ConfigError(f"{args.checkpoint}: no {slot_file(missing[0])} for multi-valued slot {missing[0]!r}; "
+                          "a full decode needs every value model")
     frames = decode_dataset(dataset, step1, slot_models, step1_only=args.step1_only)
     mode = STEP1 if args.step1_only else FULL
     write_frames(args.out, frames, dataset.turns, mode=mode,

@@ -2,15 +2,21 @@
 
 Every run resolves its configuration, writes it next to its outputs, and
 stamps artifacts with the configuration hash so that mismatched pieces
-can be detected later.  A ``RunConfig`` is valid once built.
+can be detected later.  Each setting is one declaration: its annotation
+is its type, and its ``_setting`` holds its default and its rule.
+Building a ``RunConfig`` converts every value exactly to its key's type
+(an int where a float is due becomes a float, a numpy scalar its builtin;
+a bool is never a number) or refuses it with the ``ConfigError``
+``"<key> must be <rule>, got <value>"``.  So a config that builds is one
+its ``resolved_text`` reads back, and equal configs hash equal.
 """
-
-from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .data import ASR_CHANNELS, text_lines
 from .errors import ConfigError
@@ -27,93 +33,84 @@ VARIANTS: dict[str, tuple[str, str | None]] = {
     "lstm_all": ("all", "lstm-input"),
 }
 
+_BOOLEAN_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _setting(default, rule: str, ok: Callable):
+    """A ``RunConfig`` key: its default, and its rule as the text that ends "<key> must be …" and a predicate."""
+    return field(default=default, metadata={"rule": rule, "ok": ok})
+
+
+def _integer(low: int) -> tuple[str, Callable]:
+    return f"an integer ≥ {low}", lambda value: value >= low
+
+
+def _one_of(choices) -> tuple[str, Callable]:
+    return "one of " + ", ".join(choices), lambda value: value in choices
+
+
+def _in_one_line(value: str) -> bool:
+    """Whether a UTF-8 config line carries ``value`` unchanged."""
+    return (value == value.strip() and value.splitlines() in ([], [value]) and "#" not in value
+            and value.encode("utf-8", "ignore").decode("utf-8") == value)
+
+
+def _exact(kind, value):
+    """``value`` as exactly a ``kind``, or None when it is not one."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if kind == tuple[int, ...] and type(value) is tuple:
+        items = tuple(_exact(int, item) for item in value)
+        return None if None in items else items
+    if kind is float and type(value) is int and abs(value) <= 2 ** 53:  # every such int is a float exactly
+        return float(value)
+    return value if type(value) is kind else None
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs to be reproducible; building one refuses an invalid value by key name."""
 
-    model: str = "cnn_lstm_w4"
-    embeddings: str = ""
-    embedding_dim: int = 100
-    filter_windows: tuple[int, ...] = (3, 4, 5)
-    filters_per_window: int = 100
-    hidden_size: int = 100
-    nbest_cap: int = 10
-    batch_size: int = 50
-    dropout: float = 0.5
-    adadelta_rho: float = 0.95
-    adadelta_epsilon: float = 1e-6
-    validation_fraction: float = 0.10
-    patience: int = 5
-    max_epochs: int = 100
-    seed: int = 1
-    act_only: bool = False
-    asr_channel: str = "live"
-    max_act_patterns: int = MAX_PATTERNS
-    cv_folds: int = 10
+    model: str = _setting("cnn_lstm_w4", *_one_of(VARIANTS))
+    embeddings: str = _setting("", "a UTF-8 path on one line, without # or surrounding spaces", _in_one_line)
+    embedding_dim: int = _setting(100, *_integer(1))
+    filter_windows: tuple[int, ...] = _setting((3, 4, 5), "one or more distinct integers ≥ 1",
+                                               lambda value: value and min(value) >= 1 and len(set(value)) == len(value))
+    filters_per_window: int = _setting(100, *_integer(1))
+    hidden_size: int = _setting(100, *_integer(1))
+    nbest_cap: int = _setting(10, *_integer(1))
+    batch_size: int = _setting(50, *_integer(1))
+    dropout: float = _setting(0.5, "a number in [0, 1)", lambda value: 0.0 <= value < 1.0)
+    adadelta_rho: float = _setting(0.95, "a number in (0, 1)", lambda value: 0.0 < value < 1.0)
+    adadelta_epsilon: float = _setting(1e-6, "a finite number > 0", lambda value: 0.0 < value < math.inf)
+    validation_fraction: float = _setting(0.10, "a number in (0, 1)", lambda value: 0.0 < value < 1.0)
+    patience: int = _setting(5, *_integer(0))
+    max_epochs: int = _setting(100, *_integer(1))
+    seed: int = _setting(1, *_integer(0))
+    act_only: bool = _setting(False, "true or false", lambda value: True)
+    asr_channel: str = _setting("live", *_one_of(ASR_CHANNELS))
+    max_act_patterns: int = _setting(MAX_PATTERNS, *_integer(1))
+    cv_folds: int = _setting(10, *_integer(2))
 
     def __post_init__(self):
-        if self.model not in VARIANTS:
-            raise ConfigError(f"unknown model variant {self.model!r}; choose from {tuple(VARIANTS)}")
-        if self.embedding_dim < 1:
-            raise ConfigError(f"embedding_dim must be positive, got {self.embedding_dim}")
-        if not self.filter_windows or any(w < 1 for w in self.filter_windows):
-            raise ConfigError(f"filter_windows must be positive, got {self.filter_windows}")
-        if len(set(self.filter_windows)) != len(self.filter_windows):
-            raise ConfigError(f"filter_windows must be distinct, got {self.filter_windows}")
-        if self.filters_per_window < 1:
-            raise ConfigError(f"filters_per_window must be positive, got {self.filters_per_window}")
-        if self.hidden_size < 1:
-            raise ConfigError(f"hidden_size must be positive, got {self.hidden_size}")
-        if self.nbest_cap < 1:
-            raise ConfigError(f"nbest_cap must be at least 1, got {self.nbest_cap}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not 0.0 < self.adadelta_rho < 1.0:
-            raise ConfigError(f"adadelta_rho must lie in (0, 1), got {self.adadelta_rho}")
-        if not 0.0 < self.adadelta_epsilon < math.inf:
-            raise ConfigError(f"adadelta_epsilon must be finite and positive, got {self.adadelta_epsilon}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be non-negative, got {self.patience}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.asr_channel not in ASR_CHANNELS:
-            raise ConfigError(f"asr_channel must be one of {ASR_CHANNELS}, got {self.asr_channel!r}")
-        if self.max_act_patterns < 1:
-            raise ConfigError(f"max_act_patterns must be positive, got {self.max_act_patterns}")
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds}")
+        for key in fields(self):
+            value = getattr(self, key.name)
+            exact = _exact(key.type, value)
+            if exact is None or not key.metadata["ok"](exact):
+                raise ConfigError(f"{key.name} must be {key.metadata['rule']}, got {value!r}")
+            object.__setattr__(self, key.name, exact)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _parse_value(key: str, text: str):
-    text = text.strip()
-    kind = _FIELD_TYPES[key]
+def _read(kind, text: str):
+    """``text`` as a ``kind``; the text itself when it reads as none, for ``RunConfig`` to refuse by its rule."""
     try:
-        if kind == "bool":
-            lowered = text.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "tuple[int, ...]":
+        if kind is bool:
+            return _BOOLEAN_WORDS[text.lower()]
+        if kind == tuple[int, ...]:
             return tuple(int(part) for part in text.split(",") if part.strip())
+        return kind(text)
+    except (KeyError, ValueError):
         return text
-    except ValueError as exc:
-        raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
 
 
 def _format_value(value) -> str:
@@ -126,14 +123,15 @@ def _format_value(value) -> str:
 
 def _apply(cfg: RunConfig, entries: Iterable[tuple[str, str]]) -> RunConfig:
     """``cfg`` updated by ``(where, "key = value")`` entries; unknown keys are an error by name."""
+    kinds = {key.name: key.type for key in fields(RunConfig)}
     updates = {}
     for where, entry in entries:
         if "=" not in entry:
             raise ConfigError(f"{where}: expected 'key = value', got {entry!r}")
         key, value = (part.strip() for part in entry.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = _parse_value(key, value)
+        updates[key] = _read(kinds[key], value)
     return replace(cfg, **updates)
 
 

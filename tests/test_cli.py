@@ -11,7 +11,7 @@ from nbestslu.autograd import Tensor, mul, nll_loss, set_finite_checks
 from nbestslu.checkpoint import MAGIC, load_container, save_container
 from nbestslu.cli import main
 from nbestslu.data import Dataset, read_canonical, write_canonical
-from nbestslu.decoder import SemanticFrame, SlotValuePrediction, write_frames
+from nbestslu.decoder import SemanticFrame, SlotValuePrediction, read_frames, write_frames
 
 from _synth import synthetic_vocab, write_mini_corpus, write_vectors_file
 
@@ -394,6 +394,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "slot_area.ckpt" in err and "another run" in err
         assert not (tmp_path / "out.frames").exists()
+
+    @pytest.mark.parametrize("step1_only", [True, False], ids=["step1-only-train", "slot-file-removed"])
+    def test_full_decode_of_an_incomplete_checkpoint_is_one(self, workspace, tmp_path, capsys, step1_only):
+        dataset = tmp_path / "mini.ds"
+        ckpt = tmp_path / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"], *(["--step1-only"] * step1_only)]) == 0
+        ontology = read_canonical(dataset).ontology
+        multi_valued = [slot for slot in ontology.slots if len(ontology.slot_values(slot)) > 1]
+        missing = multi_valued[0] if step1_only else multi_valued[-1]
+        (ckpt / f"slot_{missing}.ckpt").unlink(missing_ok=step1_only)
+        # One turn in which step one detects no slot, so no turn ever asks for the missing model.
+        assert run(["decode", ckpt, dataset, tmp_path / "step1.frames", "--step1-only"]) == 0
+        _, rows = read_frames(tmp_path / "step1.frames")
+        quiet = next(i for i, (_, _, frame) in enumerate(rows) if not frame.slots)
+        one_turn = tmp_path / "one_turn.jsonl"
+        one_turn.write_text(dataset.read_text(encoding="utf-8").splitlines()[1 + quiet] + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["decode", ckpt, one_turn, tmp_path / "out.frames"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"slot_{missing}.ckpt" in err and repr(missing) in err
+        assert not (tmp_path / "out.frames").exists()
+        assert run(["decode", ckpt, one_turn, tmp_path / "out.frames", "--step1-only"]) == 0
 
     def test_train_without_an_embeddings_file_is_one(self, workspace, tmp_path, capsys):
         dataset = tmp_path / "mini.ds"

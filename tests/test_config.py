@@ -3,9 +3,12 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbestslu.config import (
+    VARIANTS,
     RunConfig,
     apply_overrides,
     config_hash,
@@ -14,6 +17,7 @@ from nbestslu.config import (
     resolved_text,
     write_resolved,
 )
+from nbestslu.data import ASR_CHANNELS
 from nbestslu.errors import ConfigError
 
 
@@ -65,8 +69,11 @@ class TestParsing:
     def test_invalid_settings_rejected(self):
         for key, text, value in (("model", "transformer", "transformer"), ("dropout", "1.0", 1.0),
                                  ("adadelta_rho", "0", 0.0), ("validation_fraction", "1.5", 1.5),
-                                 ("asr_channel", "tape", "tape"), ("filter_windows", "3,3", (3, 3))):
-            with pytest.raises(ConfigError, match=key):
+                                 ("asr_channel", "tape", "tape"), ("filter_windows", "3,3", (3, 3)),
+                                 ("hidden_size", "2.5", 2.5), ("embedding_dim", "nan", math.nan),
+                                 ("seed", "'1'", "1"), ("filter_windows", "[3, 4]", [3, 4]),
+                                 ("act_only", "2", 1), ("batch_size", "true", True)):
+            with pytest.raises(ConfigError, match=rf"^{key} must be .+, got "):
                 parse_config_text(f"{key} = {text}")
             assert_build_refused(key, value)
 
@@ -89,6 +96,18 @@ class TestRoundTripAndHash:
         a, b = RunConfig(seed=1), RunConfig(seed=1)
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(RunConfig(seed=2))
+
+    def test_values_are_stored_exactly_in_their_key_type(self):
+        cfg = RunConfig(dropout=np.float64(0.25), hidden_size=np.int64(7), adadelta_epsilon=1,
+                        filter_windows=(np.int32(2), 3), act_only=np.bool_(True), model=np.str_("cnn"))
+        assert [type(getattr(cfg, key)) for key in ("dropout", "hidden_size", "adadelta_epsilon", "act_only",
+                                                    "model")] == [float, int, float, bool, str]
+        assert cfg.filter_windows == (2, 3) and [type(w) for w in cfg.filter_windows] == [int, int]
+        assert parse_config_text(resolved_text(cfg)) == cfg
+        assert config_hash(RunConfig(dropout=0)) == config_hash(RunConfig(dropout=0.0))
+        # A path that its config line would not carry back; the last is a non-UTF-8 byte of a --set value.
+        for path in ("vectors # v2.txt", " vectors.txt", "two\nlines.txt", "v\udcff.txt"):
+            assert_build_refused("embeddings", path)
 
     def test_write_resolved_parses_back(self, tmp_path):
         cfg = RunConfig(model="cnn", seed=5)
@@ -119,14 +138,14 @@ VALID = {
 
 def assert_build_refused(key, value):
     """A RunConfig holding ``value`` at ``key`` cannot be built, directly or by ``replace``."""
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=rf"^{key} must be .+, got "):
         RunConfig(**{key: value})
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=rf"^{key} must be .+, got "):
         replace(RunConfig(), **{key: value})
 
 
 def test_every_numeric_key_has_a_documented_range():
-    numeric = {f.name for f in fields(RunConfig) if f.type in ("int", "float", "tuple[int, ...]")}
+    numeric = {f.name for f in fields(RunConfig) if f.type in (int, float, tuple[int, ...])}
     assert numeric == set(VALID)
 
 
@@ -142,8 +161,42 @@ def test_out_of_range_numbers_are_refused(key, text):
     # The value the text reads as in the key's type, where it has one.
     kind = {f.name: f.type for f in fields(RunConfig)}[key]
     try:
-        value = (int(text),) if kind == "tuple[int, ...]" else int(text) if kind == "int" else float(text)
+        value = (int(text),) if kind == tuple[int, ...] else int(text) if kind is int else float(text)
     except ValueError:
         return
     if not VALID[key](value):
         assert_build_refused(key, value)
+
+
+def typed_values(kind):
+    """Values of ``kind``, valid and not, as Python and as numpy scalars, with the near misses of other types."""
+    ints = st.integers(min_value=-2, max_value=2 ** 62) | st.integers()
+    if kind is bool:
+        return st.booleans() | st.booleans().map(np.bool_) | st.integers(0, 1)
+    if kind is int:
+        return ints | ints.filter(lambda v: abs(v) < 2 ** 63).map(np.int64) | st.booleans() | st.floats(0, 9)
+    if kind is float:
+        return (st.floats(-0.5, 1.5) | st.floats() | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
+                | st.integers(-1, 3) | st.integers(0, 3).map(np.int32) | ints | st.booleans())
+    if kind == tuple[int, ...]:
+        windows = st.lists(st.integers(-1, 9) | st.integers(0, 9).map(np.int64) | st.booleans(), max_size=4)
+        return windows.map(tuple) | windows
+    return (st.sampled_from([*VARIANTS, *ASR_CHANNELS, "", "path/to/vectors.txt"]) | st.text() | st.text().map(np.str_)
+            | st.text(st.characters() | st.characters(categories=["Cs"])))
+
+
+@given(given_settings=st.fixed_dictionaries({}, optional={f.name: typed_values(f.type) for f in fields(RunConfig)}))
+@settings(max_examples=300, deadline=None)
+def test_a_config_that_builds_reads_back_from_its_text(given_settings):
+    kept = {}
+    for key, value in given_settings.items():
+        try:
+            RunConfig(**{key: value})
+        except ConfigError as err:
+            assert str(err).startswith(f"{key} must be ")
+        else:
+            kept[key] = value
+    cfg = RunConfig(**kept)
+    parsed = parse_config_text(resolved_text(cfg))
+    assert parsed == cfg
+    assert config_hash(parsed) == config_hash(cfg)

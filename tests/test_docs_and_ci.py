@@ -27,11 +27,12 @@ def table(text: str, header: str) -> list[list[str]]:
 
 
 def test_the_config_table_lists_every_key_with_its_default():
+    # The "valid values" cell is the text that ends the refusal "<key> must be …".
     formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
     rows = table(formats[formats.index("\n## Configuration files\n"):], "| key")
-    documented = [(key, default) for key, default, *_ in rows]
+    documented = [(key, default, valid) for key, default, valid, *_ in rows]
     resolved = dict(line.split(" = ", 1) for line in resolved_text(RunConfig()).splitlines())
-    expected = [(f.name, resolved[f.name] or "(empty)") for f in fields(RunConfig)]
+    expected = [(f.name, resolved[f.name] or "(empty)", f.metadata["rule"]) for f in fields(RunConfig)]
     assert documented == expected
 
 

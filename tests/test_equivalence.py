@@ -1,6 +1,7 @@
 """The equivalence harness (``tools/equivalence.py``) on a tiny matrix, the working tree against itself."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 from dataclasses import replace
@@ -27,7 +28,11 @@ def test_one_tree_twice_gives_identical_manifests_and_a_changed_array_is_reporte
     run = "cnn_lstm_w1-s1"
     assert {f"{run}/ckpt/step1.ckpt", f"{run}/ckpt/config.txt", f"{run}/ckpt/train_log.json",
             f"{run}/full.frames", f"{run}/step1.frames", "cv/summary.json"} <= paths
-    assert (out / "report.txt").read_text(encoding="utf-8").startswith(f"{len(paths)} files in the new manifest; all")
+    summary = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert summary[0] == f"{len(paths)} files in the new manifest; all identical"
+    count = sum(len(re.findall(r"(?m)^[ \t]*\S", path.read_text(encoding="utf-8")))
+                for path in (ROOT / "src" / "nbestslu").glob("*.py"))
+    assert summary[1] == f"src non-blank lines: {count} -> {count}"
 
     step1 = out / "new" / run / "ckpt" / "step1.ckpt"
     kind, params, meta = load_container(step1)

@@ -17,7 +17,9 @@ that differs or exists on one side only.  For a checkpoint that differs
 it gives the largest absolute difference of every array; for a frames
 file, whether every turn's act, slots and values match and the largest
 confidence difference; for a cv report ``.tsv``, each differing row's
-absolute difference.  The exit code is 0 when the manifests are
+absolute difference.  The report's second line, ``src non-blank lines:
+OLD -> NEW``, counts the lines with a non-whitespace character over each
+tree's ``src/nbestslu/*.py``.  The exit code is 0 when the manifests are
 identical, 1 when they differ, and 2 when a command fails or an argument
 is wrong.  The old tree runs its commands first, then the new tree.
 """
@@ -69,6 +71,12 @@ def run_tree(tree: Path, out: Path, argvs: list[list[str]]) -> None:
                               capture_output=True, text=True)
         if done.returncode != 0:
             raise RuntimeError(f"{tree}: nbestslu {' '.join(argv)} exited {done.returncode}\n{done.stderr}")
+
+
+def src_lines(tree: Path) -> int:
+    """Lines with a non-whitespace character over the tree's ``src/nbestslu/*.py``."""
+    return sum(bool(line.strip()) for path in (tree / "src" / "nbestslu").glob("*.py")
+               for line in path.read_text(encoding="utf-8").splitlines())
 
 
 def manifest(base: Path) -> dict[str, str]:
@@ -190,9 +198,10 @@ def main(argv=None) -> int:
 
     lines = compare(out)
     count = len((out / "new.manifest").read_text(encoding="utf-8").splitlines())
-    summary = f"{count} files in the new manifest; " + ("all identical" if not lines else "differences:")
-    (out / "report.txt").write_text("\n".join([summary, *lines]) + "\n", encoding="utf-8")
-    print("\n".join([summary, *lines]))
+    summary = [f"{count} files in the new manifest; " + ("all identical" if not lines else "differences below"),
+               f"src non-blank lines: {src_lines(trees['old'])} -> {src_lines(trees['new'])}"]
+    (out / "report.txt").write_text("\n".join([*summary, *lines]) + "\n", encoding="utf-8")
+    print("\n".join([*summary, *lines]))
     return 1 if lines else 0
 
 
