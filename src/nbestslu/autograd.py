@@ -38,21 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GraphStateError, NumericFailure, ShapeMismatchError
-
-_finite_checks = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Validate every op output for NaN/Inf (slow; meant for tests)."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
-
-
-def _checked(opname: str, data: np.ndarray) -> np.ndarray:
-    if _finite_checks and not np.all(np.isfinite(data)):
-        raise NumericFailure(f"{opname} produced a non-finite value")
-    return data
+from .errors import DomainError, GraphStateError, ShapeMismatchError
 
 
 class Tensor:
@@ -120,8 +106,8 @@ class Tensor:
 _serials = itertools.count()
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backprop, opname: str) -> Tensor:
-    out = Tensor(_checked(opname, data))
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backprop) -> Tensor:
+    out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -168,7 +154,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             _accumulate(bias, g)
 
-    return _make(out, (x, weight, bias), backprop, "affine")
+    return _make(out, (x, weight, bias), backprop)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -183,7 +169,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
 
-    return _make(out, (a, b), backprop, "matmul")
+    return _make(out, (a, b), backprop)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -196,7 +182,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return _make(out, (a, b), backprop, "add")
+    return _make(out, (a, b), backprop)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -211,7 +197,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g * a.data)
 
-    return _make(out, (a, b), backprop, "mul")
+    return _make(out, (a, b), backprop)
 
 
 def add_n(parts: Sequence[Tensor]) -> Tensor:
@@ -230,7 +216,7 @@ def add_n(parts: Sequence[Tensor]) -> Tensor:
         for p in parts:
             _accumulate(p, g)
 
-    return _make(out, tuple(parts), backprop, "add_n")
+    return _make(out, tuple(parts), backprop)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -240,7 +226,7 @@ def tanh(t: Tensor) -> Tensor:
     def backprop(g: np.ndarray) -> None:
         _accumulate(t, g * (1.0 - out * out))
 
-    return _make(out, (t,), backprop, "tanh")
+    return _make(out, (t,), backprop)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -256,7 +242,7 @@ def sigmoid(t: Tensor) -> Tensor:
     def backprop(g: np.ndarray) -> None:
         _accumulate(t, g * out * (1.0 - out))
 
-    return _make(out, (t,), backprop, "sigmoid")
+    return _make(out, (t,), backprop)
 
 
 def softmax(logits: Tensor) -> Tensor:
@@ -275,7 +261,7 @@ def softmax(logits: Tensor) -> Tensor:
     def backprop(g: np.ndarray) -> None:
         _accumulate(logits, probs * (g - float(g @ probs)))
 
-    return _make(probs, (logits,), backprop, "softmax")
+    return _make(probs, (logits,), backprop)
 
 
 def nll_loss(probs: Tensor, target: int) -> Tensor:
@@ -293,7 +279,7 @@ def nll_loss(probs: Tensor, target: int) -> Tensor:
         contribution[target] = -float(g) / p
         _accumulate(probs, contribution)
 
-    return _make(out, (probs,), backprop, "nll_loss")
+    return _make(out, (probs,), backprop)
 
 
 def max_pool(t: Tensor) -> tuple[Tensor, int]:
@@ -312,7 +298,7 @@ def max_pool(t: Tensor) -> tuple[Tensor, int]:
         contribution[idx] = float(g)
         _accumulate(t, contribution)
 
-    return _make(out, (t,), backprop, "max_pool"), idx
+    return _make(out, (t,), backprop), idx
 
 
 def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Tensor]], sizes=None) -> Tensor:
@@ -406,7 +392,7 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
             _accumulate(weight, (rows.T @ dproj.reshape(width, len(rows), maps_count)).reshape(width * dim, -1))
             _accumulate(bias, dmaximum.sum(axis=0))
 
-    return _make(out if stacked else out[0], tuple(t for pair in filters for t in pair), backprop, "conv_nbest")
+    return _make(out if stacked else out[0], tuple(t for pair in filters for t in pair), backprop)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -429,7 +415,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, indices, g)
 
-    return _make(out, (table,), backprop, "gather_rows")
+    return _make(out, (table,), backprop)
 
 
 def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> tuple[Tensor, Tensor]:
@@ -563,8 +549,7 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
         _accumulate(h0, dhiddens[rank].reshape(state_shape))
         _accumulate(c0, dcells[rank].reshape(state_shape))
 
-    return unstack(_make(states[:, final].reshape(2, *state_shape), (xs, h0, c0, *gate_tensors), backprop,
-                         "lstm_sequence"))
+    return unstack(_make(states[:, final].reshape(2, *state_shape), (xs, h0, c0, *gate_tensors), backprop))
 
 
 def _accumulate_gates(tensors: dict[str, Tensor], grad: np.ndarray) -> None:
@@ -588,7 +573,7 @@ def unstack(t: Tensor) -> tuple[Tensor, ...]:
                 t.grad = np.zeros_like(t.data)
             t.grad[k] += g
 
-        return _make(t.data[k], (t,), backprop, "unstack")
+        return _make(t.data[k], (t,), backprop)
 
     return tuple(row(k) for k in range(len(t.data)))
 
@@ -611,4 +596,4 @@ def dropout_apply(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     def backprop(g: np.ndarray) -> None:
         _accumulate(t, g * mask)
 
-    return _make(out, (t,), backprop, "dropout")
+    return _make(out, (t,), backprop)

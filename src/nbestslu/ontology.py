@@ -11,7 +11,7 @@ frequency in the training data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataFormatError, DomainError
@@ -36,10 +36,6 @@ class Ontology:
     slots: tuple[str, ...]
     values: Mapping[str, tuple[str, ...]]
     max_patterns: int = MAX_PATTERNS
-    _act_index: Mapping[str, int] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_act_index", {a: i for i, a in enumerate(self.acts)})
 
     @classmethod
     def derive(cls, turns: Sequence, max_patterns: int = MAX_PATTERNS) -> "Ontology":
@@ -72,16 +68,16 @@ class Ontology:
         act when that act is itself in the inventory, otherwise to the most
         frequent pattern overall.
         """
-        if pattern in self._act_index:
+        if pattern in self.acts:
             return pattern
         members = set(pattern.split(PATTERN_SEPARATOR))
         for name in self.act_priority:
-            if name in members and name in self._act_index:
+            if name in members and name in self.acts:
                 return name
         return self.acts[0]
 
     def act_index(self, label: str) -> int:
-        return self._act_index[label]
+        return self.acts.index(label)
 
     def slot_values(self, slot: str) -> tuple[str, ...]:
         return self.values[slot]

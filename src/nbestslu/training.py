@@ -18,7 +18,6 @@ value models, ``decoder.predict_value`` with one context pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
@@ -99,7 +98,6 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
     early_stopping = config.patience > 0 and val_metric_fn is not None
     if config.patience > 0 and val_metric_fn is None:
         log.notes.append("no validation dialogues available; early stopping disabled")
-    best_metric = -math.inf
     best_snapshot: dict[str, np.ndarray] | None = None
     epochs_since_best = 0
 
@@ -127,8 +125,7 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
             log_fn(f"epoch {epoch}: loss {mean_loss:.4f} val {shown}")
 
         if early_stopping:
-            if val_metric > best_metric:
-                best_metric = val_metric
+            if log.best_metric is None or val_metric > log.best_metric:
                 best_snapshot = _snapshot(params)
                 log.best_epoch = epoch
                 log.best_metric = val_metric

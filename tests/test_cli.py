@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nbestslu import checkpoint, cli, training
-from nbestslu.autograd import Tensor, mul, nll_loss, set_finite_checks
+from nbestslu.autograd import Tensor, mul, nll_loss
 from nbestslu.checkpoint import MAGIC, load_container, save_container
 from nbestslu.cli import main
 from nbestslu.data import Dataset, read_canonical, write_canonical
@@ -288,11 +288,10 @@ class TestExitCodes:
     def test_a_non_finite_training_loss_is_three(self, workspace, tmp_path, capsys, monkeypatch):
         # A non-finite loss comes with a NaN gradient, as a saturated softmax gives, and the
         # optimizer refuses that gradient before any parameter moves.  Every probability the
-        # loss reads is NaN here; op checks are off, as in a real run.
+        # loss reads is NaN here.
         dataset = tmp_path / "mini.ds"
         assert run(["import", workspace["root"], workspace["flist"], dataset,
                     "--config", workspace["config"]]) == 0
-        set_finite_checks(False)
         monkeypatch.setattr(training, "nll_loss",
                             lambda probs, target: nll_loss(mul(probs, Tensor(np.full(probs.shape, np.nan))), target))
         capsys.readouterr()

@@ -1,10 +1,12 @@
-"""The package's shape: a strict layering, and no name or setting that only tests reach.
+"""The package's shape: a strict layering, and no name, setting or switch that only tests reach.
 
 A module that imports another from inside a function body hides an
 import cycle; each rule should live in the module that owns its data.
 A function, class, method or property that only tests call is surface to
 keep working that the decoder never uses, and so is a defaulted parameter
-that only tests set.
+that only tests set.  A ``global`` statement is process-wide state that
+one caller sets for every other, so the tests would no longer run the
+program that users run.
 """
 
 import ast
@@ -16,11 +18,6 @@ import nbestslu
 
 PACKAGE = Path(nbestslu.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
-
-# Names that only tests reach on purpose, each with its reason.
-TEST_ONLY = {
-    "set_finite_checks": "tests/conftest.py turns every op's finite check on for the whole suite",
-}
 
 
 def function_level_imports(source: str, filename: str) -> list[str]:
@@ -40,6 +37,18 @@ def test_no_module_imports_inside_a_function():
         found += function_level_imports(path.read_text(encoding="utf-8"), path.name)
     assert found == []
 
+
+def global_statements(source: str, filename: str) -> list[str]:
+    """``file:line`` of every ``global`` statement in ``source``."""
+    return [f"{filename}:{node.lineno}"
+            for node in ast.walk(ast.parse(source, filename)) if isinstance(node, ast.Global)]
+
+
+def test_no_module_keeps_a_process_wide_switch():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += global_statements(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
 
 
 def defined_names(source: str, filename: str) -> list[str]:
@@ -73,10 +82,8 @@ def test_every_name_has_a_caller_outside_the_tests():
     sources = sorted(PACKAGE.glob("*.py"))
     defined = Counter(name for path in sources for name in defined_names(path.read_text(encoding="utf-8"), path.name))
     uses = word_counts(caller_paths()) - defined
-    unreached = sorted(name for name in defined
-                       if uses[name] == 0 and name not in TEST_ONLY and not re.fullmatch(r"__\w+__", name))
+    unreached = sorted(name for name in defined if uses[name] == 0 and not re.fullmatch(r"__\w+__", name))
     assert unreached == [], f"only tests reach these, or nothing does: {unreached}"
-    assert [name for name in TEST_ONLY if uses[name]] == [], "an allowed test-only name now has a caller"
 
 
 def defaulted_parameters(source: str, filename: str) -> list[tuple[str, str, int | None]]:

@@ -1,0 +1,49 @@
+"""The traffic check (``tools/reach.py``) on a tiny command-line matrix, without the benchmark or the demos."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+TINY = ["--workloads", "--demos", "--variants", "cnn_lstm_w1", "--train-dialogues", "3", "--test-dialogues", "1",
+        "--folds", "2", "--set", "filters_per_window=2", "--set", "hidden_size=3", "--set", "max_epochs=1"]
+
+
+def function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((ROOT / "src" / "nbestslu" / module).read_text(encoding="utf-8"))
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def listed(report: list[str], module: str) -> dict[int, str]:
+    """Each unreached line the report lists under ``module``, with its tag."""
+    start = next(i for i, line in enumerate(report) if line.startswith(f"{module}: "))
+    rows = {}
+    for line in report[start + 1:]:
+        if not line.startswith("  "):
+            break
+        rows[int(line[:6])] = line[7:13].strip()
+    return rows
+
+
+def test_a_cli_matrix_reaches_training_and_lists_the_headerless_reader(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert reach.main([str(out), *TINY]) == 0
+    report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert report[0].startswith("4 processes reached ")
+    assert capsys.readouterr().out == report[0] + "\n"
+
+    # Training ran: each top-level statement of the epoch loop's function was reached.
+    training = listed(report, "training.py")
+    assert [stmt.lineno for stmt in function("training.py", "_run_epochs").body[1:] if stmt.lineno in training] == []
+
+    # Every file the matrix reads has a header, so no run takes the headerless branch.
+    read_turns = function("data.py", "read_turns")
+    header_test, *headerless = read_turns.body[2:]
+    data = listed(report, "data.py")
+    assert header_test.lineno not in data
+    assert [data.get(stmt.lineno) for stmt in headerless] == ["", "", "", ""]
+    assert data.get(headerless[2].body[0].lineno) == "raise"

@@ -294,7 +294,6 @@ class TestReference:
 
 class TestNonFiniteMaps:
     def test_a_nan_map_gives_nan_filter_gradients_that_the_step_refuses(self):
-        ag.set_finite_checks(False)  # as in training, where only the optimizer step checks
         table = tiny_table({"good": [0.1, 0.2, 0.3], "bad": [0.1, np.nan, 0.3], "word": [0.3, -0.2, 0.5]})
         bank = ConvFilterBank(3, (2, 3), 4, np.random.default_rng(8))
         optimizer = Adadelta(bank.parameters())
@@ -429,7 +428,6 @@ class TestBatch:
             np.testing.assert_allclose(row, encode_sentence(nbest, table, bank).data, rtol=0, atol=1e-15)
 
     def test_a_nan_map_in_one_list_routes_a_nan_gradient(self):
-        ag.set_finite_checks(False)  # as in training, where only the optimizer step checks
         table = tiny_table({"a": [0.1, 0.2, 0.3], "bad": [0.1, np.nan, 0.3], "x": [0.3, -0.2, 0.5]})
         nbests = [NBestList((Hypothesis(("a", "x", "a"), 1.0),)),
                   NBestList((Hypothesis(("x", "bad", "a", "x"), 0.7), Hypothesis(("x",), 0.3)))]

@@ -159,24 +159,21 @@ def compare(out: Path) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Compare two source trees' CLI outputs byte for byte.")
-    parser.add_argument("old", type=Path, help="the reference tree")
-    parser.add_argument("new", type=Path, help="the tree under test")
-    parser.add_argument("out", type=Path, help="a new or empty work directory")
+def matrix_parser(description: str, seeds: list[int]) -> argparse.ArgumentParser:
+    """A parser for the options that narrow the command-line matrix, with ``seeds`` as its default seeds."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--variants", nargs="+", default=list(VARIANTS), choices=list(VARIANTS))
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    parser.add_argument("--seeds", nargs="+", type=int, default=seeds)
     parser.add_argument("--train-dialogues", type=int, default=20)
     parser.add_argument("--test-dialogues", type=int, default=10)
     parser.add_argument("--folds", type=int, default=3, help="cv folds")
     parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
                         help="override one key of the reduced run config (repeatable)")
-    args = parser.parse_args(argv)
-    trees = {"old": args.old.resolve(), "new": args.new.resolve()}
-    out = args.out.resolve()
-    for tree in trees.values():
-        if not (tree / "src" / "nbestslu" / "__init__.py").is_file():
-            parser.error(f"no package sources under {tree}")
+    return parser
+
+
+def write_inputs(parser: argparse.ArgumentParser, args: argparse.Namespace, out: Path) -> None:
+    """Write the matrix's corpus under ``out/corpus`` and its run config, ``out/run.cfg``."""
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
     settings = dict(RUN_CONFIG)
@@ -185,10 +182,23 @@ def main(argv=None) -> int:
         if not sep:
             parser.error(f"--set needs KEY=VALUE, got {pair!r}")
         settings[key.strip()] = value.strip()
-
     files = generate(CorpusShape(args.train_dialogues, args.test_dialogues), 1, out / "corpus")
     settings["embeddings"] = files.vectors
     (out / "run.cfg").write_text("".join(f"{key} = {value}\n" for key, value in settings.items()), encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    parser = matrix_parser("Compare two source trees' CLI outputs byte for byte.", [1, 2, 3])
+    parser.add_argument("old", type=Path, help="the reference tree")
+    parser.add_argument("new", type=Path, help="the tree under test")
+    parser.add_argument("out", type=Path, help="a new or empty work directory")
+    args = parser.parse_args(argv)
+    trees = {"old": args.old.resolve(), "new": args.new.resolve()}
+    out = args.out.resolve()
+    for tree in trees.values():
+        if not (tree / "src" / "nbestslu" / "__init__.py").is_file():
+            parser.error(f"no package sources under {tree}")
+    write_inputs(parser, args, out)
     try:
         for side in SIDES:
             run_tree(trees[side], out, commands(out, side, args.variants, args.seeds, args.folds))
@@ -203,7 +213,6 @@ def main(argv=None) -> int:
     (out / "report.txt").write_text("\n".join([*summary, *lines]) + "\n", encoding="utf-8")
     print("\n".join([*summary, *lines]))
     return 1 if lines else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
