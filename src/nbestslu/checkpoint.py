@@ -1,13 +1,14 @@
 """Self-describing model checkpoints with bit-exact round trips.
 
 A checkpoint file is a magic line, an ASCII header length, a JSON header
-(kind, seed, resolved configuration, ontology, vocabulary, parameter
-names and shapes), and the raw little-endian float64 parameter data in
-header order.  Nothing in the file depends on write time, so identical
-models produce byte-identical files.
+(kind, resolved configuration, ontology, vocabulary, store fingerprint,
+a slot model's slot, parameter names and shapes), and the raw
+little-endian float64 parameter data in header order.  Nothing in the
+file depends on write time, so identical models produce byte-identical
+files.
 
 Loading rebuilds the model skeleton from the stored configuration and
-seed, then overwrites every parameter in place with the stored values.
+ontology, then overwrites every parameter in place with the stored values.
 Every stored value must be finite.  The freshly drawn hypothesis OOV row
 must match the stored one bit for bit; a mismatch means the checkpoint
 was written against a different embedding store or seed and is rejected.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_hash, parse_config_file, parse_config_text, resolved_text, write_resolved
+from .config import RunConfig, parse_config_file, parse_config_text, resolved_text, write_resolved
 from .data import dumps, parse_json, text_lines, write_lines
 from .errors import ConfigError, DataFormatError
 from .model import SlotValueModel, StepOneModel
@@ -39,7 +40,7 @@ TRAIN_LOG_FILE = "train_log.json"
 
 
 def ontology_hash(ontology: Ontology) -> str:
-    """sha256 of the ontology's canonical JSON; checkpoints and frames headers record it."""
+    """sha256 of the ontology's canonical JSON; frames headers record it."""
     return hashlib.sha256(dumps(ontology.to_json_dict()).encode("utf-8")).hexdigest()
 
 
@@ -108,33 +109,17 @@ def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
 
 
 # The meta values load_model reads from each kind of checkpoint, with their
-# JSON types; list values hold strings and the integer is non-negative.
-_COMMON_META = {"config_text": str, "ontology_hash": str, "store_fingerprint": str, "system_tokens": list}
-_META_TYPES = {
-    STEP1_KIND: {**_COMMON_META, "ontology": dict},
-    SLOT_KIND: {**_COMMON_META, "slot": str, "slot_position": int, "values": list},
-}
+# JSON types; list values hold strings.  Everything else a model needs
+# derives from these, and other keys are ignored.
+_COMMON_META = {"config_text": str, "ontology": dict, "store_fingerprint": str, "system_tokens": list}
+_META_TYPES = {STEP1_KIND: _COMMON_META, SLOT_KIND: {**_COMMON_META, "slot": str}}
 
 
 def _check_meta(meta: dict, kind: str, path) -> None:
     for key, expected in _META_TYPES[kind].items():
         value = meta.get(key)
-        if type(value) is not expected or (expected is list and not all(isinstance(v, str) for v in value)) \
-                or (expected is int and value < 0):
+        if type(value) is not expected or (expected is list and not all(isinstance(v, str) for v in value)):
             raise DataFormatError(f"{path}: checkpoint meta {key!r} is missing or mistyped: {value!r}")
-
-
-def _check_store(meta: dict, store, path) -> None:
-    if meta.get("store_fingerprint") != store.fingerprint():
-        raise ConfigError(
-            f"{path}: checkpoint was written against a different pretrained vector file"
-        )
-
-
-def _collect_arrays(model) -> dict[str, np.ndarray]:
-    arrays = {name: t.data for name, t in model.parameters().items()}
-    arrays["embed.hyp_oov"] = model.encoder.table.hypothesis_oov_vector
-    return arrays
 
 
 def _overwrite_params(model, stored: dict[str, np.ndarray], path) -> None:
@@ -161,44 +146,40 @@ def _overwrite_params(model, stored: dict[str, np.ndarray], path) -> None:
         tensor.data[...] = stored[name]
 
 
-def save_model(model: StepOneModel | SlotValueModel, path, ontology: Ontology) -> None:
-    """Write one model; a slot model also records its slot, the slot's position and its values."""
+def save_model(model: StepOneModel | SlotValueModel, path) -> None:
+    """Write one model; a slot model also records its slot."""
     table = model.encoder.table
+    arrays = {name: t.data for name, t in model.parameters().items()}
+    arrays["embed.hyp_oov"] = table.hypothesis_oov_vector
     meta = {
-        "seed": model.config.seed,
         "config_text": resolved_text(model.config),
-        "config_hash": config_hash(model.config),
-        "ontology": ontology.to_json_dict(),
-        "ontology_hash": ontology_hash(ontology),
+        "ontology": model.ontology.to_json_dict(),
         "system_tokens": list(table.system_tokens),
         "store_fingerprint": table.fingerprint(),
     }
     kind = STEP1_KIND
     if isinstance(model, SlotValueModel):
         kind = SLOT_KIND
-        meta.update(slot=model.slot, slot_position=ontology.slots.index(model.slot), values=list(model.values))
-    save_container(path, kind, _collect_arrays(model), meta)
+        meta["slot"] = model.slot
+    save_container(path, kind, arrays, meta)
 
 
-def load_model(path, store, kind: str, expected_hash: str | None = None) -> StepOneModel | SlotValueModel:
-    """Rebuild a ``kind`` model from its stored config and seed, then load its parameters.
-
-    With ``expected_hash``, the model must have been trained against the ontology of that hash.
-    """
+def load_model(path, store, kind: str) -> StepOneModel | SlotValueModel:
+    """Rebuild a ``kind`` model from its stored config and ontology, then load its parameters."""
     found, params, meta = load_container(path)
     if found != kind:
         raise DataFormatError(f"{path}: expected a {kind} checkpoint, found {found}")
     _check_meta(meta, kind, path)
-    if expected_hash is not None and meta["ontology_hash"] != expected_hash:
-        raise ConfigError(f"{path}: model was trained against a different ontology")
-    _check_store(meta, store, path)
+    if meta["store_fingerprint"] != store.fingerprint():
+        raise ConfigError(f"{path}: checkpoint was written against a different pretrained vector file")
     config = parse_config_text(meta["config_text"])
+    ontology = Ontology.from_json_dict(meta["ontology"], where=path)
     if kind == STEP1_KIND:
-        ontology = Ontology.from_json_dict(meta["ontology"], where=path)
         model = StepOneModel.build(config, ontology, meta["system_tokens"], store)
+    elif meta["slot"] in ontology.slots:
+        model = SlotValueModel.build(config, ontology, meta["slot"], meta["system_tokens"], store)
     else:
-        model = SlotValueModel.build(config, meta["slot"], meta["slot_position"], meta["values"],
-                                     meta["system_tokens"], store)
+        raise DataFormatError(f"{path}: slot {meta['slot']!r} is not in the checkpoint's own ontology")
     _overwrite_params(model, params, path)
     return model
 
@@ -215,9 +196,9 @@ def save_checkpoint_dir(dirpath, step1: StepOneModel, slot_models: dict[str, Slo
                         config: RunConfig, train_log: dict | None = None) -> None:
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    save_model(step1, dirpath / STEP1_FILE, step1.ontology)
+    save_model(step1, dirpath / STEP1_FILE)
     for slot, model in slot_models.items():
-        save_model(model, dirpath / slot_file(slot), step1.ontology)
+        save_model(model, dirpath / slot_file(slot))
     write_lines(dirpath / ONTOLOGY_FILE, step1.ontology.to_json_dict(), ())
     write_resolved(config, dirpath / CONFIG_FILE)
     if train_log is not None:
@@ -232,22 +213,22 @@ def load_checkpoint_dir(dirpath, store, config: RunConfig | None = None
     if not step1_path.is_file():
         raise DataFormatError(f"{dirpath}: missing {STEP1_FILE}")
     step1 = load_model(step1_path, store, STEP1_KIND)
-    expected_hash = ontology_hash(step1.ontology)
 
     ontology_path = dirpath / ONTOLOGY_FILE
     if ontology_path.is_file():
         doc = parse_json("\n".join(text_lines(ontology_path)), ontology_path)
-        on_disk = Ontology.from_json_dict(doc, where=ontology_path)
-        if ontology_hash(on_disk) != expected_hash:
+        if Ontology.from_json_dict(doc, where=ontology_path) != step1.ontology:
             raise ConfigError(f"{dirpath}: {ONTOLOGY_FILE} does not match the step-one model's ontology")
 
     slot_models: dict[str, SlotValueModel] = {}
     for slot in step1.ontology.slots:
         path = dirpath / slot_file(slot)
         if path.is_file():
-            model = load_model(path, store, SLOT_KIND, expected_hash)
+            model = load_model(path, store, SLOT_KIND)
             if model.slot != slot:
                 raise DataFormatError(f"{path}: holds the value model of slot {model.slot!r}, not {slot!r}")
+            if model.ontology != step1.ontology:
+                raise ConfigError(f"{path}: model was trained against a different ontology")
             if model.config != step1.config:
                 raise ConfigError(f"{path}: value model comes from another run than {STEP1_FILE}")
             slot_models[slot] = model

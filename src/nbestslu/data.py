@@ -306,9 +306,8 @@ def parse_json(text: str | bytes, where, error: type[SluError] = DataFormatError
         raise error(f"{where}: invalid JSON: {exc}") from None
 
 
-def read_header(path, fmt: str, version: int) -> tuple[dict, list[str]]:
-    """The header object of a ``fmt`` file at ``version``, and the record lines after it."""
-    lines = list(text_lines(path))
+def split_header(path, lines: list[str], fmt: str, version: int) -> tuple[dict, list[str]]:
+    """The header object of a ``fmt`` file at ``version`` whose lines are ``lines``, and the record lines after it."""
     if not lines:
         raise DataFormatError(f"{path}: empty {fmt} file")
     header = parse_json(lines[0], f"{path}:1")
@@ -425,7 +424,11 @@ def write_canonical(dataset: Dataset, path, config_hash: str | None = None) -> N
 
 def read_canonical(path) -> Dataset:
     """Read a canonical dataset file; the inverse of ``write_canonical``."""
-    header, lines = read_header(path, FORMAT_NAME, FORMAT_VERSION)
+    return _canonical(path, list(text_lines(path)))
+
+
+def _canonical(path, lines: list[str]) -> Dataset:
+    header, lines = split_header(path, lines, FORMAT_NAME, FORMAT_VERSION)
     if header.get("checksum") != _checksum(lines):
         raise DataFormatError(f"{path}: checksum mismatch; file was modified or truncated")
     provenance, counts = header.get("provenance", {}), header.get("counts", {})
@@ -449,11 +452,15 @@ def read_canonical(path) -> Dataset:
 
 
 def read_turns(path) -> Dataset:
-    """A canonical dataset file, or headerless turn records: one JSON object per line, blank lines skipped."""
-    first = parse_json(next(text_lines(path), "").strip() or "null", f"{path}:1")
+    """A canonical dataset file, or headerless turn records: one JSON object per line, blank lines skipped.
+
+    The file is read once, so ``path`` may be a pipe.
+    """
+    lines = list(text_lines(path)) or [""]
+    first = parse_json(lines[0].strip() or "null", f"{path}:1")
     if isinstance(first, dict) and first.get("format"):
-        return read_canonical(path)
-    numbered = ((n, line) for n, line in enumerate(text_lines(path), start=1) if line.strip())
+        return _canonical(path, lines)
+    numbered = ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
     turns = parse_records(path, numbered, _turn_reader(), "turn")
     if not turns:
         raise DataFormatError(f"{path}: no turns found")

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Turn, dumps, parse_records, read_header, write_lines
+from .data import Dataset, Turn, dumps, parse_records, split_header, text_lines, write_lines
 from .embeddings import tokenize
 from .errors import ConfigError, DataFormatError, DomainError
 from .model import SlotValueModel, StepOneModel
@@ -204,7 +204,7 @@ def _frame_row(doc: dict) -> tuple[str, int, SemanticFrame]:
 
 def read_frames(path) -> tuple[dict, list[tuple[str, int, SemanticFrame]]]:
     """Read a frames file; returns (header, [(session, index, frame)])."""
-    header, lines = read_header(path, FRAMES_FORMAT, FRAMES_VERSION)
+    header, lines = split_header(path, list(text_lines(path)), FRAMES_FORMAT, FRAMES_VERSION)
     rows = parse_records(path, enumerate(lines, start=2), _frame_row, "frame")
     if header.get("turns") is not None and header["turns"] != len(rows):
         raise DataFormatError(f"{path}: header declares {header['turns']} frames, found {len(rows)}")

@@ -125,13 +125,15 @@ class HeadedModel:
 
     Heads are (weight, bias) pairs keyed by their parameter prefix; the
     encoder and then every head, in order, draw their initial values from
-    the ``INIT`` substream of the run seed extended by ``stream``.
+    the ``INIT`` substream of the run seed extended by ``stream``.  A model
+    is rebuilt from its config, ontology, system tokens and store alone.
     """
 
-    def __init__(self, config: RunConfig, system_tokens, store: EmbeddingTable,
+    def __init__(self, config: RunConfig, ontology: Ontology, system_tokens, store: EmbeddingTable,
                  heads: list[tuple[str, int]], stream: tuple[int, ...] = ()):
         rng = rng_mod.substream(config.seed, rng_mod.INIT, *stream)
         self.config = config
+        self.ontology = ontology
         self.encoder = TurnEncoder(config, store, system_tokens, rng)
         self.heads: dict[str, tuple[Tensor, Tensor]] = {}
         for name, classes in heads:
@@ -161,9 +163,8 @@ class StepOneModel(HeadedModel):
     PRESENT = 1  # index of the "present" class in every presence head
 
     def __init__(self, config: RunConfig, ontology: Ontology, system_tokens, store: EmbeddingTable):
-        self.ontology = ontology
         heads = [("head.act", len(ontology.acts))] + [(f"head.slot.{slot}", 2) for slot in ontology.slots]
-        super().__init__(config, system_tokens, store, heads)
+        super().__init__(config, ontology, system_tokens, store, heads)
 
     def head_probs(self, hidden: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
         """Softmax distributions of every head over one combined vector."""
@@ -172,17 +173,16 @@ class StepOneModel(HeadedModel):
 
 
 class SlotValueModel(HeadedModel):
-    """Value prediction for one slot, with its own encoder and head."""
+    """Value prediction over ``ontology.slot_values(slot)``, with its own encoder and head."""
 
-    def __init__(self, config: RunConfig, slot: str, slot_position: int, values, system_tokens,
-                 store: EmbeddingTable):
-        values = tuple(values)
+    def __init__(self, config: RunConfig, ontology: Ontology, slot: str, system_tokens, store: EmbeddingTable):
+        values = ontology.slot_values(slot)
         if len(values) < 2:
             raise ConfigError(f"slot {slot!r} has {len(values)} value(s); value models need at least 2")
         self.slot = slot
         self.values = values
-        super().__init__(config, system_tokens, store, [(f"head.value.{slot}", len(values))],
-                         stream=(slot_position + 1,))
+        super().__init__(config, ontology, system_tokens, store, [(f"head.value.{slot}", len(values))],
+                         stream=(ontology.slots.index(slot) + 1,))
 
     def value_probs(self, hidden: Tensor) -> Tensor:
         return self.probs(f"head.value.{self.slot}", hidden)

@@ -105,10 +105,13 @@ class Ontology:
         max_patterns = doc.get("max_patterns", MAX_PATTERNS)
         if type(max_patterns) is not int or max_patterns < 1:
             raise DataFormatError(f"{where}: max_patterns must be a positive integer, got {max_patterns!r}")
+        slots = strings(doc.get("slots"))
+        if sorted(slots) != sorted(doc["values"]):
+            raise DataFormatError(f"{where}: slots {list(slots)} are not the keys of values {sorted(doc['values'])}")
         return cls(
             acts=strings(doc["acts"]),
             act_priority=strings(doc.get("act_priority")),
-            slots=strings(doc.get("slots")),
+            slots=slots,
             values={s: strings(v) for s, v in doc["values"].items()},
             max_patterns=max_patterns,
         )

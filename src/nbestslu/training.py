@@ -205,16 +205,13 @@ def train_step2(
         return None, log
 
     turns = [t for t in dataset.turns if any(s == slot for s, _ in t.reference.pairs)]
-    slot_position = dataset.ontology.slots.index(slot)
-    model = SlotValueModel.build(
-        config, slot, slot_position, values, collect_system_tokens(dataset.turns), store
-    )
+    model = SlotValueModel.build(config, dataset.ontology, slot, collect_system_tokens(dataset.turns), store)
 
     def target_of(turn: Turn) -> int:
         return values.index(next(v for s, v in turn.reference.pairs if s == slot))
 
     train_turns, val_turns = split_turns(
-        turns, config.validation_fraction, config.seed, extra=(slot_position + 1,)
+        turns, config.validation_fraction, config.seed, extra=(dataset.ontology.slots.index(slot) + 1,)
     )
     val = [(t, decoder.turn_nbest(t), target_of(t)) for t in val_turns]
 

@@ -19,8 +19,9 @@ from nbestslu.checkpoint import (
     save_model,
     slot_file,
 )
-from nbestslu.config import RunConfig
+from nbestslu.config import RunConfig, config_hash
 from nbestslu.data import collect_system_tokens
+from nbestslu.decoder import decode_turns
 from nbestslu.errors import ConfigError, DataFormatError
 from nbestslu.model import SlotValueModel, StepOneModel
 
@@ -137,35 +138,33 @@ class TestModelRoundTrip:
     def test_step1_round_trip(self, tmp_path, dataset, store):
         model = fresh_step1(dataset, store)
         path = tmp_path / "step1.ckpt"
-        save_model(model, path, dataset.ontology)
+        save_model(model, path)
         loaded = load_model(path, store, STEP1_KIND)
         assert loaded.ontology == model.ontology
         for name, tensor in model.parameters().items():
             assert loaded.parameters()[name].data.tobytes() == tensor.data.tobytes()
 
     def test_slot_model_round_trip(self, tmp_path, dataset, store):
-        values = dataset.ontology.slot_values("pricerange")
-        pos = dataset.ontology.slots.index("pricerange")
-        model = SlotValueModel.build(CFG, "pricerange", pos, values,
-                                     collect_system_tokens(dataset.turns), store)
+        model = SlotValueModel.build(CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
         path = tmp_path / "slot.ckpt"
-        save_model(model, path, dataset.ontology)
+        save_model(model, path)
         loaded = load_model(path, store, SLOT_KIND)
         assert loaded.slot == "pricerange" and loaded.values == model.values
+        assert loaded.ontology == dataset.ontology
         for name, tensor in model.parameters().items():
             assert loaded.parameters()[name].data.tobytes() == tensor.data.tobytes()
 
     def test_wrong_store_rejected(self, tmp_path, dataset, store):
         model = fresh_step1(dataset, store)
         path = tmp_path / "step1.ckpt"
-        save_model(model, path, dataset.ontology)
+        save_model(model, path)
         other_store = synthetic_table(dim=12, seed=999)
         with pytest.raises(ConfigError):
             load_model(path, other_store, STEP1_KIND)
 
     def test_wrong_kind_rejected(self, tmp_path, dataset, store):
         path = tmp_path / "step1.ckpt"
-        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        save_model(fresh_step1(dataset, store), path)
         with pytest.raises(DataFormatError):
             load_model(path, store, SLOT_KIND)
 
@@ -175,18 +174,20 @@ class TestModelRoundTrip:
         (STEP1_KIND, "ontology", {"acts": 3, "act_priority": [], "slots": [], "values": {}}),
         (STEP1_KIND, "ontology", {"acts": ["inform"], "act_priority": [], "slots": [], "values": {},
                                   "max_patterns": "x"}),
+        # The module dataset's 3 acts and 4 slots, with no values for "area": the heads still fit.
+        (STEP1_KIND, "ontology", {"acts": ["a", "b", "c"], "act_priority": [],
+                                  "slots": ["area", "food", "pricerange", "slot"],
+                                  "values": {"food": ["x"], "pricerange": ["x"], "slot": ["x"]}}),
         (STEP1_KIND, "system_tokens", 7),
-        (SLOT_KIND, "slot_position", -1),
-        (SLOT_KIND, "values", [1, 2]),
-    ], ids=["config-text", "ontology-list", "ontology-acts", "ontology-max-patterns", "system-tokens",
-            "slot-position", "values"])
+        (SLOT_KIND, "slot", 3),
+        (SLOT_KIND, "slot", "nowhere"),
+    ], ids=["config-text", "ontology-list", "ontology-acts", "ontology-max-patterns", "ontology-slot-without-values",
+            "system-tokens", "slot-type", "slot-outside-ontology"])
     def test_mistyped_meta_is_a_format_error(self, tmp_path, dataset, store, kind, key, value):
         path = tmp_path / "model.ckpt"
-        pos = dataset.ontology.slots.index("pricerange")
         model = fresh_step1(dataset, store) if kind == STEP1_KIND else SlotValueModel.build(
-            CFG, "pricerange", pos, dataset.ontology.slot_values("pricerange"),
-            collect_system_tokens(dataset.turns), store)
-        save_model(model, path, dataset.ontology)
+            CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
+        save_model(model, path)
         _, params, meta = load_container(path)
         save_container(path, kind, params, {**meta, key: value})
         with pytest.raises(DataFormatError):
@@ -194,7 +195,7 @@ class TestModelRoundTrip:
 
     def test_meta_without_a_key_is_a_format_error(self, tmp_path, dataset, store):
         path = tmp_path / "step1.ckpt"
-        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        save_model(fresh_step1(dataset, store), path)
         kind, params, meta = load_container(path)
         del meta["config_text"]
         save_container(path, kind, params, meta)
@@ -204,7 +205,7 @@ class TestModelRoundTrip:
     def test_another_hypothesis_oov_row_is_a_config_error(self, tmp_path, dataset, store):
         # The row is redrawn from the stored seed, so a stored row that differs means another store or seed.
         path = tmp_path / "step1.ckpt"
-        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        save_model(fresh_step1(dataset, store), path)
         kind, params, meta = load_container(path)
         params["embed.hyp_oov"] = params["embed.hyp_oov"] + 0.5
         save_container(path, kind, params, meta)
@@ -213,7 +214,7 @@ class TestModelRoundTrip:
 
     def test_a_stored_shape_mismatch_is_a_format_error_naming_it(self, tmp_path, dataset, store):
         path = tmp_path / "step1.ckpt"
-        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        save_model(fresh_step1(dataset, store), path)
         kind, params, meta = load_container(path)
         params["head.act.b"] = np.zeros(len(params["head.act.b"]) + 1)
         save_container(path, kind, params, meta)
@@ -224,7 +225,7 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize("name", ["head.act.w", "lstm.w_f", "embed.hyp_oov"])
     def test_non_finite_parameter_is_a_format_error_naming_it(self, tmp_path, dataset, store, name, value):
         path = tmp_path / "step1.ckpt"
-        save_model(fresh_step1(dataset, store), path, dataset.ontology)
+        save_model(fresh_step1(dataset, store), path)
         kind, params, meta = load_container(path)
         params[name].flat[-1] = value
         save_container(path, kind, params, meta)
@@ -264,8 +265,7 @@ STEP1_ENTRIES = {
 def test_step1_entry_names_and_shapes_are_pinned(tmp_path, dataset, store, variant):
     path = tmp_path / "step1.ckpt"
     config = replace(CFG, model=variant, hidden_size=5)
-    save_model(StepOneModel.build(config, dataset.ontology, collect_system_tokens(dataset.turns), store),
-               path, dataset.ontology)
+    save_model(StepOneModel.build(config, dataset.ontology, collect_system_tokens(dataset.turns), store), path)
     _, params, _ = load_container(path)
     assert [(name, array.shape) for name, array in params.items()] == STEP1_ENTRIES[variant]
 
@@ -273,9 +273,7 @@ def test_step1_entry_names_and_shapes_are_pinned(tmp_path, dataset, store, varia
 class TestCheckpointDir:
     def test_directory_round_trip(self, tmp_path, dataset, store):
         step1 = fresh_step1(dataset, store)
-        pos = dataset.ontology.slots.index("pricerange")
-        slot_model = SlotValueModel.build(CFG, "pricerange", pos,
-                                          dataset.ontology.slot_values("pricerange"),
+        slot_model = SlotValueModel.build(CFG, dataset.ontology, "pricerange",
                                           collect_system_tokens(dataset.turns), store)
         out = tmp_path / "ckpt"
         save_checkpoint_dir(out, step1, {"pricerange": slot_model}, CFG, train_log={"note": "test"})
@@ -289,9 +287,7 @@ class TestCheckpointDir:
         slots = [s for s in dataset.ontology.slots if len(dataset.ontology.slot_values(s)) >= 2][:2]
         assert len(slots) == 2
         models = {
-            slot: SlotValueModel.build(CFG, slot, dataset.ontology.slots.index(slot),
-                                       dataset.ontology.slot_values(slot),
-                                       collect_system_tokens(dataset.turns), store)
+            slot: SlotValueModel.build(CFG, dataset.ontology, slot, collect_system_tokens(dataset.turns), store)
             for slot in slots
         }
         out = tmp_path / "ckpt"
@@ -305,14 +301,13 @@ class TestCheckpointDir:
 
     def test_a_slot_model_trained_against_another_ontology_is_refused(self, tmp_path, dataset, store):
         slot = "pricerange"
-        model = SlotValueModel.build(CFG, slot, dataset.ontology.slots.index(slot),
-                                     dataset.ontology.slot_values(slot), collect_system_tokens(dataset.turns),
-                                     store)
+        tokens = collect_system_tokens(dataset.turns)
+        model = SlotValueModel.build(CFG, dataset.ontology, slot, tokens, store)
         out = tmp_path / "ckpt"
         save_checkpoint_dir(out, fresh_step1(dataset, store), {slot: model}, CFG)
         other = synthetic_dataset(3, 3, seed=77).ontology
         assert ontology_hash(other) != ontology_hash(dataset.ontology)
-        save_model(model, out / slot_file(slot), other)
+        save_model(SlotValueModel.build(CFG, other, slot, tokens, store), out / slot_file(slot))
         with pytest.raises(ConfigError, match="trained against a different ontology"):
             load_checkpoint_dir(out, store)
 
@@ -334,3 +329,43 @@ class TestCheckpointDir:
         (out / "ontology.json").write_bytes(blob)
         with pytest.raises(DataFormatError):
             load_checkpoint_dir(out, store)
+
+    def test_a_directory_with_the_earlier_derived_meta_keys_loads_to_the_same_models(self, tmp_path, dataset, store):
+        # Files written before the meta lost seed, config_hash, ontology_hash, slot_position and values.
+        ontology, rng = dataset.ontology, np.random.default_rng(5)
+        slots = [slot for slot in ontology.slots if len(ontology.slot_values(slot)) >= 2]
+        models = {slot: SlotValueModel.build(CFG, ontology, slot, collect_system_tokens(dataset.turns), store)
+                  for slot in slots}
+        for model in models.values():
+            for tensor in model.parameters().values():
+                tensor.data += rng.uniform(-1, 1, tensor.shape)
+        new, old = tmp_path / "new", tmp_path / "old"
+        for out in (new, old):
+            save_checkpoint_dir(out, fresh_step1(dataset, store), models, CFG)
+        for path in old.glob("*.ckpt"):
+            kind, params, meta = load_container(path)
+            meta.update(seed=CFG.seed, config_hash=config_hash(CFG), ontology_hash=ontology_hash(ontology))
+            if kind == SLOT_KIND:
+                meta.update(slot_position=ontology.slots.index(meta["slot"]),
+                            values=list(ontology.slot_values(meta["slot"])))
+            save_container(path, kind, params, meta)
+        (step1, slot_models, config), (old_step1, old_slot_models, old_config) = (
+            load_checkpoint_dir(out, store) for out in (new, old))
+        assert old_config == config and list(old_slot_models) == list(slot_models) == slots
+        for model, old_model in zip([step1, *slot_models.values()], [old_step1, *old_slot_models.values()]):
+            assert old_model.ontology == model.ontology
+            for name, tensor in model.parameters().items():
+                assert old_model.parameters()[name].data.tobytes() == tensor.data.tobytes()
+        for step1_only in (False, True):
+            frames = decode_turns(dataset.turns, step1, slot_models, step1_only=step1_only)
+            assert decode_turns(dataset.turns, old_step1, old_slot_models, step1_only=step1_only) == frames
+            # A full decode reaches the value models.
+            assert any(item.value is not None for frame in frames for item in frame.slots) is not step1_only
+
+    def test_a_checkpoint_meta_holds_only_what_cannot_be_derived(self, tmp_path, dataset, store):
+        model = SlotValueModel.build(CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
+        out = tmp_path / "ckpt"
+        save_checkpoint_dir(out, fresh_step1(dataset, store), {"pricerange": model}, CFG)
+        common = {"config_text", "ontology", "store_fingerprint", "system_tokens"}
+        assert set(load_container(out / "step1.ckpt")[2]) == common
+        assert set(load_container(out / slot_file("pricerange"))[2]) == common | {"slot"}

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +98,41 @@ class TestPipeline:
         assert header["items"] == "step1"
         assert run(["eval", frames, dataset]) == 0
         assert "mode: step1" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("header", [True, False], ids=["canonical", "headerless"])
+    def test_decode_and_eval_read_the_dataset_from_a_pipe(self, workspace, capsys, header):
+        tmp = workspace["tmp"]
+        dataset = tmp / "mini.ds"
+        ckpt = tmp / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"]]) == 0
+        text = dataset.read_bytes() if header else dataset.read_bytes().split(b"\n", 1)[1]
+        assert run(["decode", ckpt, dataset, tmp / "by_path.frames"]) == 0
+        assert run(["eval", tmp / "by_path.frames", dataset]) == 0
+        report = capsys.readouterr().out.splitlines()[-1]
+
+        def piped(*argv) -> subprocess.CompletedProcess:
+            # None stands for the pipe; a reader that opened it twice would block, hence the timeout.
+            fifo = tmp / f"pipe{len(list(tmp.glob('pipe*')))}"
+            os.mkfifo(fifo)
+
+            def write():
+                with open(fifo, "wb") as handle:
+                    handle.write(text)
+
+            threading.Thread(target=write, daemon=True).start()
+            env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+            return subprocess.run([sys.executable, "-m", "nbestslu.cli", *(str(fifo if a is None else a) for a in argv)],
+                                  cwd=tmp, env=env, capture_output=True, text=True, timeout=60)
+
+        done = piped("decode", ckpt, None, tmp / "piped.frames")
+        assert done.returncode == 0, done.stderr
+        assert (tmp / "piped.frames").read_bytes() == (tmp / "by_path.frames").read_bytes()
+        done = piped("eval", tmp / "piped.frames", None)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == report and "turns: 7" in done.stdout
 
     def test_decode_parses_the_checkpoint_config_once(self, workspace, monkeypatch):
         tmp = workspace["tmp"]
@@ -327,6 +367,24 @@ class TestExitCodes:
         assert run(["decode", ckpt, dataset, tmp_path / "out.frames"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [[], ["--step1-only"]], ids=["full", "step1-only"])
+    def test_decode_of_a_stored_ontology_with_a_slot_missing_from_its_values_is_two(self, workspace, tmp_path,
+                                                                                     capsys, flags):
+        dataset = tmp_path / "mini.ds"
+        ckpt = tmp_path / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
+        kind, params, meta = load_container(ckpt / "step1.ckpt")
+        del meta["ontology"]["values"][meta["ontology"]["slots"][0]]
+        save_container(ckpt / "step1.ckpt", kind, params, meta)
+        (ckpt / "ontology.json").unlink()
+        capsys.readouterr()
+        assert run(["decode", ckpt, dataset, tmp_path / "out.frames", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "step1.ckpt" in err and "Traceback" not in err
+        assert not (tmp_path / "out.frames").exists()
 
     def test_decode_of_a_non_finite_score_names_the_line(self, workspace, tmp_path, capsys):
         dataset = tmp_path / "mini.ds"

@@ -81,17 +81,16 @@ class TestPredictJoint:
 class TestPredictValue:
     def test_zero_weight_model_gives_uniform_values(self, dataset, store):
         values = dataset.ontology.slot_values("pricerange")
-        model = SlotValueModel.build(
-            TOY, "pricerange", 0, values, collect_system_tokens(dataset.turns), store
-        )
+        model = SlotValueModel.build(TOY, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
         for tensor in model.heads["head.value.pricerange"]:
             tensor.data[...] = 0.0
         probs = predict_value(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
         np.testing.assert_allclose(probs, np.full(len(values), 1.0 / len(values)), atol=1e-12)
 
     def test_single_value_slots_cannot_build_a_model(self, dataset, store):
+        ontology = replace(dataset.ontology, values={**dataset.ontology.values, "area": ("north",)})
         with pytest.raises(ConfigError):
-            SlotValueModel.build(TOY, "x", 0, ("only",), (), store)
+            SlotValueModel.build(TOY, ontology, "area", (), store)
 
 
 class TestDecodeTurn:
@@ -112,10 +111,7 @@ class TestDecodeTurn:
         slot = "pricerange"
         model.heads[f"head.slot.{slot}"][1].data[...] = np.log([0.2, 0.8])
         values = dataset.ontology.slot_values(slot)
-        pos = dataset.ontology.slots.index(slot)
-        value_model = SlotValueModel.build(
-            TOY, slot, pos, values, collect_system_tokens(dataset.turns), store
-        )
+        value_model = SlotValueModel.build(TOY, dataset.ontology, slot, collect_system_tokens(dataset.turns), store)
         head = value_model.heads[f"head.value.{slot}"]
         for tensor in head:
             tensor.data[...] = 0.0
@@ -138,10 +134,8 @@ class TestDecodeTurn:
         value_models = {}
         for slot in slots:
             model.heads[f"head.slot.{slot}"][1].data[...] = np.log([0.2, 0.8])
-            value_models[slot] = SlotValueModel.build(
-                TOY, slot, dataset.ontology.slots.index(slot), dataset.ontology.slot_values(slot),
-                collect_system_tokens(dataset.turns), store,
-            )
+            value_models[slot] = SlotValueModel.build(TOY, dataset.ontology, slot,
+                                                      collect_system_tokens(dataset.turns), store)
         tokenized = []
 
         def counted(text):
@@ -171,12 +165,10 @@ class TestDecodeTurn:
             for tensor in model.heads[f"head.slot.{slot}"]:
                 tensor.data[...] = rng.uniform(-2, 2, tensor.shape)
         slot_models = {}
-        for pos, slot in enumerate(dataset.ontology.slots):
-            values = dataset.ontology.slot_values(slot)
-            if len(values) >= 2:
-                slot_models[slot] = SlotValueModel.build(
-                    TOY, slot, pos, values, collect_system_tokens(dataset.turns), store
-                )
+        for slot in dataset.ontology.slots:
+            if len(dataset.ontology.slot_values(slot)) >= 2:
+                slot_models[slot] = SlotValueModel.build(TOY, dataset.ontology, slot,
+                                                         collect_system_tokens(dataset.turns), store)
         for turn in dataset.turns:
             frame = decode_turn(turn, model, slot_models)
             assert frame.act in dataset.ontology.acts
@@ -235,9 +227,8 @@ def detecting_models(dataset, store, config=TOY):
         for tensor in model.heads[f"head.slot.{slot}"]:
             tensor.data[...] = rng.uniform(-2, 2, tensor.shape)
     slot_models = {
-        slot: SlotValueModel.build(config, slot, pos, dataset.ontology.slot_values(slot),
-                                   collect_system_tokens(dataset.turns), store)
-        for pos, slot in enumerate(dataset.ontology.slots) if len(dataset.ontology.slot_values(slot)) >= 2
+        slot: SlotValueModel.build(config, dataset.ontology, slot, collect_system_tokens(dataset.turns), store)
+        for slot in dataset.ontology.slots if len(dataset.ontology.slot_values(slot)) >= 2
     }
     return model, slot_models
 

@@ -43,6 +43,15 @@ def test_one_tree_twice_gives_identical_manifests_and_a_changed_array_is_reporte
     assert "  head.act.b: max abs diff 2.500e-01" in report
     assert "  head.act.w: max abs diff 0.000e+00" in report
     assert sum(line.endswith(": differs") for line in report) == 1
+    assert not any(line.startswith("  meta:") for line in report)
+
+    # Meta keys that differ are named on one line ahead of the arrays.
+    del meta["system_tokens"]
+    save_container(step1, kind, params, {**meta, "seed": 1, "store_fingerprint": "another", "ontology_hash": "x"})
+    report = equivalence.compare(out)
+    first = report.index(f"{run}/ckpt/step1.ckpt: differs") + 1
+    assert report[first] == "  meta: added ontology_hash, seed; removed system_tokens; changed store_fingerprint"
+    assert report[first + 1:] and all(": max abs diff " in line for line in report[first + 1:])
 
 
 def _rewrite_frames(path, change) -> int:

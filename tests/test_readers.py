@@ -230,11 +230,10 @@ def saved_models(tmp_path_factory):
     slot = "pricerange"
     models = {
         STEP1_KIND: StepOneModel.build(CFG, ontology, tokens, store),
-        SLOT_KIND: SlotValueModel.build(CFG, slot, ontology.slots.index(slot), ontology.slot_values(slot),
-                                        tokens, store),
+        SLOT_KIND: SlotValueModel.build(CFG, ontology, slot, tokens, store),
     }
     for kind, model in models.items():
-        save_model(model, out / kind, ontology)
+        save_model(model, out / kind)
     return {kind: load_container(out / kind) for kind in models}, store
 
 

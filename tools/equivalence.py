@@ -14,7 +14,8 @@ frames' ``config_hash`` record the vector file's path.
 ``OUT/old.manifest`` and ``OUT/new.manifest`` list the sha256 of every
 output file, in ``sha256sum`` format.  ``OUT/report.txt`` names each file
 that differs or exists on one side only.  For a checkpoint that differs
-it gives the largest absolute difference of every array; for a frames
+it names the meta keys added, removed or changed, then gives the largest
+absolute difference of every array; for a frames
 file, whether every turn's act, slots and values match and the largest
 confidence difference; for a cv report ``.tsv``, each differing row's
 absolute difference.  The report's second line, ``src non-blank lines:
@@ -86,9 +87,15 @@ def manifest(base: Path) -> dict[str, str]:
 
 
 def array_differences(old: Path, new: Path) -> list[str]:
-    """One line per array of two checkpoint files: its largest absolute difference, or why there is none."""
-    (_, old_arrays, _), (_, new_arrays, _) = load_container(old), load_container(new)
-    lines = []
+    """The meta keys two checkpoint files disagree on, if any, then one line per array.
+
+    An array's line gives its largest absolute difference, or why there is none.
+    """
+    (_, old_arrays, old_meta), (_, new_arrays, new_meta) = load_container(old), load_container(new)
+    keys = {"added": new_meta.keys() - old_meta.keys(), "removed": old_meta.keys() - new_meta.keys(),
+            "changed": {key for key in old_meta.keys() & new_meta.keys() if old_meta[key] != new_meta[key]}}
+    meta = "; ".join(f"{what} {', '.join(sorted(names))}" for what, names in keys.items() if names)
+    lines = [f"  meta: {meta}"] if meta else []
     for name in sorted(old_arrays.keys() | new_arrays.keys()):
         a, b = old_arrays.get(name), new_arrays.get(name)
         if a is None or b is None:
