@@ -202,8 +202,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def add_n(parts: Sequence[Tensor]) -> Tensor:
     """Sum a sequence of same-shape tensors, left to right."""
-    if not parts:
-        raise DomainError("add_n needs at least one term")
     shape = parts[0].shape
     for p in parts[1:]:
         if p.shape != shape:
@@ -266,8 +264,6 @@ def softmax(logits: Tensor) -> Tensor:
 
 def nll_loss(probs: Tensor, target: int) -> Tensor:
     """Negative log-likelihood of ``target`` under a probability vector."""
-    if probs.ndim != 1:
-        raise DomainError(f"nll_loss needs a probability vector, got shape {probs.shape}")
     target = int(target)
     if not 0 <= target < probs.size:
         raise DomainError(f"target {target} out of range for {probs.size} classes")
@@ -404,8 +400,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     if table.ndim != 2:
         raise ShapeMismatchError(f"gather_rows needs a matrix, got shape {table.shape}")
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1:
-        raise ShapeMismatchError(f"gather_rows needs a vector of row indices, got shape {indices.shape}")
     if indices.size and not (0 <= indices.min() and indices.max() < table.shape[0]):
         raise DomainError(f"row indices {indices.tolist()} out of range for table with {table.shape[0]} rows")
     out = table.data[indices]

@@ -157,13 +157,12 @@ def _cmd_decode(args) -> int:
 
 
 def _write_report(report, prefix, produced_by: str | None = None) -> None:
-    prefix = Path(prefix)
     head = f"# config_hash: {produced_by}\n" if produced_by else ""
-    prefix.with_suffix(".txt").write_text(head + report_text(report), encoding="utf-8")
+    Path(f"{prefix}.txt").write_text(head + report_text(report), encoding="utf-8")
     rows = "".join(f"{metric}\t{value!r}\n" for metric, value in report_table(report))
     if produced_by:
         rows = f"config_hash\t{produced_by}\n" + rows
-    prefix.with_suffix(".tsv").write_text(rows, encoding="utf-8")
+    Path(f"{prefix}.tsv").write_text(rows, encoding="utf-8")
 
 
 def _cmd_eval(args) -> int:

@@ -52,8 +52,6 @@ class LstmParams:
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
-        if input_dim < 1 or hidden_size < 1:
-            raise DomainError(f"LSTM dims must be positive, got input {input_dim}, hidden {hidden_size}")
         self.input_dim = input_dim
         self.hidden_size = hidden_size
         rows = len(LSTM_GATES) * hidden_size
@@ -92,11 +90,8 @@ class ContextWindow:
     _NAMES = ("none", "all")
 
     def __post_init__(self):
-        if self.mode == "last":
-            if self.width < 1:
-                raise DomainError(f"window width must be positive, got {self.width}")
-        elif self.mode not in self._NAMES:
-            raise DomainError(f"unknown context window mode {self.mode!r}")
+        if self.mode == "last" and self.width < 1:
+            raise DomainError(f"window width must be positive, got {self.width}")
 
     @classmethod
     def from_name(cls, name: str) -> "ContextWindow":

@@ -168,8 +168,6 @@ def write_frames(
     ontology_hash: str | None = None,
 ) -> None:
     """Write decoded frames aligned with their source turns."""
-    if len(frames) != len(turns):
-        raise DomainError(f"frame/turn length mismatch: {len(frames)} vs {len(turns)}")
     header = {
         "format": FRAMES_FORMAT,
         "version": FRAMES_VERSION,
@@ -206,6 +204,7 @@ def read_frames(path) -> tuple[dict, list[tuple[str, int, SemanticFrame]]]:
     """Read a frames file; returns (header, [(session, index, frame)])."""
     header, lines = split_header(path, list(text_lines(path)), FRAMES_FORMAT, FRAMES_VERSION)
     rows = parse_records(path, enumerate(lines, start=2), _frame_row, "frame")
-    if header.get("turns") is not None and header["turns"] != len(rows):
-        raise DataFormatError(f"{path}: header declares {header['turns']} frames, found {len(rows)}")
+    turns = header.get("turns")
+    if turns is not None and (type(turns) is not int or turns != len(rows)):
+        raise DataFormatError(f"{path}: header declares {turns!r} frames, found {len(rows)}")
     return header, rows

@@ -49,14 +49,8 @@ class EmbeddingTable:
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
-            raise DataFormatError(
-                f"embedding matrix shape {matrix.shape} does not match {len(tokens)} tokens"
-            )
         self.dim = int(matrix.shape[1])
         self._index: dict[str, int] = {t: i for i, t in enumerate(tokens)}
-        if len(self._index) != len(tokens):
-            raise DataFormatError("duplicate tokens in embedding table")
         self._frozen = matrix
         self._frozen.setflags(write=False)
         self._fingerprint: str | None = None

@@ -108,10 +108,6 @@ def head_accuracies(
     The act head is right when the frame's act equals ``act_label`` of the
     reference pattern, compared case-insensitively.
     """
-    if len(frames) != len(references):
-        raise DomainError(f"prediction/reference length mismatch: {len(frames)} vs {len(references)}")
-    if not frames:
-        raise DomainError("head accuracy is undefined with no turns")
     hits = dict.fromkeys(["act"] + [f"slot:{s}" for s in slots], 0)
     for frame, ref in zip(frames, references):
         hits["act"] += frame.act.lower() == act_label(ref.act_pattern).lower()
@@ -136,8 +132,6 @@ def ice(scored: Sequence[Mapping[Item, float]], reference: Sequence[Iterable[Ite
     Each turn's items are summed in sorted order: set order follows the
     per-process string hash seed, and the rounding must not.
     """
-    if len(scored) != len(reference):
-        raise DomainError(f"prediction/reference length mismatch: {len(scored)} vs {len(reference)}")
     total_refs = sum(len(set(r)) for r in reference)
     if total_refs == 0:
         raise DomainError("ICE is undefined: no reference items")
@@ -189,8 +183,6 @@ def score_frames(
     """Score decoded frames against the reference frames of ``turns``."""
     if mode not in (FULL, STEP1):
         raise DomainError(f"unknown scoring mode {mode!r}")
-    if len(frames) != len(turns):
-        raise DomainError(f"prediction/reference length mismatch: {len(frames)} vs {len(turns)}")
     references = [t.reference for t in turns]
     scored = [frame_scored_items(f, mode) for f in frames]
     pred_sets = [frozenset(s) for s in scored]

@@ -40,8 +40,6 @@ class Ontology:
     @classmethod
     def derive(cls, turns: Sequence, max_patterns: int = MAX_PATTERNS) -> "Ontology":
         """Build inventories from a dataset's reference frames."""
-        if max_patterns < 1:
-            raise DomainError(f"need at least one act pattern, got {max_patterns}")
         pattern_counts: Counter[str] = Counter()
         name_counts: Counter[str] = Counter()
         slot_values: dict[str, Counter] = {}

@@ -75,8 +75,6 @@ class Adadelta:
         self._scratch = np.empty((2, min(CHUNK, self._grad.size)))
 
     def step(self, batch_size: int = 1) -> None:
-        if batch_size < 1:
-            raise DomainError(f"batch size must be at least 1, got {batch_size}")
         for name, p in self._params.items():
             view = self._views[name]
             if p.grad is view:

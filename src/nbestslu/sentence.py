@@ -94,12 +94,6 @@ class ConvFilterBank:
     """
 
     def __init__(self, dim: int, window_sizes: tuple[int, ...], maps_per_window: int, rng: np.random.Generator):
-        if not window_sizes or any(w < 1 for w in window_sizes):
-            raise DomainError(f"window sizes must be positive, got {window_sizes}")
-        if len(set(window_sizes)) != len(window_sizes):
-            raise DomainError(f"window sizes must be distinct, got {window_sizes}")
-        if maps_per_window < 1:
-            raise DomainError(f"need at least one feature map per window, got {maps_per_window}")
         self.dim = dim
         self.window_sizes = tuple(sorted(window_sizes))
         self.maps_per_window = maps_per_window
@@ -165,8 +159,6 @@ def _conv_inputs(nbests, table: EmbeddingTable, bank: ConvFilterBank):
     Tokens are numbered in the order they first occur, list by list, so a
     list of one keeps its own numbering.
     """
-    if table.dim != bank.dim:
-        raise DomainError(f"embedding dim {table.dim} does not match filter bank dim {bank.dim}")
     rows_of: dict[str, int] = {}
     # Row 0 pads every hypothesis out to at least the largest window.
     index = np.zeros((sum(map(len, nbests)), max([bank.max_window, *(nbest.index.shape[1] for nbest in nbests)])),

@@ -26,9 +26,20 @@ class TestAffine:
         np.testing.assert_array_equal(out.data, [5.0, -1.0])
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeMismatchError) as err:
-            ag.affine(Tensor([1.0, 2.0, 3.0]), Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([0.0, 0.0]))
-        assert "(2, 2)" in str(err.value) and "(3,)" in str(err.value)
+        # add and mul would broadcast (3,) with (1,), and a 1-D left operand of matmul
+        # whose length is the output's would give a wrong gradient, so each op refuses.
+        table = [
+            (lambda x, w: ag.affine(x, w, Tensor([0.0, 0.0])), (3,), (2, 2)),
+            (ag.matmul, (3,), (3, 3)),
+            (ag.matmul, (2, 3), (2,)),
+            (ag.add, (3,), (1,)),
+            (ag.mul, (3,), (1,)),
+            (lambda a, b: ag.add_n([a, b]), (3,), (1,)),
+        ]
+        for op, left, right in table:
+            with pytest.raises(ShapeMismatchError) as err:
+                op(Tensor(np.ones(left)), Tensor(np.ones(right)))
+            assert str(left) in str(err.value) and str(right) in str(err.value)
 
 
 class TestActivations:

@@ -129,9 +129,10 @@ class TestContainer:
         path = tmp_path / "t.ckpt"
         save_container(path, "step1", {"w": np.ones(8)}, {})
         blob = path.read_bytes()
-        path.write_bytes(blob[:-16])
-        with pytest.raises(DataFormatError):
-            load_container(path)
+        for damaged, word in ((blob[:-16], "truncated"), (blob + bytes(8), "trailing")):
+            path.write_bytes(damaged)
+            with pytest.raises(DataFormatError, match=word):
+                load_container(path)
 
 
 class TestModelRoundTrip:

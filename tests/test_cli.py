@@ -175,6 +175,19 @@ class TestPipeline:
         assert float(rows["accuracy"]) == 1.0
         assert math.isclose(float(rows["ice"]), 0.0, abs_tol=1e-12)
 
+    def test_eval_out_keeps_every_dot_of_its_prefix(self, workspace, tmp_path):
+        dataset = tmp_path / "mini.ds"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        turns = read_canonical(dataset).turns
+        frames = tmp_path / "mini.frames"
+        write_frames(frames, [SemanticFrame("inform", 1.0, ()) for _ in turns], turns, mode="full")
+        (tmp_path / "reports").mkdir()
+        for prefix in ("run.a", "run.b"):
+            assert run(["eval", frames, dataset, "--out", tmp_path / "reports" / prefix]) == 0
+        assert sorted(path.name for path in (tmp_path / "reports").iterdir()) == [
+            "run.a.tsv", "run.a.txt", "run.b.tsv", "run.b.txt"]
+
     def test_single_turn_decode(self, workspace, capsys):
         tmp = workspace["tmp"]
         dataset = tmp / "mini.ds"
@@ -487,7 +500,8 @@ class TestExitCodes:
         assert err.startswith("configuration error:") and "'embeddings'" in err
         assert not (tmp_path / "ckpt").exists()
 
-    @pytest.mark.parametrize("fault", ["out-of-order", "slot-twice", "unknown-items"])
+    @pytest.mark.parametrize("fault", ["out-of-order", "slot-twice", "unknown-items", "turns-miscounted",
+                                       "turns-float", "version-true", "version-float"])
     def test_eval_of_a_malformed_frames_file_is_two(self, workspace, tmp_path, capsys, fault):
         dataset = tmp_path / "mini.ds"
         assert run(["import", workspace["root"], workspace["flist"], dataset,
@@ -501,14 +515,20 @@ class TestExitCodes:
             doc = json.loads(records[0])
             doc["slots"] *= 2
             records[0] = json.dumps(doc)
-        if fault == "unknown-items":
-            header = json.dumps({**json.loads(header), "items": "both"})
+        edits = {"unknown-items": ("items", "both"), "turns-miscounted": ("turns", len(turns) + 1),
+                 "turns-float": ("turns", float(len(turns))), "version-true": ("version", True),
+                 "version-float": ("version", 1.0)}
+        if fault in edits:
+            key, value = edits[fault]
+            header = json.dumps({**json.loads(header), key: value})
         frames_path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert run(["eval", frames_path, dataset]) == 2
         err = capsys.readouterr().err
         expected = {"out-of-order": "does not align", "slot-twice": "duplicate slots",
-                    "unknown-items": "unknown scoring mode 'both'"}[fault]
+                    "unknown-items": "unknown scoring mode 'both'", "turns-miscounted": "header declares",
+                    "turns-float": "header declares", "version-true": "version mismatch",
+                    "version-float": "version mismatch"}[fault]
         assert err.startswith("data error:") and expected in err and "Traceback" not in err
 
     def test_a_dataset_file_without_records_is_two(self, workspace, tmp_path, capsys):

@@ -228,12 +228,28 @@ class TestCanonicalRoundTrip:
         write_canonical(ds, path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        header["version"] = 99
+        for version in (99, True, 1.0):  # a version must be the integer 1, not a value equal to it
+            header["version"] = version
+            lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataFormatError) as err:
+                read_canonical(path)
+            assert "version" in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [("turns", 3), ("turns", 2.0), ("dialogues", True)],
+                             ids=["turns-miscounted", "turns-float", "dialogues-true"])
+    def test_header_counts_must_be_the_record_counts(self, tmp_path, key, value):
+        path = tmp_path / "counts.ds"
+        write_canonical(synthetic_dataset(1, 2), path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["counts"] == {"dialogues": 1, "turns": 2}
+        header["counts"][key] = value
         lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as err:
             read_canonical(path)
-        assert "version" in str(err.value)
+        assert "header counts" in str(err.value)
 
     def test_corruption_detected_by_checksum(self, tmp_path):
         ds = synthetic_dataset(2, 2)

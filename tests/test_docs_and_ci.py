@@ -43,7 +43,7 @@ def test_the_readme_variant_table_lists_every_variant():
 
 def test_every_name_the_workflow_uses_is_in_the_tree():
     text = WORKFLOW.read_text(encoding="utf-8")
-    paths = set(re.findall(r"\b(?:tests|perfbench)/[\w/]+\.py\b", text))
+    paths = set(re.findall(r"\b(?:tests|perfbench|tools)/[\w/]+\.py\b", text))
     assert paths and [p for p in sorted(paths) if not (ROOT / p).is_file()] == []
     workloads = set(re.findall(r"--workload (\S+)", text))
     declared = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]}
@@ -59,8 +59,8 @@ def test_the_lowest_ci_python_is_the_floor_and_every_file_parses_there():
     lowest = min(tuple(int(part) for part in v.strip(' "\'').split(".")) for v in versions.split(","))
     floor = re.search(r'requires-python = ">=([\d.]+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert lowest == tuple(int(part) for part in floor.group(1).split("."))
-    sources = sorted(path for top in ("src", "tests", "perfbench", "tools", "demos")
-                     for path in (ROOT / top).rglob("*.py"))
+    sources = sorted([*ROOT.glob("*.py"), *(path for top in ("src", "tests", "perfbench", "tools", "demos")
+                                             for path in (ROOT / top).rglob("*.py"))])
     assert sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=lowest)

@@ -48,3 +48,24 @@ def test_a_cli_matrix_reaches_training_and_lists_the_headerless_reader(tmp_path,
     assert header_test.lineno not in data
     assert [data.get(stmt.lineno) for stmt in headerless] == ["", "", "", ""]
     assert data.get(headerless[2].body[0].lineno) == "raise"
+
+
+def test_tests_mode_exits_one_and_lists_a_refusal_the_given_tests_leave_unreached(tmp_path):
+    out = tmp_path / "out"
+    assert reach.main([str(out), "--tests", str(ROOT / "tests" / "test_ontology.py")]) == 1
+    report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert report[0].startswith("1 processes reached ")
+    # The ontology tests build no tensor, so matmul's shape refusal is listed under its tag.
+    refusal = function("autograd.py", "matmul").body[1].body[0]
+    assert isinstance(refusal, ast.Raise) and listed(report, "autograd.py")[refusal.lineno] == "raise"
+
+
+def test_tests_mode_exits_two_when_a_test_fails(tmp_path, capsys):
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "conftest.py").write_text('from hypothesis import settings\nsettings.register_profile("explicit")\n',
+                                       encoding="utf-8")
+    (tests / "test_fails.py").write_text("def test_fails():\n    assert False\n", encoding="utf-8")
+    assert reach.main([str(tmp_path / "out"), "--tests", str(tests)]) == 2
+    assert "1 failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.txt").exists()

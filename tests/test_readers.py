@@ -79,6 +79,7 @@ BYTE_READERS = [read_canonical, read_frames, read_turns, load_vectors, parse_con
 @pytest.mark.parametrize("reader", BYTE_READERS, ids=lambda r: r.__name__)
 @FUZZ
 @given(blob=st.binary(max_size=200))
+@example(blob=b"")
 @example(blob=b"\xff\n")  # not UTF-8
 @example(blob=b"seed = 1\nthe 0.5 \xff\n")
 @example(blob=b"[1]\n")  # a header that is not an object
@@ -291,6 +292,8 @@ def test_corpus_call_with_one_value_replaced(mini_corpus, data):
     (("log.json", "turns", 0, "input", "live", "asr-hyps", 0, "score"), 10**400),
     (("log.json", "turns", 0, "input", "live", "asr-hyps", 0, "score"), float("inf")),
     (("label.json", "turns", 0, "semantics", "json"), 1),
+    (("log.json", "turns", 0, "output", "dialog-acts", 0), 1),
+    (("label.json", "turns", 0, "semantics", "json", 0), 1),
 ], ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else type(v).__name__)
 def test_mistyped_corpus_values_are_corpus_errors(mini_corpus, where, value):
     root, flist, call, docs = mini_corpus

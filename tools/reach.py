@@ -1,6 +1,7 @@
 """List the package's source lines that no real run reaches.
 
     python3 tools/reach.py OUT
+    python3 tools/reach.py OUT --tests [PATH ...]
 
 The script runs what users and the benchmark run, each in its own
 process: both benchmark workloads at ``--seconds 1``, at ``--trace 0``
@@ -9,6 +10,11 @@ unset; and ``tools/equivalence.py``'s command-line matrix (every variant,
 seed 1) on its small generated corpus, ``OUT/corpus``, with outputs
 under ``OUT/cli``.  The tests are not among them, so a line that only
 tests reach is listed.
+
+With ``--tests`` it runs one pytest process instead, over the tier-1
+``testpaths`` or the given paths, with the hypothesis profile
+``explicit`` (the root ``conftest.py``): only ``@example`` cases run,
+so the same lines are reached on every run.
 
 Each process records its own lines.  The script writes
 ``OUT/site/sitecustomize.py`` and puts ``OUT/site`` first on
@@ -23,7 +29,9 @@ every executable line (one the compiler gives bytecode) that no run
 reached, with its text.  A line inside an ``except`` handler is marked
 ``except``; a ``raise`` statement, and a line in an ``if`` or ``else``
 block that raises, is marked ``raise``.  The exit code is 0 when every
-run succeeded, and 2 when one failed or an argument is wrong.
+run succeeded, and 2 when one failed or an argument is wrong.  With
+``--tests`` it is 1 when the tests passed but left a line marked
+``raise`` or ``except`` unreached: a refusal no test shows working.
 ``--workloads``, ``--demos`` and the matrix options of
 ``tools/equivalence.py`` narrow what runs.
 """
@@ -86,6 +94,10 @@ sys.settrace(_call)
 def runs(args, out: Path) -> list[tuple[list[str], Path]]:
     """Each run's argument list and working directory, in order."""
     python = sys.executable
+    if args.tests is not None:
+        paths = [str(Path(path).resolve()) for path in args.tests]
+        return [([python, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile", "explicit", *paths],
+                 ROOT)]
     found = [([python, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", trace],
               ROOT) for workload in args.workloads for trace in ("0", "1")]
     found += [([python, str(ROOT / "demos" / demo)], out / "tmp") for demo in args.demos]
@@ -125,8 +137,8 @@ def error_handling(source: str, filename: str) -> dict[int, str]:
     return found
 
 
-def report(out: Path) -> list[str]:
-    """The report's lines: a summary, then each module's unreached lines."""
+def report(out: Path) -> tuple[list[str], Counter]:
+    """The report's lines, a summary then each module's unreached lines, and the unreached count per tag."""
     processes, reached = sorted((out / "lines").glob("*.txt")), set()
     for path in processes:
         for row in path.read_text(encoding="utf-8").splitlines():
@@ -149,7 +161,7 @@ def report(out: Path) -> list[str]:
     unreached = sum(counts.values())
     summary = (f"{len(processes)} processes reached {total - unreached} of {total} executable src lines; "
                f"{unreached} unreached: {counts['raise']} raise, {counts['except']} except, {counts['']} other")
-    return [summary, *body]
+    return [summary, *body], counts
 
 
 def main(argv=None) -> int:
@@ -157,11 +169,17 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path, help="a new or empty work directory")
     parser.add_argument("--workloads", nargs="*", default=WORKLOADS, choices=WORKLOADS)
     parser.add_argument("--demos", nargs="*", default=DEMOS, choices=DEMOS)
+    parser.add_argument("--tests", nargs="*", metavar="PATH",
+                        help="run the tests (tier-1's testpaths, or these paths) instead; "
+                             "exit 1 if a raise or except line is unreached")
     args = parser.parse_args(argv)
     out = args.out.resolve()
-    equivalence.write_inputs(parser, args, out)
+    if args.tests is None:
+        equivalence.write_inputs(parser, args, out)
+    elif out.exists() and any(out.iterdir()):
+        parser.error(f"{out} is not empty")
     for name in ("site", "lines", "tmp"):
-        (out / name).mkdir()
+        (out / name).mkdir(parents=True)
     (out / "site" / "sitecustomize.py").write_text(
         SITECUSTOMIZE.format(package=f"{PACKAGE}{os.sep}", lines=str(out / "lines")), encoding="utf-8")
 
@@ -170,13 +188,13 @@ def main(argv=None) -> int:
     for argv, cwd in runs(args, out):
         done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
         if done.returncode != 0:
-            print(f"{' '.join(argv)} exited {done.returncode}\n{done.stderr}", file=sys.stderr)
+            print(f"{' '.join(argv)} exited {done.returncode}\n{done.stdout}{done.stderr}", file=sys.stderr)
             return 2
 
-    lines = report(out)
+    lines, counts = report(out)
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(lines[0])
-    return 0
+    return 1 if args.tests is not None and (counts["raise"] or counts["except"]) else 0
 
 
 if __name__ == "__main__":
