@@ -578,9 +578,6 @@ def dropout_apply(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     Decoding never calls it, so no rescaling is needed at decode time.
     Rate zero returns ``t`` itself.  Backward multiplies by the forward mask.
     """
-    rate = float(rate)
-    if not 0.0 <= rate < 1.0:
-        raise DomainError(f"dropout rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
         return t
     keep = 1.0 - rate

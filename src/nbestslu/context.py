@@ -23,7 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .embeddings import INIT_SCALE, EmbeddingTable
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 
 LSTM_GATES = ("i", "f", "o", "u")
@@ -164,8 +164,6 @@ class Combiner:
             TANH_COMBINE: {"ws": (hidden_size, sentence_dim), "wc": (hidden_size, hidden_size)},
             LSTM_INPUT: {"p": (input_dim, sentence_dim)},
         }
-        if mode not in shapes:
-            raise ConfigError(f"unknown combiner mode {mode!r}")
         return cls(mode, tuple(
             Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, shape), requires_grad=True, name=f"comb.{name}")
             for name, shape in shapes[mode].items()

@@ -109,15 +109,13 @@ class Dataset:
 
 
 def normalize_confidences(scores: Sequence[float]) -> np.ndarray:
-    """Posterior weights from raw ASR scores.
+    """Posterior weights from a non-empty list of raw ASR scores.
 
     Negative scores mark a log-domain list and are exponentiated first;
     the result is renormalized to sum to one.  An all-zero list falls back
     to uniform weights.
     """
     arr = np.asarray(scores, dtype=np.float64)
-    if arr.size == 0:
-        raise DomainError("empty n-best list has no confidences to normalize")
     if np.any(arr < 0):
         arr = np.exp(arr)
     total = arr.sum()
@@ -345,58 +343,64 @@ def _turn_to_dict(turn: Turn) -> dict:
     }
 
 
+_JSON_TYPES = {str: "string", int: "integer", float: "number", list: "array"}
+
+
+def exact(value, kind: type):
+    """``value`` if its JSON type is exactly ``kind``, else ``TypeError``; a ``float`` also takes an int, not a bool."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"expected a JSON {_JSON_TYPES[kind]}, got {value!r}")
+
+
 def _confidence(value) -> float:
-    score = float(value)
+    score = exact(value, float)
     if not (math.isfinite(score) and score >= 0.0):
         raise ValueError(f"ASR score must be finite and non-negative, got {value!r}")
     return score
 
 
+def _pairs(raw) -> tuple[tuple[str, str], ...]:
+    """Slot-value pairs of a record: each a two-string array."""
+    return tuple((exact(s, str), exact(v, str)) for s, v in (exact(pair, list) for pair in exact(raw, list)))
+
+
 def _system_turn(raw) -> tuple[SystemAct, ...]:
-    return tuple(SystemAct(str(a["act"]), tuple((str(s), str(v)) for s, v in a["slots"])) for a in raw)
-
-
-def _all_text(raw) -> bool:
-    """Whether a system turn's record holds only strings, where equal records read equal."""
-    return all(type(a["act"]) is str and all(type(s) is str and type(v) is str for s, v in a["slots"])
-               for a in raw)
+    return tuple(SystemAct(exact(a["act"], str), _pairs(a["slots"])) for a in exact(raw, list))
 
 
 def _turn_reader() -> Callable[[dict], Turn]:
     """A record-to-``Turn`` parser for the records of one file, in order.
 
-    A dialogue's records repeat its earlier system turns, so a system turn
+    A record repeating an earlier ``(session, index)`` is refused.  A
+    dialogue's records repeat its earlier system turns, so a system turn
     whose record equals the previous record's at the same position reuses
-    that record's tuple instead of building it again.  Only all-string
-    records are reused: 1, 1.0 and true compare equal but read as different
-    strings.  Each history is a new outer tuple, so no two non-empty
-    histories are the same object.
+    that record's tuple instead of building it again.  Each history is a
+    new outer tuple, so no two non-empty histories are the same object.
     """
-    previous: list = []  # (record, tuple) per position of the previous record's history, reusable or None
+    seen: set[tuple[str, int]] = set()
+    previous: list = []  # (record, tuple) per position of the previous record's history
 
     def parse(doc: dict) -> Turn:
-        if not doc["hyps"]:
+        key = (exact(doc["session"], str), exact(doc["index"], int))
+        if key in seen:
+            raise ValueError(f"duplicate turn {key}")
+        seen.add(key)
+        if not exact(doc["hyps"], list):
             raise ValueError("empty hyps list; supply a single empty hypothesis instead")
-        history, shared = [], []
-        for position, raw in enumerate(doc["system_acts"]):
+        shared = []
+        for position, raw in enumerate(exact(doc["system_acts"], list)):
             old = previous[position] if position < len(previous) else None
-            if old is not None and old[0] == raw:
-                system_turn = old[1]
-            else:
-                system_turn = _system_turn(raw)
-                old = (raw, system_turn) if _all_text(raw) else None
-            history.append(system_turn)
-            shared.append(old)
+            shared.append(old if old is not None and old[0] == raw else (raw, _system_turn(raw)))
         previous[:] = shared
         return Turn(
-            session=str(doc["session"]),
-            index=int(doc["index"]),
-            nbest=tuple(AsrHypothesis(str(h["text"]), _confidence(h["score"])) for h in doc["hyps"]),
-            system_history=tuple(history),
-            reference=ReferenceFrame(
-                str(doc["reference"]["act"]),
-                tuple((str(s), str(v)) for s, v in doc["reference"]["slots"]),
-            ),
+            session=key[0],
+            index=key[1],
+            nbest=tuple(AsrHypothesis(exact(h["text"], str), _confidence(h["score"])) for h in doc["hyps"]),
+            system_history=tuple(system_turn for _, system_turn in shared),
+            reference=ReferenceFrame(exact(doc["reference"]["act"], str), _pairs(doc["reference"]["slots"])),
         )
 
     return parse
@@ -437,12 +441,6 @@ def _canonical(path, lines: list[str]) -> Dataset:
         raise DataFormatError(f"{path}: max_act_patterns must be a positive integer, got {max_patterns!r}")
 
     turns = parse_records(path, enumerate(lines, start=2), _turn_reader(), "turn")
-    seen: set[tuple[str, int]] = set()
-    for number, turn in enumerate(turns, start=2):
-        key = (turn.session, turn.index)
-        if key in seen:
-            raise DataFormatError(f"{path}:{number}: duplicate turn {key}")
-        seen.add(key)
     dataset = Dataset(tuple(turns), Ontology.derive(turns, max_patterns), provenance)
     found = {"turns": len(dataset.turns), "dialogues": dataset.dialogue_count}
     if counts and any(type(counts.get(key)) is not int or counts[key] != n for key, n in found.items()):
@@ -484,8 +482,6 @@ def split_turns(
     ``seed`` extended by ``extra``; turns keep their order.  Fewer than two
     dialogues give an empty validation list.
     """
-    if not 0.0 < fraction < 1.0:
-        raise DomainError(f"validation fraction must lie in (0, 1), got {fraction}")
     sessions = ordered_sessions(turns)
     if len(sessions) < 2:
         return list(turns), []

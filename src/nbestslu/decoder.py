@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Turn, dumps, parse_records, split_header, text_lines, write_lines
+from .data import Dataset, Turn, dumps, exact, parse_records, split_header, text_lines, write_lines
 from .embeddings import tokenize
 from .errors import ConfigError, DataFormatError, DomainError
 from .model import SlotValueModel, StepOneModel
@@ -190,14 +190,14 @@ def write_frames(
 
 
 def _frame_row(doc: dict) -> tuple[str, int, SemanticFrame]:
-    """(session, index, frame) of one frames-file record."""
+    """(session, index, frame) of one frames-file record; a field of another JSON type raises ``TypeError``."""
     slots = tuple(
-        SlotValuePrediction(str(s["slot"]), None if s["value"] is None else str(s["value"]),
-                            float(s["confidence"]))
-        for s in doc["slots"]
+        SlotValuePrediction(exact(s["slot"], str), None if s["value"] is None else exact(s["value"], str),
+                            exact(s["confidence"], float))
+        for s in exact(doc["slots"], list)
     )
-    frame = SemanticFrame(str(doc["act"]), float(doc["act_confidence"]), slots)
-    return str(doc["session"]), int(doc["index"]), frame
+    frame = SemanticFrame(exact(doc["act"], str), exact(doc["act_confidence"], float), slots)
+    return exact(doc["session"], str), exact(doc["index"], int), frame
 
 
 def read_frames(path) -> tuple[dict, list[tuple[str, int, SemanticFrame]]]:

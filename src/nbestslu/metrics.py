@@ -126,15 +126,16 @@ def joint_accuracy(
     return sum(accuracies.values()) / len(accuracies)
 
 
-def ice(scored: Sequence[Mapping[Item, float]], reference: Sequence[Iterable[Item]]) -> float:
+def ice(scored: Sequence[Mapping[Item, float]], reference: Sequence[Iterable[Item]]) -> float | None:
     """Item cross-entropy of hypothesized confidences against references, floored at ``PROB_FLOOR``.
 
-    Each turn's items are summed in sorted order: set order follows the
-    per-process string hash seed, and the rounding must not.
+    None when the references hold no item.  Each turn's items are summed
+    in sorted order: set order follows the per-process string hash seed,
+    and the rounding must not.
     """
     total_refs = sum(len(set(r)) for r in reference)
     if total_refs == 0:
-        raise DomainError("ICE is undefined: no reference items")
+        return None
     total = 0.0
     for hyp, ref in zip(scored, reference):
         ref = set(ref)
@@ -211,11 +212,7 @@ def score_frames(
         slot_counts = item_counts(slot_preds, slot_refs)
         p, r, f = prf1(slot_counts)
         slot_scored = [{i: c for i, c in s.items() if _slot_of(i) == key} for s in scored]
-        try:
-            slot_ice = ice(slot_scored, slot_refs)
-        except DomainError:
-            slot_ice = None
-        per_slot[slot] = SlotScores(slot_counts, p, r, f, slot_ice)
+        per_slot[slot] = SlotScores(slot_counts, p, r, f, ice(slot_scored, slot_refs))
 
     return ScoreReport(
         mode=mode,

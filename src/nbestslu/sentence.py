@@ -75,8 +75,6 @@ class NBestList:
 
     def truncated(self, cap: int) -> "NBestList":
         """The top ``cap`` hypotheses, renormalized; the list itself when it is no longer."""
-        if cap < 1:
-            raise DomainError(f"n-best cap must be at least 1, got {cap}")
         if cap >= len(self.hyps):
             return self
         return NBestList(self.hyps[:cap])

@@ -123,7 +123,8 @@ class TestPipeline:
                     handle.write(text)
 
             threading.Thread(target=write, daemon=True).start()
-            env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+            paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
             return subprocess.run([sys.executable, "-m", "nbestslu.cli", *(str(fifo if a is None else a) for a in argv)],
                                   cwd=tmp, env=env, capture_output=True, text=True, timeout=60)
 
@@ -406,9 +407,11 @@ class TestExitCodes:
                     "--config", workspace["config"]]) == 0
         assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
         single = tmp_path / "one_turn.jsonl"
-        # A non-finite score, an empty n-best list and a negative score.
-        for hyps in ('[{"text": "cheap food", "score": NaN}]', '[]', '[{"text": "cheap food", "score": -0.5}]'):
-            single.write_text('{"session": "live-1", "index": 0, "hyps": ' + hyps + ', '
+        # A non-finite score, an empty n-best list, a negative score and a fractional turn index.
+        for index, hyps in [("0", '[{"text": "cheap food", "score": NaN}]'), ("0", '[]'),
+                            ("0", '[{"text": "cheap food", "score": -0.5}]'),
+                            ("2.7", '[{"text": "cheap food", "score": 1.0}]')]:
+            single.write_text('{"session": "live-1", "index": ' + index + ', "hyps": ' + hyps + ', '
                               '"system_acts": [], "reference": {"act": "inform", "slots": []}}\n', encoding="utf-8")
             capsys.readouterr()
             assert run(["decode", ckpt, single, tmp_path / "out.frames", "--step1-only"]) == 2, hyps
@@ -500,8 +503,8 @@ class TestExitCodes:
         assert err.startswith("configuration error:") and "'embeddings'" in err
         assert not (tmp_path / "ckpt").exists()
 
-    @pytest.mark.parametrize("fault", ["out-of-order", "slot-twice", "unknown-items", "turns-miscounted",
-                                       "turns-float", "version-true", "version-float"])
+    @pytest.mark.parametrize("fault", ["out-of-order", "slot-twice", "index-fraction", "unknown-items",
+                                       "turns-miscounted", "turns-float", "version-true", "version-float"])
     def test_eval_of_a_malformed_frames_file_is_two(self, workspace, tmp_path, capsys, fault):
         dataset = tmp_path / "mini.ds"
         assert run(["import", workspace["root"], workspace["flist"], dataset,
@@ -515,6 +518,10 @@ class TestExitCodes:
             doc = json.loads(records[0])
             doc["slots"] *= 2
             records[0] = json.dumps(doc)
+        if fault == "index-fraction":  # the second turn of the first dialogue, as 1.9
+            doc = json.loads(records[1])
+            doc["index"] += 0.9
+            records[1] = json.dumps(doc)
         edits = {"unknown-items": ("items", "both"), "turns-miscounted": ("turns", len(turns) + 1),
                  "turns-float": ("turns", float(len(turns))), "version-true": ("version", True),
                  "version-float": ("version", 1.0)}
@@ -526,6 +533,7 @@ class TestExitCodes:
         assert run(["eval", frames_path, dataset]) == 2
         err = capsys.readouterr().err
         expected = {"out-of-order": "does not align", "slot-twice": "duplicate slots",
+                    "index-fraction": f"{frames_path}:3: malformed frame record: expected a JSON integer",
                     "unknown-items": "unknown scoring mode 'both'", "turns-miscounted": "header declares",
                     "turns-float": "header declares", "version-true": "version mismatch",
                     "version-float": "version mismatch"}[fault]

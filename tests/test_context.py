@@ -17,7 +17,7 @@ from nbestslu.context import (
 )
 from nbestslu.data import SystemAct
 from nbestslu.embeddings import EmbeddingTable
-from nbestslu.errors import ConfigError, DomainError, ShapeMismatchError
+from nbestslu.errors import DomainError, ShapeMismatchError
 
 from _gradcheck import max_rel_error, weighted_sum
 
@@ -448,10 +448,3 @@ class TestCombine:
         projected = Tensor(combiner.tensors[0].data @ sentence.data)
         expected, _ = lstm_step(projected, state[0], state[1], params)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-15)
-
-    def test_mode_parameter_mismatches_are_config_errors(self):
-        # The cnn variant builds no combiner, so "identity" is no mode either.
-        rng = np.random.default_rng(8)
-        for mode in ("nonsense", "identity"):
-            with pytest.raises(ConfigError):
-                Combiner.build(mode, 4, 3, 3, rng)

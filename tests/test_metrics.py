@@ -190,19 +190,18 @@ class TestIce:
             "scored = [{item: float(c) for item, c in zip(items, rng.uniform(0.01, 0.99, 40))}]\n"
             "print(repr(ice(scored, [set(items[::3])])))\n"
         )
-        src = str(Path(nbestslu.__file__).resolve().parents[1])
+        paths = [str(Path(nbestslu.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         outputs = {
             subprocess.run(
                 [sys.executable, "-c", script], check=True, capture_output=True, text=True,
-                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "PYTHONHASHSEED": str(seed)},
             ).stdout
             for seed in range(6)
         }
         assert len(outputs) == 1, outputs
 
     def test_no_reference_items_is_an_explicit_condition(self):
-        with pytest.raises(DomainError):
-            ice([{act_item("a"): 0.9}], [set()])
+        assert ice([{act_item("a"): 0.9}], [set()]) is None
 
 
 class TestItemExtraction:

@@ -60,6 +60,14 @@ def test_tests_mode_exits_one_and_lists_a_refusal_the_given_tests_leave_unreache
     assert isinstance(refusal, ast.Raise) and listed(report, "autograd.py")[refusal.lineno] == "raise"
 
 
+def test_tests_mode_counts_the_processes_the_tests_start(tmp_path):
+    # The metrics tests run ICE in six child processes, one per string hash seed; each records its own lines.
+    out = tmp_path / "out"
+    assert reach.main([str(out), "--tests", str(ROOT / "tests" / "test_metrics.py")]) == 1
+    summary = (out / "report.txt").read_text(encoding="utf-8").splitlines()[0]
+    assert int(summary.split(" processes reached ")[0]) > 1, summary
+
+
 def test_tests_mode_exits_two_when_a_test_fails(tmp_path, capsys):
     tests = tmp_path / "tests"
     tests.mkdir()

@@ -43,8 +43,8 @@ print(json.dumps([epoch["val_metric"] for epoch in log.epochs]))
 
 def train_with_threads(threads: int, path: Path):
     """Per-epoch validation metrics and trained parameters of a run on ``threads`` BLAS threads."""
-    paths = [str(Path(nbestslu.__file__).parents[1]), str(Path(__file__).parent)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths),
+    paths = [str(Path(nbestslu.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
            **{name: str(threads) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", TRAIN, str(path)],
                           env=env, capture_output=True, text=True, check=True)
