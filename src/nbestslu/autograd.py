@@ -3,32 +3,38 @@
 The tape is deliberately small: it covers exactly the operations the
 semantic decoder composes (affine maps, tanh/sigmoid nonlinearities,
 softmax heads with negative log-likelihood, max pooling with argmax
-routing, inverted dropout, embedding-row gathers, splitting a tensor
-along its first axis, elementwise sums and products) plus two fused ops with
-hand-written backward passes: the n-best convolution (``conv_nbest``, one
-node per batch of n-best lists, which projects each distinct word of the
-batch once, pools pre-activations by max, and finds the argmax only in
-backward, where it scatters the gradient back onto the projections) and
-the LSTM (``lstm_sequence``, one packed kernel over a batch of whole
-sequences, which reads the gate weights where ``context.LstmParams``
-stores them, stacked gate-major).
-Ops take ``Tensor`` inputs; only index, length and weight arguments are
-plain arrays.  Each op records a closure that routes the upstream
-gradient to its inputs, and stamps the node with a serial number.  A node
-is always recorded after its inputs, so creation order is a topological
-order (the tape is a Wengert list): ``Tensor.backward`` runs from a
-scalar loss, seeded with gradient 1, and replays the reachable closures
-in reverse serial order, leaving gradients on every input that asked for
-them.
+routing, inverted dropout, embedding-row gathers, stacking tensors along
+a new first axis and splitting them along it, elementwise sums and
+products) plus two fused ops with hand-written backward passes: the
+n-best convolution (``conv_nbest``, one node per batch of n-best lists,
+which projects each distinct word of the batch once, pools
+pre-activations by max, and finds the argmax only in backward, where it
+scatters the gradient back onto the projections) and the LSTM
+(``lstm_sequence``, one packed kernel over a batch of whole sequences,
+which reads the gate weights where ``context.LstmParams`` stores them,
+stacked gate-major).
+
+Ops take ``Tensor`` inputs; only index, length, weight and target
+arguments are plain arrays.  Affine maps, softmax and the negative
+log-likelihood take one vector or a batch of B rows, [B, ...]: decoding
+reads one turn's vector, while a training mini-batch stacks its hidden
+vectors into rows, so each head and each loss term is one node for the
+whole batch and the loss sums its rows.  Each op records a closure that
+routes the upstream gradient to its inputs, and stamps the node with a
+serial number.  A node is always recorded after its inputs, so creation
+order is a topological order (the tape is a Wengert list):
+``Tensor.backward`` runs from a scalar loss, seeded with gradient 1, and
+replays the reachable closures in reverse serial order, leaving
+gradients on every input that asked for them.
 
 Graphs are single-use: once ``backward`` has run, the tape is released
 and a fresh forward pass is required.  Parameters (leaf tensors with
 ``requires_grad=True``) accumulate gradients across backward calls until
-the optimizer's step consumes them, which is how mini-batch gradients are
-summed.  During a training run each parameter's ``grad`` is a view into
-the run's flat gradient buffer (see ``optim``): ops add into it in place,
-``gather_rows`` scatters into it, and the step zero-fills it.  Only
-tensors inside a graph get freshly allocated gradients.
+the optimizer's step consumes them.  During a training run each
+parameter's ``grad`` is a view into the run's flat gradient buffer (see
+``optim``): ops add into it in place, ``gather_rows`` scatters into it,
+and the step zero-fills it.  Only tensors inside a graph get freshly
+allocated gradients.
 """
 
 from __future__ import annotations
@@ -130,29 +136,31 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``weight @ x + bias`` for a vector input.
+    """``weight @ x + bias`` for a vector input, or for each row of an [B, D] input: [B, C].
 
-    Backward: d_weight = outer(g, x), d_x = weight.T @ g, d_bias = g.
+    Backward: d_weight = outer(g, x), d_x = weight.T @ g, d_bias = g; over
+    rows, d_weight = g.T @ x, d_x = g @ weight and d_bias sums g's rows.
     """
     if (
         weight.ndim != 2
-        or x.ndim != 1
+        or x.ndim not in (1, 2)
         or bias.ndim != 1
-        or weight.shape[1] != x.shape[0]
+        or weight.shape[1] != x.shape[-1]
         or weight.shape[0] != bias.shape[0]
     ):
         raise ShapeMismatchError(
             f"affine shapes do not conform: weight {weight.shape} @ x {x.shape} + bias {bias.shape}"
         )
-    out = weight.data @ x.data + bias.data
+    rows = x.ndim == 2
+    out = (x.data @ weight.data.T if rows else weight.data @ x.data) + bias.data
 
     def backprop(g: np.ndarray) -> None:
         if weight.requires_grad:
-            _accumulate(weight, np.outer(g, x.data))
+            _accumulate(weight, g.T @ x.data if rows else np.outer(g, x.data))
         if x.requires_grad:
-            _accumulate(x, weight.data.T @ g)
+            _accumulate(x, g @ weight.data if rows else weight.data.T @ g)
         if bias.requires_grad:
-            _accumulate(bias, g)
+            _accumulate(bias, g.sum(axis=0) if rows else g)
 
     return _make(out, (x, weight, bias), backprop)
 
@@ -200,12 +208,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backprop)
 
 
-def add_n(parts: Sequence[Tensor]) -> Tensor:
-    """Sum a sequence of same-shape tensors, left to right."""
+def _same_shapes(op: str, parts: Sequence[Tensor]) -> None:
     shape = parts[0].shape
     for p in parts[1:]:
         if p.shape != shape:
-            raise ShapeMismatchError(f"add_n shapes do not conform: {shape} vs {p.shape}")
+            raise ShapeMismatchError(f"{op} shapes do not conform: {shape} vs {p.shape}")
+
+
+def add_n(parts: Sequence[Tensor]) -> Tensor:
+    """Sum a sequence of same-shape tensors, left to right."""
+    _same_shapes("add_n", parts)
     out = parts[0].data.copy()
     for p in parts[1:]:
         out += p.data
@@ -213,6 +225,21 @@ def add_n(parts: Sequence[Tensor]) -> Tensor:
     def backprop(g: np.ndarray) -> None:
         for p in parts:
             _accumulate(p, g)
+
+    return _make(out, tuple(parts), backprop)
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Same-shape tensors as the slices of one tensor along a new first axis; the inverse of ``unstack``.
+
+    Backward hands each part its slice of the gradient.
+    """
+    _same_shapes("stack", parts)
+    out = np.stack([p.data for p in parts])
+
+    def backprop(g: np.ndarray) -> None:
+        for p, part in zip(parts, g):
+            _accumulate(p, part)
 
     return _make(out, tuple(parts), backprop)
 
@@ -244,36 +271,48 @@ def sigmoid(t: Tensor) -> Tensor:
 
 
 def softmax(logits: Tensor) -> Tensor:
-    """Stable softmax over a vector of logits.
+    """Stable softmax over a vector of logits, or over each row of an [B, C] matrix of them.
 
     The maximum logit is subtracted before exponentiation, so arbitrarily
     large inputs cannot overflow, and the argmax of the output always
-    equals the argmax of the input.
+    equals the argmax of the input.  Each row's result is bit-identical to
+    the softmax of that row alone.
     """
-    if logits.ndim != 1 or logits.size == 0:
-        raise DomainError(f"softmax needs a non-empty vector of logits, got shape {logits.shape}")
-    shifted = logits.data - logits.data.max()
+    if logits.ndim not in (1, 2) or logits.size == 0:
+        raise DomainError(f"softmax needs a non-empty vector or matrix of logits, got shape {logits.shape}")
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    probs = exps / exps.sum()
+    probs = exps / exps.sum(axis=-1, keepdims=True)
 
     def backprop(g: np.ndarray) -> None:
-        _accumulate(logits, probs * (g - float(g @ probs)))
+        inner = g @ probs if g.ndim == 1 else np.einsum("bc,bc->b", g, probs)[:, None]
+        _accumulate(logits, probs * (g - inner))
 
     return _make(probs, (logits,), backprop)
 
 
-def nll_loss(probs: Tensor, target: int) -> Tensor:
-    """Negative log-likelihood of ``target`` under a probability vector."""
-    target = int(target)
-    if not 0 <= target < probs.size:
-        raise DomainError(f"target {target} out of range for {probs.size} classes")
-    p = probs.data[target]
-    out = np.asarray(-np.log(p))
+def nll_loss(probs: Tensor, target) -> Tensor:
+    """Negative log-likelihood of ``target`` under a probability vector.
+
+    Over [B, C] rows of probabilities, ``target`` holds one class per row
+    and the result is the sum of the rows' negative log-likelihoods.
+    """
+    targets = np.asarray(target, dtype=np.int64)
+    if probs.ndim not in (1, 2) or targets.shape != probs.shape[:-1]:
+        raise ShapeMismatchError(f"nll_loss needs one target per row of probabilities, got targets "
+                                 f"{targets.shape} for probabilities {probs.shape}")
+    classes = probs.shape[-1]
+    if not np.all((0 <= targets) & (targets < classes)):
+        raise DomainError(f"targets {targets.tolist()} out of range for {classes} classes")
+    rows = probs.data.reshape(-1, classes)
+    picked = np.arange(len(rows)), targets.reshape(-1)
+    p = rows[picked]
+    out = np.asarray(-np.log(p).sum())
 
     def backprop(g: np.ndarray) -> None:
-        contribution = np.zeros_like(probs.data)
-        contribution[target] = -float(g) / p
-        _accumulate(probs, contribution)
+        contribution = np.zeros_like(rows)
+        contribution[picked] = -float(g) / p
+        _accumulate(probs, contribution.reshape(probs.shape))
 
     return _make(out, (probs,), backprop)
 

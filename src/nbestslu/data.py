@@ -139,9 +139,9 @@ def collect_system_tokens(turns: Iterable[Turn]) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def _typed(value, kind: type, what: str, where: str):
-    """``value`` if it is a ``kind`` (an object or a list), else a ``CorpusError`` naming it."""
-    if not isinstance(value, kind):
-        raise CorpusError(f"{where}: {what} is not a JSON {'object' if kind is dict else 'list'}")
+    """``value`` if its JSON type is exactly ``kind``, else a ``CorpusError`` naming ``what`` and ``where``."""
+    if type(value) is not kind:
+        raise CorpusError(f"{where}: {what} is not a JSON {_JSON_TYPES[kind]}")
     return value
 
 
@@ -149,7 +149,7 @@ def _parse_dialog_acts(raw, where: str) -> tuple[SystemAct, ...]:
     acts = []
     for entry in _typed(raw, list, "dialog-acts", where):
         try:
-            name = str(entry["act"]).strip().lower()
+            name = exact(entry["act"], str).strip().lower()
             pairs = tuple((str(s).strip().lower(), str(v).strip().lower()) for s, v in entry.get("slots", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{where}: malformed dialogue act record: {exc}") from None
@@ -166,7 +166,7 @@ def _parse_reference(label_turn, where: str) -> ReferenceFrame:
     pairs: dict[tuple[str, str], None] = {}
     for entry in _typed(semantics, list, "reference semantics", where):
         try:
-            names.append(str(entry["act"]))
+            names.append(exact(entry["act"], str))
             for s, v in entry.get("slots", []):
                 pairs.setdefault((str(s).strip().lower(), str(v).strip().lower()), None)
         except (KeyError, TypeError, ValueError) as exc:
@@ -184,7 +184,8 @@ def _parse_call(call_dir: Path, call: str, channel: str) -> list[Turn]:
                                  dict, path.name, f"call {call}")
                           for path in (log_path, label_path))
 
-    session = str(log_doc.get("session-id") or call)
+    session = log_doc.get("session-id")
+    session = call if session in (None, "") else _typed(session, str, "session-id", f"call {call}")
     log_turns = log_doc.get("turns")
     label_turns = label_doc.get("turns")
     if not isinstance(log_turns, list) or not isinstance(label_turns, list):
@@ -214,9 +215,9 @@ def _parse_call(call_dir: Path, call: str, channel: str) -> list[Turn]:
         hyp_block = _typed(inputs.get(channel, {}), dict, f"input {channel!r}", where)
         raw_hyps = _typed(hyp_block.get("asr-hyps", []), list, "asr-hyps", where)
         try:
-            texts = [str(h["asr-hyp"]) for h in raw_hyps]
-            scores = [float(h["score"]) for h in raw_hyps]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            texts = [exact(h["asr-hyp"], str) for h in raw_hyps]
+            scores = [exact(h["score"], float) for h in raw_hyps]
+        except (KeyError, TypeError, OverflowError) as exc:
             raise CorpusError(f"{where}: malformed n-best entry: {exc}") from None
         if texts:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -343,7 +344,7 @@ def _turn_to_dict(turn: Turn) -> dict:
     }
 
 
-_JSON_TYPES = {str: "string", int: "integer", float: "number", list: "array"}
+_JSON_TYPES = {str: "string", int: "integer", float: "number", list: "array", dict: "object"}
 
 
 def exact(value, kind: type):

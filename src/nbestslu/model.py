@@ -153,7 +153,7 @@ class HeadedModel:
         return out
 
     def probs(self, head: str, hidden: Tensor) -> Tensor:
-        """Softmax distribution of one head over a hidden vector."""
+        """Softmax distribution of one head over a hidden vector, or one per row of [B, H] hidden vectors."""
         return ag.softmax(ag.affine(hidden, *self.heads[head]))
 
 
@@ -167,7 +167,7 @@ class StepOneModel(HeadedModel):
         super().__init__(config, ontology, system_tokens, store, heads)
 
     def head_probs(self, hidden: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
-        """Softmax distributions of every head over one combined vector."""
+        """Softmax distributions of every head over one combined vector, or over each row of [B, H]."""
         act = self.probs("head.act", hidden)
         return act, {slot: self.probs(f"head.slot.{slot}", hidden) for slot in self.ontology.slots}
 

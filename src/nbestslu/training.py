@@ -11,9 +11,11 @@ Mini-batch gradients are the mean of per-example gradients, so the loss
 scale does not depend on the batch size.  A mini-batch is one context-LSTM
 run over its examples' histories (while they hold at most
 ``model.CONTEXT_TOKENS`` tokens), one convolution over their n-best lists,
-and one backward pass over the sum of their losses.  Validation decodes
-its whole split as one list, through ``decoder.decode_turns`` or, for
-value models, ``decoder.predict_value`` with one context pass.
+one [B, H] matrix of hidden vectors that takes dropout, the heads and the
+loss as a whole, and one backward pass over the batch's summed loss.
+Validation decodes its whole split as one list, through
+``decoder.decode_turns`` or, for value models, ``decoder.predict_value``
+with one context pass.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import decoder
 from . import rng as rng_mod
-from .autograd import Tensor, add_n, dropout_apply, nll_loss
+from .autograd import Tensor, add_n, dropout_apply, nll_loss, stack
 from .config import RunConfig
 from .data import Dataset, Turn, collect_system_tokens, make_folds, split_turns
 from .errors import DomainError
@@ -80,12 +82,14 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
     Each epoch visits the examples in a fresh ``SHUFFLE`` order, in
     mini-batches.  The context LSTM runs once over a mini-batch's
     histories (``TurnEncoder.contexts``) and the convolution once over its
-    n-best lists (``TurnEncoder.sentences``).  Then, example by example, the
-    turn is encoded with its context state and sentence vector, its hidden
-    vector takes dropout from the ``DROPOUT`` stream, and ``loss_fn(model,
-    hidden, target)`` gives its loss, read with ``item`` for the epoch's
-    mean.  One backward pass over the ``add_n`` of the mini-batch's losses
-    leaves their summed gradients for the optimizer step.
+    n-best lists (``TurnEncoder.sentences``).  Each turn is encoded with its
+    context state and sentence vector, and ``stack`` makes the batch's
+    hidden vectors the rows of one [B, H] tensor.  Dropout masks the whole
+    matrix with one draw from the ``DROPOUT`` stream, row b taking what
+    example b alone would draw, and ``loss_fn(model, hidden, targets)``
+    gives the batch's summed loss over the rows and their B targets, read
+    with ``item`` for the epoch's mean.  One backward pass leaves the
+    summed gradients for the optimizer step.
     ``val_metric_fn(model)`` scores each epoch; it is None when there are no
     validation turns, and early stopping is then off.
     """
@@ -108,13 +112,11 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
             batch = order[start : start + config.batch_size]
             contexts = model.encoder.contexts([examples[j][0].system_history for j in batch])
             sentences = model.encoder.sentences([nbests[j] for j in batch])
-            losses = []
-            for j, context, sentence in zip(batch, contexts, sentences):
-                turn, target = examples[j]
-                hidden = model.encoder.encode(nbests[j], turn.system_history, context, sentence)
-                losses.append(loss_fn(model, dropout_apply(hidden, config.dropout, dropout_rng), target))
-                total_loss += losses[-1].item()
-            add_n(losses).backward()
+            hidden = stack([model.encoder.encode(nbests[j], examples[j][0].system_history, context, sentence)
+                            for j, context, sentence in zip(batch, contexts, sentences)])
+            loss = loss_fn(model, dropout_apply(hidden, config.dropout, dropout_rng), [examples[j][1] for j in batch])
+            total_loss += loss.item()
+            loss.backward()
             optimizer.step(len(batch))
         mean_loss = total_loss / len(examples)
 
@@ -165,12 +167,12 @@ def train_step1(
         act = ontology.act_index(ontology.act_label(turn.reference.act_pattern))
         return act, tuple(int(slot in present) for slot in ontology.slots)
 
-    def loss_fn(model: StepOneModel, hidden: Tensor, target) -> Tensor:
-        act, presence = target
+    def loss_fn(model: StepOneModel, hidden: Tensor, targets) -> Tensor:
+        acts, presence = zip(*targets)
         act_probs, slot_probs = model.head_probs(hidden)
-        terms = [nll_loss(act_probs, act)]
+        terms = [nll_loss(act_probs, acts)]
         if not config.act_only:
-            terms += [nll_loss(slot_probs[slot], p) for slot, p in zip(ontology.slots, presence)]
+            terms += [nll_loss(slot_probs[slot], column) for slot, column in zip(ontology.slots, zip(*presence))]
         return add_n(terms)
 
     _run_epochs(
@@ -225,7 +227,7 @@ def train_step2(
     _run_epochs(
         model=model,
         examples=[(t, target_of(t)) for t in train_turns],
-        loss_fn=lambda model, hidden, value: nll_loss(model.value_probs(hidden), value),
+        loss_fn=lambda model, hidden, values: nll_loss(model.value_probs(hidden), values),
         val_metric_fn=value_accuracy if val else None,
         log_fn=log_fn,
         log=log,

@@ -35,6 +35,8 @@ class TestAffine:
             (ag.add, (3,), (1,)),
             (ag.mul, (3,), (1,)),
             (lambda a, b: ag.add_n([a, b]), (3,), (1,)),
+            (lambda a, b: ag.stack([a, b]), (2, 3), (3, 2)),
+            (lambda x, w: ag.affine(x, w, Tensor([0.0, 0.0])), (4, 3), (2, 2)),
         ]
         for op, left, right in table:
             with pytest.raises(ShapeMismatchError) as err:
@@ -88,8 +90,19 @@ class TestSoftmax:
             assert int(np.argmax(probs)) == int(np.argmax(logits))
 
     def test_empty_input_rejected(self):
-        with pytest.raises(DomainError):
-            ag.softmax(Tensor(np.zeros(0)))
+        for shape in ((0,), (3, 0), (2, 3, 4)):
+            with pytest.raises(DomainError):
+                ag.softmax(Tensor(np.zeros(shape)))
+
+    def test_each_row_is_the_vector_softmax_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            shape = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+            logits = rng.normal(0, float(rng.choice([1.0, 30.0])), shape)
+            rows = ag.softmax(Tensor(logits)).data
+            assert rows.shape == shape
+            for row, vector in zip(rows, logits):
+                np.testing.assert_array_equal(row, ag.softmax(Tensor(vector)).data)
 
 
 class TestNllLoss:
@@ -109,6 +122,22 @@ class TestNllLoss:
             ag.nll_loss(Tensor([0.5, 0.5]), 2)
         with pytest.raises(DomainError):
             ag.nll_loss(Tensor([0.5, 0.5]), -1)
+        rows = Tensor([[0.5, 0.5], [0.25, 0.75]])
+        for targets in ([0, 2], [-1, 1]):
+            with pytest.raises(DomainError):
+                ag.nll_loss(rows, targets)
+
+    def test_rows_sum_their_targets_losses(self):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+        total = ag.nll_loss(Tensor(probs), [1, 0, 0]).item()
+        assert total == -math.log(0.5) - math.log(0.25) - 0.0
+
+    def test_one_target_per_row(self):
+        for probs, targets in (([[0.5, 0.5], [0.25, 0.75]], [1]), ([[0.5, 0.5]], 1), ([0.5, 0.5], [1]),
+                               (np.full((1, 1, 2), 0.5), [[1]])):
+            with pytest.raises(ShapeMismatchError) as err:
+                ag.nll_loss(Tensor(probs), targets)
+            assert str(np.shape(probs)) in str(err.value)
 
 
 class TestMaxPool:
@@ -205,6 +234,41 @@ class TestFiniteDifferences:
 
             worst = max(worst, max_rel_error(loss_fn, [x, w, b, mix]))
         assert worst < 1e-4, f"max relative error {worst}"
+
+    def test_batch_ops_over_rows(self):
+        rng = np.random.default_rng(43)
+        worst = 0.0
+        for point in range(10):
+            batch, n, m = 4, 5, 3
+            parts = [Tensor(rng.uniform(-1, 1, n), requires_grad=True) for _ in range(batch)]
+            w = Tensor(rng.uniform(-1, 1, (m, n)), requires_grad=True)
+            b = Tensor(rng.uniform(-1, 1, m), requires_grad=True)
+            mix = Tensor(rng.uniform(-1, 1, (m, m)), requires_grad=True)
+            targets = rng.integers(m, size=batch)
+
+            def loss_fn():
+                hidden = ag.tanh(ag.affine(ag.stack(parts), w, b))
+                return ag.nll_loss(ag.softmax(ag.affine(hidden, mix, b)), targets)
+
+            worst = max(worst, max_rel_error(loss_fn, [*parts, w, b, mix]))
+        assert worst < 1e-4, f"max relative error {worst}"
+
+    def test_batch_gradients_are_the_sums_of_the_rows(self):
+        rng = np.random.default_rng(44)
+        x = rng.uniform(-1, 1, (3, 5))
+        w = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
+        targets = [2, 0, 3]
+        rows = Tensor(x, requires_grad=True)
+        ag.nll_loss(ag.softmax(ag.affine(rows, w, b)), targets).backward()
+        batch = w.grad.copy(), b.grad.copy()
+        w.grad = b.grad = None
+        for k, target in enumerate(targets):
+            row = Tensor(x[k], requires_grad=True)
+            ag.nll_loss(ag.softmax(ag.affine(row, w, b)), target).backward()
+            np.testing.assert_allclose(rows.grad[k], row.grad, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(batch[0], w.grad, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(batch[1], b.grad, rtol=0, atol=1e-15)
 
     def test_gather_rows_gradient(self):
         rng = np.random.default_rng(3)

@@ -552,11 +552,14 @@ class TestExitCodes:
         assert err.startswith("data error:") and "cannot derive an ontology from an empty dataset" in err
 
     @pytest.mark.parametrize("fault", ["no-semantics", "no-turn-lists", "turn-counts-differ",
-                                       "indices-not-increasing", "empty-file-list", "duplicate-session"])
+                                       "indices-not-increasing", "empty-file-list", "duplicate-session",
+                                       "asr-hyp-int", "score-string", "score-true", "session-id-int",
+                                       "system-act-true", "reference-act-true"])
     def test_import_of_a_malformed_corpus_is_two(self, workspace, tmp_path, capsys, fault):
         root, flist = workspace["root"], workspace["flist"]
         call = root / "Mar13_S0A0" / "voip-mini-001"
         log, label = (json.loads((call / name).read_text(encoding="utf-8")) for name in ("log.json", "label.json"))
+        hyp = log["turns"][1]["input"]["live"]["asr-hyps"][0]
         expected = {
             "no-semantics": "missing reference semantics",
             "no-turn-lists": "missing turn lists",
@@ -564,8 +567,26 @@ class TestExitCodes:
             "indices-not-increasing": "turn indices are not increasing",
             "empty-file-list": "file list is empty",
             "duplicate-session": "duplicate session id 'voip-mini-001'",
+            "asr-hyp-int": "session voip-mini-001 turn 1: malformed n-best entry: expected a JSON string, got 7",
+            "score-string": "session voip-mini-001 turn 1: malformed n-best entry: expected a JSON number, got '0.8'",
+            "score-true": "session voip-mini-001 turn 1: malformed n-best entry: expected a JSON number, got True",
+            "session-id-int": "call Mar13_S0A0/voip-mini-001: session-id is not a JSON string",
+            "system-act-true": "session voip-mini-001 turn 1: malformed dialogue act record: expected a JSON string",
+            "reference-act-true": "session voip-mini-001 turn 1: malformed reference semantics: expected a JSON string",
         }[fault]
-        if fault == "no-semantics":
+        if fault == "asr-hyp-int":
+            hyp["asr-hyp"] = 7
+        elif fault == "score-string":
+            hyp["score"] = "0.8"
+        elif fault == "score-true":
+            hyp["score"] = True
+        elif fault == "session-id-int":
+            log["session-id"] = 7
+        elif fault == "system-act-true":
+            log["turns"][1]["output"]["dialog-acts"][0]["act"] = True
+        elif fault == "reference-act-true":
+            label["turns"][1]["semantics"]["json"][0]["act"] = True
+        elif fault == "no-semantics":
             del label["turns"][0]["semantics"]
         elif fault == "no-turn-lists":
             del log["turns"]

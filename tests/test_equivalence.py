@@ -33,6 +33,10 @@ def test_one_tree_twice_gives_identical_manifests_and_a_changed_array_is_reporte
     count = sum(len(re.findall(r"(?m)^[ \t]*\S", path.read_text(encoding="utf-8")))
                 for path in (ROOT / "src" / "nbestslu").glob("*.py"))
     assert summary[1] == f"src non-blank lines: {count} -> {count}"
+    assert summary[2] == "old checkpoints decoded by the new tree: 2 of 2 frames files byte-identical to the old tree's"
+    assert len(summary) == 3
+    for name in ("full.frames", "step1.frames"):
+        assert (out / "cross" / run / name).read_bytes() == (out / "old" / run / name).read_bytes()
 
     step1 = out / "new" / run / "ckpt" / "step1.ckpt"
     kind, params, meta = load_container(step1)
@@ -83,3 +87,12 @@ def test_differing_frames_and_cv_rows_are_explained(tmp_path):
     fold = report.index("cv/fold_0.tsv: differs")
     assert report[fold + 1].startswith("  turns: abs diff ") and float(report[fold + 1].rsplit(" ", 1)[1]) >= 9
     assert len(report) == 6
+
+    # The new tree's frames from the old tree's checkpoints are compared with the old tree's own.
+    cross = out / "cross" / "cnn_lstm_w1-s1"
+    _rewrite_frames(cross / "step1.frames", lambda frames: [replace(frames[0], act="not-an-act"), *frames[1:]])
+    assert equivalence.cross_decoded(out) == [
+        "old checkpoints decoded by the new tree: 1 of 2 frames files byte-identical to the old tree's",
+        "cross/cnn_lstm_w1-s1/step1.frames: differs from old/cnn_lstm_w1-s1/step1.frames",
+        f"  1 of {count} frames differ in turn, act, slots or values",
+    ]

@@ -250,7 +250,7 @@ def tape_nodes(out):
 
 
 class TestMiniBatches:
-    """``_run_epochs`` runs the context LSTM once per mini-batch and backward once per mini-batch."""
+    """``_run_epochs`` runs the context LSTM, dropout, the loss and backward once per mini-batch."""
 
     def test_dropout_draws_follow_the_examples_in_shuffled_order(self, dataset, store, monkeypatch):
         model = StepOneModel.build(SMALL, dataset.ontology, collect_system_tokens(dataset.turns), store)
@@ -264,7 +264,7 @@ class TestMiniBatches:
 
         def recording_dropout(t, rate, rng):
             drawn = copy.deepcopy(rng).random(t.shape) >= rate
-            dropped.append((t, drawn))
+            dropped.append((t._parents, drawn))
             return apply(t, rate, rng)
 
         monkeypatch.setattr(TurnEncoder, "encode", recording_encode)
@@ -274,12 +274,17 @@ class TestMiniBatches:
 
         shuffle = rng_mod.substream(SMALL.seed, rng_mod.SHUFFLE)
         order = [j for _ in range(SMALL.max_epochs) for j in shuffle.permutation(len(turns))]
-        assert len(encoded) == len(dropped) == len(order)
+        assert len(encoded) == len(order)
         assert all(history is turns[j].system_history for (history, _), j in zip(encoded, order))
-        assert all(t is hidden for (t, _), (_, hidden) in zip(dropped, encoded))
+        # One mask per mini-batch, over the rows stacked from its examples' hidden vectors in shuffled order.
+        sizes = [4, 4, 3] * SMALL.max_epochs
+        assert [len(parts) for parts, _ in dropped] == [len(drawn) for _, drawn in dropped] == sizes
+        rows = [row for parts, _ in dropped for row in parts]
+        assert len(rows) == len(encoded) and all(row is hidden for row, (_, hidden) in zip(rows, encoded))
+        # Row b of a mask is the draw the example at that position takes alone.
         direct = rng_mod.substream(SMALL.seed, rng_mod.DROPOUT)
-        for t, drawn in dropped:
-            np.testing.assert_array_equal(drawn, direct.random(t.shape) >= SMALL.dropout)
+        for row, (_, hidden) in zip((row for _, drawn in dropped for row in drawn), encoded):
+            np.testing.assert_array_equal(row, direct.random(hidden.shape) >= SMALL.dropout)
 
     def test_one_mini_batch_frees_its_graph_and_sums_the_examples_gradients(self, dataset, store, monkeypatch):
         config = replace(SMALL, dropout=0.0, max_epochs=1, batch_size=6)
@@ -287,10 +292,9 @@ class TestMiniBatches:
         model = StepOneModel.build(config, dataset.ontology, tokens, store)
         examples = act_examples(model, dataset.turns[:6])
         graphs, stepped = [], []
-        add_n = training.add_n
 
-        def recording_add_n(parts):
-            out = add_n(parts)
+        def recording_loss(model, hidden, targets):
+            out = act_loss(model, hidden, targets)
             graphs.append(tape_nodes(out))
             return out
 
@@ -299,9 +303,8 @@ class TestMiniBatches:
                 stepped.append({name: p.grad.copy() for name, p in model.parameters().items()})
                 super().step(batch_size)
 
-        monkeypatch.setattr(training, "add_n", recording_add_n)
         monkeypatch.setattr(training, "Adadelta", RecordingAdadelta)
-        training._run_epochs(model=model, examples=examples, loss_fn=act_loss, val_metric_fn=None,
+        training._run_epochs(model=model, examples=examples, loss_fn=recording_loss, val_metric_fn=None,
                              log_fn=None, log=training.TrainLog())
         assert len(graphs) == len(stepped) == 1
         assert graphs[0] and all(node._backprop is None and not node._parents for node in graphs[0])

@@ -9,7 +9,10 @@ then trains every variant for every seed on it, decodes the test file full
 and ``--step1-only``, and runs ``cv`` once (first variant, first seed),
 with all outputs under ``OUT/old`` and ``OUT/new``.  Both trees read the
 corpus and the vectors from the same paths, since the run config and the
-frames' ``config_hash`` record the vector file's path.
+frames' ``config_hash`` record the vector file's path.  Last, the new tree
+decodes the old tree's checkpoints, full and ``--step1-only``, into
+``OUT/cross``: a change that moves training numerics but not decoding
+still gives the old tree's frames there, byte for byte.
 
 ``OUT/old.manifest`` and ``OUT/new.manifest`` list the sha256 of every
 output file, in ``sha256sum`` format.  ``OUT/report.txt`` names each file
@@ -20,9 +23,13 @@ file, whether every turn's act, slots and values match and the largest
 confidence difference; for a cv report ``.tsv``, each differing row's
 absolute difference.  The report's second line, ``src non-blank lines:
 OLD -> NEW``, counts the lines with a non-whitespace character over each
-tree's ``src/nbestslu/*.py``.  The exit code is 0 when the manifests are
-identical, 1 when they differ, and 2 when a command fails or an argument
-is wrong.  The old tree runs its commands first, then the new tree.
+tree's ``src/nbestslu/*.py``.  The third says how many of the ``OUT/cross``
+frames files are byte-identical to the old tree's own, and each one that
+is not is named, with its frames explained, after the manifest's
+differences.  The exit code is 0 when the manifests and the cross-decoded
+frames are identical, 1 when either differs, and 2 when a command fails
+or an argument is wrong.  The old tree runs its commands first, then the
+new tree.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from nbestslu.decoder import read_frames  # noqa: E402
 from perfbench.corpus import CorpusShape, generate  # noqa: E402
 
 SIDES = ("old", "new")
+CROSS = "cross"  # the new tree's frames from the old tree's checkpoints
 # Reduced sizes: a full matrix runs in minutes on two cores.  --set adds to these.
 RUN_CONFIG = {"filters_per_window": 30, "hidden_size": 30, "batch_size": 5, "patience": 2, "max_epochs": 12}
 
@@ -63,6 +71,13 @@ def commands(out: Path, side: str, variants, seeds, folds: int) -> list[list[str
     runs.append(["cv", corpus / "train.ds", base / "cv", "--config", config, "--set", f"cv_folds={folds}",
                  "--set", f"model={variants[0]}", "--set", f"seed={seeds[0]}"])
     return [[str(arg) for arg in argv] for argv in runs]
+
+
+def cross_commands(out: Path, variants, seeds) -> list[list[str]]:
+    """The old tree's decode argument lists, writing under ``OUT/cross`` instead of ``OUT/old``."""
+    old, cross = out / "old", out / CROSS
+    return [[*argv[:3], str(cross / Path(argv[3]).relative_to(old)), *argv[4:]]
+            for argv in commands(out, "old", variants, seeds, 0) if argv[0] == "decode"]
 
 
 def run_tree(tree: Path, out: Path, argvs: list[list[str]]) -> None:
@@ -166,6 +181,18 @@ def compare(out: Path) -> list[str]:
     return lines
 
 
+def cross_decoded(out: Path) -> list[str]:
+    """How many ``OUT/cross`` frames files are the old tree's own, byte for byte, then each one that is not."""
+    paths = sorted(path.relative_to(out / CROSS).as_posix() for path in (out / CROSS).rglob("*.frames"))
+    differ = [path for path in paths if (out / CROSS / path).read_bytes() != (out / "old" / path).read_bytes()]
+    lines = [f"old checkpoints decoded by the new tree: {len(paths) - len(differ)} of {len(paths)} frames files "
+             "byte-identical to the old tree's"]
+    for path in differ:
+        lines.append(f"{CROSS}/{path}: differs from old/{path}")
+        lines += frame_differences(out / "old" / path, out / CROSS / path)
+    return lines
+
+
 def matrix_parser(description: str, seeds: list[int]) -> argparse.ArgumentParser:
     """A parser for the options that narrow the command-line matrix, with ``seeds`` as its default seeds."""
     parser = argparse.ArgumentParser(description=description)
@@ -209,17 +236,22 @@ def main(argv=None) -> int:
     try:
         for side in SIDES:
             run_tree(trees[side], out, commands(out, side, args.variants, args.seeds, args.folds))
+        cross = cross_commands(out, args.variants, args.seeds)
+        for argv in cross:
+            Path(argv[3]).parent.mkdir(parents=True, exist_ok=True)
+        run_tree(trees["new"], out, cross)
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 2
 
-    lines = compare(out)
+    lines, cross = compare(out), cross_decoded(out)
     count = len((out / "new.manifest").read_text(encoding="utf-8").splitlines())
     summary = [f"{count} files in the new manifest; " + ("all identical" if not lines else "differences below"),
-               f"src non-blank lines: {src_lines(trees['old'])} -> {src_lines(trees['new'])}"]
-    (out / "report.txt").write_text("\n".join([*summary, *lines]) + "\n", encoding="utf-8")
-    print("\n".join([*summary, *lines]))
-    return 1 if lines else 0
+               f"src non-blank lines: {src_lines(trees['old'])} -> {src_lines(trees['new'])}", cross[0]]
+    report = [*summary, *lines, *cross[1:]]
+    (out / "report.txt").write_text("\n".join(report) + "\n", encoding="utf-8")
+    print("\n".join(report))
+    return 1 if lines or cross[1:] else 0
 
 if __name__ == "__main__":
     sys.exit(main())
