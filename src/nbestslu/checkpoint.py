@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config_file, parse_config_text, resolved_text, write_resolved
 from .data import dumps, parse_json, text_lines, write_lines
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, checked, exact
 from .model import SlotValueModel, StepOneModel
 from .ontology import Ontology
 
@@ -61,21 +61,18 @@ def save_container(path, kind: str, params: dict[str, np.ndarray], meta: dict) -
             handle.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
 
 
-def _header_entries(header, path) -> list[tuple[str, tuple[int, ...]]]:
-    """The (name, shape) list of a decoded header, which must be well formed."""
-    if not (isinstance(header, dict) and isinstance(header.get("kind"), str)
-            and isinstance(header.get("meta"), dict) and isinstance(header.get("params"), list)):
-        raise DataFormatError(f"{path}: header needs a kind string, a meta object and a params list")
-    entries = []
-    for entry in header["params"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(type(d) is int and d >= 0 for d in entry["shape"])):
-            raise DataFormatError(f"{path}: malformed parameter entry {entry!r}")
-        entries.append((entry["name"], tuple(entry["shape"])))
-    if len({name for name, _ in entries}) != len(entries):
-        raise DataFormatError(f"{path}: duplicate parameter names")
-    return entries
+def _header(header) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]]:
+    """(kind, meta, [(name, shape)]) of a decoded header; names are distinct and dims non-negative."""
+    header = exact(header, dict)
+    kind, meta = exact(header["kind"], str), exact(header["meta"], dict)
+    entries = [(exact(p["name"], str), tuple(exact(d, int) for d in exact(p["shape"], list)))
+               for p in exact(header["params"], list)]
+    for name, shape in entries:
+        if min(shape, default=0) < 0:
+            raise ValueError(f"parameter {name} has a negative dimension in {list(shape)}")
+    if len(dict(entries)) != len(entries):
+        raise ValueError("duplicate parameter names")
+    return kind, meta, entries
 
 
 def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
@@ -93,11 +90,12 @@ def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
     if header_len < 0:
         raise DataFormatError(f"{path}: corrupt header length")
     header_end = newline + 1 + header_len
-    header = parse_json(blob[newline + 1 : header_end], f"{path}: header")
+    kind, meta, entries = checked(DataFormatError, f"{path}: header", _header,
+                                  parse_json(blob[newline + 1 : header_end], f"{path}: header"))
 
     params: dict[str, np.ndarray] = {}
     offset = min(header_end + 1, len(blob))
-    for name, shape in _header_entries(header, path):
+    for name, shape in entries:
         count = math.prod(shape)
         if offset + count * 8 > len(blob):
             raise DataFormatError(f"{path}: truncated parameter data at {name}")
@@ -105,21 +103,17 @@ def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
         offset += count * 8
     if offset != len(blob):
         raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes after parameters")
-    return header["kind"], params, header["meta"]
+    return kind, params, meta
 
 
-# The meta values load_model reads from each kind of checkpoint, with their
-# JSON types; list values hold strings.  Everything else a model needs
-# derives from these, and other keys are ignored.
-_COMMON_META = {"config_text": str, "ontology": dict, "store_fingerprint": str, "system_tokens": list}
-_META_TYPES = {STEP1_KIND: _COMMON_META, SLOT_KIND: {**_COMMON_META, "slot": str}}
+def _meta(meta: dict, kind: str) -> tuple[str, Ontology, str, list[str], str | None]:
+    """(config text, ontology, store fingerprint, system tokens, slot or None) of a ``kind`` checkpoint's meta.
 
-
-def _check_meta(meta: dict, kind: str, path) -> None:
-    for key, expected in _META_TYPES[kind].items():
-        value = meta.get(key)
-        if type(value) is not expected or (expected is list and not all(isinstance(v, str) for v in value)):
-            raise DataFormatError(f"{path}: checkpoint meta {key!r} is missing or mistyped: {value!r}")
+    A model derives everything else from these, and other keys are ignored.
+    """
+    return (exact(meta["config_text"], str), Ontology.from_json_dict(meta["ontology"]),
+            exact(meta["store_fingerprint"], str), [exact(t, str) for t in exact(meta["system_tokens"], list)],
+            exact(meta["slot"], str) if kind == SLOT_KIND else None)
 
 
 def _overwrite_params(model, stored: dict[str, np.ndarray], path) -> None:
@@ -169,17 +163,17 @@ def load_model(path, store, kind: str) -> StepOneModel | SlotValueModel:
     found, params, meta = load_container(path)
     if found != kind:
         raise DataFormatError(f"{path}: expected a {kind} checkpoint, found {found}")
-    _check_meta(meta, kind, path)
-    if meta["store_fingerprint"] != store.fingerprint():
+    config_text, ontology, fingerprint, tokens, slot = checked(DataFormatError, f"{path}: checkpoint meta",
+                                                               _meta, meta, kind)
+    if fingerprint != store.fingerprint():
         raise ConfigError(f"{path}: checkpoint was written against a different pretrained vector file")
-    config = parse_config_text(meta["config_text"])
-    ontology = Ontology.from_json_dict(meta["ontology"], where=path)
+    config = parse_config_text(config_text)
     if kind == STEP1_KIND:
-        model = StepOneModel.build(config, ontology, meta["system_tokens"], store)
-    elif meta["slot"] in ontology.slots:
-        model = SlotValueModel.build(config, ontology, meta["slot"], meta["system_tokens"], store)
+        model = StepOneModel.build(config, ontology, tokens, store)
+    elif slot in ontology.slots:
+        model = SlotValueModel.build(config, ontology, slot, tokens, store)
     else:
-        raise DataFormatError(f"{path}: slot {meta['slot']!r} is not in the checkpoint's own ontology")
+        raise DataFormatError(f"{path}: slot {slot!r} is not in the checkpoint's own ontology")
     _overwrite_params(model, params, path)
     return model
 
@@ -217,7 +211,7 @@ def load_checkpoint_dir(dirpath, store, config: RunConfig | None = None
     ontology_path = dirpath / ONTOLOGY_FILE
     if ontology_path.is_file():
         doc = parse_json("\n".join(text_lines(ontology_path)), ontology_path)
-        if Ontology.from_json_dict(doc, where=ontology_path) != step1.ontology:
+        if checked(DataFormatError, ontology_path, Ontology.from_json_dict, doc) != step1.ontology:
             raise ConfigError(f"{dirpath}: {ONTOLOGY_FILE} does not match the step-one model's ontology")
 
     slot_models: dict[str, SlotValueModel] = {}

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CorpusError, DataFormatError, DomainError, SluError
+from .errors import CorpusError, DataFormatError, DomainError, SluError, checked, exact
 from .ontology import MAX_PATTERNS, Ontology, act_pattern
 from .rng import FOLDS, SPLIT, substream
 
@@ -138,97 +138,75 @@ def collect_system_tokens(turns: Iterable[Turn]) -> tuple[str, ...]:
 # corpus import
 # ---------------------------------------------------------------------------
 
-def _typed(value, kind: type, what: str, where: str):
-    """``value`` if its JSON type is exactly ``kind``, else a ``CorpusError`` naming ``what`` and ``where``."""
-    if type(value) is not kind:
-        raise CorpusError(f"{where}: {what} is not a JSON {_JSON_TYPES[kind]}")
-    return value
+def _loose_pairs(act: dict) -> tuple[tuple[str, str], ...]:
+    """A DSTC2 act's slot-value pairs, each name and value read through ``str()``."""
+    return tuple((str(s).strip().lower(), str(v).strip().lower()) for s, v in act.get("slots", []))
 
 
-def _parse_dialog_acts(raw, where: str) -> tuple[SystemAct, ...]:
-    acts = []
-    for entry in _typed(raw, list, "dialog-acts", where):
-        try:
-            name = exact(entry["act"], str).strip().lower()
-            pairs = tuple((str(s).strip().lower(), str(v).strip().lower()) for s, v in entry.get("slots", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{where}: malformed dialogue act record: {exc}") from None
-        acts.append(SystemAct(name, pairs))
-    return tuple(acts)
+def _system_acts(output) -> tuple[SystemAct, ...]:
+    """The system acts of a DSTC2 log turn's ``output``."""
+    acts = exact(exact(output, dict).get("dialog-acts", []), list)
+    return tuple(SystemAct(exact(a["act"], str).strip().lower(), _loose_pairs(a)) for a in acts)
 
 
-def _parse_reference(label_turn, where: str) -> ReferenceFrame:
-    try:
-        semantics = label_turn["semantics"]["json"]
-    except (KeyError, TypeError):
-        raise CorpusError(f"{where}: missing reference semantics") from None
-    names = []
-    pairs: dict[tuple[str, str], None] = {}
-    for entry in _typed(semantics, list, "reference semantics", where):
-        try:
-            names.append(exact(entry["act"], str))
-            for s, v in entry.get("slots", []):
-                pairs.setdefault((str(s).strip().lower(), str(v).strip().lower()), None)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{where}: malformed reference semantics: {exc}") from None
-    return ReferenceFrame(act_pattern(names), tuple(pairs))
+def _nbest(inputs, channel: str) -> tuple[AsrHypothesis, ...]:
+    """The ``channel`` n-best list of a DSTC2 log turn's ``input``, its scores made confidences."""
+    hyps = exact(exact(exact(inputs, dict).get(channel, {}), dict).get("asr-hyps", []), list)
+    texts = [exact(h["asr-hyp"], str) for h in hyps]
+    scores = [exact(h["score"], float) for h in hyps]
+    if not texts:
+        return (AsrHypothesis("", 1.0),)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = normalize_confidences(scores)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"scores {scores} give no finite confidences")
+    return tuple(AsrHypothesis(t, float(w)) for t, w in zip(texts, weights))
+
+
+def _reference(label_turn) -> ReferenceFrame:
+    """The reference frame of a DSTC2 label turn."""
+    acts = exact(label_turn["semantics"]["json"], list)
+    names = [exact(a["act"], str) for a in acts]
+    return ReferenceFrame(act_pattern(names), tuple(dict.fromkeys(p for a in acts for p in _loose_pairs(a))))
+
+
+def _dstc2_turn(log_turn, label_turn, channel: str, position: int):
+    """(turn index, system acts, n-best list, reference) of one DSTC2 turn; the index defaults to ``position``."""
+    log_turn = exact(log_turn, dict)
+    return (checked(ValueError, "turn-index", exact, log_turn.get("turn-index", position), int),
+            checked(ValueError, "malformed dialogue act record", _system_acts, log_turn.get("output", {})),
+            checked(ValueError, "malformed n-best entry", _nbest, log_turn.get("input", {}), channel),
+            checked(ValueError, "malformed reference semantics", _reference, label_turn))
+
+
+def _turns_of(doc) -> list:
+    return exact(exact(doc, dict)["turns"], list)
 
 
 def _parse_call(call_dir: Path, call: str, channel: str) -> list[Turn]:
-    log_path = call_dir / "log.json"
-    label_path = call_dir / "label.json"
-    for path in (log_path, label_path):
+    paths = [call_dir / "log.json", call_dir / "label.json"]
+    for path in paths:
         if not path.is_file():
             raise CorpusError(f"call {call}: missing {path.name}")
-    log_doc, label_doc = (_typed(parse_json(path.read_bytes(), f"call {call}: {path.name}", CorpusError),
-                                 dict, path.name, f"call {call}")
-                          for path in (log_path, label_path))
-
-    session = log_doc.get("session-id")
-    session = call if session in (None, "") else _typed(session, str, "session-id", f"call {call}")
-    log_turns = log_doc.get("turns")
-    label_turns = label_doc.get("turns")
-    if not isinstance(log_turns, list) or not isinstance(label_turns, list):
-        raise CorpusError(f"call {call}: missing turn lists")
+    docs = [parse_json(path.read_bytes(), f"call {call}: {path.name}", CorpusError) for path in paths]
+    log_turns, label_turns = (checked(CorpusError, f"call {call}: {path.name}", _turns_of, doc)
+                              for path, doc in zip(paths, docs))
+    session = docs[0].get("session-id")
+    session = call if session in (None, "") else checked(CorpusError, f"call {call}: session-id", exact, session, str)
     if len(log_turns) != len(label_turns):
-        raise CorpusError(
-            f"session {session}: log has {len(log_turns)} turns but labels have {len(label_turns)}"
-        )
+        raise CorpusError(f"session {session}: log has {len(log_turns)} turns but labels have {len(label_turns)}")
 
     turns: list[Turn] = []
     history: list[tuple[SystemAct, ...]] = []
     last_index = None
     for position, (log_turn, label_turn) in enumerate(zip(log_turns, label_turns)):
         where = f"session {session} turn {position}"
-        log_turn = _typed(log_turn, dict, "log turn", where)
-        raw_index = log_turn.get("turn-index", position)
-        if not isinstance(raw_index, int) or isinstance(raw_index, bool):
-            raise CorpusError(f"{where}: turn-index is not an integer")
-        if last_index is not None and raw_index <= last_index:
+        index, acts, nbest, reference = checked(CorpusError, where, _dstc2_turn,
+                                                log_turn, label_turn, channel, position)
+        if last_index is not None and index <= last_index:
             raise CorpusError(f"{where}: turn indices are not increasing")
-        last_index = raw_index
-
-        output = _typed(log_turn.get("output", {}), dict, "output", where)
-        history.append(_parse_dialog_acts(output.get("dialog-acts", []), where))
-
-        inputs = _typed(log_turn.get("input", {}), dict, "input", where)
-        hyp_block = _typed(inputs.get(channel, {}), dict, f"input {channel!r}", where)
-        raw_hyps = _typed(hyp_block.get("asr-hyps", []), list, "asr-hyps", where)
-        try:
-            texts = [exact(h["asr-hyp"], str) for h in raw_hyps]
-            scores = [exact(h["score"], float) for h in raw_hyps]
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise CorpusError(f"{where}: malformed n-best entry: {exc}") from None
-        if texts:
-            with np.errstate(over="ignore", invalid="ignore"):
-                weights = normalize_confidences(scores)
-            if not np.all(np.isfinite(weights)):
-                raise CorpusError(f"{where}: n-best scores {scores} give no finite confidences")
-            nbest = tuple(AsrHypothesis(t, float(w)) for t, w in zip(texts, weights))
-        else:
-            nbest = (AsrHypothesis("", 1.0),)
-
-        reference = _parse_reference(label_turn, where)
+        last_index = index
+        history.append(acts)
         turns.append(Turn(session, position, nbest, tuple(history), reference))
     return turns
 
@@ -297,10 +275,7 @@ def text_lines(path, error: type[SluError] = DataFormatError) -> Iterator[str]:
 
 def parse_json(text: str | bytes, where, error: type[SluError] = DataFormatError) -> object:
     """The JSON value of ``text`` (bytes must be UTF-8); malformed text raises ``error`` naming ``where``."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise error(f"{where}: invalid JSON: {exc}") from None
+    return checked(error, f"{where}: invalid JSON", json.loads, text)
 
 
 def split_header(path, lines: list[str], fmt: str, version: int) -> tuple[dict, list[str]]:
@@ -319,13 +294,8 @@ def split_header(path, lines: list[str], fmt: str, version: int) -> tuple[dict, 
 
 def parse_records(path, numbered_lines: Iterable[tuple[int, str]], parse: Callable, what: str) -> list:
     """``parse`` of each numbered JSON line; any failure raises ``DataFormatError`` naming ``path:line``."""
-    records = []
-    for number, line in numbered_lines:
-        try:
-            records.append(parse(json.loads(line)))
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            raise DataFormatError(f"{path}:{number}: malformed {what} record: {exc}") from None
-    return records
+    return [checked(DataFormatError, f"{path}:{number}: malformed {what} record", lambda: parse(json.loads(line)))
+            for number, line in numbered_lines]
 
 
 def _turn_to_dict(turn: Turn) -> dict:
@@ -342,18 +312,6 @@ def _turn_to_dict(turn: Turn) -> dict:
             "slots": [[s, v] for s, v in turn.reference.pairs],
         },
     }
-
-
-_JSON_TYPES = {str: "string", int: "integer", float: "number", list: "array", dict: "object"}
-
-
-def exact(value, kind: type):
-    """``value`` if its JSON type is exactly ``kind``, else ``TypeError``; a ``float`` also takes an int, not a bool."""
-    if type(value) is kind:
-        return value
-    if kind is float and type(value) is int:
-        return float(value)
-    raise TypeError(f"expected a JSON {_JSON_TYPES[kind]}, got {value!r}")
 
 
 def _confidence(value) -> float:
@@ -434,19 +392,22 @@ def _canonical(path, lines: list[str]) -> Dataset:
     header, lines = split_header(path, lines, FORMAT_NAME, FORMAT_VERSION)
     if header.get("checksum") != _checksum(lines):
         raise DataFormatError(f"{path}: checksum mismatch; file was modified or truncated")
-    provenance, counts = header.get("provenance", {}), header.get("counts", {})
-    if not (isinstance(provenance, dict) and isinstance(counts, dict)):
-        raise DataFormatError(f"{path}: provenance and counts must be JSON objects")
-    max_patterns = provenance.get("max_act_patterns", MAX_PATTERNS)
-    if type(max_patterns) is not int or max_patterns < 1:
-        raise DataFormatError(f"{path}: max_act_patterns must be a positive integer, got {max_patterns!r}")
-
+    provenance, counts, max_patterns = checked(DataFormatError, f"{path}: header", _dataset_header, header)
     turns = parse_records(path, enumerate(lines, start=2), _turn_reader(), "turn")
     dataset = Dataset(tuple(turns), Ontology.derive(turns, max_patterns), provenance)
-    found = {"turns": len(dataset.turns), "dialogues": dataset.dialogue_count}
-    if counts and any(type(counts.get(key)) is not int or counts[key] != n for key, n in found.items()):
+    if counts is not None and counts != {"dialogues": dataset.dialogue_count, "turns": len(dataset.turns)}:
         raise DataFormatError(f"{path}: header counts do not match the records")
     return dataset
+
+
+def _dataset_header(header: dict) -> tuple[dict, dict | None, int]:
+    """(provenance, counts or None when absent, act-pattern cap) of a dataset header."""
+    provenance, counts = exact(header.get("provenance", {}), dict), exact(header.get("counts", {}), dict)
+    max_patterns = exact(provenance.get("max_act_patterns", MAX_PATTERNS), int)
+    if max_patterns < 1:
+        raise ValueError(f"max_act_patterns must be a positive integer, got {max_patterns}")
+    counts = {key: exact(counts[key], int) for key in ("dialogues", "turns")} if counts else None
+    return provenance, counts, max_patterns
 
 
 def read_turns(path) -> Dataset:

@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Turn, dumps, exact, parse_records, split_header, text_lines, write_lines
+from .data import Dataset, Turn, dumps, parse_records, split_header, text_lines, write_lines
 from .embeddings import tokenize
-from .errors import ConfigError, DataFormatError, DomainError
+from .errors import ConfigError, DataFormatError, DomainError, checked, exact
 from .model import SlotValueModel, StepOneModel
 from .sentence import Hypothesis, NBestList
 
@@ -204,7 +204,15 @@ def read_frames(path) -> tuple[dict, list[tuple[str, int, SemanticFrame]]]:
     """Read a frames file; returns (header, [(session, index, frame)])."""
     header, lines = split_header(path, list(text_lines(path)), FRAMES_FORMAT, FRAMES_VERSION)
     rows = parse_records(path, enumerate(lines, start=2), _frame_row, "frame")
-    turns = header.get("turns")
-    if turns is not None and (type(turns) is not int or turns != len(rows)):
-        raise DataFormatError(f"{path}: header declares {turns!r} frames, found {len(rows)}")
+    checked(DataFormatError, f"{path}: header", _check_frames_header, header, len(rows))
     return header, rows
+
+
+def _check_frames_header(header: dict, frames: int) -> None:
+    """Refuse hashes that are not strings or null, and a ``turns`` other than ``frames`` or null."""
+    for key in ("config_hash", "ontology_hash"):
+        if header.get(key) is not None:
+            exact(header[key], str)
+    turns = header.get("turns")
+    if turns is not None and exact(turns, int) != frames:
+        raise ValueError(f"declares {turns} frames, found {frames}")

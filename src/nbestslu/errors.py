@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one way a JSON value is read.
+
+A reader is a builder that takes each value through ``exact`` where it uses
+it, run by ``checked``, which raises a failure as the reader's own error.
+"""
 
 
 class SluError(Exception):
@@ -39,3 +43,28 @@ class ConfigError(SluError, ValueError):
 
 class ModelStateError(SluError, RuntimeError):
     """A model is not in a state where the requested operation is valid."""
+
+
+_JSON_TYPES = {str: "string", int: "integer", float: "number", list: "array", dict: "object"}
+
+
+def exact(value, kind: type):
+    """``value`` if its JSON type is exactly ``kind``, else ``TypeError``; a ``float`` also takes an int, not a bool."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"expected a JSON {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def checked(error: type[Exception], where, build, *args):
+    """``build(*args)``; a ``ValueError``, ``KeyError``, ``TypeError``, ``OverflowError`` or
+    ``RecursionError`` it raises becomes ``error`` naming ``where``.
+
+    ``ValueError`` includes ``ConfigError``, so a builder never parses a configuration.
+    A builder names a part it reads by running that part through ``checked(ValueError, name, ...)``.
+    """
+    try:
+        return build(*args)
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise error(f"{where}: {exc}") from None

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataFormatError, DomainError
+from .errors import DomainError, exact
 
 PATTERN_SEPARATOR = "|"
 NULL_PATTERN = "null"
@@ -90,26 +90,21 @@ class Ontology:
         }
 
     @classmethod
-    def from_json_dict(cls, doc, where="ontology") -> "Ontology":
-        """The inverse of ``to_json_dict``; a document of another shape raises ``DataFormatError``."""
+    def from_json_dict(cls, doc) -> "Ontology":
+        """The inverse of ``to_json_dict``; a document of another shape raises ``TypeError`` or ``ValueError``."""
 
         def strings(value) -> tuple[str, ...]:
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise DataFormatError(f"{where}: expected a list of strings, got {value!r}")
-            return tuple(value)
+            return tuple(exact(v, str) for v in exact(value, list))
 
-        if not (isinstance(doc, dict) and isinstance(doc.get("values"), dict) and doc.get("acts")):
-            raise DataFormatError(f"{where}: an ontology is an object with acts and a values object")
-        max_patterns = doc.get("max_patterns", MAX_PATTERNS)
-        if type(max_patterns) is not int or max_patterns < 1:
-            raise DataFormatError(f"{where}: max_patterns must be a positive integer, got {max_patterns!r}")
-        slots = strings(doc.get("slots"))
-        if sorted(slots) != sorted(doc["values"]):
-            raise DataFormatError(f"{where}: slots {list(slots)} are not the keys of values {sorted(doc['values'])}")
-        return cls(
-            acts=strings(doc["acts"]),
-            act_priority=strings(doc.get("act_priority")),
-            slots=slots,
-            values={s: strings(v) for s, v in doc["values"].items()},
-            max_patterns=max_patterns,
-        )
+        doc = exact(doc, dict)
+        values = {s: strings(v) for s, v in exact(doc["values"], dict).items()}
+        acts, slots = strings(doc["acts"]), strings(doc["slots"])
+        if not acts:
+            raise ValueError("an ontology needs at least one act")
+        max_patterns = exact(doc.get("max_patterns", MAX_PATTERNS), int)
+        if max_patterns < 1:
+            raise ValueError(f"max_patterns must be a positive integer, got {max_patterns}")
+        if sorted(slots) != sorted(values):
+            raise ValueError(f"slots {list(slots)} are not the keys of values {sorted(values)}")
+        return cls(acts=acts, act_priority=strings(doc["act_priority"]), slots=slots, values=values,
+                   max_patterns=max_patterns)

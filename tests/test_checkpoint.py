@@ -179,11 +179,22 @@ class TestModelRoundTrip:
         (STEP1_KIND, "ontology", {"acts": ["a", "b", "c"], "act_priority": [],
                                   "slots": ["area", "food", "pricerange", "slot"],
                                   "values": {"food": ["x"], "pricerange": ["x"], "slot": ["x"]}}),
+        (STEP1_KIND, "ontology", {"acts": ["inform"], "act_priority": [], "slots": [], "values": {},
+                                  "max_patterns": True}),
+        (STEP1_KIND, "ontology", {"acts": ["inform"], "act_priority": [], "slots": [], "values": {},
+                                  "max_patterns": 0}),
+        (STEP1_KIND, "ontology", {"acts": [], "act_priority": [], "slots": [], "values": {}}),
+        (STEP1_KIND, "store_fingerprint", None),
         (STEP1_KIND, "system_tokens", 7),
+        (STEP1_KIND, "system_tokens", ["a", 1]),
+        (SLOT_KIND, "config_text", ["seed = 1"]),
+        (SLOT_KIND, "store_fingerprint", 0),
         (SLOT_KIND, "slot", 3),
         (SLOT_KIND, "slot", "nowhere"),
     ], ids=["config-text", "ontology-list", "ontology-acts", "ontology-max-patterns", "ontology-slot-without-values",
-            "system-tokens", "slot-type", "slot-outside-ontology"])
+            "ontology-max-patterns-true", "ontology-max-patterns-zero", "ontology-no-acts", "store-fingerprint",
+            "system-tokens", "system-token-int", "slot-config-text", "slot-store-fingerprint", "slot-type",
+            "slot-outside-ontology"])
     def test_mistyped_meta_is_a_format_error(self, tmp_path, dataset, store, kind, key, value):
         path = tmp_path / "model.ckpt"
         model = fresh_step1(dataset, store) if kind == STEP1_KIND else SlotValueModel.build(

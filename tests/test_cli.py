@@ -504,7 +504,8 @@ class TestExitCodes:
         assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("fault", ["out-of-order", "slot-twice", "index-fraction", "unknown-items",
-                                       "turns-miscounted", "turns-float", "version-true", "version-float"])
+                                       "turns-miscounted", "turns-float", "version-true", "version-float",
+                                       "config-hash-object", "ontology-hash-number"])
     def test_eval_of_a_malformed_frames_file_is_two(self, workspace, tmp_path, capsys, fault):
         dataset = tmp_path / "mini.ds"
         assert run(["import", workspace["root"], workspace["flist"], dataset,
@@ -524,7 +525,8 @@ class TestExitCodes:
             records[1] = json.dumps(doc)
         edits = {"unknown-items": ("items", "both"), "turns-miscounted": ("turns", len(turns) + 1),
                  "turns-float": ("turns", float(len(turns))), "version-true": ("version", True),
-                 "version-float": ("version", 1.0)}
+                 "version-float": ("version", 1.0), "config-hash-object": ("config_hash", {"not": "a hash"}),
+                 "ontology-hash-number": ("ontology_hash", 7)}
         if fault in edits:
             key, value = edits[fault]
             header = json.dumps({**json.loads(header), key: value})
@@ -534,9 +536,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         expected = {"out-of-order": "does not align", "slot-twice": "duplicate slots",
                     "index-fraction": f"{frames_path}:3: malformed frame record: expected a JSON integer",
-                    "unknown-items": "unknown scoring mode 'both'", "turns-miscounted": "header declares",
-                    "turns-float": "header declares", "version-true": "version mismatch",
-                    "version-float": "version mismatch"}[fault]
+                    "unknown-items": "unknown scoring mode 'both'",
+                    "turns-miscounted": f"{frames_path}: header: declares {len(turns) + 1} frames, found {len(turns)}",
+                    "turns-float": f"{frames_path}: header: expected a JSON integer, got {float(len(turns))}",
+                    "version-true": "version mismatch", "version-float": "version mismatch",
+                    "config-hash-object": f"{frames_path}: header: expected a JSON string, got {{'not': 'a hash'}}",
+                    "ontology-hash-number": f"{frames_path}: header: expected a JSON string, got 7"}[fault]
         assert err.startswith("data error:") and expected in err and "Traceback" not in err
 
     def test_a_dataset_file_without_records_is_two(self, workspace, tmp_path, capsys):
@@ -561,8 +566,8 @@ class TestExitCodes:
         log, label = (json.loads((call / name).read_text(encoding="utf-8")) for name in ("log.json", "label.json"))
         hyp = log["turns"][1]["input"]["live"]["asr-hyps"][0]
         expected = {
-            "no-semantics": "missing reference semantics",
-            "no-turn-lists": "missing turn lists",
+            "no-semantics": "session voip-mini-001 turn 0: malformed reference semantics: 'semantics'",
+            "no-turn-lists": "call Mar13_S0A0/voip-mini-001: log.json: 'turns'",
             "turn-counts-differ": "log has 3 turns but labels have 2",
             "indices-not-increasing": "turn indices are not increasing",
             "empty-file-list": "file list is empty",
@@ -570,7 +575,7 @@ class TestExitCodes:
             "asr-hyp-int": "session voip-mini-001 turn 1: malformed n-best entry: expected a JSON string, got 7",
             "score-string": "session voip-mini-001 turn 1: malformed n-best entry: expected a JSON number, got '0.8'",
             "score-true": "session voip-mini-001 turn 1: malformed n-best entry: expected a JSON number, got True",
-            "session-id-int": "call Mar13_S0A0/voip-mini-001: session-id is not a JSON string",
+            "session-id-int": "call Mar13_S0A0/voip-mini-001: session-id: expected a JSON string, got 7",
             "system-act-true": "session voip-mini-001 turn 1: malformed dialogue act record: expected a JSON string",
             "reference-act-true": "session voip-mini-001 turn 1: malformed reference semantics: expected a JSON string",
         }[fault]

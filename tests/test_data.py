@@ -234,7 +234,8 @@ class TestCanonicalRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as err:
             read_canonical(path)
-        assert "header counts" in str(err.value)
+        assert str(err.value) == (f"{path}: header counts do not match the records" if value == 3
+                                  else f"{path}: header: expected a JSON integer, got {value!r}")
 
     def test_corruption_detected_by_checksum(self, tmp_path):
         ds = synthetic_dataset(2, 2)

@@ -1,7 +1,7 @@
 """The documentation and the CI workflow name what the tree has.
 
-The configuration table in ``docs/formats.md`` and the variant table in
-the README are written by hand, and the workflow names test files,
+The configuration and checkpoint meta tables in ``docs/formats.md`` and
+the variant table in the README are written by hand, and the workflow names test files,
 benchmark workloads and demos by path; each check fails when one side
 changes without the other.
 """
@@ -13,7 +13,12 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+from nbestslu.checkpoint import SLOT_KIND, STEP1_KIND, load_container, save_model
 from nbestslu.config import VARIANTS, RunConfig, resolved_text
+from nbestslu.data import collect_system_tokens
+from nbestslu.model import SlotValueModel, StepOneModel
+
+from _synth import synthetic_dataset, synthetic_table
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -34,6 +39,20 @@ def test_the_config_table_lists_every_key_with_its_default():
     resolved = dict(line.split(" = ", 1) for line in resolved_text(RunConfig()).splitlines())
     expected = [(f.name, resolved[f.name] or "(empty)", f.metadata["rule"]) for f in fields(RunConfig)]
     assert documented == expected
+
+
+def test_the_checkpoint_meta_table_lists_the_keys_each_kind_of_file_holds(tmp_path):
+    formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    rows = table(formats[formats.index("\n## Checkpoints\n"):], "| key")
+    dataset, store = synthetic_dataset(4, 3, seed=40), synthetic_table(dim=12)
+    config = RunConfig(embedding_dim=12, filter_windows=(2,), filters_per_window=3, hidden_size=4)
+    tokens = collect_system_tokens(dataset.turns)
+    models = {STEP1_KIND: StepOneModel.build(config, dataset.ontology, tokens, store),
+              SLOT_KIND: SlotValueModel.build(config, dataset.ontology, "pricerange", tokens, store)}
+    for kind, model in models.items():
+        save_model(model, tmp_path / kind)
+        documented = {key for key, kinds, *_ in rows if kinds in ("both", kind)}
+        assert sorted(documented) == sorted(load_container(tmp_path / kind)[2]), kind
 
 
 def test_the_readme_variant_table_lists_every_variant():

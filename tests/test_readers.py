@@ -180,6 +180,7 @@ def test_unchanged_documents_are_accepted(scratch):
 @example(where=(0, "provenance"), value=[1])
 @example(where=(0, "counts"), value=[1])
 @example(where=(0, "provenance", "max_act_patterns"), value="x")
+@example(where=(0, "provenance", "max_act_patterns"), value=0)
 @example(where=(1, "index"), value=float("inf"))
 @example(where=(1, "hyps", 0, "score"), value=10**400)
 def test_dataset_with_one_value_replaced(scratch, where, value):
@@ -210,6 +211,12 @@ def test_headerless_turns_with_one_value_replaced(scratch, where, value):
 
 @FUZZ
 @given(where=_where(CHECKPOINT_HEADER), value=JSON)
+@example(where=("kind",), value=3)
+@example(where=("meta",), value=[1])
+@example(where=("params",), value={})
+@example(where=("params", 0, "shape", 0), value=True)
+@example(where=("params", 0, "shape", 0), value=-1)
+@example(where=("params", 1, "name"), value="w")  # a duplicate name
 def test_checkpoint_header_with_one_value_replaced(scratch, where, value):
     payload = dumps(_replaced(CHECKPOINT_HEADER, where, value)).encode()
     path = scratch / "replaced.ckpt"
