@@ -336,23 +336,22 @@ def max_pool(t: Tensor) -> tuple[Tensor, int]:
     return _make(out, (t,), backprop), idx
 
 
-def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Tensor]], sizes=None) -> Tensor:
+def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Tensor]], sizes) -> Tensor:
     """Weighted sums of max-pooled tanh convolutions over B n-best lists; returns [B, F].
 
     ``rows`` [U, D] holds each distinct word's vector once and ``index``
     [n, L] names, per hypothesis, the row at each of its L positions.  The
     lists' hypotheses come one list after another, ``sizes[b]`` of them for
-    list b; without ``sizes`` they are one list, and the result is its [F]
-    vector.  Hypothesis i spans its first ``lengths[i]`` positions and has
-    weight ``weights[i]``.  Per (weight [w*D, M], bias [M]) pair of
-    ``filters`` (all with one M), every row goes through each D-row block
-    W_k of the weight once, proj_k = rows @ W_k, and the pre-activation of
-    the window starting at s is the sum over k of proj_k[index[:, s + k]],
-    plus bias.  Windows past a hypothesis's length are masked, each map is
-    max-pooled on its pre-activations, and tanh, being monotone, is applied
-    once to the pooled [n, F].  Each list's weighted pooled rows are summed
-    left to right into its output row.  Identical windows give
-    bit-identical pre-activations.
+    list b; one list is a batch of one.  Hypothesis i spans its first
+    ``lengths[i]`` positions and has weight ``weights[i]``.  Per (weight
+    [w*D, M], bias [M]) pair of ``filters`` (all with one M), every row goes
+    through each D-row block W_k of the weight once, proj_k = rows @ W_k,
+    and the pre-activation of the window starting at s is the sum over k of
+    proj_k[index[:, s + k]], plus bias.  Windows past a hypothesis's length
+    are masked, each map is max-pooled on its pre-activations, and tanh,
+    being monotone, is applied once to the pooled [n, F].  Each list's
+    weighted pooled rows are summed left to right into its output row.
+    Identical windows give bit-identical pre-activations.
 
     Backward routes each map's gradient to the first window at its maximum
     pre-activation.  Per pair, one ``np.bincount`` adds each routed gradient
@@ -365,8 +364,7 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
     index = np.asarray(index, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    stacked = sizes is not None
-    sizes = np.asarray(sizes if stacked else index.shape[:1], dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
     if (rows.ndim != 2 or index.ndim != 2 or index.shape[0] == 0 or lengths.shape != index.shape[:1]
             or weights.shape != lengths.shape or sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1
             or sizes.sum() != len(index) or not filters):
@@ -408,7 +406,6 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
     out = np.array([np.add.accumulate(weighted[end - size : end])[-1] for end, size in zip(ends, sizes.tolist())])
 
     def backprop(g: np.ndarray) -> None:
-        g = g.reshape(len(sizes), -1)
         dpooled = weights[:, None] * g[np.repeat(np.arange(len(sizes)), sizes)] * (1.0 - pooled * pooled)
         block_size = len(rows) * maps_count  # the entries of one block of dProj
         for (weight, bias), maps, peak, dmaximum in zip(filters, responses, peaks,
@@ -427,7 +424,7 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
             _accumulate(weight, (rows.T @ dproj.reshape(width, len(rows), maps_count)).reshape(width * dim, -1))
             _accumulate(bias, dmaximum.sum(axis=0))
 
-    return _make(out if stacked else out[0], tuple(t for pair in filters for t in pair), backprop)
+    return _make(out, tuple(t for pair in filters for t in pair), backprop)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -451,13 +448,13 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _make(out, (table,), backprop)
 
 
-def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> tuple[Tensor, Tensor]:
+def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths) -> tuple[Tensor, Tensor]:
     """Run an LSTM over B sequences packed in the rows of ``xs``; returns their final (hidden, cell).
 
     ``lengths[b]`` rows of ``xs`` belong to sequence b, the sequences one
-    after another; ``h0``, ``c0`` and the results are [B, H].  Without
-    ``lengths``, ``xs`` is one sequence (1-D: a single step) and the states
-    are vectors.  An ``xs`` without rows returns (h0, c0) themselves.
+    after another, as the [N, D] rows of ``xs``; ``h0``, ``c0`` and the
+    results are [B, H].  One sequence is a batch of one.  An ``xs``
+    without rows returns (h0, c0) themselves.
     ``params`` is a ``context.LstmParams``, whose ``stacked`` W [4H, D], U
     [4H, H] and b [4H] hold the gates gate-major and whose per-gate row
     blocks in ``w``, ``u`` and ``b`` receive the gradients.
@@ -480,28 +477,20 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
     run is one tape node: the final hidden and cell states stacked on a new
     leading axis, returned split by ``unstack``.
     """
-    hidden_size, input_dim = params.hidden_size, params.input_dim
-    inputs = xs.data[None, :] if xs.ndim == 1 else xs.data
-    if inputs.ndim != 2 or inputs.shape[1] != input_dim:
-        raise ShapeMismatchError(f"lstm_sequence input shape {xs.shape} does not match input width {input_dim}")
-    if lengths is None:
-        lengths, state_shape = np.array([len(inputs)]), (hidden_size,)
-    else:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        state_shape = (len(lengths), hidden_size)
-        if lengths.ndim != 1 or lengths.sum() != len(inputs):
-            raise ShapeMismatchError(f"lstm_sequence lengths {lengths.tolist()} do not cover {len(inputs)} rows")
-        if lengths.size and lengths.min() < 0:
-            raise DomainError(f"lstm_sequence lengths must not be negative, got {lengths.tolist()}")
-    if h0.shape != state_shape or c0.shape != state_shape:
-        raise ShapeMismatchError(
-            f"lstm_sequence state shapes h0 {h0.shape}, c0 {c0.shape} do not match {state_shape}"
-        )
-    if len(inputs) == 0:
+    if xs.ndim != 2 or xs.shape[1] != params.input_dim:
+        raise ShapeMismatchError(f"lstm_sequence input shape {xs.shape} does not match [N, {params.input_dim}] rows")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    count, total, size = len(lengths), len(xs.data), params.hidden_size
+    if lengths.ndim != 1 or lengths.sum() != total:
+        raise ShapeMismatchError(f"lstm_sequence lengths {lengths.tolist()} do not cover {total} rows")
+    if lengths.size and lengths.min() < 0:
+        raise DomainError(f"lstm_sequence lengths must not be negative, got {lengths.tolist()}")
+    if h0.shape != (count, size) or c0.shape != (count, size):
+        raise ShapeMismatchError(f"lstm_sequence states h0 {h0.shape}, c0 {c0.shape} are not {(count, size)}")
+    if total == 0:
         return h0, c0
     w, u, b = params.stacked
     gate_tensors = [*params.w.values(), *params.u.values(), *params.b.values()]
-    count, total, size = len(lengths), len(inputs), hidden_size
 
     # The layout.  The state of the k-th longest sequence after t steps is state row
     # index[t, k]: the initial states first, then each step's new states, running sequences
@@ -521,7 +510,7 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
                                           alive[1:].sum(axis=1).tolist())]
 
     sigmoids = 3 * size  # the input, forget and output gates; the update is the last H
-    packed = inputs[source]
+    packed = xs.data[source]
     gates = packed @ w.T
     gates += b
     # With several rows per step the recurrent product runs about three times faster on a
@@ -529,8 +518,8 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
     recurrent = u.T if count == 1 else np.ascontiguousarray(u.T)
     states = np.empty((2, count + total, size))  # hidden over cell: one index reads both final states
     hiddens, cells = states
-    hiddens[:count] = h0.data.reshape(count, size)[order]
-    cells[:count] = c0.data.reshape(count, size)[order]
+    hiddens[:count] = h0.data[order]
+    cells[:count] = c0.data[order]
     squashed = np.empty((total, size))  # tanh of each new cell
     for before, after, here in steps:
         z = gates[here]
@@ -550,7 +539,7 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
     def backprop(dstate: np.ndarray) -> None:
         dstates = np.zeros_like(states)
         dhiddens, dcells = dstates
-        dstates[:, final] = dstate.reshape(2, count, size)
+        dstates[:, final] = dstate
         # Local derivatives for all steps at once: the preactivation gradient of gate block k is
         # scale[:, k] times the row's cell gradient (its hidden gradient for the output gate).
         gate = gates.reshape(total, 4, size)
@@ -576,13 +565,13 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths=None) -> t
         _accumulate_gates(params.u, dz.T @ hiddens[prev])
         _accumulate_gates(params.b, dz.sum(axis=0))
         if xs.requires_grad:
-            dxs = np.empty_like(inputs)
+            dxs = np.empty_like(xs.data)
             dxs[source] = dz @ w
-            _accumulate(xs, dxs.reshape(xs.shape))
-        _accumulate(h0, dhiddens[rank].reshape(state_shape))
-        _accumulate(c0, dcells[rank].reshape(state_shape))
+            _accumulate(xs, dxs)
+        _accumulate(h0, dhiddens[rank])
+        _accumulate(c0, dcells[rank])
 
-    return unstack(_make(states[:, final].reshape(2, *state_shape), (xs, h0, c0, *gate_tensors), backprop))
+    return unstack(_make(states[:, final], (xs, h0, c0, *gate_tensors), backprop))
 
 
 def _accumulate_gates(tensors: dict[str, Tensor], grad: np.ndarray) -> None:

@@ -17,10 +17,10 @@ from . import __version__
 from .checkpoint import CONFIG_FILE, load_checkpoint_dir, ontology_hash, save_checkpoint_dir, slot_file
 from .config import RunConfig, apply_overrides, config_hash, parse_config_file, write_resolved
 from .data import import_dstc2, read_canonical, read_turns, write_canonical
-from .decoder import decode_dataset, read_frames, write_frames
+from .decoder import FULL, STEP1, decode_dataset, read_frames, write_frames
 from .embeddings import load_vectors
 from .errors import ConfigError, DataFormatError, DomainError, NumericFailure, SluError
-from .metrics import FULL, STEP1, report_table, report_text, score_frames
+from .metrics import report_table, report_text, score_frames
 from .training import cross_validate_step1, train_step1, train_step2
 
 EXIT_OK = 0

@@ -9,8 +9,8 @@ batch of turns at once (a mini-batch, a validation set, or one decoded
 turn as a batch of one): ``autograd.gather_rows`` looks up every token's
 embedding and ``autograd.lstm_sequence`` runs every stream in one packed
 kernel, with its own backprop through time.  The one-step ``lstm_step``
-(used by the ``lstm-input`` combiner) is the same kernel over a single
-input.
+(used by the ``lstm-input`` combiner) runs the same kernel over a batch
+of one sequence of one step.
 """
 
 from __future__ import annotations
@@ -76,41 +76,32 @@ class LstmParams:
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM transition; returns the new (hidden, cell) pair."""
-    return ag.lstm_sequence(x, h_prev, c_prev, params)
+    """One LSTM transition of vectors, run as a batch of one; returns the new (hidden, cell) pair."""
+    hidden, cell = ag.lstm_sequence(*(ag.stack([t]) for t in (x, h_prev, c_prev)), params, [1])
+    return ag.unstack(hidden)[0], ag.unstack(cell)[0]
+
+
+# Each context window the variants name -> how many of the latest system turns it reads (None: all).
+WINDOWS = {"none": 0, "last_1": 1, "last_4": 4, "all": None}
 
 
 @dataclass(frozen=True)
 class ContextWindow:
-    """Which system turns feed the context encoder."""
+    """Which system turns feed the context encoder: one of ``WINDOWS``."""
 
-    mode: str  # "none", "all", or "last"
-    width: int = 0
-
-    _NAMES = ("none", "all")
+    name: str
 
     def __post_init__(self):
-        if self.mode == "last" and self.width < 1:
-            raise DomainError(f"window width must be positive, got {self.width}")
+        if self.name not in WINDOWS:
+            raise DomainError(f"unknown context window {self.name!r}; known: {', '.join(WINDOWS)}")
 
     @classmethod
     def from_name(cls, name: str) -> "ContextWindow":
-        if name in cls._NAMES:
-            return cls(name)
-        if name.startswith("last_"):
-            return cls("last", int(name.split("_", 1)[1]))
-        raise DomainError(f"unknown context window {name!r}")
-
-    @property
-    def name(self) -> str:
-        return self.mode if self.mode in self._NAMES else f"last_{self.width}"
+        return cls(name)
 
     def select(self, system_turns: Sequence) -> tuple:
-        if self.mode == "none":
-            return ()
-        if self.mode == "all":
-            return tuple(system_turns)
-        return tuple(system_turns[-self.width :])
+        turns, width = tuple(system_turns), WINDOWS[self.name]
+        return turns if width is None else turns[max(0, len(turns) - width) :]
 
 
 def context_tokens(system_turns: Sequence, window: ContextWindow) -> list[str]:

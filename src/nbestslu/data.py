@@ -139,8 +139,9 @@ def collect_system_tokens(turns: Iterable[Turn]) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def _loose_pairs(act: dict) -> tuple[tuple[str, str], ...]:
-    """A DSTC2 act's slot-value pairs, each name and value read through ``str()``."""
-    return tuple((str(s).strip().lower(), str(v).strip().lower()) for s, v in act.get("slots", []))
+    """A DSTC2 act's slot-value pairs: each a two-element array, its name and value read through ``str()``."""
+    return tuple((str(s).strip().lower(), str(v).strip().lower())
+                 for s, v in (exact(pair, list) for pair in exact(act.get("slots", []), list)))
 
 
 def _system_acts(output) -> tuple[SystemAct, ...]:
@@ -453,7 +454,7 @@ def split_turns(
     return [t for t in turns if t.session not in val_sessions], [t for t in turns if t.session in val_sessions]
 
 
-def make_folds(dataset: Dataset, k: int = 10, seed: int = 0) -> tuple[tuple[str, ...], ...]:
+def make_folds(dataset: Dataset, k: int, seed: int) -> tuple[tuple[str, ...], ...]:
     """The held-out sessions of each of k dialogue-level folds, in dataset order.
 
     The ``FOLDS`` substream of ``seed`` permutes the sessions, and the

@@ -156,6 +156,9 @@ def decode_dataset(
 
 FRAMES_FORMAT = "nbestslu-frames"
 FRAMES_VERSION = 1
+# A frames file's ``items``: slot-value items (``full``) or step one's slot items alone.
+FULL = "full"
+STEP1 = "step1"
 
 
 def write_frames(
@@ -163,7 +166,7 @@ def write_frames(
     frames,
     turns,
     *,
-    mode: str = "full",
+    mode: str = FULL,
     config_hash: str | None = None,
     ontology_hash: str | None = None,
 ) -> None:
@@ -209,7 +212,10 @@ def read_frames(path) -> tuple[dict, list[tuple[str, int, SemanticFrame]]]:
 
 
 def _check_frames_header(header: dict, frames: int) -> None:
-    """Refuse hashes that are not strings or null, and a ``turns`` other than ``frames`` or null."""
+    """Refuse hashes that are not strings or null, ``items`` other than ``full``, ``step1`` or absent,
+    and a ``turns`` other than ``frames`` or null."""
+    if exact(header.get("items", FULL), str) not in (FULL, STEP1):
+        raise ValueError(f"unknown items {header['items']!r}; known: {FULL}, {STEP1}")
     for key in ("config_hash", "ontology_hash"):
         if header.get(key) is not None:
             exact(header[key], str)

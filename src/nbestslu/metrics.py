@@ -26,14 +26,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .data import ReferenceFrame, Turn
-from .decoder import SemanticFrame
+from .decoder import FULL, STEP1, SemanticFrame
 from .errors import DomainError
 from .ontology import Ontology
 
 PROB_FLOOR = 1e-6
-
-FULL = "full"
-STEP1 = "step1"
 
 Item = tuple
 
@@ -182,8 +179,6 @@ def score_frames(
     mode: str = FULL,
 ) -> ScoreReport:
     """Score decoded frames against the reference frames of ``turns``."""
-    if mode not in (FULL, STEP1):
-        raise DomainError(f"unknown scoring mode {mode!r}")
     references = [t.reference for t in turns]
     scored = [frame_scored_items(f, mode) for f in frames]
     pred_sets = [frozenset(s) for s in scored]

@@ -58,7 +58,7 @@ class Adadelta:
     and its accumulators decay.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], rho: float = 0.95, epsilon: float = 1e-6):
+    def __init__(self, params: Mapping[str, Tensor], rho: float, epsilon: float):
         if not 0.0 < rho < 1.0:
             raise DomainError(f"adadelta decay must lie in (0, 1), got {rho}")
         if not 0.0 < epsilon < np.inf:

@@ -7,13 +7,12 @@ weighted sum.  The result is one fixed-length vector per user turn.
 
 Several lists are one ``autograd.conv_nbest`` tape node
 (``encode_sentences``), which projects each distinct word of all of them
-once; one list goes through the same op as a list of one
-(``encode_sentence``), and one hypothesis is a list of one.  The op reads
-the arrays an ``NBestList`` builds once, when it is made: the hypotheses
-in canonical order, their weights, and an index of their distinct tokens.
-These hold tokens, not vectors, so one list serves every model that
-encodes it; each encode looks the distinct tokens up in its model's own
-table view.
+once; one list is row 0 of a batch of one (``encode_sentence``), and one
+hypothesis is a list of one.  The op reads the arrays an ``NBestList``
+builds once, when it is made: the hypotheses in canonical order, their
+weights, and an index of their distinct tokens.  These hold tokens, not
+vectors, so one list serves every model that encodes it; each encode
+looks the distinct tokens up in its model's own table view.
 """
 
 from __future__ import annotations
@@ -129,14 +128,14 @@ def encode_hypothesis(tokens, table: EmbeddingTable, bank: ConvFilterBank) -> Te
 
 
 def encode_sentence(nbest: NBestList, table: EmbeddingTable, bank: ConvFilterBank) -> Tensor:
-    """Confidence-weighted sum of per-hypothesis feature vectors: ``encode_sentences`` of one list, as a vector.
+    """Confidence-weighted sum of per-hypothesis feature vectors: row 0 of ``encode_sentences`` of one list.
 
     Raw confidences are renormalized to sum to one, which makes the result
     invariant to uniform rescaling.  Terms are summed in the list's
     canonical order, so permuting the n-best list yields a bit-identical
     vector.
     """
-    return ag.conv_nbest(*_conv_inputs([nbest], table, bank))
+    return ag.unstack(encode_sentences([nbest], table, bank))[0]
 
 
 def encode_sentences(nbests, table: EmbeddingTable, bank: ConvFilterBank) -> Tensor:

@@ -504,7 +504,7 @@ class TestExitCodes:
         assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("fault", ["out-of-order", "slot-twice", "index-fraction", "unknown-items",
-                                       "turns-miscounted", "turns-float", "version-true", "version-float",
+                                       "items-number", "turns-miscounted", "turns-float", "version-true", "version-float",
                                        "config-hash-object", "ontology-hash-number"])
     def test_eval_of_a_malformed_frames_file_is_two(self, workspace, tmp_path, capsys, fault):
         dataset = tmp_path / "mini.ds"
@@ -523,10 +523,10 @@ class TestExitCodes:
             doc = json.loads(records[1])
             doc["index"] += 0.9
             records[1] = json.dumps(doc)
-        edits = {"unknown-items": ("items", "both"), "turns-miscounted": ("turns", len(turns) + 1),
-                 "turns-float": ("turns", float(len(turns))), "version-true": ("version", True),
-                 "version-float": ("version", 1.0), "config-hash-object": ("config_hash", {"not": "a hash"}),
-                 "ontology-hash-number": ("ontology_hash", 7)}
+        edits = {"unknown-items": ("items", "both"), "items-number": ("items", 7),
+                 "turns-miscounted": ("turns", len(turns) + 1), "turns-float": ("turns", float(len(turns))),
+                 "version-true": ("version", True), "version-float": ("version", 1.0),
+                 "config-hash-object": ("config_hash", {"not": "a hash"}), "ontology-hash-number": ("ontology_hash", 7)}
         if fault in edits:
             key, value = edits[fault]
             header = json.dumps({**json.loads(header), key: value})
@@ -536,7 +536,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         expected = {"out-of-order": "does not align", "slot-twice": "duplicate slots",
                     "index-fraction": f"{frames_path}:3: malformed frame record: expected a JSON integer",
-                    "unknown-items": "unknown scoring mode 'both'",
+                    "unknown-items": f"{frames_path}: header: unknown items 'both'",
+                    "items-number": f"{frames_path}: header: expected a JSON string, got 7",
                     "turns-miscounted": f"{frames_path}: header: declares {len(turns) + 1} frames, found {len(turns)}",
                     "turns-float": f"{frames_path}: header: expected a JSON integer, got {float(len(turns))}",
                     "version-true": "version mismatch", "version-float": "version mismatch",
@@ -559,7 +560,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("fault", ["no-semantics", "no-turn-lists", "turn-counts-differ",
                                        "indices-not-increasing", "empty-file-list", "duplicate-session",
                                        "asr-hyp-int", "score-string", "score-true", "session-id-int",
-                                       "system-act-true", "reference-act-true"])
+                                       "system-act-true", "reference-act-true", "slot-entry-string",
+                                       "slot-entry-object"])
     def test_import_of_a_malformed_corpus_is_two(self, workspace, tmp_path, capsys, fault):
         root, flist = workspace["root"], workspace["flist"]
         call = root / "Mar13_S0A0" / "voip-mini-001"
@@ -578,6 +580,10 @@ class TestExitCodes:
             "session-id-int": "call Mar13_S0A0/voip-mini-001: session-id: expected a JSON string, got 7",
             "system-act-true": "session voip-mini-001 turn 1: malformed dialogue act record: expected a JSON string",
             "reference-act-true": "session voip-mini-001 turn 1: malformed reference semantics: expected a JSON string",
+            "slot-entry-string": "session voip-mini-001 turn 1: malformed dialogue act record: "
+                                 "expected a JSON array, got 'ab'",
+            "slot-entry-object": "session voip-mini-001 turn 1: malformed reference semantics: "
+                                 "expected a JSON array, got {'fo': 1, 'x': 2}",
         }[fault]
         if fault == "asr-hyp-int":
             hyp["asr-hyp"] = 7
@@ -591,6 +597,10 @@ class TestExitCodes:
             log["turns"][1]["output"]["dialog-acts"][0]["act"] = True
         elif fault == "reference-act-true":
             label["turns"][1]["semantics"]["json"][0]["act"] = True
+        elif fault == "slot-entry-string":
+            log["turns"][1]["output"]["dialog-acts"][0]["slots"] = ["ab"]
+        elif fault == "slot-entry-object":
+            label["turns"][1]["semantics"]["json"][0]["slots"] = [{"fo": 1, "x": 2}]
         elif fault == "no-semantics":
             del label["turns"][0]["semantics"]
         elif fault == "no-turn-lists":

@@ -5,8 +5,10 @@ import pytest
 
 from nbestslu import autograd as ag
 from nbestslu.autograd import Tensor
+from nbestslu.config import VARIANTS
 from nbestslu.context import (
     LSTM_GATES,
+    WINDOWS,
     Combiner,
     ContextWindow,
     LstmParams,
@@ -109,6 +111,12 @@ def sequence_fixture(steps=5, dim=3, hidden=4, seed=20):
     return params, xs, h0, c0, rng.uniform(0.5, 1.5, hidden), rng.uniform(0.5, 1.5, hidden)
 
 
+def one_sequence(xs, h0, c0, params):
+    """The kernel over one sequence from vector states, as a batch of one; returns vector states."""
+    hidden, cell = ag.lstm_sequence(xs, ag.stack([h0]), ag.stack([c0]), params, [len(xs.data)])
+    return ag.unstack(hidden)[0], ag.unstack(cell)[0]
+
+
 class TestStackedStorage:
     def test_named_gate_tensors_are_row_blocks_of_the_stacked_arrays(self):
         params = make_params(3, 4, seed=30)
@@ -123,10 +131,10 @@ class TestStackedStorage:
 
     def test_an_in_place_write_to_a_gate_changes_the_next_output(self):
         params = make_params(2, 3, seed=31)
-        x, h0, c0 = Tensor(np.full(2, 0.5)), Tensor(np.zeros(3)), Tensor(np.full(3, 0.7))
-        before = ag.lstm_sequence(x, h0, c0, params)[1].data.copy()
+        x, h0, c0 = Tensor(np.full((1, 2), 0.5)), Tensor(np.zeros((1, 3))), Tensor(np.full((1, 3), 0.7))
+        before = ag.lstm_sequence(x, h0, c0, params, [1])[1].data.copy()
         params.b["f"].data[...] = 40.0
-        after = ag.lstm_sequence(x, h0, c0, params)[1].data
+        after = ag.lstm_sequence(x, h0, c0, params, [1])[1].data
         assert np.all(after != before)
         np.testing.assert_array_equal(params.stacked[2][3:6], np.full(3, 40.0))
 
@@ -137,7 +145,7 @@ class TestLstmSequence:
         tensors = list(params.parameters().values()) + [xs, h0, c0]
 
         def loss_fn():
-            hidden, cell = ag.lstm_sequence(xs, h0, c0, params)
+            hidden, cell = one_sequence(xs, h0, c0, params)
             return ag.add(weighted_sum(hidden, on_hidden), weighted_sum(cell, on_cell))
 
         assert max_rel_error(loss_fn, tensors) < 1e-4
@@ -149,7 +157,7 @@ class TestLstmSequence:
         tensors = list(params.parameters().values()) + [xs, h0, c0]
         for pick, contract in ((0, on_hidden), (1, on_cell)):
             def loss_fn():
-                return weighted_sum(ag.lstm_sequence(xs, h0, c0, params)[pick], contract)
+                return weighted_sum(one_sequence(xs, h0, c0, params)[pick], contract)
 
             assert max_rel_error(loss_fn, tensors) < 1e-4
 
@@ -162,7 +170,7 @@ class TestLstmSequence:
             for tensor in [*params.parameters().values(), xs, *rows, *states]:
                 tensor.grad = None
             if fused:
-                hidden, cell = ag.lstm_sequence(xs, h0, c0, params)
+                hidden, cell = one_sequence(xs, h0, c0, params)
             else:
                 hidden, cell = h0, c0
                 for x in rows:
@@ -182,20 +190,23 @@ class TestLstmSequence:
 
     def test_empty_sequence_returns_the_initial_state(self):
         params, xs, h0, c0, _, _ = sequence_fixture()
-        hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, params)
+        h0, c0 = ag.stack([h0]), ag.stack([c0])
+        hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, params, [0])
         assert hidden is h0 and cell is c0
 
     def test_wrong_input_width_or_state_size_is_a_shape_error(self):
         params, xs, h0, c0, _, _ = sequence_fixture()
+        h0, c0 = Tensor(h0.data[None]), Tensor(c0.data[None])
         for bad in (
             (Tensor(np.zeros((5, 4))), h0, c0),
             (Tensor(np.zeros(4)), h0, c0),
+            (Tensor(np.zeros(3)), h0, c0),  # one step as a vector, not a row
             (Tensor(np.zeros((2, 3, 1))), h0, c0),
-            (xs, Tensor(np.zeros(5)), c0),
-            (xs, h0, Tensor(np.zeros((1, 4)))),
+            (xs, Tensor(np.zeros((1, 5))), c0),
+            (xs, h0, Tensor(np.zeros(4))),  # a vector state, not a batch of one
         ):
             with pytest.raises(ShapeMismatchError):
-                ag.lstm_sequence(*bad, params)
+                ag.lstm_sequence(*bad, params, [5])
 
     def test_saturated_gates_stay_finite(self):
         for bias in (40.0, -40.0):
@@ -203,7 +214,7 @@ class TestLstmSequence:
             for gate in LSTM_GATES:
                 params.b[gate].data[...] = bias
             xs.data *= 50.0
-            hidden, cell = ag.lstm_sequence(xs, h0, c0, params)
+            hidden, cell = one_sequence(xs, h0, c0, params)
             ag.add(weighted_sum(hidden, on_hidden), weighted_sum(cell, on_cell)).backward()
             assert np.all(np.isfinite(hidden.data)) and np.all(np.isfinite(cell.data))
             assert np.all(np.abs(hidden.data) <= 1.0)
@@ -266,7 +277,7 @@ class TestPackedBatch:
                 t.grad = None
             x = Tensor(xs.data[starts[b] : starts[b + 1]], requires_grad=True)
             h, c = Tensor(h0.data[b], requires_grad=True), Tensor(c0.data[b], requires_grad=True)
-            alone = ag.lstm_sequence(x, h, c, params)
+            alone = one_sequence(x, h, c, params)
             np.testing.assert_allclose(hidden.data[b], alone[0].data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(cell.data[b], alone[1].data, rtol=0, atol=1e-12)
             ag.add(weighted_sum(alone[0], on_hidden[b]), weighted_sum(alone[1], on_cell[b])).backward()
@@ -347,8 +358,14 @@ class TestContextWindow:
     def test_bad_names_rejected(self):
         with pytest.raises(DomainError):
             ContextWindow.from_name("sometimes")
-        with pytest.raises(DomainError):
-            ContextWindow("last", 0)
+        for name in ("last_0", "last_2", "last"):
+            with pytest.raises(DomainError):
+                ContextWindow(name)
+
+    def test_the_windows_are_those_the_variants_name(self):
+        assert {window for window, _ in VARIANTS.values()} == set(WINDOWS)
+        for name in WINDOWS:
+            assert ContextWindow.from_name(name).name == name
 
     def test_flattening_order_is_oldest_first(self):
         history = [

@@ -5,12 +5,16 @@ import pytest
 
 from nbestslu import autograd as ag
 from nbestslu.autograd import Tensor
+from nbestslu.config import RunConfig
 from nbestslu.context import LstmParams
 from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError, NumericFailure, ShapeMismatchError
 from nbestslu.optim import CHUNK, Adadelta
 
 from _gradcheck import weighted_sum
+
+# The paper's Adadelta settings, as ``RunConfig`` states them.
+PAPER = {"rho": RunConfig().adadelta_rho, "epsilon": RunConfig().adadelta_epsilon}
 
 
 def hand_update(param, grad_sum, batch_size, avg_sq_grad, avg_sq_step, rho, eps):
@@ -37,7 +41,7 @@ def states(optimizer: Adadelta, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def one_tensor(value, **hyper) -> tuple[Tensor, Adadelta]:
     param = Tensor(np.array(value, dtype=float), requires_grad=True, name="p")
-    return param, Adadelta({"p": param}, **hyper)
+    return param, Adadelta({"p": param}, **{**PAPER, **hyper})
 
 
 def step_with(param: Tensor, optimizer: Adadelta, grad) -> None:
@@ -103,7 +107,7 @@ class TestAdadeltaStep:
         # The second parameter's NaN must stop the first one's update too.
         rng = np.random.default_rng(3)
         params = {name: Tensor(rng.uniform(-1, 1, 4), requires_grad=True, name=name) for name in ("a", "b")}
-        opt = Adadelta(params)
+        opt = Adadelta(params, **PAPER)
         for p in params.values():
             p.grad = rng.uniform(-1, 1, 4)
         opt.step()
@@ -138,11 +142,11 @@ class TestAdadeltaOptimizer:
         b = Tensor(np.zeros(4), requires_grad=True, name="b")
         grad = np.array([1.0, -2.0, 0.5, 3.0])
 
-        opt_a = Adadelta({"a": a})
+        opt_a = Adadelta({"a": a}, **PAPER)
         a.grad = grad * 2
         opt_a.step(batch_size=2)
 
-        opt_b = Adadelta({"b": b})
+        opt_b = Adadelta({"b": b}, **PAPER)
         b.grad = grad.copy()
         opt_b.step(batch_size=1)
 
@@ -167,7 +171,7 @@ class TestAdadeltaOptimizer:
         params = {name: Tensor(rng.uniform(-1, 1, shape), requires_grad=True, name=name)
                   for name, shape in shapes.items()}
         alone = {name: one_tensor(p.data.copy()) for name, p in params.items()}
-        opt = Adadelta(params)
+        opt = Adadelta(params, **PAPER)
         for _ in range(5):
             for name, p in params.items():
                 grad = rng.uniform(-1, 1, shapes[name])
@@ -181,7 +185,7 @@ class TestAdadeltaOptimizer:
         backing = np.zeros(3)
         p = Tensor(backing, requires_grad=True, name="p")
         assert p.data is backing or p.data.base is backing or np.shares_memory(p.data, backing)
-        opt = Adadelta({"p": p})
+        opt = Adadelta({"p": p}, **PAPER)
         p.grad = np.ones(3)
         opt.step()
         assert np.all(backing != 0.0)
@@ -203,8 +207,8 @@ class TestGradientBuffer:
         for batch_size in (2, 3, 1):
             for _ in range(batch_size):
                 xs = ag.gather_rows(system, rng.integers(0, 3, 4))
-                hidden, _ = ag.lstm_sequence(xs, Tensor(np.zeros(2)), Tensor(np.zeros(2)), lstm)
-                weighted_sum(hidden, rng.uniform(-1, 1, 2)).backward()
+                hidden, _ = ag.lstm_sequence(xs, Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), lstm, [4])
+                weighted_sum(ag.unstack(hidden)[0], rng.uniform(-1, 1, 2)).backward()
             rebound.grad = rng.uniform(-1, 1, rebound.shape)  # a caller's own array
             grads = {name: p.grad.copy() for name, p in params.items()}
             opt.step(batch_size)
@@ -225,7 +229,7 @@ class TestGradientBuffer:
         rng = np.random.default_rng(13)
         params = {name: Tensor(rng.uniform(-1, 1, size), requires_grad=True, name=name)
                   for name, size in (("wide", CHUNK + 7), ("middle", 3), ("last", 5))}
-        opt = Adadelta(params)
+        opt = Adadelta(params, **PAPER)
         for p in params.values():
             p.grad += rng.uniform(-1, 1, p.shape)
         opt.step(2)

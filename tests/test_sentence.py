@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nbestslu import autograd as ag
+from nbestslu.config import RunConfig
 from nbestslu.data import normalize_confidences
 from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError, NumericFailure
@@ -103,7 +104,9 @@ class TestEncodeSentence:
     def test_the_whole_list_is_one_tape_node(self):
         hyps = (Hypothesis(("i", "want"), 0.6), Hypothesis(("cheap",), 0.3), Hypothesis((), 0.1))
         out = encode_sentence(NBestList(hyps), self.table, self.bank)
-        assert list(out._parents) == list(self.bank.parameters().values())
+        ((batch,),) = {out._parents}  # row 0 of a batch of one
+        assert batch.shape == (1, self.bank.feature_size)
+        assert list(batch._parents) == list(self.bank.parameters().values())
 
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(4)
@@ -195,7 +198,7 @@ class TestLayout:
         weight.data[...] = np.outer(trigram, rng.uniform(0.01, 0.02, 50)) + rng.uniform(-0.01, 0.01, (300, 50))
         nbest = NBestList((Hypothesis(tuple("eabc"), 0.5), Hypothesis(tuple("abcdabc"), 0.5)))
         rows = np.vstack([np.zeros(100), table.hypothesis_rows(nbest.distinct)])
-        pooled = [ag.conv_nbest(rows, nbest.index, nbest.counts, alone, [(weight, bias)]).data
+        pooled = [ag.conv_nbest(rows, nbest.index, nbest.counts, alone, [(weight, bias)], [2]).data[0]
                   for alone in ([1.0, 0.0], [0.0, 1.0])]
         np.testing.assert_array_equal(pooled[0], pooled[1])
 
@@ -296,7 +299,8 @@ class TestNonFiniteMaps:
     def test_a_nan_map_gives_nan_filter_gradients_that_the_step_refuses(self):
         table = tiny_table({"good": [0.1, 0.2, 0.3], "bad": [0.1, np.nan, 0.3], "word": [0.3, -0.2, 0.5]})
         bank = ConvFilterBank(3, (2, 3), 4, np.random.default_rng(8))
-        optimizer = Adadelta(bank.parameters())
+        config = RunConfig()
+        optimizer = Adadelta(bank.parameters(), config.adadelta_rho, config.adadelta_epsilon)
         before = {name: t.data.copy() for name, t in bank.parameters().items()}
         nbest = NBestList((Hypothesis(("good", "bad", "word"), 0.7), Hypothesis(("word", "good", "word"), 0.3)))
         weighted_sum(encode_sentence(nbest, table, bank), np.ones(bank.feature_size)).backward()
