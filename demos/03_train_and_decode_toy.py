@@ -12,11 +12,11 @@ import numpy as np
 
 from nbestslu.config import RunConfig
 from nbestslu.data import AsrHypothesis, Dataset, ReferenceFrame, SystemAct, Turn
-from nbestslu.decoder import decode_turn
+from nbestslu.decoder import decode_turns
 from nbestslu.embeddings import EmbeddingTable
 from nbestslu.metrics import FULL, report_text, score_frames
 from nbestslu.ontology import Ontology
-from nbestslu.training import train_step1, train_step2
+from nbestslu.training import train_run
 
 rng = np.random.default_rng(1)
 
@@ -81,28 +81,25 @@ config = RunConfig(
 
 print()
 print("== training step one (joint act + slot presence) ==")
-step1, log1 = train_step1(dataset, config, store)
-print(f"trained {len(log1.epochs)} epochs; final loss {log1.epochs[-1]['loss']:.4f}")
+step1, slot_models, logs = train_run(dataset, config, store)
+epochs = logs["step1"]["epochs"]
+print(f"trained {len(epochs)} epochs; final loss {epochs[-1]['loss']:.4f}")
 
 print()
 print("== training step two (one value model per multi-valued slot) ==")
-slot_models = {}
-for slot in dataset.ontology.slots:
-    model, slot_log = train_step2(dataset, slot, config, store)
-    if model is None:
-        print(f"  {slot}: skipped ({slot_log.notes[-1]})")
+for slot, slot_log in logs["slots"].items():
+    if slot in slot_models:
+        print(f"  {slot}: {len(slot_models[slot].values)} values, {len(slot_log['epochs'])} epochs")
     else:
-        slot_models[slot] = model
-        print(f"  {slot}: {len(model.values)} values, {len(slot_log.epochs)} epochs")
+        print(f"  {slot}: skipped ({slot_log['notes'][-1]})")
 
 print()
 print("== decoded frames ==")
-for turn in dataset.turns[:6]:
-    frame = decode_turn(turn, step1, slot_models)
+frames = decode_turns(dataset.turns, step1, slot_models)
+for turn, frame in zip(dataset.turns[:6], frames):
     parts = ", ".join(f"{s.slot}={s.value} ({s.confidence:.2f})" for s in frame.slots)
     print(f"  {turn.nbest[0].text!r:48s} -> {frame.act}({parts}) [act {frame.act_confidence:.2f}]")
 
 print()
 print("== scoring against the references ==")
-frames = [decode_turn(t, step1, slot_models) for t in dataset.turns]
 print(report_text(score_frames(frames, dataset.turns, dataset.ontology, FULL)))

@@ -21,7 +21,7 @@ from .decoder import FULL, STEP1, decode_dataset, read_frames, write_frames
 from .embeddings import load_vectors
 from .errors import ConfigError, DataFormatError, DomainError, NumericFailure, SluError
 from .metrics import report_table, report_text, score_frames
-from .training import cross_validate_step1, train_step1, train_step2
+from .training import cross_validate_step1, train_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,16 +106,7 @@ def _cmd_train(args) -> int:
     store = _load_store(cfg)
     dataset = read_canonical(args.dataset)
     print(f"training step one ({cfg.model}) on {dataset.dialogue_count} dialogues")
-    step1, log1 = train_step1(dataset, cfg, store, log_fn=print)
-    slot_models = {}
-    logs = {"step1": log1.to_json_dict(), "slots": {}}
-    if not args.step1_only:
-        for slot in dataset.ontology.slots:
-            print(f"training value model for slot {slot!r}")
-            model, slot_log = train_step2(dataset, slot, cfg, store, log_fn=print)
-            logs["slots"][slot] = slot_log.to_json_dict()
-            if model is not None:
-                slot_models[slot] = model
+    step1, slot_models, logs = train_run(dataset, cfg, store, step1_only=args.step1_only, log_fn=print)
     save_checkpoint_dir(args.outdir, step1, slot_models, cfg, train_log=logs)
     print(f"checkpoint written to {args.outdir}")
     return EXIT_OK

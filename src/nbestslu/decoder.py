@@ -11,10 +11,10 @@ P(present) * P(value | slot), the act item carries P(act).
 list once, and each model takes the context states of the turns it reads
 from one ``TurnEncoder.contexts`` call, then encodes turn by turn with
 them.  ``decode_turn`` is a list of one.  The predictors return plain
-arrays and floats; ``decode_turns`` takes the argmax itself.  Nothing is
-kept from one call to the next.  A batched LSTM run may round in the last
-bits differently from a run over fewer turns, so a turn's confidences can
-depend that far on the list it was decoded in.
+arrays and floats; ``predict_values`` takes step two's argmax.  Nothing
+is kept from one call to the next.  A batched LSTM run may round in the
+last bits differently from a run over fewer turns, so a turn's
+confidences can depend that far on the list it was decoded in.
 """
 
 from __future__ import annotations
@@ -82,6 +82,14 @@ def predict_value(model: SlotValueModel, turn: Turn, nbest: NBestList, context=N
     return model.value_probs(hidden).data.copy()
 
 
+def predict_values(model: SlotValueModel, turns: Sequence[Turn], nbests: Sequence[NBestList]) -> list[tuple[str, float]]:
+    """(most probable value, its probability) per turn, each ``predict_value`` given its state from one ``contexts`` call."""
+    contexts = model.encoder.contexts([turn.system_history for turn in turns])
+    probs = [predict_value(model, turn, nbest, context) for turn, nbest, context in zip(turns, nbests, contexts)]
+    best = [int(np.argmax(p)) for p in probs]
+    return [(model.values[b], float(p[b])) for p, b in zip(probs, best)]
+
+
 def decode_turns(
     turns: Sequence[Turn],
     step1: StepOneModel,
@@ -92,8 +100,8 @@ def decode_turns(
     """Assemble the semantic frame of each turn, in order.
 
     Step one takes every turn's context state from one ``contexts`` call;
-    step two, per slot with a value model, from one call over the turns
-    where step one detected that slot.
+    step two, per slot with a value model, is one ``predict_values`` call
+    over the turns where step one detected that slot.
     """
     nbests = [turn_nbest(turn) for turn in turns]
     contexts = step1.encoder.contexts([turn.system_history for turn in turns])
@@ -104,25 +112,21 @@ def decode_turns(
         acts.append((step1.ontology.acts[best], float(act_probs[best])))
         found.append({slot: (None, p) for slot, p in presence.items() if p > 0.5})
 
-    detected = set() if step1_only else {slot for items in found for slot in items}
-    for slot in step1.ontology.slots:
-        if slot not in detected:
-            continue
+    for slot in () if step1_only else step1.ontology.slots:
         positions = [i for i, items in enumerate(found) if slot in items]
+        if not positions:
+            continue
         model = slot_models.get(slot)
         if model is None:
             inventory = step1.ontology.slot_values(slot)
             if len(inventory) != 1:
                 raise ConfigError(f"no value model for multi-valued slot {slot!r}; checkpoint is incomplete")
             # Single-value slots skip value prediction: detection decides.
-            for i in positions:
-                found[i][slot] = inventory[0], found[i][slot][1]
-            continue
-        contexts = model.encoder.contexts([turns[i].system_history for i in positions])
-        for i, context in zip(positions, contexts):
-            probs = predict_value(model, turns[i], nbests[i], context)
-            best = int(np.argmax(probs))
-            found[i][slot] = model.values[best], found[i][slot][1] * float(probs[best])
+            values = [(inventory[0], 1.0)] * len(positions)
+        else:
+            values = predict_values(model, [turns[i] for i in positions], [nbests[i] for i in positions])
+        for i, (value, probability) in zip(positions, values):
+            found[i][slot] = value, found[i][slot][1] * probability
 
     return [SemanticFrame(act, confidence, tuple(SlotValuePrediction(slot, *item) for slot, item in items.items()))
             for (act, confidence), items in zip(acts, found)]

@@ -14,8 +14,7 @@ run over its examples' histories (while they hold at most
 one [B, H] matrix of hidden vectors that takes dropout, the heads and the
 loss as a whole, and one backward pass over the batch's summed loss.
 Validation decodes its whole split as one list, through
-``decoder.decode_turns`` or, for value models, ``decoder.predict_value``
-with one context pass.
+``decoder.decode_turns`` or, for value models, ``decoder.predict_values``.
 """
 
 from __future__ import annotations
@@ -209,30 +208,42 @@ def train_step2(
     turns = [t for t in dataset.turns if any(s == slot for s, _ in t.reference.pairs)]
     model = SlotValueModel.build(config, dataset.ontology, slot, collect_system_tokens(dataset.turns), store)
 
-    def target_of(turn: Turn) -> int:
-        return values.index(next(v for s, v in turn.reference.pairs if s == slot))
+    def value_of(turn: Turn) -> str:
+        return next(v for s, v in turn.reference.pairs if s == slot)
 
     train_turns, val_turns = split_turns(
         turns, config.validation_fraction, config.seed, extra=(dataset.ontology.slots.index(slot) + 1,)
     )
-    val = [(t, decoder.turn_nbest(t), target_of(t)) for t in val_turns]
+    val_nbests = [decoder.turn_nbest(t) for t in val_turns]
 
     def value_accuracy(model: SlotValueModel) -> float:
-        hits = 0
-        contexts = model.encoder.contexts([t.system_history for t, _, _ in val])
-        for (t, nbest, value), context in zip(val, contexts):
-            hits += int(np.argmax(decoder.predict_value(model, t, nbest, context))) == value
-        return hits / len(val)
+        predicted = decoder.predict_values(model, val_turns, val_nbests)
+        return sum(value == value_of(t) for t, (value, _) in zip(val_turns, predicted)) / len(val_turns)
 
     _run_epochs(
         model=model,
-        examples=[(t, target_of(t)) for t in train_turns],
+        examples=[(t, values.index(value_of(t))) for t in train_turns],
         loss_fn=lambda model, hidden, values: nll_loss(model.value_probs(hidden), values),
-        val_metric_fn=value_accuracy if val else None,
+        val_metric_fn=value_accuracy if val_turns else None,
         log_fn=log_fn,
         log=log,
     )
     return model, log
+
+
+def train_run(dataset: Dataset, config: RunConfig, store, *, step1_only: bool = False,
+              log_fn: LogFn | None = None) -> tuple[StepOneModel, dict[str, SlotValueModel], dict]:
+    """Train step one, then unless ``step1_only`` each slot's value model: (step1, slot_models, logs).
+
+    ``logs`` is ``train_log.json``'s document; a skipped single-valued slot has a log there and no model."""
+    step1, log1 = train_step1(dataset, config, store, log_fn=log_fn)
+    trained = {}
+    for slot in () if step1_only else dataset.ontology.slots:
+        if log_fn:
+            log_fn(f"training value model for slot {slot!r}")
+        trained[slot] = train_step2(dataset, slot, config, store, log_fn=log_fn)
+    logs = {"step1": log1.to_json_dict(), "slots": {slot: log.to_json_dict() for slot, (_, log) in trained.items()}}
+    return step1, {slot: model for slot, (model, _) in trained.items() if model is not None}, logs
 
 
 def cross_validate_step1(dataset: Dataset, config: RunConfig, store, *, log_fn: LogFn | None = None):

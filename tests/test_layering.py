@@ -6,13 +6,17 @@ A function, class, method or property that only tests call is surface to
 keep working that the decoder never uses, and so is a defaulted parameter
 that only tests set.  A ``global`` statement is process-wide state that
 one caller sets for every other, so the tests would no longer run the
-program that users run.
+program that users run.  A loop written out twice can drift apart, so a
+run's slot loop and step two's read of a value model each live in one
+module.
 """
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import nbestslu
 
@@ -143,3 +147,11 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
              for function, parameter, position in defaulted_parameters(path.read_text(encoding="utf-8"), path.name)
              if not any(passes(call, parameter, position) for call in calls.get(function, []))]
     assert unset == [], f"only tests set these parameters, or nothing does: {unset}"
+
+
+@pytest.mark.parametrize("function, owner", [("train_step2", "training.py"), ("predict_value", "decoder.py")])
+def test_the_slot_loop_and_the_step_two_read_each_live_in_one_module(function, owner):
+    # A run's value models are trained by ``training.train_run`` alone, and a value model is read by
+    # ``decoder.predict_values`` alone.  The benchmark and the acceptance criteria keep their own loops.
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("demos/**/*.py"))]
+    assert [path.name for path in paths if function in calls_by_name([path])] == [owner]

@@ -1,4 +1,4 @@
-"""Training regime: overfit capacity, loss decomposition, frozen rows."""
+"""Training regime: overfit capacity, loss decomposition, frozen rows, whole runs."""
 
 import copy
 import json
@@ -11,12 +11,13 @@ from nbestslu import rng as rng_mod
 from nbestslu import training
 from nbestslu.autograd import nll_loss
 from nbestslu.config import RunConfig
-from nbestslu.data import collect_system_tokens, dumps
+from nbestslu.data import AsrHypothesis, Dataset, ReferenceFrame, SystemAct, Turn, collect_system_tokens, dumps, split_turns
 from nbestslu.decoder import decode_turn, predict_value, turn_nbest
 from nbestslu.errors import ConfigError, DomainError
 from nbestslu.metrics import STEP1, frame_items, item_counts, prf1, reference_items
 from nbestslu.model import StepOneModel, TurnEncoder
-from nbestslu.training import cross_validate_step1, step1_head_accuracies, train_step1, train_step2
+from nbestslu.ontology import Ontology
+from nbestslu.training import cross_validate_step1, step1_head_accuracies, train_run, train_step1, train_step2
 
 from _synth import synthetic_dataset, synthetic_table, synthetic_vocab
 
@@ -155,6 +156,16 @@ class TestEarlyStopping:
             dumps({"best_metric": float("nan")})
 
 
+def single_area_dataset() -> Dataset:
+    """Four one-turn dialogues where "area" only ever takes one value."""
+    turns = tuple(
+        Turn(f"s{d}", 0, (AsrHypothesis("north please", 1.0),), ((SystemAct("welcomemsg"),),),
+             ReferenceFrame("inform", (("area", "north"),)))
+        for d in range(4)
+    )
+    return Dataset(turns, Ontology.derive(turns, 14), {})
+
+
 class TestStepTwoTraining:
     def test_pricerange_overfit_on_twenty_turns(self, store):
         value_ds = synthetic_dataset(18, 5, seed=34)
@@ -170,28 +181,24 @@ class TestStepTwoTraining:
             hits += predicted == reference
         assert hits / len(turns) >= 0.95
 
+    def test_validation_accuracy_is_that_of_each_turn_decoded_alone(self, dataset, store):
+        config = replace(SMALL, validation_fraction=0.3, max_epochs=6)
+        model, log = train_step2(dataset, "pricerange", config, store)
+        turns = [t for t in dataset.turns if any(s == "pricerange" for s, _ in t.reference.pairs)]
+        _, val = split_turns(turns, config.validation_fraction, config.seed,
+                             extra=(dataset.ontology.slots.index("pricerange") + 1,))
+        hits = sum(model.values[int(np.argmax(predict_value(model, t, turn_nbest(t))))]
+                   == next(v for s, v in t.reference.pairs if s == "pricerange") for t in val)
+        assert 0 < hits < len(val)
+        assert log.epochs[-1]["val_metric"] == hits / len(val)
+
     def test_value_inventory_from_training_annotations(self, dataset, store):
         model, _ = train_step2(dataset, "pricerange", OVERFIT, store)
         assert set(model.values) <= {"cheap", "moderate", "expensive"}
         assert len(model.values) >= 2
 
     def test_single_value_slot_skipped_with_notice(self, store):
-        # A corpus where "area" only ever takes one value.
-        from nbestslu.data import AsrHypothesis, Dataset, ReferenceFrame, SystemAct, Turn
-        from nbestslu.ontology import Ontology
-
-        turns = tuple(
-            Turn(
-                f"s{d}",
-                0,
-                (AsrHypothesis("north please", 1.0),),
-                ((SystemAct("welcomemsg"),),),
-                ReferenceFrame("inform", (("area", "north"),)),
-            )
-            for d in range(4)
-        )
-        ds = Dataset(turns, Ontology.derive(turns, 14), {})
-        model, log = train_step2(ds, "area", OVERFIT, store)
+        model, log = train_step2(single_area_dataset(), "area", OVERFIT, store)
         assert model is None
         assert any("skipped" in note for note in log.notes)
 
@@ -316,3 +323,58 @@ class TestMiniBatches:
         for name, p in reference.parameters().items():
             expected = np.zeros(p.shape) if p.grad is None else p.grad
             np.testing.assert_allclose(stepped[0][name], expected, rtol=0, atol=1e-12, err_msg=name)
+
+
+def epoch_lines(log: dict) -> list[str]:
+    """The lines a run's ``log_fn`` receives for the epochs of one logged model."""
+    return [f"epoch {e['epoch']}: loss {e['loss']:.4f} val "
+            + ("n/a" if e["val_metric"] is None else f"{e['val_metric']:.4f}") for e in log["epochs"]]
+
+
+class TestRun:
+    """``train_run`` is step one, then ``train_step2`` per slot in ontology order, with the logs of both."""
+
+    @pytest.fixture(scope="class")
+    def run(self, dataset, store):
+        lines = []
+        return train_run(dataset, SMALL, store, step1_only=False, log_fn=lines.append), lines
+
+    def test_the_logs_and_models_are_those_of_each_step_trained_directly(self, dataset, store, run):
+        (step1, slot_models, logs), _ = run
+        direct, log1 = train_step1(dataset, SMALL, store)
+        expected, models = {"step1": log1.to_json_dict(), "slots": {}}, {}
+        for slot in dataset.ontology.slots:
+            model, log = train_step2(dataset, slot, SMALL, store)
+            expected["slots"][slot] = log.to_json_dict()
+            if model is not None:
+                models[slot] = model
+        assert logs == expected
+        assert json.loads(dumps(logs)) == expected
+        assert list(slot_models) == list(models) == list(dataset.ontology.slots)
+        for trained, reference in [(step1, direct), *((slot_models[s], models[s]) for s in models)]:
+            for name, p in reference.parameters().items():
+                np.testing.assert_array_equal(trained.parameters()[name].data, p.data, err_msg=name)
+
+    def test_step1_only_trains_no_value_model(self, dataset, store):
+        config = replace(SMALL, max_epochs=1)
+        _, slot_models, logs = train_run(dataset, config, store, step1_only=True)
+        assert slot_models == {} and logs["slots"] == {}
+        assert logs["step1"] == train_step1(dataset, config, store)[1].to_json_dict()
+
+    def test_a_single_valued_slot_keeps_its_skip_note_and_has_no_model(self, store):
+        lines = []
+        _, slot_models, logs = train_run(single_area_dataset(), replace(SMALL, max_epochs=1), store,
+                                         log_fn=lines.append)
+        note = "slot 'area' has a single observed value; value model skipped"
+        assert slot_models == {}
+        assert list(logs["slots"]) == ["area"] and logs["slots"]["area"]["notes"] == [note]
+        assert lines[-2:] == ["training value model for slot 'area'", note]
+
+    def test_log_lines_come_step_one_first_then_each_slot_announced(self, dataset, run):
+        (_, _, logs), lines = run
+        expected = epoch_lines(logs["step1"])
+        for slot in dataset.ontology.slots:
+            expected += [f"training value model for slot {slot!r}", *epoch_lines(logs["slots"][slot])]
+        assert lines == expected
+        slots = len(dataset.ontology.slots)
+        assert len(lines) == SMALL.max_epochs * (1 + slots) + slots
