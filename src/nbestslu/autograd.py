@@ -166,14 +166,14 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: [m,n] @ [n] -> [m] or [m,n] @ [n,p] -> [m,p]."""
-    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
+    """Matrix-vector product: [m,n] @ [n] -> [m]."""
+    if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def backprop(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, np.outer(g, b.data) if b.ndim == 1 else g @ b.data.T)
+            _accumulate(a, np.outer(g, b.data))
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
 

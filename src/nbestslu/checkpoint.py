@@ -7,11 +7,11 @@ little-endian float64 parameter data in header order.  Nothing in the
 file depends on write time, so identical models produce byte-identical
 files.
 
-Loading rebuilds the model skeleton from the stored configuration and
-ontology, then overwrites every parameter in place with the stored values.
-Every stored value must be finite.  The freshly drawn hypothesis OOV row
-must match the stored one bit for bit; a mismatch means the checkpoint
-was written against a different embedding store or seed and is rejected.
+Saving writes the model's ``arrays()``.  Loading rebuilds the model
+skeleton from the stored configuration and ontology, then hands the
+stored arrays to its ``load_arrays``, which refuses a non-finite value
+and a hypothesis OOV row other than the one freshly drawn (a checkpoint
+written against a different embedding store or seed).
 """
 
 from __future__ import annotations
@@ -116,35 +116,9 @@ def _meta(meta: dict, kind: str) -> tuple[str, Ontology, str, list[str], str | N
             exact(meta["slot"], str) if kind == SLOT_KIND else None)
 
 
-def _overwrite_params(model, stored: dict[str, np.ndarray], path) -> None:
-    # The one finiteness check of loaded parameters: training keeps them
-    # finite, since the optimizer refuses a non-finite gradient.
-    for name, array in stored.items():
-        if not np.all(np.isfinite(array)):
-            raise DataFormatError(f"{path}: parameter {name} contains non-finite values")
-    params = model.parameters()
-    expected = set(params) | {"embed.hyp_oov"}
-    if expected != set(stored):
-        missing = expected - set(stored)
-        extra = set(stored) - expected
-        raise DataFormatError(f"{path}: parameter set mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    if not np.array_equal(model.encoder.table.hypothesis_oov_vector, stored["embed.hyp_oov"]):
-        raise ConfigError(
-            f"{path}: checkpoint was written against a different embedding store or seed"
-        )
-    for name, tensor in params.items():
-        if tensor.data.shape != stored[name].shape:
-            raise DataFormatError(
-                f"{path}: parameter {name} has shape {stored[name].shape}, expected {tensor.data.shape}"
-            )
-        tensor.data[...] = stored[name]
-
-
 def save_model(model: StepOneModel | SlotValueModel, path) -> None:
     """Write one model; a slot model also records its slot."""
     table = model.encoder.table
-    arrays = {name: t.data for name, t in model.parameters().items()}
-    arrays["embed.hyp_oov"] = table.hypothesis_oov_vector
     meta = {
         "config_text": resolved_text(model.config),
         "ontology": model.ontology.to_json_dict(),
@@ -155,7 +129,7 @@ def save_model(model: StepOneModel | SlotValueModel, path) -> None:
     if isinstance(model, SlotValueModel):
         kind = SLOT_KIND
         meta["slot"] = model.slot
-    save_container(path, kind, arrays, meta)
+    save_container(path, kind, model.arrays(), meta)
 
 
 def load_model(path, store, kind: str) -> StepOneModel | SlotValueModel:
@@ -174,7 +148,7 @@ def load_model(path, store, kind: str) -> StepOneModel | SlotValueModel:
         model = SlotValueModel.build(config, ontology, slot, tokens, store)
     else:
         raise DataFormatError(f"{path}: slot {slot!r} is not in the checkpoint's own ontology")
-    _overwrite_params(model, params, path)
+    model.load_arrays(params, path)
     return model
 
 

@@ -147,7 +147,7 @@ def _cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _write_report(report, prefix, produced_by: str | None = None) -> None:
+def _write_report(report, prefix, produced_by: str | None) -> None:
     head = f"# config_hash: {produced_by}\n" if produced_by else ""
     Path(f"{prefix}.txt").write_text(head + report_text(report), encoding="utf-8")
     rows = "".join(f"{metric}\t{value!r}\n" for metric, value in report_table(report))

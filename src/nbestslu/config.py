@@ -23,8 +23,8 @@ from .errors import ConfigError
 from .ontology import MAX_PATTERNS
 
 # Model variant -> (context window, combiner mode), as named by
-# ``context.ContextWindow.from_name`` and ``context.Combiner.build``; the
-# one variant without a context model has no combiner.
+# ``context.ContextWindow`` and ``context.Combiner.build``; the one variant
+# without a context model has no combiner.
 VARIANTS: dict[str, tuple[str, str | None]] = {
     "cnn": ("none", None),
     "cnn_lstm_w1": ("last_1", "tanh"),

@@ -48,7 +48,8 @@ class LstmParams:
     twelve named tensors (``lstm.w_i`` ... ``lstm.b_u``, in the dicts
     ``w``, ``u`` and ``b``) are row-block views of those arrays.  They are
     what checkpoints store, what gradients land on and what the optimizer
-    updates, so every write to them must be in place.
+    updates, so every write to them must be in place: after construction only
+    the optimizer's step and ``HeadedModel.load_arrays`` write them.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
@@ -97,6 +98,7 @@ class ContextWindow:
 
     @classmethod
     def from_name(cls, name: str) -> "ContextWindow":
+        """``ContextWindow(name)``, the one spelling in the package; the benchmark's ``perfbench/run.py`` calls this."""
         return cls(name)
 
     def select(self, system_turns: Sequence) -> tuple:

@@ -100,7 +100,7 @@ class Dataset:
     def dialogue_count(self) -> int:
         return len(self.sessions)
 
-    def subset(self, sessions: Iterable[str], note: str = "subset") -> "Dataset":
+    def subset(self, sessions: Iterable[str], note: str) -> "Dataset":
         wanted = set(sessions)
         turns = tuple(t for t in self.turns if t.session in wanted)
         provenance = dict(self.provenance)

@@ -60,12 +60,10 @@ def turn_nbest(turn: Turn) -> NBestList:
     return NBestList(Hypothesis(tokenize(h.text).tokens, float(h.score)) for h in turn.nbest)
 
 
-def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList,
-                  context=None) -> tuple[np.ndarray, dict[str, float]]:
+def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList, context) -> tuple[np.ndarray, dict[str, float]]:
     """(act distribution, presence probability per slot) for one turn, whose n-best list is ``nbest``.
 
-    ``context`` is the turn's state from ``model.encoder.contexts``; without
-    it ``encode`` runs the turn's history alone.
+    ``context`` is the turn's state from ``model.encoder.contexts``.
     """
     hidden = model.encoder.encode(nbest, turn.system_history, context)
     act, slots = model.head_probs(hidden)
@@ -73,7 +71,7 @@ def predict_joint(model: StepOneModel, turn: Turn, nbest: NBestList,
     return act.data.copy(), presence
 
 
-def predict_value(model: SlotValueModel, turn: Turn, nbest: NBestList, context=None) -> np.ndarray:
+def predict_value(model: SlotValueModel, turn: Turn, nbest: NBestList, context) -> np.ndarray:
     """Distribution over ``model.values`` of ``model.slot`` for a turn whose n-best list is ``nbest``.
 
     ``context`` is as in ``predict_joint``.

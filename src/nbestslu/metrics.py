@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .data import ReferenceFrame, Turn
+# FULL is not used here: the benchmark and demo 03 import it from this module.
 from .decoder import FULL, STEP1, SemanticFrame
 from .errors import DomainError
 from .ontology import Ontology
@@ -52,17 +53,17 @@ def _pair_item(slot: str, value: str | None, mode: str) -> Item:
     return slot_item(slot) if mode == STEP1 or value is None else slot_value_item(slot, value)
 
 
-def reference_items(reference: ReferenceFrame, mode: str = FULL) -> frozenset[Item]:
+def reference_items(reference: ReferenceFrame, mode: str) -> frozenset[Item]:
     return frozenset([act_item(reference.act_pattern)] + [_pair_item(s, v, mode) for s, v in reference.pairs])
 
 
-def frame_scored_items(frame: SemanticFrame, mode: str = FULL) -> dict[Item, float]:
+def frame_scored_items(frame: SemanticFrame, mode: str) -> dict[Item, float]:
     scored = {act_item(frame.act): frame.act_confidence}
     scored.update((_pair_item(p.slot, p.value, mode), p.confidence) for p in frame.slots)
     return scored
 
 
-def frame_items(frame: SemanticFrame, mode: str = FULL) -> frozenset[Item]:
+def frame_items(frame: SemanticFrame, mode: str) -> frozenset[Item]:
     return frozenset(frame_scored_items(frame, mode))
 
 
@@ -176,7 +177,7 @@ def score_frames(
     frames: Sequence[SemanticFrame],
     turns: Sequence[Turn],
     ontology: Ontology,
-    mode: str = FULL,
+    mode: str,
 ) -> ScoreReport:
     """Score decoded frames against the reference frames of ``turns``."""
     references = [t.reference for t in turns]

@@ -27,7 +27,7 @@ from .autograd import Tensor
 from .config import VARIANTS, RunConfig
 from .context import Combiner, ContextWindow, LstmParams, combine, context_tokens, run_context_lstm
 from .embeddings import INIT_SCALE, EmbeddingTable
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .ontology import Ontology
 from .sentence import ConvFilterBank, NBestList, encode_sentence, encode_sentences
 
@@ -42,7 +42,7 @@ class TurnEncoder:
 
     def __init__(self, config: RunConfig, store: EmbeddingTable, system_tokens, rng: np.random.Generator):
         window_name, combine_mode = VARIANTS[config.model]
-        self.window = ContextWindow.from_name(window_name)
+        self.window = ContextWindow(window_name)
         self.table = store.view()
         self.nbest_cap = config.nbest_cap
         self.bank = ConvFilterBank(store.dim, config.filter_windows, config.filters_per_window, rng)
@@ -151,6 +151,36 @@ class HeadedModel:
         for head in self.heads.values():
             out.update((tensor.name, tensor) for tensor in head)
         return out
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """A copy of every parameter's values in ``parameters()`` order, then the hypothesis OOV row."""
+        out = {name: tensor.data.copy() for name, tensor in self.parameters().items()}
+        out["embed.hyp_oov"] = self.encoder.table.hypothesis_oov_vector.copy()
+        return out
+
+    def load_arrays(self, arrays: dict[str, np.ndarray], where) -> None:
+        """Write arrays named as ``arrays()`` names them into the parameters, in place.
+
+        In place, since the LSTM gate tensors view ``LstmParams.stacked`` and
+        ``embed.system`` is the table's block.  This is the one finiteness
+        check of loaded values (the optimizer refuses a non-finite gradient).
+        The OOV row is checked, not written: the seed draws it.
+        """
+        for name, array in arrays.items():
+            if not np.all(np.isfinite(array)):
+                raise DataFormatError(f"{where}: parameter {name} contains non-finite values")
+        params = self.parameters()
+        expected = set(params) | {"embed.hyp_oov"}
+        if expected != set(arrays):
+            raise DataFormatError(f"{where}: parameter set mismatch (missing {sorted(expected - set(arrays))}, "
+                                  f"extra {sorted(set(arrays) - expected)})")
+        if not np.array_equal(self.encoder.table.hypothesis_oov_vector, arrays["embed.hyp_oov"]):
+            raise ConfigError(f"{where}: checkpoint was written against a different embedding store or seed")
+        for name, tensor in params.items():
+            if tensor.data.shape != arrays[name].shape:
+                raise DataFormatError(f"{where}: parameter {name} has shape {arrays[name].shape}, "
+                                      f"expected {tensor.data.shape}")
+            tensor.data[...] = arrays[name]
 
     def probs(self, head: str, hidden: Tensor) -> Tensor:
         """Softmax distribution of one head over a hidden vector, or one per row of [B, H] hidden vectors."""

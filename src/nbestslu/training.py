@@ -4,8 +4,9 @@ Both steps share the regime: shuffled mini-batches, the Adadelta rule,
 dropout on the combined hidden vector, a seeded dialogue-level validation
 split, and early stopping on the validation metric (micro item-F1 for the
 joint model, value accuracy for slot models).  The returned model carries
-the best-on-validation parameters; setting ``patience`` to zero disables
-early stopping and keeps the final epoch instead.
+the best-on-validation parameters: the best epoch's ``model.arrays()``,
+written back in place by ``model.load_arrays``.  Setting ``patience`` to
+zero disables early stopping and keeps the final epoch instead.
 
 Mini-batch gradients are the mean of per-example gradients, so the loss
 scale does not depend on the batch size.  A mini-batch is one context-LSTM
@@ -50,16 +51,6 @@ class TrainLog:
         return asdict(self)
 
 
-def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in params.items()}
-
-
-def _restore(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -> None:
-    # In-place copy: embedding blocks are shared with the table view.
-    for name, p in params.items():
-        p.data[...] = snapshot[name]
-
-
 def step1_f1(model: StepOneModel, turns: Sequence[Turn]) -> float:
     """Micro item-F1 of act plus slot-presence items."""
     frames = decoder.decode_turns(turns, model, {}, step1_only=True)
@@ -92,8 +83,8 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
     ``val_metric_fn(model)`` scores each epoch; it is None when there are no
     validation turns, and early stopping is then off.
     """
-    params, config = model.parameters(), model.config
-    optimizer = Adadelta(params, config.adadelta_rho, config.adadelta_epsilon)
+    config = model.config
+    optimizer = Adadelta(model.parameters(), config.adadelta_rho, config.adadelta_epsilon)
     shuffle_rng = rng_mod.substream(config.seed, rng_mod.SHUFFLE)
     dropout_rng = rng_mod.substream(config.seed, rng_mod.DROPOUT)
     nbests = [decoder.turn_nbest(turn) for turn, _ in examples]
@@ -101,7 +92,7 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
     early_stopping = config.patience > 0 and val_metric_fn is not None
     if config.patience > 0 and val_metric_fn is None:
         log.notes.append("no validation dialogues available; early stopping disabled")
-    best_snapshot: dict[str, np.ndarray] | None = None
+    best: dict[str, np.ndarray] | None = None
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -127,7 +118,7 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
 
         if early_stopping:
             if log.best_metric is None or val_metric > log.best_metric:
-                best_snapshot = _snapshot(params)
+                best = model.arrays()
                 log.best_epoch = epoch
                 log.best_metric = val_metric
                 epochs_since_best = 0
@@ -140,7 +131,7 @@ def _run_epochs(*, model, examples: Sequence[tuple[Turn, object]], loss_fn, val_
     optimizer.release()
 
     if early_stopping:
-        _restore(params, best_snapshot)
+        model.load_arrays(best, "best epoch")
     else:
         log.best_epoch = len(log.epochs)
         log.best_metric = log.epochs[-1]["val_metric"]
@@ -246,7 +237,7 @@ def train_run(dataset: Dataset, config: RunConfig, store, *, step1_only: bool = 
     return step1, {slot: model for slot, (model, _) in trained.items() if model is not None}, logs
 
 
-def cross_validate_step1(dataset: Dataset, config: RunConfig, store, *, log_fn: LogFn | None = None):
+def cross_validate_step1(dataset: Dataset, config: RunConfig, store, *, log_fn: LogFn | None):
     """``config.cv_folds``-fold dialogue-level cross-validation of the joint model.
 
     Returns (per-fold ScoreReports, summary dict with mean and population

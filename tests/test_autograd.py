@@ -28,10 +28,12 @@ class TestAffine:
     def test_shape_mismatch_names_both_shapes(self):
         # add and mul would broadcast (3,) with (1,), and a 1-D left operand of matmul
         # whose length is the output's would give a wrong gradient, so each op refuses.
+        # matmul's right operand is a vector: no caller multiplies two matrices.
         table = [
             (lambda x, w: ag.affine(x, w, Tensor([0.0, 0.0])), (3,), (2, 2)),
             (ag.matmul, (3,), (3, 3)),
             (ag.matmul, (2, 3), (2,)),
+            (ag.matmul, (2, 3), (3, 2)),
             (ag.add, (3,), (1,)),
             (ag.mul, (3,), (1,)),
             (lambda a, b: ag.add_n([a, b]), (3,), (1,)),

@@ -1,4 +1,4 @@
-"""Checkpoint containers: bit-exact round trips and compatibility checks."""
+"""Checkpoint containers: bit-exact round trips, compatibility checks and in-place parameter writes."""
 
 import json
 from dataclasses import replace
@@ -20,10 +20,12 @@ from nbestslu.checkpoint import (
     slot_file,
 )
 from nbestslu.config import RunConfig, config_hash
+from nbestslu.context import LSTM_GATES
 from nbestslu.data import collect_system_tokens
 from nbestslu.decoder import decode_turns
 from nbestslu.errors import ConfigError, DataFormatError
 from nbestslu.model import SlotValueModel, StepOneModel
+from nbestslu.training import train_step1
 
 from _synth import synthetic_dataset, synthetic_table
 
@@ -328,7 +330,7 @@ class TestCheckpointDir:
         out = tmp_path / "ckpt"
         save_checkpoint_dir(out, step1, {}, CFG)
         # Overwrite the ontology file with a different one.
-        other = synthetic_dataset(3, 3, seed=77).subset(["synth-000"]).ontology
+        other = synthetic_dataset(3, 3, seed=77).subset(["synth-000"], "one dialogue").ontology
         (out / "ontology.json").write_text(json.dumps(other.to_json_dict()), encoding="utf-8")
         with pytest.raises(ConfigError):
             load_checkpoint_dir(out, store)
@@ -381,3 +383,45 @@ class TestCheckpointDir:
         common = {"config_text", "ontology", "store_fingerprint", "system_tokens"}
         assert set(load_container(out / "step1.ckpt")[2]) == common
         assert set(load_container(out / slot_file("pricerange"))[2]) == common | {"slot"}
+
+
+def _reloaded(tmp_path, dataset, store):
+    # Models with non-initial values, and what a checkpoint directory saved from them loads back.
+    ontology, rng = dataset.ontology, np.random.default_rng(6)
+    slots = {slot: SlotValueModel.build(CFG, ontology, slot, collect_system_tokens(dataset.turns), store)
+             for slot in ontology.slots if len(ontology.slot_values(slot)) >= 2}
+    for model in slots.values():
+        for tensor in model.parameters().values():
+            tensor.data += rng.uniform(-1, 1, tensor.shape)
+    step1 = fresh_step1(dataset, store)
+    save_checkpoint_dir(tmp_path, step1, slots, CFG)
+    loaded_step1, loaded_slots, _ = load_checkpoint_dir(tmp_path, store)
+    return (step1, slots), (loaded_step1, loaded_slots)
+
+
+def _restored(tmp_path, dataset, store):
+    # A model trained to its best epoch directly, and one that early stopping restored to that epoch.
+    config = replace(CFG, seed=4, patience=1, max_epochs=3)
+    restored, log = train_step1(dataset, config, store)
+    assert log.best_epoch < len(log.epochs)
+    direct, _ = train_step1(dataset, replace(config, patience=0, max_epochs=log.best_epoch), store)
+    return (direct, {}), (restored, {})
+
+
+@pytest.mark.parametrize("write", [_reloaded, _restored], ids=["checkpoint", "best-epoch"])
+def test_written_models_decode_as_the_models_they_copy_and_keep_their_shared_blocks(tmp_path, dataset, store, write):
+    # ``load_arrays`` must write in place: a rebound gate tensor leaves the LSTM, which reads
+    # ``LstmParams.stacked``, on its old values, and a rebound ``embed.system`` leaves the table.
+    (step1, slots), (written, written_slots) = write(tmp_path, dataset, store)
+    assert decode_turns(dataset.turns, written, written_slots, step1_only=not slots) == decode_turns(
+        dataset.turns, step1, slots, step1_only=not slots)
+    for model in [written, *written_slots.values()]:
+        lstm, encoder = model.encoder.lstm, model.encoder
+        for gate in LSTM_GATES:
+            for tensor, stacked in zip((lstm.w[gate], lstm.u[gate], lstm.b[gate]), lstm.stacked):
+                assert np.shares_memory(tensor.data, stacked)
+        assert encoder.system_embeddings.data is encoder.table.system_matrix
+        before = {name: array.tobytes() for name, array in model.arrays().items()}
+        for array in model.arrays().values():
+            array += 1.0
+        assert {name: array.tobytes() for name, array in model.arrays().items()} == before

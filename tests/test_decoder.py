@@ -52,6 +52,11 @@ def build_step1(dataset, store, config=TOY) -> StepOneModel:
     return StepOneModel.build(config, dataset.ontology, collect_system_tokens(dataset.turns), store)
 
 
+def alone(model, turn):
+    """The turn's context state, from its history run alone."""
+    return model.encoder.contexts([turn.system_history])[0]
+
+
 def zero_heads(model: StepOneModel) -> None:
     for pair in model.heads.values():
         for tensor in pair:
@@ -62,7 +67,8 @@ class TestPredictJoint:
     def test_zero_weight_heads_give_uniform_distributions(self, dataset, store):
         model = build_step1(dataset, store)
         zero_heads(model)
-        act_probs, presence = predict_joint(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
+        turn = dataset.turns[0]
+        act_probs, presence = predict_joint(model, turn, turn_nbest(turn), alone(model, turn))
         n_acts = len(dataset.ontology.acts)
         np.testing.assert_allclose(act_probs, np.full(n_acts, 1.0 / n_acts), atol=1e-12)
         for slot in dataset.ontology.slots:
@@ -73,7 +79,8 @@ class TestPredictJoint:
         zero_heads(model)
         # Force the act head to produce logits [0, ln 2, 0, ...].
         model.heads["head.act"][1].data[1] = np.log(2.0)
-        act_probs, _ = predict_joint(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
+        turn = dataset.turns[0]
+        act_probs, _ = predict_joint(model, turn, turn_nbest(turn), alone(model, turn))
         n_acts = len(dataset.ontology.acts)
         assert act_probs[1] == pytest.approx(2.0 / (n_acts + 1), abs=1e-12)
 
@@ -84,7 +91,8 @@ class TestPredictValue:
         model = SlotValueModel.build(TOY, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
         for tensor in model.heads["head.value.pricerange"]:
             tensor.data[...] = 0.0
-        probs = predict_value(model, dataset.turns[0], turn_nbest(dataset.turns[0]))
+        turn = dataset.turns[0]
+        probs = predict_value(model, turn, turn_nbest(turn), alone(model, turn))
         np.testing.assert_allclose(probs, np.full(len(values), 1.0 / len(values)), atol=1e-12)
 
     def test_single_value_slots_cannot_build_a_model(self, dataset, store):
@@ -192,7 +200,7 @@ class TestDecodeTurn:
         zero_heads(model)  # every presence is 0.5: nothing else is detected
         model.heads[f"head.slot.{slot}"][1].data[...] = np.log([0.3, 0.7])
         turn = dataset.turns[0]
-        _, presence = predict_joint(model, turn, turn_nbest(turn))
+        _, presence = predict_joint(model, turn, turn_nbest(turn), alone(model, turn))
         frame = decode_turn(turn, model, {})  # no value model for any slot
         assert frame.slots == (SlotValuePrediction(slot, "north", presence[slot]),)
         assert presence[slot] == pytest.approx(0.7, abs=1e-12)

@@ -8,7 +8,10 @@ that only tests set.  A ``global`` statement is process-wide state that
 one caller sets for every other, so the tests would no longer run the
 program that users run.  A loop written out twice can drift apart, so a
 run's slot loop and step two's read of a value model each live in one
-module.
+module.  A parameter's values are written in place, by the model's
+``load_arrays`` and the optimizer's step alone: the LSTM's gate tensors
+are views of one stacked array and ``embed.system`` is the embedding
+table's block, so a rebound ``.data`` would silently leave them behind.
 """
 
 import ast
@@ -155,3 +158,75 @@ def test_the_slot_loop_and_the_step_two_read_each_live_in_one_module(function, o
     # ``decoder.predict_values`` alone.  The benchmark and the acceptance criteria keep their own loops.
     paths = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("demos/**/*.py"))]
     assert [path.name for path in paths if function in calls_by_name([path])] == [owner]
+
+
+def data_writes(source: str, filename: str) -> tuple[list[str], list[str]]:
+    """(``file:line`` of each in-place write to a ``.data``, of each rebinding of one outside ``Tensor.__init__``).
+
+    An in-place write assigns into ``x.data[...]`` or augments ``x.data``;
+    a rebinding assigns ``x.data`` itself.
+    """
+    writes, rebinds = [], []
+
+    def is_data(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "data"
+
+    def leaves(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                yield from leaves(element)
+        else:
+            yield target.value if isinstance(target, ast.Starred) else target
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Assign, ast.AugAssign)):
+                for target in leaves(ast.Tuple(child.targets) if isinstance(child, ast.Assign) else child.target):
+                    where = f"{filename}:{child.lineno}"
+                    if (isinstance(target, ast.Subscript) and is_data(target.value)) or (
+                            is_data(target) and isinstance(child, ast.AugAssign)):
+                        writes.append(where)
+                    elif is_data(target) and scope != "Tensor.__init__":
+                        rebinds.append(where)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(source, filename), "")
+    return writes, rebinds
+
+
+def test_only_the_model_and_the_optimizer_write_parameter_values():
+    # ``HeadedModel.load_arrays`` (checkpoint loads and early stopping's restore) and
+    # ``Adadelta.step`` write in place; nothing rebinds a tensor's ``.data`` once it is built.
+    writes, rebinds = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found_writes, found_rebinds = data_writes(path.read_text(encoding="utf-8"), path.name)
+        writes += [] if path.name in ("model.py", "optim.py") else found_writes
+        rebinds += found_rebinds
+    assert (writes, rebinds) == ([], [])
+
+
+def names_used_as_values(paths) -> set[str]:
+    """Every plain or attribute name in ``paths`` that is read other than as the function of a call."""
+    names = set()
+    for path in paths:
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))))
+        called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+        names.update(node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+                     if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                     and id(node) not in called)
+    return names
+
+
+def test_no_default_is_left_to_the_tests_alone():
+    # A default that every call outside the tests overrides is a setting only tests take.  A
+    # function passed as a value (the benchmark hands ``load_checkpoint_dir`` to a helper) may
+    # be called with its defaults, so its parameters count as taken.
+    paths = caller_paths()
+    calls, values = calls_by_name(paths), names_used_as_values(paths)
+    overridden = [f"{path.name}: {function}({parameter})"
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for function, parameter, position in defaulted_parameters(path.read_text(encoding="utf-8"), path.name)
+                  if function not in values and calls.get(function)
+                  and all(passes(call, parameter, position) for call in calls[function])]
+    assert overridden == [], f"every call outside the tests sets these parameters: {overridden}"

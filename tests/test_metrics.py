@@ -14,6 +14,7 @@ from nbestslu.data import ReferenceFrame
 from nbestslu.decoder import SemanticFrame, SlotValuePrediction
 from nbestslu.errors import DomainError
 from nbestslu.metrics import (
+    FULL,
     Counts,
     act_item,
     frame_items,
@@ -207,7 +208,7 @@ class TestIce:
 class TestItemExtraction:
     def test_reference_items_full_and_step1(self):
         ref = ReferenceFrame("inform", (("area", "north"), ("food", "thai")))
-        assert reference_items(ref) == {
+        assert reference_items(ref, FULL) == {
             act_item("inform"),
             slot_value_item("area", "north"),
             slot_value_item("food", "thai"),
@@ -220,8 +221,8 @@ class TestItemExtraction:
 
     def test_frame_items_lowercase(self):
         f = frame("INFORM", slots=(("Area", "North", 0.9),))
-        assert frame_items(f) == {act_item("inform"), slot_value_item("area", "north")}
+        assert frame_items(f, FULL) == {act_item("inform"), slot_value_item("area", "north")}
 
     def test_presence_only_frames_score_as_step1_items(self):
         f = SemanticFrame("request", 0.8, (SlotValuePrediction("slot", None, 0.7),))
-        assert frame_items(f) == {act_item("request"), ("slot", "slot")}
+        assert frame_items(f, FULL) == {act_item("request"), ("slot", "slot")}

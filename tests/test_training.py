@@ -175,7 +175,7 @@ class TestStepTwoTraining:
         assert model is not None
         hits = 0
         for t in turns:
-            probs = predict_value(model, t, turn_nbest(t))
+            probs = predict_value(model, t, turn_nbest(t), model.encoder.contexts([t.system_history])[0])
             predicted = model.values[int(np.argmax(probs))]
             reference = next(v for s, v in t.reference.pairs if s == "pricerange")
             hits += predicted == reference
@@ -187,8 +187,9 @@ class TestStepTwoTraining:
         turns = [t for t in dataset.turns if any(s == "pricerange" for s, _ in t.reference.pairs)]
         _, val = split_turns(turns, config.validation_fraction, config.seed,
                              extra=(dataset.ontology.slots.index("pricerange") + 1,))
-        hits = sum(model.values[int(np.argmax(predict_value(model, t, turn_nbest(t))))]
-                   == next(v for s, v in t.reference.pairs if s == "pricerange") for t in val)
+        alone = [predict_value(model, t, turn_nbest(t), model.encoder.contexts([t.system_history])[0]) for t in val]
+        hits = sum(model.values[int(np.argmax(probs))] == next(v for s, v in t.reference.pairs if s == "pricerange")
+                   for t, probs in zip(val, alone))
         assert 0 < hits < len(val)
         assert log.epochs[-1]["val_metric"] == hits / len(val)
 
@@ -211,7 +212,7 @@ class TestCrossValidation:
     @pytest.mark.parametrize("k", [0, 1])
     def test_an_explicit_fold_count_below_two_is_refused(self, dataset, store, k):
         with pytest.raises(ConfigError, match=f"got {k}"):
-            cross_validate_step1(dataset, replace(OVERFIT, max_epochs=1, cv_folds=k), store)
+            cross_validate_step1(dataset, replace(OVERFIT, max_epochs=1, cv_folds=k), store, log_fn=None)
 
 
 class TestDeterminism:
