@@ -3,16 +3,16 @@
 The tape is deliberately small: it covers exactly the operations the
 semantic decoder composes (affine maps, tanh/sigmoid nonlinearities,
 softmax heads with negative log-likelihood, max pooling with argmax
-routing, inverted dropout, embedding-row gathers, stacking tensors along
-a new first axis and splitting them along it, elementwise sums and
-products) plus two fused ops with hand-written backward passes: the
-n-best convolution (``conv_nbest``, one node per batch of n-best lists,
-which projects each distinct word of the batch once, pools
-pre-activations by max, and finds the argmax only in backward, where it
-scatters the gradient back onto the projections) and the LSTM
-(``lstm_sequence``, one packed kernel over a batch of whole sequences,
-which reads the gate weights where ``context.LstmParams`` stores them,
-stacked gate-major).
+routing, inverted dropout, stacking tensors along a new first axis and
+splitting them along it, elementwise sums and products) plus two fused
+ops with hand-written backward passes, each reading its inputs as rows
+of a table through an index: the n-best convolution (``conv_nbest``,
+one node per batch of n-best lists, which projects each distinct word of
+the batch once, pools pre-activations by max, and finds the argmax only
+in backward, where it scatters the gradient back onto the projections)
+and the LSTM (``lstm_sequence``, one packed kernel over a batch of whole
+sequences, which gathers its embedding rows once and reads the gate
+weights where ``context.LstmParams`` stores them, stacked gate-major).
 
 Ops take ``Tensor`` inputs; only index, length, weight and target
 arguments are plain arrays.  Affine maps, softmax and the negative
@@ -32,7 +32,7 @@ and a fresh forward pass is required.  Parameters (leaf tensors with
 ``requires_grad=True``) accumulate gradients across backward calls until
 the optimizer's step consumes them.  During a training run each
 parameter's ``grad`` is a view into the run's flat gradient buffer (see
-``optim``): ops add into it in place, ``gather_rows`` scatters into it,
+``optim``): ops add into it in place, ``lstm_sequence`` scatters into it,
 and the step zero-fills it.  Only tensors inside a graph get freshly
 allocated gradients.
 """
@@ -427,34 +427,14 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
     return _make(out, tuple(t for pair in filters for t in pair), backprop)
 
 
-def gather_rows(table: Tensor, indices) -> Tensor:
-    """Rows ``indices`` of a [rows, dim] parameter as one [len(indices), dim] matrix.
+def lstm_sequence(rows: Tensor, index, h0: Tensor, c0: Tensor, params, lengths) -> tuple[Tensor, Tensor]:
+    """Run an LSTM over B sequences of rows of a table; returns their final (hidden, cell).
 
-    Backward scatters every row gradient into the table with one
-    ``np.add.at``, so repeated indices sum their contributions.
-    """
-    if table.ndim != 2:
-        raise ShapeMismatchError(f"gather_rows needs a matrix, got shape {table.shape}")
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and not (0 <= indices.min() and indices.max() < table.shape[0]):
-        raise DomainError(f"row indices {indices.tolist()} out of range for table with {table.shape[0]} rows")
-    out = table.data[indices]
-
-    def backprop(g: np.ndarray) -> None:
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, indices, g)
-
-    return _make(out, (table,), backprop)
-
-
-def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths) -> tuple[Tensor, Tensor]:
-    """Run an LSTM over B sequences packed in the rows of ``xs``; returns their final (hidden, cell).
-
-    ``lengths[b]`` rows of ``xs`` belong to sequence b, the sequences one
-    after another, as the [N, D] rows of ``xs``; ``h0``, ``c0`` and the
-    results are [B, H].  One sequence is a batch of one.  An ``xs``
-    without rows returns (h0, c0) themselves.
+    Step p reads row ``index[p]`` of the [V, D] ``rows``, as ``conv_nbest``
+    reads its row table.  ``lengths[b]`` steps belong to sequence b, the
+    sequences one after another along the N entries of ``index``; ``h0``,
+    ``c0`` and the results are [B, H].  One sequence is a batch of one.  An
+    empty ``index`` returns (h0, c0) themselves.
     ``params`` is a ``context.LstmParams``, whose ``stacked`` W [4H, D], U
     [4H, H] and b [4H] hold the gates gate-major and whose per-gate row
     blocks in ``w``, ``u`` and ``b`` receive the gradients.
@@ -462,8 +442,9 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths) -> tuple[
     The sequences are sorted by length, stably and longest first, and laid
     out time-major, so the n_t still running at step t are the first n_t of
     step t - 1 and each step reads and writes contiguous rows (sequence
-    bucketing, Khomenko et al. 2016, https://arxiv.org/abs/1708.05604).  As
-    in Appleyard et al. 2016 (https://arxiv.org/abs/1604.01946), one [N, D]
+    bucketing, Khomenko et al. 2016, https://arxiv.org/abs/1708.05604).  The
+    forward gathers each step's row once, straight into that layout.  As in
+    Appleyard et al. 2016 (https://arxiv.org/abs/1604.01946), one [N, D]
     @ [D, 4H] product gives every input preactivation, and step t adds one
     [n_t, H] @ [H, 4H] recurrent product.  At paper sizes on two cores,
     sixteen [400 x 100] matrix-vector products took 167 us and one
@@ -473,18 +454,22 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths) -> tuple[
     steps at once; step t scales them by its hidden and cell gradients and
     sends one [n_t, 4H] @ [4H, H] product to step t - 1.  With dZ the [N, 4H]
     preactivation gradients, dW = dZ.T @ X, dU = dZ.T @ H_prev, db = dZ
-    summed and dX = dZ @ W are one product each over the packed rows.  A
-    run is one tape node: the final hidden and cell states stacked on a new
-    leading axis, returned split by ``unstack``.
+    summed and dX = dZ @ W are one product each over the packed rows.  dX
+    is put back in input order and scattered onto the table with one
+    ``np.add.at``, so a row that several steps read sums their gradients.
+    A run is one tape node: the final hidden and cell states stacked on a
+    new leading axis, returned split by ``unstack``.
     """
-    if xs.ndim != 2 or xs.shape[1] != params.input_dim:
-        raise ShapeMismatchError(f"lstm_sequence input shape {xs.shape} does not match [N, {params.input_dim}] rows")
-    lengths = np.asarray(lengths, dtype=np.int64)
-    count, total, size = len(lengths), len(xs.data), params.hidden_size
-    if lengths.ndim != 1 or lengths.sum() != total:
-        raise ShapeMismatchError(f"lstm_sequence lengths {lengths.tolist()} do not cover {total} rows")
+    if rows.ndim != 2 or rows.shape[1] != params.input_dim:
+        raise ShapeMismatchError(f"lstm_sequence rows {rows.shape} are not a [V, {params.input_dim}] table")
+    index, lengths = np.asarray(index, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+    if index.ndim != 1 or lengths.ndim != 1 or lengths.sum() != index.size:
+        raise ShapeMismatchError(f"lstm_sequence lengths {lengths.tolist()} do not cover index {index.tolist()}")
     if lengths.size and lengths.min() < 0:
         raise DomainError(f"lstm_sequence lengths must not be negative, got {lengths.tolist()}")
+    if index.size and not (0 <= index.min() and index.max() < len(rows.data)):
+        raise DomainError(f"lstm_sequence index {index.tolist()} out of range for {len(rows.data)} rows")
+    count, total, size = len(lengths), len(index), params.hidden_size
     if h0.shape != (count, size) or c0.shape != (count, size):
         raise ShapeMismatchError(f"lstm_sequence states h0 {h0.shape}, c0 {c0.shape} are not {(count, size)}")
     if total == 0:
@@ -493,24 +478,23 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths) -> tuple[
     gate_tensors = [*params.w.values(), *params.u.values(), *params.b.values()]
 
     # The layout.  The state of the k-th longest sequence after t steps is state row
-    # index[t, k]: the initial states first, then each step's new states, running sequences
+    # slot[t, k]: the initial states first, then each step's new states, running sequences
     # only, so every step reads and writes contiguous rows.  Packed row p is state row count + p.
     order = np.argsort(-lengths, kind="stable")
     rank = np.argsort(order)
     by_length = lengths[order]
     alive = np.arange(by_length[0] + 1)[:, None] <= by_length
-    index = np.cumsum(alive).reshape(alive.shape) - 1
+    slot = np.cumsum(alive).reshape(alive.shape) - 1
     step_of, seq_of = np.nonzero(alive[1:])
-    source = (np.cumsum(lengths) - lengths)[order][seq_of] + step_of  # the input row of each packed row
-    prev = index[step_of, seq_of]  # the state row each packed row reads
-    final = index[lengths, rank]  # each sequence's last state row
+    source = (np.cumsum(lengths) - lengths)[order][seq_of] + step_of  # the entry of index each packed row reads
+    prev = slot[step_of, seq_of]  # the state row each packed row reads
+    final = slot[lengths, rank]  # each sequence's last state row
     # Per step: the state rows it reads, the state rows it writes, and its packed rows.
-    steps = [(slice(read, read + rows), slice(write, write + rows), slice(write - count, write - count + rows))
-             for read, write, rows in zip(index[:-1, 0].tolist(), index[1:, 0].tolist(),
-                                          alive[1:].sum(axis=1).tolist())]
+    steps = [(slice(read, read + n), slice(write, write + n), slice(write - count, write - count + n))
+             for read, write, n in zip(slot[:-1, 0].tolist(), slot[1:, 0].tolist(), alive[1:].sum(axis=1).tolist())]
 
     sigmoids = 3 * size  # the input, forget and output gates; the update is the last H
-    packed = xs.data[source]
+    packed = rows.data[index[source]]
     gates = packed @ w.T
     gates += b
     # With several rows per step the recurrent product runs about three times faster on a
@@ -564,14 +548,16 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, params, lengths) -> tuple[
         _accumulate_gates(params.w, dz.T @ packed)
         _accumulate_gates(params.u, dz.T @ hiddens[prev])
         _accumulate_gates(params.b, dz.sum(axis=0))
-        if xs.requires_grad:
-            dxs = np.empty_like(xs.data)
+        if rows.requires_grad:
+            dxs = np.empty((total, rows.shape[1]))
             dxs[source] = dz @ w
-            _accumulate(xs, dxs)
+            if rows.grad is None:
+                rows.grad = np.zeros_like(rows.data)
+            np.add.at(rows.grad, index, dxs)
         _accumulate(h0, dhiddens[rank])
         _accumulate(c0, dcells[rank])
 
-    return unstack(_make(states[:, final], (xs, h0, c0, *gate_tensors), backprop))
+    return unstack(_make(states[:, final], (rows, h0, c0, *gate_tensors), backprop))
 
 
 def _accumulate_gates(tensors: dict[str, Tensor], grad: np.ndarray) -> None:

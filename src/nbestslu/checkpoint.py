@@ -83,18 +83,17 @@ def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
     # Offsets into the one buffer read: slicing out the header and the
     # parameter block would copy megabytes per file.
     newline = blob.find(b"\n", len(MAGIC))
-    try:
-        header_len = int(blob[len(MAGIC) : newline]) if newline >= 0 else -1
-    except ValueError:
-        header_len = -1
-    if header_len < 0:
+    length = blob[len(MAGIC) : newline] if newline >= 0 else b""
+    if not length.isdigit():
         raise DataFormatError(f"{path}: corrupt header length")
-    header_end = newline + 1 + header_len
+    header_end = newline + 1 + int(length)
     kind, meta, entries = checked(DataFormatError, f"{path}: header", _header,
                                   parse_json(blob[newline + 1 : header_end], f"{path}: header"))
+    if blob[header_end : header_end + 1] != b"\n":
+        raise DataFormatError(f"{path}: no newline after the header")
 
     params: dict[str, np.ndarray] = {}
-    offset = min(header_end + 1, len(blob))
+    offset = header_end + 1
     for name, shape in entries:
         count = math.prod(shape)
         if offset + count * 8 > len(blob):

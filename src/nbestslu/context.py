@@ -6,11 +6,11 @@ System acts are flattened to one word stream (each act's
 zero initial state; the final hidden vector is the context
 representation for the turn.  ``run_context_lstm`` runs the streams of a
 batch of turns at once (a mini-batch, a validation set, or one decoded
-turn as a batch of one): ``autograd.gather_rows`` looks up every token's
-embedding and ``autograd.lstm_sequence`` runs every stream in one packed
-kernel, with its own backprop through time.  The one-step ``lstm_step``
-(used by the ``lstm-input`` combiner) runs the same kernel over a batch
-of one sequence of one step.
+turn as a batch of one): ``autograd.lstm_sequence`` reads every token's
+row of the system-act embeddings through an index and runs every stream
+in one packed kernel, with its own backprop through time.  The one-step
+``lstm_step`` (used by the ``lstm-input`` combiner) runs the same kernel
+over a batch of one sequence of one step, whose table is its one row.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class LstmParams:
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
     """One LSTM transition of vectors, run as a batch of one; returns the new (hidden, cell) pair."""
-    hidden, cell = ag.lstm_sequence(*(ag.stack([t]) for t in (x, h_prev, c_prev)), params, [1])
+    rows, h0, c0 = (ag.stack([t]) for t in (x, h_prev, c_prev))
+    hidden, cell = ag.lstm_sequence(rows, [0], h0, c0, params, [1])
     return ag.unstack(hidden)[0], ag.unstack(cell)[0]
 
 
@@ -122,11 +123,12 @@ def run_context_lstm(
     """Run the LSTM over system-act tokens from a zero initial state; returns the final (hidden, cell).
 
     ``tokens`` holds the streams of B turns one after another, ``lengths[b]``
-    tokens for turn b; the results are [B, H], row b for turn b.
+    tokens for turn b; the results are [B, H], row b for turn b.  The kernel
+    reads the tokens' rows of ``system_embeddings`` through ``table.system_row_indices``.
     """
-    xs = ag.gather_rows(system_embeddings, table.system_row_indices(tokens))
     state = np.zeros((len(lengths), params.hidden_size))
-    return ag.lstm_sequence(xs, Tensor(state), Tensor(state), params, lengths)
+    return ag.lstm_sequence(system_embeddings, table.system_row_indices(tokens), Tensor(state), Tensor(state),
+                            params, lengths)
 
 
 # ---------------------------------------------------------------------------

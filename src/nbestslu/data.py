@@ -5,7 +5,8 @@ The corpus layout is one directory per call holding a system log file
 enumerating the calls of each partition.  Import flattens every call into
 user turns: the live (or batch) ASR n-best list, the chronological system
 acts heard so far, and the reference semantics.  ``SystemAct.words`` is
-what the context encoder reads of a system act.
+what the context encoder reads of a system act: the same ``tokenize``
+that splits hypothesis text, so both meet the pretrained vectors alike.
 
 ASR scores are interpreted once, at import: a list containing any negative
 score is taken to be in the log domain and exponentiated, then every list
@@ -36,6 +37,18 @@ ASR_CHANNELS = ("live", "batch")
 
 
 @dataclass(frozen=True)
+class TokenSequence:
+    """An ordered run of non-empty tokens from one text."""
+
+    tokens: tuple[str, ...]
+
+
+def tokenize(text: str) -> TokenSequence:
+    """Lowercase and split on whitespace; nothing else is stripped."""
+    return TokenSequence(tuple(text.lower().split()))
+
+
+@dataclass(frozen=True)
 class SystemAct:
     """One system dialogue act: a name plus slot-value pairs."""
 
@@ -44,16 +57,13 @@ class SystemAct:
 
     @functools.cached_property
     def words(self) -> tuple[str, ...]:
-        """Act name, then each slot and value, lowercased and split on whitespace.
+        """The ``tokenize`` tokens of the act name, then of each slot and value.
 
         offer(name=golden wok) -> (offer, name, golden, wok).  Computed on
         first use; not a field, so equality, hashing and files ignore it.
         """
-        words: list[str] = self.name.lower().split()
-        for slot, value in self.pairs:
-            words.extend(slot.lower().split())
-            words.extend(str(value).lower().split())
-        return tuple(words)
+        texts = [self.name, *(text for slot, value in self.pairs for text in (slot, str(value)))]
+        return tuple(word for text in texts for word in tokenize(text).tokens)
 
 
 @dataclass(frozen=True)

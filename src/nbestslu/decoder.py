@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Turn, dumps, parse_records, split_header, text_lines, write_lines
-from .embeddings import tokenize
+from .data import Dataset, Turn, dumps, parse_records, split_header, text_lines, tokenize, write_lines
 from .errors import ConfigError, DataFormatError, DomainError, checked, exact
 from .model import SlotValueModel, StepOneModel
 from .sentence import Hypothesis, NBestList

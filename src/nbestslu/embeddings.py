@@ -13,29 +13,17 @@ from __future__ import annotations
 import copy
 import hashlib
 import logging
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import text_lines
+# tokenize and its TokenSequence are not used here: the benchmark and the tests import tokenize from this module.
+from .data import TokenSequence, text_lines, tokenize
 from .errors import DataFormatError, ModelStateError, ParseError
 
 log = logging.getLogger(__name__)
 
 INIT_SCALE = 0.1  # fresh rows and every initialized weight are drawn uniform(-INIT_SCALE, INIT_SCALE)
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """An ordered run of non-empty tokens from one hypothesis."""
-
-    tokens: tuple[str, ...]
-
-
-def tokenize(text: str) -> TokenSequence:
-    """Lowercase and split on whitespace; nothing else is stripped."""
-    return TokenSequence(tuple(text.lower().split()))
 
 
 class EmbeddingTable:

@@ -7,6 +7,7 @@ import pytest
 
 from nbestslu import autograd as ag
 from nbestslu.autograd import Tensor
+from nbestslu.context import LstmParams
 from nbestslu.errors import DomainError, GraphStateError, ShapeMismatchError
 
 from _gradcheck import max_rel_error, weighted_sum
@@ -272,41 +273,46 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(batch[0], w.grad, rtol=0, atol=1e-15)
         np.testing.assert_allclose(batch[1], b.grad, rtol=0, atol=1e-15)
 
+    # The LSTM kernel reads each step's input as a row of a table through an index.
     def test_gather_rows_gradient(self):
         rng = np.random.default_rng(3)
         table = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
-        mix = Tensor(rng.uniform(-1, 1, 4))
-        rows = [2, 4, 2, 2]  # a repeated row sums the contributions of its positions
-        contract = rng.uniform(0.5, 1.5, len(rows))
+        params = LstmParams(4, 3, rng)
+        index = [2, 4, 2, 2]  # a repeated row sums the contributions of its steps
+        state = Tensor(np.zeros((1, 3)))
+        contract = rng.uniform(0.5, 1.5, 3)
 
-        def loss_fn():
-            return weighted_sum(ag.tanh(ag.matmul(ag.gather_rows(table, rows), mix)), contract)
+        def loss(rows, index):
+            hidden, _ = ag.lstm_sequence(rows, index, state, state, params, [4])
+            return weighted_sum(ag.unstack(hidden)[0], contract)
 
-        assert max_rel_error(loss_fn, [table]) < 1e-4
-        loss_fn().backward()
+        assert max_rel_error(lambda: loss(table, index), [table]) < 1e-4
+        loss(table, index).backward()
         assert np.all(table.grad[[0, 1, 3, 5]] == 0.0)
         assert np.all(table.grad[[2, 4]] != 0.0)
+        steps = Tensor(table.data[index], requires_grad=True)  # each step's row as a row of its own
+        loss(steps, np.arange(4)).backward()
+        np.testing.assert_allclose(table.grad[2], steps.grad[[0, 2, 3]].sum(axis=0), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(table.grad[4], steps.grad[1])
 
     def test_gather_rows_of_an_empty_sequence(self):
         rng = np.random.default_rng(4)
         table = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
-        mix = Tensor(rng.uniform(-1, 1, 4))
-
-        def loss_fn():
-            return weighted_sum(ag.matmul(ag.gather_rows(table, []), mix), np.zeros(0))
-
-        assert ag.gather_rows(table, []).shape == (0, 4)
-        assert max_rel_error(loss_fn, [table]) == 0.0
-        loss_fn().backward()
-        np.testing.assert_array_equal(table.grad, np.zeros((6, 4)))
+        params = LstmParams(4, 3, rng)
+        h0, c0 = (Tensor(rng.uniform(-1, 1, (1, 3)), requires_grad=True) for _ in range(2))
+        hidden, cell = ag.lstm_sequence(table, [], h0, c0, params, [0])
+        assert hidden is h0 and cell is c0
+        weighted_sum(ag.unstack(hidden)[0], np.ones(3)).backward()
+        assert table.grad is None
 
     def test_gather_rows_rejects_rows_out_of_range(self):
-        table = Tensor(np.zeros((3, 2)))
-        for rows in ([3], [-1], [0, 5]):
+        table, params = Tensor(np.zeros((3, 2))), LstmParams(2, 1, np.random.default_rng(0))
+        state = Tensor(np.zeros((1, 1)))
+        for index in ([3], [-1], [0, 5]):
             with pytest.raises(DomainError):
-                ag.gather_rows(table, rows)
+                ag.lstm_sequence(table, index, state, state, params, [len(index)])
         with pytest.raises(ShapeMismatchError):
-            ag.gather_rows(Tensor(np.zeros(3)), [0])
+            ag.lstm_sequence(Tensor(np.zeros(2)), [0], state, state, params, [1])
 
     def test_unstack_routes_each_row_gradient_to_its_row(self):
         rng = np.random.default_rng(5)

@@ -113,7 +113,7 @@ def sequence_fixture(steps=5, dim=3, hidden=4, seed=20):
 
 def one_sequence(xs, h0, c0, params):
     """The kernel over one sequence from vector states, as a batch of one; returns vector states."""
-    hidden, cell = ag.lstm_sequence(xs, ag.stack([h0]), ag.stack([c0]), params, [len(xs.data)])
+    hidden, cell = ag.lstm_sequence(xs, np.arange(len(xs.data)), ag.stack([h0]), ag.stack([c0]), params, [len(xs.data)])
     return ag.unstack(hidden)[0], ag.unstack(cell)[0]
 
 
@@ -132,9 +132,9 @@ class TestStackedStorage:
     def test_an_in_place_write_to_a_gate_changes_the_next_output(self):
         params = make_params(2, 3, seed=31)
         x, h0, c0 = Tensor(np.full((1, 2), 0.5)), Tensor(np.zeros((1, 3))), Tensor(np.full((1, 3), 0.7))
-        before = ag.lstm_sequence(x, h0, c0, params, [1])[1].data.copy()
+        before = ag.lstm_sequence(x, [0], h0, c0, params, [1])[1].data.copy()
         params.b["f"].data[...] = 40.0
-        after = ag.lstm_sequence(x, h0, c0, params, [1])[1].data
+        after = ag.lstm_sequence(x, [0], h0, c0, params, [1])[1].data
         assert np.all(after != before)
         np.testing.assert_array_equal(params.stacked[2][3:6], np.full(3, 40.0))
 
@@ -191,13 +191,13 @@ class TestLstmSequence:
     def test_empty_sequence_returns_the_initial_state(self):
         params, xs, h0, c0, _, _ = sequence_fixture()
         h0, c0 = ag.stack([h0]), ag.stack([c0])
-        hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, params, [0])
+        hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), np.arange(0), h0, c0, params, [0])
         assert hidden is h0 and cell is c0
 
     def test_wrong_input_width_or_state_size_is_a_shape_error(self):
         params, xs, h0, c0, _, _ = sequence_fixture()
         h0, c0 = Tensor(h0.data[None]), Tensor(c0.data[None])
-        for bad in (
+        for rows, h, c in (
             (Tensor(np.zeros((5, 4))), h0, c0),
             (Tensor(np.zeros(4)), h0, c0),
             (Tensor(np.zeros(3)), h0, c0),  # one step as a vector, not a row
@@ -206,7 +206,7 @@ class TestLstmSequence:
             (xs, h0, Tensor(np.zeros(4))),  # a vector state, not a batch of one
         ):
             with pytest.raises(ShapeMismatchError):
-                ag.lstm_sequence(*bad, params, [5])
+                ag.lstm_sequence(rows, np.arange(5), h, c, params, [5])
 
     def test_saturated_gates_stay_finite(self):
         for bias in (40.0, -40.0):
@@ -254,7 +254,8 @@ class TestPackedBatch:
         tensors = list(params.parameters().values()) + [xs, h0, c0]
 
         def loss_fn():
-            return batch_loss(*ag.lstm_sequence(xs, h0, c0, params, lengths), on_hidden, on_cell)
+            hidden, cell = ag.lstm_sequence(xs, np.arange(len(xs.data)), h0, c0, params, lengths)
+            return batch_loss(hidden, cell, on_hidden, on_cell)
 
         assert max_rel_error(loss_fn, tensors) < 1e-4
         for tensor in tensors:
@@ -265,7 +266,7 @@ class TestPackedBatch:
         # states and gradients agree within 1e-12, not bit for bit.
         lengths = (4, 0, 9, 1, 9, 3)
         params, xs, h0, c0, on_hidden, on_cell = batch_fixture(lengths, dim=5, hidden=6, seed=25)
-        hidden, cell = ag.lstm_sequence(xs, h0, c0, params, lengths)
+        hidden, cell = ag.lstm_sequence(xs, np.arange(len(xs.data)), h0, c0, params, lengths)
         batch_loss(hidden, cell, on_hidden, on_cell).backward()
         batched = {name: t.grad.copy() for name, t in params.parameters().items()}
         batched_inputs = [xs.grad.copy(), h0.grad.copy(), c0.grad.copy()]
@@ -293,18 +294,18 @@ class TestPackedBatch:
     def test_the_order_of_the_batch_does_not_matter(self):
         lengths = (2, 6, 6, 0, 3)
         params, xs, h0, c0, _, _ = batch_fixture(lengths, seed=26)
-        hidden, cell = ag.lstm_sequence(xs, h0, c0, params, lengths)
+        hidden, cell = ag.lstm_sequence(xs, np.arange(len(xs.data)), h0, c0, params, lengths)
         perm = [3, 1, 4, 0, 2]
         starts = np.cumsum((0,) + lengths)
         rows = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in perm])
-        shuffled = ag.lstm_sequence(Tensor(xs.data[rows]), Tensor(h0.data[perm]), Tensor(c0.data[perm]), params,
-                                    [lengths[b] for b in perm])
+        shuffled = ag.lstm_sequence(Tensor(xs.data[rows]), np.arange(len(rows)), Tensor(h0.data[perm]),
+                                    Tensor(c0.data[perm]), params, [lengths[b] for b in perm])
         np.testing.assert_allclose(shuffled[0].data, hidden.data[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(shuffled[1].data, cell.data[perm], rtol=0, atol=1e-12)
 
     def test_a_run_is_one_tape_node_holding_hidden_over_cell(self):
         params, xs, h0, c0, _, _ = batch_fixture()
-        hidden, cell = ag.lstm_sequence(xs, h0, c0, params, RAGGED)
+        hidden, cell = ag.lstm_sequence(xs, np.arange(len(xs.data)), h0, c0, params, RAGGED)
         ((run,),) = {hidden._parents, cell._parents}
         assert run.shape == (2, len(RAGGED), 4)
         assert xs in run._parents and h0 in run._parents and c0 in run._parents
@@ -313,17 +314,18 @@ class TestPackedBatch:
 
     def test_a_batch_without_rows_returns_the_initial_states(self):
         params, _, h0, c0, _, _ = batch_fixture((0, 0))
-        hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), h0, c0, params, (0, 0))
+        hidden, cell = ag.lstm_sequence(Tensor(np.zeros((0, 3))), np.arange(0), h0, c0, params, (0, 0))
         assert hidden is h0 and cell is c0
 
     def test_lengths_that_do_not_cover_the_rows_are_refused(self):
         params, xs, h0, c0, _, _ = batch_fixture()
+        index = np.arange(len(xs.data))
         with pytest.raises(ShapeMismatchError):
-            ag.lstm_sequence(xs, h0, c0, params, (0, 1, 3, 6))
+            ag.lstm_sequence(xs, index, h0, c0, params, (0, 1, 3, 6))
         with pytest.raises(ShapeMismatchError):
-            ag.lstm_sequence(xs, Tensor(h0.data[:3]), c0, params, RAGGED)
+            ag.lstm_sequence(xs, index, Tensor(h0.data[:3]), c0, params, RAGGED)
         with pytest.raises(DomainError):
-            ag.lstm_sequence(xs, h0, c0, params, (2, -1, 3, 7))
+            ag.lstm_sequence(xs, index, h0, c0, params, (2, -1, 3, 7))
 
     def test_run_context_lstm_batches_turns_like_one_at_a_time(self):
         table, embeddings, params = context_fixture()
@@ -341,6 +343,14 @@ class TestPackedBatch:
             alone = run_context_lstm(stream, table, embeddings, params, [len(stream)])
             np.testing.assert_allclose(hidden.data[b], alone[0].data[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(cell.data[b], alone[1].data[0], rtol=0, atol=1e-12)
+
+    def test_run_context_lstm_reads_the_system_embeddings_with_no_gather_node(self):
+        table, embeddings, params = context_fixture()
+        tokens = context_tokens([(SystemAct("offer", (("name", "meghna"),)),)], ContextWindow("all"))
+        hidden, cell = run_context_lstm(tokens, table, embeddings, params, [len(tokens)])
+        ((run,),) = {hidden._parents, cell._parents}
+        assert embeddings in run._parents
+        assert all(not parent._parents for parent in run._parents)  # the table, the states and the gates: leaves
 
 
 class TestContextWindow:

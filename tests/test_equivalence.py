@@ -27,7 +27,11 @@ def test_one_tree_twice_gives_identical_manifests_and_a_changed_array_is_reporte
     paths = {line.split("  ", 1)[1] for line in new.splitlines()}
     run = "cnn_lstm_w1-s1"
     assert {f"{run}/ckpt/step1.ckpt", f"{run}/ckpt/config.txt", f"{run}/ckpt/train_log.json",
-            f"{run}/full.frames", f"{run}/step1.frames", "cv/summary.json"} <= paths
+            f"{run}/full.frames", f"{run}/headerless.frames", f"{run}/step1.frames", "cv/summary.json"} <= paths
+    # The headerless copy of the test file holds its records, and decodes to the same bytes.
+    records = (out / "corpus" / "test.ds").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert (out / "corpus" / "test.jsonl").read_text(encoding="utf-8") == "".join(records[1:])
+    assert (out / "new" / run / "headerless.frames").read_bytes() == (out / "new" / run / "full.frames").read_bytes()
     summary = (out / "report.txt").read_text(encoding="utf-8").splitlines()
     assert summary[0] == f"{len(paths)} files in the new manifest; all identical"
     count = sum(len(re.findall(r"(?m)^[ \t]*\S", path.read_text(encoding="utf-8")))
@@ -86,7 +90,8 @@ def test_differing_frames_and_cv_rows_are_explained(tmp_path):
     assert report[step1 + 1] == f"  1 of {count} frames differ in turn, act, slots or values"
     fold = report.index("cv/fold_0.tsv: differs")
     assert report[fold + 1].startswith("  turns: abs diff ") and float(report[fold + 1].rsplit(" ", 1)[1]) >= 9
-    assert len(report) == 6
+    # The rewritten full decode is no longer the run's headerless decode.
+    assert report[6:] == ["new/cnn_lstm_w1-s1/headerless.frames: differs from new/cnn_lstm_w1-s1/full.frames"]
 
     # The new tree's frames from the old tree's checkpoints are compared with the old tree's own.
     cross = out / "cross" / "cnn_lstm_w1-s1"

@@ -206,8 +206,8 @@ class TestGradientBuffer:
         expected = {name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for name, p in params.items()}
         for batch_size in (2, 3, 1):
             for _ in range(batch_size):
-                xs = ag.gather_rows(system, rng.integers(0, 3, 4))
-                hidden, _ = ag.lstm_sequence(xs, Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), lstm, [4])
+                state = Tensor(np.zeros((1, 2)))
+                hidden, _ = ag.lstm_sequence(system, rng.integers(0, 3, 4), state, state, lstm, [4])
                 weighted_sum(ag.unstack(hidden)[0], rng.uniform(-1, 1, 2)).backward()
             rebound.grad = rng.uniform(-1, 1, rebound.shape)  # a caller's own array
             grads = {name: p.grad.copy() for name, p in params.items()}

@@ -33,20 +33,21 @@ def test_a_cli_matrix_reaches_training_and_lists_the_headerless_reader(tmp_path,
     out = tmp_path / "out"
     assert reach.main([str(out), *TINY]) == 0
     report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
-    assert report[0].startswith("4 processes reached ")
+    assert report[0].startswith("5 processes reached ")
     assert capsys.readouterr().out == report[0] + "\n"
 
     # Training ran: each top-level statement of the epoch loop's function was reached.
     training = listed(report, "training.py")
     assert [stmt.lineno for stmt in function("training.py", "_run_epochs").body[1:] if stmt.lineno in training] == []
 
-    # Every file the matrix reads has a header, so no run takes the headerless branch.
+    # The matrix decodes a headerless copy of the test file, so the headerless branch runs; only its
+    # refusal of a file without turns is listed.
     read_turns = function("data.py", "read_turns")
     header_test = next(stmt for stmt in read_turns.body if isinstance(stmt, ast.If))
     headerless = read_turns.body[read_turns.body.index(header_test) + 1:]
     data = listed(report, "data.py")
     assert header_test.lineno not in data
-    assert [data.get(stmt.lineno) for stmt in headerless] == ["", "", "", ""]
+    assert [data.get(stmt.lineno) for stmt in headerless] == [None, None, None, None]
     assert data.get(headerless[2].body[0].lineno) == "raise"
 
 

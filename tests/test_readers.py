@@ -10,15 +10,16 @@ import copy
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbestslu.checkpoint import MAGIC, SLOT_KIND, STEP1_KIND, load_container, load_model, save_model
+from nbestslu.checkpoint import MAGIC, SLOT_KIND, STEP1_KIND, load_container, load_model, save_container, save_model
 from nbestslu.config import RunConfig, parse_config_file, parse_config_text
 from nbestslu.data import collect_system_tokens, import_dstc2, read_canonical, read_turns
 from nbestslu.decoder import read_frames
 from nbestslu.embeddings import load_vectors
-from nbestslu.errors import CorpusError, SluError
+from nbestslu.errors import CorpusError, DataFormatError, SluError
 from nbestslu.model import SlotValueModel, StepOneModel
 
 from _synth import synthetic_dataset, synthetic_table, write_mini_corpus
@@ -222,6 +223,29 @@ def test_checkpoint_header_with_one_value_replaced(scratch, where, value):
     path = scratch / "replaced.ckpt"
     path.write_bytes(MAGIC + f"{len(payload)}\n".encode() + payload + b"\n" + b"\0" * 24)
     _accepts_or_raises_slu_error(load_container, path)
+
+
+def test_checkpoint_framing_other_than_written_is_refused(scratch):
+    # Each of these once loaded as if it were the file ``save_container`` wrote.
+    path = scratch / "framing.ckpt"
+    save_container(path, STEP1_KIND, {"w": np.arange(2.0)}, {})
+    blob = path.read_bytes()
+    assert load_container(path)[1]["w"].tolist() == [0.0, 1.0]
+    length = blob[len(MAGIC) : blob.index(b"\n", len(MAGIC))]
+    header_end = len(MAGIC) + len(length) + 1 + int(length)
+    rest = blob[len(MAGIC) + len(length) :]
+    empty = dumps({"kind": STEP1_KIND, "meta": {}, "params": []}).encode()
+    damaged = {
+        "no newline after the header": [blob[:header_end] + b"X" + blob[header_end + 1 :],
+                                        MAGIC + f"{len(empty)}\n".encode() + empty],
+        "corrupt header length": [MAGIC + b"+" + length + rest, MAGIC + b" " + length + rest,
+                                  MAGIC + length[:1] + b"_" + length[1:] + rest],
+    }
+    for message, blobs in damaged.items():
+        for bad in blobs:
+            path.write_bytes(bad)
+            with pytest.raises(DataFormatError, match=message):
+                load_container(path)
 
 
 CFG = RunConfig(model="cnn_lstm_w4", embedding_dim=12, filter_windows=(2,), filters_per_window=3,

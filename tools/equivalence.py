@@ -3,16 +3,18 @@
     python3 tools/equivalence.py OLD_TREE NEW_TREE OUT
 
 Both trees are full checkouts (each with ``src/nbestslu``).  The script
-writes one small corpus with ``perfbench/corpus.py`` under ``OUT/corpus``
-and one reduced run config, ``OUT/run.cfg``.  Each tree's command line
-then trains every variant for every seed on it, decodes the test file full
-and ``--step1-only``, and runs ``cv`` once (first variant, first seed),
-with all outputs under ``OUT/old`` and ``OUT/new``.  Both trees read the
-corpus and the vectors from the same paths, since the run config and the
-frames' ``config_hash`` record the vector file's path.  Last, the new tree
-decodes the old tree's checkpoints, full and ``--step1-only``, into
-``OUT/cross``: a change that moves training numerics but not decoding
-still gives the old tree's frames there, byte for byte.
+writes one small corpus with ``perfbench/corpus.py`` under ``OUT/corpus``,
+plus ``OUT/corpus/test.jsonl``, the test file without its header line, and
+one reduced run config, ``OUT/run.cfg``.  Each tree's command line then
+trains every variant for every seed on it, decodes the test file full and
+``--step1-only`` and the headerless copy full, and runs ``cv`` once (first
+variant, first seed), with all outputs under ``OUT/old`` and ``OUT/new``.
+Both trees read the corpus and the vectors from the same paths, since the
+run config and the frames' ``config_hash`` record the vector file's path.
+Last, the new tree decodes the old tree's checkpoints on the test file,
+full and ``--step1-only``, into ``OUT/cross``: a change that moves
+training numerics but not decoding still gives the old tree's frames
+there, byte for byte.
 
 ``OUT/old.manifest`` and ``OUT/new.manifest`` list the sha256 of every
 output file, in ``sha256sum`` format.  ``OUT/report.txt`` names each file
@@ -21,15 +23,17 @@ it names the meta keys added, removed or changed, then gives the largest
 absolute difference of every array; for a frames
 file, whether every turn's act, slots and values match and the largest
 confidence difference; for a cv report ``.tsv``, each differing row's
-absolute difference.  The report's second line, ``src non-blank lines:
-OLD -> NEW``, counts the lines with a non-whitespace character over each
-tree's ``src/nbestslu/*.py``.  The third says how many of the ``OUT/cross``
-frames files are byte-identical to the old tree's own, and each one that
-is not is named, with its frames explained, after the manifest's
-differences.  The exit code is 0 when the manifests and the cross-decoded
-frames are identical, 1 when either differs, and 2 when a command fails
-or an argument is wrong.  The old tree runs its commands first, then the
-new tree.
+absolute difference.  Then it names each run whose ``headerless.frames``
+is not its ``full.frames``, byte for byte.  The report's second line,
+``src non-blank lines: OLD -> NEW``, counts the lines with a
+non-whitespace character over each tree's ``src/nbestslu/*.py``.  The
+third says how many of the ``OUT/cross`` frames files are byte-identical
+to the old tree's own, and each one that is not is named, with its frames
+explained, after the manifest's differences.  The exit code is 0 when the
+manifests and the cross-decoded frames are identical and every headerless
+decode is its full decode, 1 otherwise, and 2 when a command fails or an
+argument is wrong.  The old tree runs its commands first, then the new
+tree.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from nbestslu.decoder import read_frames  # noqa: E402
 from perfbench.corpus import CorpusShape, generate  # noqa: E402
 
 SIDES = ("old", "new")
+HEADERLESS = "test.jsonl"  # the test file's turn records without the dataset header
 CROSS = "cross"  # the new tree's frames from the old tree's checkpoints
 # Reduced sizes: a full matrix runs in minutes on two cores.  --set adds to these.
 RUN_CONFIG = {"filters_per_window": 30, "hidden_size": 30, "batch_size": 5, "patience": 2, "max_epochs": 12}
@@ -67,6 +72,7 @@ def commands(out: Path, side: str, variants, seeds, folds: int) -> list[list[str
             chosen = ["--config", config, "--set", f"model={variant}", "--set", f"seed={seed}"]
             runs.append(["train", corpus / "train.ds", run / "ckpt", *chosen])
             runs.append(["decode", run / "ckpt", corpus / "test.ds", run / "full.frames"])
+            runs.append(["decode", run / "ckpt", corpus / HEADERLESS, run / "headerless.frames"])
             runs.append(["decode", run / "ckpt", corpus / "test.ds", run / "step1.frames", "--step1-only"])
     runs.append(["cv", corpus / "train.ds", base / "cv", "--config", config, "--set", f"cv_folds={folds}",
                  "--set", f"model={variants[0]}", "--set", f"seed={seeds[0]}"])
@@ -74,10 +80,11 @@ def commands(out: Path, side: str, variants, seeds, folds: int) -> list[list[str
 
 
 def cross_commands(out: Path, variants, seeds) -> list[list[str]]:
-    """The old tree's decode argument lists, writing under ``OUT/cross`` instead of ``OUT/old``."""
+    """The old tree's decodes of the test file, writing under ``OUT/cross`` instead of ``OUT/old``."""
     old, cross = out / "old", out / CROSS
     return [[*argv[:3], str(cross / Path(argv[3]).relative_to(old)), *argv[4:]]
-            for argv in commands(out, "old", variants, seeds, 0) if argv[0] == "decode"]
+            for argv in commands(out, "old", variants, seeds, 0)
+            if argv[0] == "decode" and Path(argv[2]).name != HEADERLESS]
 
 
 def run_tree(tree: Path, out: Path, argvs: list[list[str]]) -> None:
@@ -162,7 +169,10 @@ EXPLAIN = {".ckpt": array_differences, ".frames": frame_differences, ".tsv": row
 
 
 def compare(out: Path) -> list[str]:
-    """Write both manifests; returns the report's lines, empty when every file is identical."""
+    """Write both manifests; returns the report's lines, empty when every file is identical.
+
+    Last come the runs, old tree first, whose ``headerless.frames`` is not their ``full.frames``.
+    """
     found = {}
     for side in SIDES:
         found[side] = manifest(out / side)
@@ -178,6 +188,11 @@ def compare(out: Path) -> list[str]:
             explain = EXPLAIN.get(Path(path).suffix)
             if explain:
                 lines += explain(out / "old" / path, out / "new" / path)
+    for side, digests in found.items():
+        for path, digest in digests.items():
+            full = Path(path).with_name("full.frames").as_posix()
+            if Path(path).name == "headerless.frames" and digest != digests.get(full):
+                lines.append(f"{side}/{path}: differs from {side}/{full}")
     return lines
 
 
@@ -217,6 +232,8 @@ def write_inputs(parser: argparse.ArgumentParser, args: argparse.Namespace, out:
             parser.error(f"--set needs KEY=VALUE, got {pair!r}")
         settings[key.strip()] = value.strip()
     files = generate(CorpusShape(args.train_dialogues, args.test_dialogues), 1, out / "corpus")
+    records = files.test.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    (out / "corpus" / HEADERLESS).write_text("".join(records), encoding="utf-8")
     settings["embeddings"] = files.vectors
     (out / "run.cfg").write_text("".join(f"{key} = {value}\n" for key, value in settings.items()), encoding="utf-8")
 
