@@ -11,15 +11,16 @@ Run:  python3 demos/02_sentence_representation.py
 import numpy as np
 
 from nbestslu.embeddings import EmbeddingTable
+from nbestslu.rng import Initializer
 from nbestslu.sentence import ConvFilterBank, Hypothesis, NBestList, encode_hypothesis, encode_sentence
 
 rng = np.random.default_rng(0)
 
 vocabulary = ["i", "want", "a", "cheap", "chinese", "restaurant", "keep", "sheep"]
 table = EmbeddingTable(vocabulary, rng.uniform(-0.5, 0.5, (len(vocabulary), 8)))
-table.prepare_runtime_rows([], rng)
+table.prepare_runtime_rows([], Initializer(rng))
 
-bank = ConvFilterBank(dim=8, window_sizes=(2, 3), maps_per_window=4, rng=rng)
+bank = ConvFilterBank(dim=8, window_sizes=(2, 3), maps_per_window=4, init=Initializer(rng))
 print(f"filter bank: windows {bank.window_sizes}, {bank.maps_per_window} maps each "
       f"-> {bank.feature_size}-d features")
 

@@ -7,17 +7,22 @@ little-endian float64 parameter data in header order.  Nothing in the
 file depends on write time, so identical models produce byte-identical
 files.
 
-Saving writes the model's ``arrays()``.  Loading rebuilds the model
-skeleton from the stored configuration and ontology, then hands the
-stored arrays to its ``load_arrays``, which refuses a non-finite value
-and a hypothesis OOV row other than the one freshly drawn (a checkpoint
-written against a different embedding store or seed).
+Saving writes the model's ``arrays()``.  Loading first checks the
+framing against the file's size, then builds a skeleton from the stored
+configuration and ontology: a model that draws only its hypothesis OOV
+row and jumps its random stream past every other initial value.  Its
+``read_arrays`` reads each stored parameter from the file straight into
+the parameter's own array and refuses a non-finite value and a stored
+OOV row other than the one drawn (a checkpoint written against a
+different embedding store or seed).  ``load_container`` reads a file's
+arrays into new memory instead, for tools that compare checkpoints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -75,33 +80,40 @@ def _header(header) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]]:
     return kind, meta, entries
 
 
-def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if not blob.startswith(MAGIC):
-        raise DataFormatError(f"{path}: not a checkpoint file")
-    # Offsets into the one buffer read: slicing out the header and the
-    # parameter block would copy megabytes per file.
-    newline = blob.find(b"\n", len(MAGIC))
-    length = blob[len(MAGIC) : newline] if newline >= 0 else b""
-    if not length.isdigit():
-        raise DataFormatError(f"{path}: corrupt header length")
-    header_end = newline + 1 + int(length)
-    kind, meta, entries = checked(DataFormatError, f"{path}: header", _header,
-                                  parse_json(blob[newline + 1 : header_end], f"{path}: header"))
-    if blob[header_end : header_end + 1] != b"\n":
-        raise DataFormatError(f"{path}: no newline after the header")
+def _framing(handle, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]]:
+    """(kind, meta, [(name, shape)]) of an open checkpoint file, left at its first parameter's data.
 
-    params: dict[str, np.ndarray] = {}
-    offset = header_end + 1
+    The header length is bounded by the file's size before it is converted
+    or read, and the shapes must call for exactly the bytes that follow.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    if handle.read(len(MAGIC)) != MAGIC:
+        raise DataFormatError(f"{path}: not a checkpoint file")
+    line = handle.readline(len(str(size)) + 1)
+    length = line[:-1]
+    if not (line.endswith(b"\n") and length.isdigit()) or int(length) > size - handle.tell():
+        raise DataFormatError(f"{path}: corrupt header length")
+    kind, meta, entries = checked(DataFormatError, f"{path}: header", _header,
+                                  parse_json(handle.read(int(length)), f"{path}: header"))
+    if handle.read(1) != b"\n":
+        raise DataFormatError(f"{path}: no newline after the header")
+    offset = handle.tell()
     for name, shape in entries:
-        count = math.prod(shape)
-        if offset + count * 8 > len(blob):
+        offset += math.prod(shape) * 8
+        if offset > size:
             raise DataFormatError(f"{path}: truncated parameter data at {name}")
-        params[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += count * 8
-    if offset != len(blob):
-        raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes after parameters")
+    if offset != size:
+        raise DataFormatError(f"{path}: {size - offset} trailing bytes after parameters")
+    return kind, meta, entries
+
+
+def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
+    """(kind, {name: array}, meta) of a checkpoint file, each array read into its own new memory."""
+    with open(path, "rb") as handle:
+        kind, meta, entries = _framing(handle, path)
+        params = {name: np.empty(shape, dtype="<f8") for name, shape in entries}
+        for array in params.values():
+            handle.readinto(array)
     return kind, params, meta
 
 
@@ -132,22 +144,23 @@ def save_model(model: StepOneModel | SlotValueModel, path) -> None:
 
 
 def load_model(path, store, kind: str) -> StepOneModel | SlotValueModel:
-    """Rebuild a ``kind`` model from its stored config and ontology, then load its parameters."""
-    found, params, meta = load_container(path)
-    if found != kind:
-        raise DataFormatError(f"{path}: expected a {kind} checkpoint, found {found}")
-    config_text, ontology, fingerprint, tokens, slot = checked(DataFormatError, f"{path}: checkpoint meta",
-                                                               _meta, meta, kind)
-    if fingerprint != store.fingerprint():
-        raise ConfigError(f"{path}: checkpoint was written against a different pretrained vector file")
-    config = parse_config_text(config_text)
-    if kind == STEP1_KIND:
-        model = StepOneModel.build(config, ontology, tokens, store)
-    elif slot in ontology.slots:
-        model = SlotValueModel.build(config, ontology, slot, tokens, store)
-    else:
-        raise DataFormatError(f"{path}: slot {slot!r} is not in the checkpoint's own ontology")
-    model.load_arrays(params, path)
+    """Rebuild a ``kind`` model's skeleton from its stored config and ontology, then read its parameters into it."""
+    with open(path, "rb") as handle:
+        found, meta, entries = _framing(handle, path)
+        if found != kind:
+            raise DataFormatError(f"{path}: expected a {kind} checkpoint, found {found}")
+        config_text, ontology, fingerprint, tokens, slot = checked(DataFormatError, f"{path}: checkpoint meta",
+                                                                   _meta, meta, kind)
+        if fingerprint != store.fingerprint():
+            raise ConfigError(f"{path}: checkpoint was written against a different pretrained vector file")
+        config = parse_config_text(config_text)
+        if kind == STEP1_KIND:
+            model = StepOneModel(config, ontology, tokens, store, skeleton=True)
+        elif slot in ontology.slots:
+            model = SlotValueModel(config, ontology, slot, tokens, store, skeleton=True)
+        else:
+            raise DataFormatError(f"{path}: slot {slot!r} is not in the checkpoint's own ontology")
+        model.read_arrays(handle, entries, path)
     return model
 
 

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .embeddings import INIT_SCALE, EmbeddingTable
+from .embeddings import EmbeddingTable
 from .errors import DomainError
+from .rng import Initializer
 
 
 LSTM_GATES = ("i", "f", "o", "u")
@@ -48,11 +49,13 @@ class LstmParams:
     twelve named tensors (``lstm.w_i`` ... ``lstm.b_u``, in the dicts
     ``w``, ``u`` and ``b``) are row-block views of those arrays.  They are
     what checkpoints store, what gradients land on and what the optimizer
-    updates, so every write to them must be in place: after construction only
-    the optimizer's step and ``HeadedModel.load_arrays`` write them.
+    updates, so every write to them must be in place.  After construction,
+    which fills them from an initializer, two writers remain:
+    ``Adadelta.step`` and ``HeadedModel.read_arrays``, which a checkpoint
+    load and early stopping's ``HeadedModel.load_arrays`` call.
     """
 
-    def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
+    def __init__(self, input_dim: int, hidden_size: int, init: Initializer):
         self.input_dim = input_dim
         self.hidden_size = hidden_size
         rows = len(LSTM_GATES) * hidden_size
@@ -62,10 +65,8 @@ class LstmParams:
         self.b: dict[str, Tensor] = {}
         for k, gate in enumerate(LSTM_GATES):
             w, u, b = (stacked[k * hidden_size : (k + 1) * hidden_size] for stacked in self.stacked)
-            w[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, w.shape)
-            u[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, u.shape)
-            self.w[gate] = Tensor(w, requires_grad=True, name=f"lstm.w_{gate}")
-            self.u[gate] = Tensor(u, requires_grad=True, name=f"lstm.u_{gate}")
+            self.w[gate] = Tensor(init.fill(w), requires_grad=True, name=f"lstm.w_{gate}")
+            self.u[gate] = Tensor(init.fill(u), requires_grad=True, name=f"lstm.u_{gate}")
             self.b[gate] = Tensor(b, requires_grad=True, name=f"lstm.b_{gate}")
 
     def parameters(self) -> dict[str, Tensor]:
@@ -154,15 +155,13 @@ class Combiner:
 
     @classmethod
     def build(cls, mode: str, sentence_dim: int, hidden_size: int, input_dim: int,
-              rng: np.random.Generator) -> "Combiner":
+              init: Initializer) -> "Combiner":
         shapes = {
             TANH_COMBINE: {"ws": (hidden_size, sentence_dim), "wc": (hidden_size, hidden_size)},
             LSTM_INPUT: {"p": (input_dim, sentence_dim)},
         }
-        return cls(mode, tuple(
-            Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, shape), requires_grad=True, name=f"comb.{name}")
-            for name, shape in shapes[mode].items()
-        ))
+        return cls(mode, tuple(Tensor(init.uniform(shape), requires_grad=True, name=f"comb.{name}")
+                               for name, shape in shapes[mode].items()))
 
     def parameters(self) -> dict[str, Tensor]:
         return {t.name: t for t in self.tensors}

@@ -20,10 +20,9 @@ import numpy as np
 # tokenize and its TokenSequence are not used here: the benchmark and the tests import tokenize from this module.
 from .data import TokenSequence, text_lines, tokenize
 from .errors import DataFormatError, ModelStateError, ParseError
+from .rng import Initializer
 
 log = logging.getLogger(__name__)
-
-INIT_SCALE = 0.1  # fresh rows and every initialized weight are drawn uniform(-INIT_SCALE, INIT_SCALE)
 
 
 class EmbeddingTable:
@@ -71,24 +70,25 @@ class EmbeddingTable:
 
     # -- runtime rows -------------------------------------------------------
 
-    def prepare_runtime_rows(self, system_tokens: Iterable[str], rng: np.random.Generator) -> None:
+    def prepare_runtime_rows(self, system_tokens: Iterable[str], init: Initializer) -> None:
         """Create the OOV row and the trainable system-act block.
 
-        System tokens found in the pretrained vocabulary start from a copy
-        of their pretrained vector; the rest are drawn fresh.  Row 0 of
-        the system block is the shared system-act OOV row.
+        The OOV row is drawn, by a skeleton's initializer too.  System
+        tokens found in the pretrained vocabulary start from a copy of their
+        pretrained vector; the rest take the initializer's next values.
+        Row 0 of the system block is the shared system-act OOV row.
         """
         if self._oov_vector is not None:
             raise ModelStateError("runtime rows already prepared for this view")
-        oov = rng.uniform(-INIT_SCALE, INIT_SCALE, self.dim)
+        oov = init.draw(self.dim)
         oov.setflags(write=False)
         self._oov_vector = oov
         ordered = sorted(set(system_tokens))
         block = np.empty((len(ordered) + 1, self.dim), dtype=np.float64)
-        block[0] = rng.uniform(-INIT_SCALE, INIT_SCALE, self.dim)
+        block[0] = init.uniform(self.dim)
         for row, token in enumerate(ordered, start=1):
             col = self._index.get(token)
-            block[row] = self._frozen[col] if col is not None else rng.uniform(-INIT_SCALE, INIT_SCALE, self.dim)
+            block[row] = self._frozen[col] if col is not None else init.uniform(self.dim)
         self._system_index = {token: row for row, token in enumerate(ordered, start=1)}
         self.system_matrix = block
 

@@ -19,6 +19,9 @@ value, and an optimizer step refuses a non-finite gradient.
 
 from __future__ import annotations
 
+import io
+import sys
+
 import numpy as np
 
 from . import autograd as ag
@@ -26,7 +29,7 @@ from . import rng as rng_mod
 from .autograd import Tensor
 from .config import VARIANTS, RunConfig
 from .context import Combiner, ContextWindow, LstmParams, combine, context_tokens, run_context_lstm
-from .embeddings import INIT_SCALE, EmbeddingTable
+from .embeddings import EmbeddingTable
 from .errors import ConfigError, DataFormatError
 from .ontology import Ontology
 from .sentence import ConvFilterBank, NBestList, encode_sentence, encode_sentences
@@ -36,25 +39,27 @@ from .sentence import ConvFilterBank, NBestList, encode_sentence, encode_sentenc
 # stays under 60 MB however many turns a list holds.
 CONTEXT_TOKENS = 8192
 
+HYP_OOV = "embed.hyp_oov"  # the stored hypothesis OOV row, which a load checks against the seed's
+
 
 class TurnEncoder:
     """Everything between raw turn inputs and the hidden vector the heads read."""
 
-    def __init__(self, config: RunConfig, store: EmbeddingTable, system_tokens, rng: np.random.Generator):
+    def __init__(self, config: RunConfig, store: EmbeddingTable, system_tokens, init: rng_mod.Initializer):
         window_name, combine_mode = VARIANTS[config.model]
         self.window = ContextWindow(window_name)
         self.table = store.view()
         self.nbest_cap = config.nbest_cap
-        self.bank = ConvFilterBank(store.dim, config.filter_windows, config.filters_per_window, rng)
-        self.table.prepare_runtime_rows(() if combine_mode is None else system_tokens, rng)
+        self.bank = ConvFilterBank(store.dim, config.filter_windows, config.filters_per_window, init)
+        self.table.prepare_runtime_rows(() if combine_mode is None else system_tokens, init)
         if combine_mode is None:
             self.lstm = None
             self.out_dim = self.bank.feature_size
         else:
             self.system_embeddings = Tensor(self.table.system_matrix, requires_grad=True, name="embed.system")
-            self.lstm = LstmParams(store.dim, config.hidden_size, rng)
+            self.lstm = LstmParams(store.dim, config.hidden_size, init)
             self.out_dim = config.hidden_size
-            self.combiner = Combiner.build(combine_mode, self.bank.feature_size, config.hidden_size, store.dim, rng)
+            self.combiner = Combiner.build(combine_mode, self.bank.feature_size, config.hidden_size, store.dim, init)
 
     def parameters(self) -> dict[str, Tensor]:
         out = dict(self.bank.parameters())
@@ -127,18 +132,19 @@ class HeadedModel:
     encoder and then every head, in order, draw their initial values from
     the ``INIT`` substream of the run seed extended by ``stream``.  A model
     is rebuilt from its config, ontology, system tokens and store alone.
+    A ``skeleton`` is a model for a load to write: its initializer skips
+    every block and draws only the hypothesis OOV row, which the load checks.
     """
 
     def __init__(self, config: RunConfig, ontology: Ontology, system_tokens, store: EmbeddingTable,
-                 heads: list[tuple[str, int]], stream: tuple[int, ...] = ()):
-        rng = rng_mod.substream(config.seed, rng_mod.INIT, *stream)
+                 heads: list[tuple[str, int]], stream: tuple[int, ...] = (), skeleton: bool = False):
+        init = rng_mod.Initializer(rng_mod.substream(config.seed, rng_mod.INIT, *stream), skeleton)
         self.config = config
         self.ontology = ontology
-        self.encoder = TurnEncoder(config, store, system_tokens, rng)
+        self.encoder = TurnEncoder(config, store, system_tokens, init)
         self.heads: dict[str, tuple[Tensor, Tensor]] = {}
         for name, classes in heads:
-            weight = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, (classes, self.encoder.out_dim)), requires_grad=True,
-                            name=f"{name}.w")
+            weight = Tensor(init.uniform((classes, self.encoder.out_dim)), requires_grad=True, name=f"{name}.w")
             self.heads[name] = (weight, Tensor(np.zeros(classes), requires_grad=True, name=f"{name}.b"))
 
     @classmethod
@@ -155,32 +161,40 @@ class HeadedModel:
     def arrays(self) -> dict[str, np.ndarray]:
         """A copy of every parameter's values in ``parameters()`` order, then the hypothesis OOV row."""
         out = {name: tensor.data.copy() for name, tensor in self.parameters().items()}
-        out["embed.hyp_oov"] = self.encoder.table.hypothesis_oov_vector.copy()
+        out[HYP_OOV] = self.encoder.table.hypothesis_oov_vector.copy()
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray], where) -> None:
-        """Write arrays named as ``arrays()`` names them into the parameters, in place.
+        """Write arrays named as ``arrays()`` names them into the parameters, as ``read_arrays`` reads them."""
+        values = io.BytesIO(b"".join(np.ascontiguousarray(array, dtype="<f8").tobytes() for array in arrays.values()))
+        self.read_arrays(values, [(name, array.shape) for name, array in arrays.items()], where)
 
-        In place, since the LSTM gate tensors view ``LstmParams.stacked`` and
-        ``embed.system`` is the table's block.  This is the one finiteness
-        check of loaded values (the optimizer refuses a non-finite gradient).
-        The OOV row is checked, not written: the seed draws it.
+    def read_arrays(self, handle, entries: list[tuple[str, tuple[int, ...]]], where) -> None:
+        """Read the (name, shape) ``entries``' little-endian float64 values from ``handle`` into the parameters.
+
+        Each is read straight into its parameter's array, since the LSTM gate
+        tensors view ``LstmParams.stacked`` and ``embed.system`` is the
+        table's block.  This is the one finiteness check of loaded values
+        (the optimizer refuses a non-finite gradient).  The OOV row is
+        checked, not written: the seed draws it.  A refused read leaves the
+        parameters read before it in place.
         """
-        for name, array in arrays.items():
-            if not np.all(np.isfinite(array)):
-                raise DataFormatError(f"{where}: parameter {name} contains non-finite values")
         params = self.parameters()
-        expected = set(params) | {"embed.hyp_oov"}
-        if expected != set(arrays):
-            raise DataFormatError(f"{where}: parameter set mismatch (missing {sorted(expected - set(arrays))}, "
-                                  f"extra {sorted(set(arrays) - expected)})")
-        if not np.array_equal(self.encoder.table.hypothesis_oov_vector, arrays["embed.hyp_oov"]):
-            raise ConfigError(f"{where}: checkpoint was written against a different embedding store or seed")
-        for name, tensor in params.items():
-            if tensor.data.shape != arrays[name].shape:
-                raise DataFormatError(f"{where}: parameter {name} has shape {arrays[name].shape}, "
-                                      f"expected {tensor.data.shape}")
-            tensor.data[...] = arrays[name]
+        names, expected = {name for name, _ in entries}, set(params) | {HYP_OOV}
+        if names != expected:
+            raise DataFormatError(f"{where}: parameter set mismatch (missing {sorted(expected - names)}, "
+                                  f"extra {sorted(names - expected)})")
+        for name, shape in entries:
+            target = np.empty(shape) if name == HYP_OOV else params[name].data
+            if target.shape != shape:
+                raise DataFormatError(f"{where}: parameter {name} has shape {shape}, expected {target.shape}")
+            handle.readinto(target)
+            if sys.byteorder == "big":
+                target.byteswap(inplace=True)
+            if not np.all(np.isfinite(target)):
+                raise DataFormatError(f"{where}: parameter {name} contains non-finite values")
+            if name == HYP_OOV and not np.array_equal(self.encoder.table.hypothesis_oov_vector, target):
+                raise ConfigError(f"{where}: checkpoint was written against a different embedding store or seed")
 
     def probs(self, head: str, hidden: Tensor) -> Tensor:
         """Softmax distribution of one head over a hidden vector, or one per row of [B, H] hidden vectors."""
@@ -192,9 +206,10 @@ class StepOneModel(HeadedModel):
 
     PRESENT = 1  # index of the "present" class in every presence head
 
-    def __init__(self, config: RunConfig, ontology: Ontology, system_tokens, store: EmbeddingTable):
+    def __init__(self, config: RunConfig, ontology: Ontology, system_tokens, store: EmbeddingTable,
+                 skeleton: bool = False):
         heads = [("head.act", len(ontology.acts))] + [(f"head.slot.{slot}", 2) for slot in ontology.slots]
-        super().__init__(config, ontology, system_tokens, store, heads)
+        super().__init__(config, ontology, system_tokens, store, heads, skeleton=skeleton)
 
     def head_probs(self, hidden: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
         """Softmax distributions of every head over one combined vector, or over each row of [B, H]."""
@@ -205,14 +220,15 @@ class StepOneModel(HeadedModel):
 class SlotValueModel(HeadedModel):
     """Value prediction over ``ontology.slot_values(slot)``, with its own encoder and head."""
 
-    def __init__(self, config: RunConfig, ontology: Ontology, slot: str, system_tokens, store: EmbeddingTable):
+    def __init__(self, config: RunConfig, ontology: Ontology, slot: str, system_tokens, store: EmbeddingTable,
+                 skeleton: bool = False):
         values = ontology.slot_values(slot)
         if len(values) < 2:
             raise ConfigError(f"slot {slot!r} has {len(values)} value(s); value models need at least 2")
         self.slot = slot
         self.values = values
         super().__init__(config, ontology, system_tokens, store, [(f"head.value.{slot}", len(values))],
-                         stream=(ontology.slots.index(slot) + 1,))
+                         stream=(ontology.slots.index(slot) + 1,), skeleton=skeleton)
 
     def value_probs(self, hidden: Tensor) -> Tensor:
         return self.probs(f"head.value.{self.slot}", hidden)

@@ -24,8 +24,9 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import normalize_confidences
-from .embeddings import INIT_SCALE, EmbeddingTable
+from .embeddings import EmbeddingTable
 from .errors import DomainError
+from .rng import Initializer
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,15 @@ class ConvFilterBank:
     has ``len(window_sizes) * maps_per_window`` entries.
     """
 
-    def __init__(self, dim: int, window_sizes: tuple[int, ...], maps_per_window: int, rng: np.random.Generator):
+    def __init__(self, dim: int, window_sizes: tuple[int, ...], maps_per_window: int, init: Initializer):
         self.dim = dim
         self.window_sizes = tuple(sorted(window_sizes))
         self.maps_per_window = maps_per_window
         self.weights: dict[int, Tensor] = {}
         self.biases: dict[int, Tensor] = {}
         for width in self.window_sizes:
-            self.weights[width] = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, (width * dim, maps_per_window)),
-                                         requires_grad=True, name=f"conv.w{width}")
+            self.weights[width] = Tensor(init.uniform((width * dim, maps_per_window)), requires_grad=True,
+                                         name=f"conv.w{width}")
             self.biases[width] = Tensor(np.zeros(maps_per_window), requires_grad=True, name=f"conv.b{width}")
 
     @property

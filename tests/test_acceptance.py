@@ -37,6 +37,7 @@ from nbestslu.metrics import (
     slot_value_item,
 )
 from nbestslu.model import StepOneModel
+from nbestslu.rng import Initializer
 from nbestslu.training import step1_head_accuracies, train_step1, train_step2
 
 from _gradcheck import max_rel_error
@@ -176,8 +177,8 @@ def test_criterion_3_weighted_sum_properties():
         rng = np.random.default_rng(31)
         store = synthetic_table(dim=6, seed=32)
         view = store.view()
-        view.prepare_runtime_rows((), rng)
-        bank = ConvFilterBank(6, (2, 3), 4, rng)
+        view.prepare_runtime_rows((), Initializer(rng))
+        bank = ConvFilterBank(6, (2, 3), 4, Initializer(rng))
         words = ["i", "want", "cheap", "food", "north", "the"]
 
         def random_hyp(conf):
@@ -218,7 +219,7 @@ def test_criterion_4_lstm_invariants():
 
         rng = np.random.default_rng(41)
         for trial in range(30):
-            params = LstmParams(4, 6, np.random.default_rng(trial))
+            params = LstmParams(4, 6, Initializer(np.random.default_rng(trial)))
             x = Tensor(rng.uniform(-3, 3, 4))
             h_prev = Tensor(rng.uniform(-0.9, 0.9, 6))
             c_prev = Tensor(rng.uniform(-2, 2, 6))
@@ -233,7 +234,7 @@ def test_criterion_4_lstm_invariants():
         # Forget-gate carry: with forget >= 1 - 1e-6 and input <= 1e-6,
         # |cell - cell_prev| <= 1e-5 * (1 + |cell_prev|).
         for trial in range(10):
-            params = LstmParams(3, 5, np.random.default_rng(100 + trial))
+            params = LstmParams(3, 5, Initializer(np.random.default_rng(100 + trial)))
             params.b["f"].data[...] = 40.0
             params.b["i"].data[...] = -40.0
             c_prev = rng.uniform(-3, 3, 5)

@@ -9,6 +9,7 @@ from nbestslu import autograd as ag
 from nbestslu.autograd import Tensor
 from nbestslu.context import LstmParams
 from nbestslu.errors import DomainError, GraphStateError, ShapeMismatchError
+from nbestslu.rng import Initializer
 
 from _gradcheck import max_rel_error, weighted_sum
 
@@ -277,7 +278,7 @@ class TestFiniteDifferences:
     def test_gather_rows_gradient(self):
         rng = np.random.default_rng(3)
         table = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
-        params = LstmParams(4, 3, rng)
+        params = LstmParams(4, 3, Initializer(rng))
         index = [2, 4, 2, 2]  # a repeated row sums the contributions of its steps
         state = Tensor(np.zeros((1, 3)))
         contract = rng.uniform(0.5, 1.5, 3)
@@ -298,7 +299,7 @@ class TestFiniteDifferences:
     def test_gather_rows_of_an_empty_sequence(self):
         rng = np.random.default_rng(4)
         table = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
-        params = LstmParams(4, 3, rng)
+        params = LstmParams(4, 3, Initializer(rng))
         h0, c0 = (Tensor(rng.uniform(-1, 1, (1, 3)), requires_grad=True) for _ in range(2))
         hidden, cell = ag.lstm_sequence(table, [], h0, c0, params, [0])
         assert hidden is h0 and cell is c0
@@ -306,7 +307,7 @@ class TestFiniteDifferences:
         assert table.grad is None
 
     def test_gather_rows_rejects_rows_out_of_range(self):
-        table, params = Tensor(np.zeros((3, 2))), LstmParams(2, 1, np.random.default_rng(0))
+        table, params = Tensor(np.zeros((3, 2))), LstmParams(2, 1, Initializer(np.random.default_rng(0)))
         state = Tensor(np.zeros((1, 1)))
         for index in ([3], [-1], [0, 5]):
             with pytest.raises(DomainError):

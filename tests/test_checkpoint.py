@@ -284,6 +284,21 @@ def test_step1_entry_names_and_shapes_are_pinned(tmp_path, dataset, store, varia
     assert [(name, array.shape) for name, array in params.items()] == STEP1_ENTRIES[variant]
 
 
+@pytest.mark.parametrize("variant", list(STEP1_ENTRIES))
+def test_a_load_skeleton_draws_the_fresh_models_oov_row_and_has_its_parameters(dataset, store, variant):
+    # A skeleton jumps its stream past every block it skips, one 64-bit output per float64, and
+    # then draws the OOV row: a ``Generator.uniform`` that took another count would move the row.
+    config, tokens = replace(CFG, model=variant), collect_system_tokens(dataset.turns)
+    builds = [lambda skeleton: StepOneModel(config, dataset.ontology, tokens, store, skeleton=skeleton),
+              lambda skeleton: SlotValueModel(config, dataset.ontology, "pricerange", tokens, store, skeleton=skeleton)]
+    for build in builds:
+        fresh, skeleton = build(False), build(True)
+        np.testing.assert_array_equal(skeleton.encoder.table.hypothesis_oov_vector,
+                                      fresh.encoder.table.hypothesis_oov_vector)
+        assert [(name, tensor.shape) for name, tensor in skeleton.parameters().items()] == [
+            (name, tensor.shape) for name, tensor in fresh.parameters().items()]
+
+
 class TestCheckpointDir:
     def test_directory_round_trip(self, tmp_path, dataset, store):
         step1 = fresh_step1(dataset, store)

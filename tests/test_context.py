@@ -20,12 +20,13 @@ from nbestslu.context import (
 from nbestslu.data import SystemAct
 from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError, ShapeMismatchError
+from nbestslu.rng import Initializer
 
 from _gradcheck import max_rel_error, weighted_sum
 
 
 def make_params(dim, hidden, seed=0, zero=False) -> LstmParams:
-    params = LstmParams(dim, hidden, np.random.default_rng(seed))
+    params = LstmParams(dim, hidden, Initializer(np.random.default_rng(seed)))
     if zero:
         for t in params.parameters().values():
             t.data[...] = 0.0
@@ -395,9 +396,9 @@ def context_vector(history, window, table, embeddings, params):
 def context_fixture(hidden=4, seed=5):
     rng = np.random.default_rng(seed)
     table = EmbeddingTable(["offer", "name", "north", "inform", "area"], rng.uniform(-1, 1, (5, 3)))
-    table.prepare_runtime_rows(["offer", "name", "meghna", "inform", "area", "north", "welcomemsg"], rng)
+    table.prepare_runtime_rows(["offer", "name", "meghna", "inform", "area", "north", "welcomemsg"], Initializer(rng))
     embeddings = Tensor(table.system_matrix, requires_grad=True, name="embed.system")
-    params = LstmParams(3, hidden, rng)
+    params = LstmParams(3, hidden, Initializer(rng))
     return table, embeddings, params
 
 
@@ -441,7 +442,7 @@ class TestCombine:
     def test_each_mode_owns_its_named_tensors(self):
         rng = np.random.default_rng(9)
         shapes = {
-            name: {n: t.shape for n, t in Combiner.build(mode, 6, 4, 3, rng).parameters().items()}
+            name: {n: t.shape for n, t in Combiner.build(mode, 6, 4, 3, Initializer(rng)).parameters().items()}
             for name, mode in (("tanh", "tanh"), ("lstm", "lstm-input"))
         }
         assert shapes == {
@@ -451,13 +452,13 @@ class TestCombine:
 
     def test_zero_inputs_tanh_mode(self):
         rng = np.random.default_rng(6)
-        combiner = Combiner.build("tanh", 6, 4, 3, rng)
+        combiner = Combiner.build("tanh", 6, 4, 3, Initializer(rng))
         state = (Tensor(np.zeros(4)), Tensor(np.zeros(4)))
         out = combine(Tensor(np.zeros(6)), state, combiner, make_params(3, 4, seed=1))
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
     def test_scalar_tanh_evaluation(self):
-        combiner = Combiner.build("tanh", 1, 1, 1, np.random.default_rng(0))
+        combiner = Combiner.build("tanh", 1, 1, 1, Initializer(np.random.default_rng(0)))
         for weight in combiner.tensors:
             weight.data[...] = 1.0
         state = (Tensor(np.array([0.25])), Tensor(np.array([0.0])))
@@ -468,7 +469,7 @@ class TestCombine:
     def test_lstm_input_mode_runs_one_extra_step(self):
         rng = np.random.default_rng(7)
         params = make_params(3, 4, seed=8)
-        combiner = Combiner.build("lstm-input", 6, 4, 3, rng)
+        combiner = Combiner.build("lstm-input", 6, 4, 3, Initializer(rng))
         state = (Tensor(rng.uniform(-0.5, 0.5, 4)), Tensor(rng.uniform(-0.5, 0.5, 4)))
         sentence = Tensor(rng.uniform(-0.5, 0.5, 6))
         out = combine(sentence, state, combiner, params)

@@ -9,6 +9,7 @@ import pytest
 from nbestslu.data import SystemAct
 from nbestslu.embeddings import EmbeddingTable, load_vectors, tokenize
 from nbestslu.errors import DataFormatError, ModelStateError, ParseError
+from nbestslu.rng import Initializer
 
 
 def write_lines(path, lines):
@@ -24,7 +25,7 @@ class TestLoadVectors:
         assert table.dim == 100
         assert "the" in table and "north" in table and "south" not in table
         assert table.fingerprint() == EmbeddingTable(["the", "north"], vectors).fingerprint()
-        table.prepare_runtime_rows((), np.random.default_rng(1))
+        table.prepare_runtime_rows((), Initializer(np.random.default_rng(1)))
         np.testing.assert_array_equal(table.hypothesis_rows(("the", "north")), vectors)
 
     def test_wrong_arity_names_the_line(self, tmp_path):
@@ -116,7 +117,7 @@ def prepared_table():
     tokens = ["north", "south", "cheap", "offer", "name"]
     matrix = np.arange(25, dtype=float).reshape(5, 5)
     table = EmbeddingTable(tokens, matrix)
-    table.prepare_runtime_rows(["offer", "name", "meghna"], np.random.default_rng(2))
+    table.prepare_runtime_rows(["offer", "name", "meghna"], Initializer(np.random.default_rng(2)))
     return table
 
 
@@ -160,13 +161,13 @@ class TestLookup:
     def test_prepare_twice_rejected(self):
         table = prepared_table()
         with pytest.raises(ModelStateError):
-            table.prepare_runtime_rows([], np.random.default_rng(0))
+            table.prepare_runtime_rows([], Initializer(np.random.default_rng(0)))
 
     def test_views_are_independent(self):
         base = EmbeddingTable(["a", "b"], np.ones((2, 4)))
         v1, v2 = base.view(), base.view()
-        v1.prepare_runtime_rows(["x"], np.random.default_rng(1))
-        v2.prepare_runtime_rows(["x", "y"], np.random.default_rng(2))
+        v1.prepare_runtime_rows(["x"], Initializer(np.random.default_rng(1)))
+        v2.prepare_runtime_rows(["x", "y"], Initializer(np.random.default_rng(2)))
         assert v1.system_matrix.shape == (2, 4)
         assert v2.system_matrix.shape == (3, 4)
 

@@ -9,9 +9,10 @@ one caller sets for every other, so the tests would no longer run the
 program that users run.  A loop written out twice can drift apart, so a
 run's slot loop and step two's read of a value model each live in one
 module.  A parameter's values are written in place, by the model's
-``load_arrays`` and the optimizer's step alone: the LSTM's gate tensors
-are views of one stacked array and ``embed.system`` is the embedding
-table's block, so a rebound ``.data`` would silently leave them behind.
+``load_arrays`` and ``read_arrays`` and the optimizer's step alone: the
+LSTM's gate tensors are views of one stacked array and ``embed.system``
+is the embedding table's block, so a rebound ``.data`` would silently
+leave them behind.
 """
 
 import ast
@@ -163,8 +164,10 @@ def test_the_slot_loop_and_the_step_two_read_each_live_in_one_module(function, o
 def data_writes(source: str, filename: str) -> tuple[list[str], list[str]]:
     """(``file:line`` of each in-place write to a ``.data``, of each rebinding of one outside ``Tensor.__init__``).
 
-    An in-place write assigns into ``x.data[...]`` or augments ``x.data``;
-    a rebinding assigns ``x.data`` itself.
+    An in-place write assigns into ``x.data[...]``, augments ``x.data``, or
+    passes an expression holding a ``.data`` as a call's write target: an
+    argument of ``readinto`` or an ``out=``.  A rebinding assigns ``x.data``
+    itself.
     """
     writes, rebinds = [], []
 
@@ -180,6 +183,12 @@ def data_writes(source: str, filename: str) -> tuple[list[str], list[str]]:
 
     def visit(node, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                targets = [keyword.value for keyword in child.keywords if keyword.arg == "out"]
+                if isinstance(child.func, ast.Attribute) and child.func.attr == "readinto":
+                    targets += child.args
+                if any(is_data(inner) for target in targets for inner in ast.walk(target)):
+                    writes.append(f"{filename}:{child.lineno}")
             if isinstance(child, (ast.Assign, ast.AugAssign)):
                 for target in leaves(ast.Tuple(child.targets) if isinstance(child, ast.Assign) else child.target):
                     where = f"{filename}:{child.lineno}"
@@ -195,9 +204,23 @@ def data_writes(source: str, filename: str) -> tuple[list[str], list[str]]:
     return writes, rebinds
 
 
+@pytest.mark.parametrize("source, found", [
+    ("t.data[...] = v", (["m.py:1"], [])),
+    ("t.data -= v", (["m.py:1"], [])),
+    ("t.data = v", ([], ["m.py:1"])),
+    ("handle.readinto(t.data)", (["m.py:1"], [])),
+    ("handle.readinto(t.data[:2])", (["m.py:1"], [])),
+    ("np.add(a, b, out=t.data.reshape(-1))", (["m.py:1"], [])),
+    ("handle.readinto(buffer)\nnp.add(t.data, b, out=buffer)", ([], [])),
+])
+def test_every_form_of_parameter_write_is_found(source, found):
+    assert data_writes(source, "m.py") == found
+
+
 def test_only_the_model_and_the_optimizer_write_parameter_values():
-    # ``HeadedModel.load_arrays`` (checkpoint loads and early stopping's restore) and
-    # ``Adadelta.step`` write in place; nothing rebinds a tensor's ``.data`` once it is built.
+    # ``HeadedModel.read_arrays`` (checkpoint loads, and early stopping's restore through
+    # ``load_arrays``) and ``Adadelta.step`` write in place; nothing rebinds a tensor's
+    # ``.data`` once it is built.
     writes, rebinds = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         found_writes, found_rebinds = data_writes(path.read_text(encoding="utf-8"), path.name)

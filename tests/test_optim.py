@@ -10,6 +10,7 @@ from nbestslu.context import LstmParams
 from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError, NumericFailure, ShapeMismatchError
 from nbestslu.optim import CHUNK, Adadelta
+from nbestslu.rng import Initializer
 
 from _gradcheck import weighted_sum
 
@@ -194,9 +195,9 @@ class TestAdadeltaOptimizer:
 class TestGradientBuffer:
     def test_mixed_parameter_set_matches_the_direct_formulas_bit_for_bit(self):
         rng = np.random.default_rng(12)
-        lstm = LstmParams(3, 2, rng)
+        lstm = LstmParams(3, 2, Initializer(rng))
         table = EmbeddingTable(["a", "b"], rng.uniform(-1, 1, (2, 3))).view()
-        table.prepare_runtime_rows(["a", "c"], rng)
+        table.prepare_runtime_rows(["a", "c"], Initializer(rng))
         system = Tensor(table.system_matrix, requires_grad=True, name="embed.system")
         idle = Tensor(rng.uniform(-1, 1, 5), requires_grad=True, name="idle")  # never gets a gradient
         rebound = Tensor(rng.uniform(-1, 1, (CHUNK // 64 + 1, 64)), requires_grad=True, name="rebound")

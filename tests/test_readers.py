@@ -226,7 +226,8 @@ def test_checkpoint_header_with_one_value_replaced(scratch, where, value):
 
 
 def test_checkpoint_framing_other_than_written_is_refused(scratch):
-    # Each of these once loaded as if it were the file ``save_container`` wrote.
+    # Each of these once loaded as if it were the file ``save_container`` wrote, or, with a
+    # length of more digits than Python converts to an int (4,300), escaped as a ValueError.
     path = scratch / "framing.ckpt"
     save_container(path, STEP1_KIND, {"w": np.arange(2.0)}, {})
     blob = path.read_bytes()
@@ -239,7 +240,8 @@ def test_checkpoint_framing_other_than_written_is_refused(scratch):
         "no newline after the header": [blob[:header_end] + b"X" + blob[header_end + 1 :],
                                         MAGIC + f"{len(empty)}\n".encode() + empty],
         "corrupt header length": [MAGIC + b"+" + length + rest, MAGIC + b" " + length + rest,
-                                  MAGIC + length[:1] + b"_" + length[1:] + rest],
+                                  MAGIC + length[:1] + b"_" + length[1:] + rest, MAGIC + b"9" * 5000 + rest,
+                                  MAGIC + str(len(rest)).encode() + rest],  # past the end of the file
     }
     for message, blobs in damaged.items():
         for bad in blobs:

@@ -12,6 +12,7 @@ from nbestslu.data import normalize_confidences
 from nbestslu.embeddings import EmbeddingTable
 from nbestslu.errors import DomainError, NumericFailure
 from nbestslu.optim import Adadelta
+from nbestslu.rng import Initializer
 from nbestslu.sentence import (
     ConvFilterBank,
     Hypothesis,
@@ -27,12 +28,12 @@ from _gradcheck import max_rel_error, weighted_sum
 def tiny_table(vectors: dict[str, list[float]]) -> EmbeddingTable:
     tokens = sorted(vectors)
     table = EmbeddingTable(tokens, np.asarray([vectors[t] for t in tokens], dtype=float))
-    table.prepare_runtime_rows([], np.random.default_rng(0))
+    table.prepare_runtime_rows([], Initializer(np.random.default_rng(0)))
     return table
 
 
 def single_filter_bank(dim, width, weights, bias=0.0) -> ConvFilterBank:
-    bank = ConvFilterBank(dim, (width,), 1, np.random.default_rng(0))
+    bank = ConvFilterBank(dim, (width,), 1, Initializer(np.random.default_rng(0)))
     bank.weights[width].data[...] = np.asarray(weights, dtype=float).reshape(-1, 1)
     bank.biases[width].data[...] = bias
     return bank
@@ -60,7 +61,7 @@ class TestEncodeHypothesis:
     def test_short_hypothesis_padded_to_largest_window(self):
         rng = np.random.default_rng(1)
         table = tiny_table({"w": list(rng.uniform(-1, 1, 3))})
-        bank = ConvFilterBank(3, (3, 4, 5), 2, rng)
+        bank = ConvFilterBank(3, (3, 4, 5), 2, Initializer(rng))
         out = encode_hypothesis(("w",), table, bank)
         assert out.shape == (6,)
         assert np.all(np.isfinite(out.data))
@@ -74,7 +75,7 @@ class TestEncodeHypothesis:
     def test_pooled_features_inside_tanh_range(self):
         rng = np.random.default_rng(2)
         table = tiny_table({t: list(rng.uniform(-2, 2, 4)) for t in "abcdefg"})
-        bank = ConvFilterBank(4, (2, 3), 5, rng)
+        bank = ConvFilterBank(4, (2, 3), 5, Initializer(rng))
         for _ in range(20):
             tokens = tuple(rng.choice(list("abcdefg"), size=int(rng.integers(0, 7))))
             out = encode_hypothesis(tokens, table, bank).data
@@ -85,7 +86,7 @@ class TestEncodeSentence:
     def setup_method(self):
         rng = np.random.default_rng(3)
         self.table = tiny_table({t: list(rng.uniform(-1, 1, 4)) for t in ("i", "want", "cheap", "food", "the")})
-        self.bank = ConvFilterBank(4, (2, 3), 3, rng)
+        self.bank = ConvFilterBank(4, (2, 3), 3, Initializer(rng))
 
     def test_single_hypothesis_degenerate_case_is_exact(self):
         nbest = NBestList((Hypothesis(("i", "want", "cheap"), 0.37),))
@@ -192,7 +193,7 @@ class TestLayout:
         # once in the second hypothesis and twice (a tie) in the first.
         rng = np.random.default_rng(9)
         table = tiny_table({t: list(rng.uniform(-1, 1, 100)) for t in "abcde"})
-        bank = ConvFilterBank(100, (3,), 50, rng)
+        bank = ConvFilterBank(100, (3,), 50, Initializer(rng))
         trigram = table.hypothesis_rows(tuple("abc")).ravel()
         weight, bias = bank.weights[3], bank.biases[3]
         weight.data[...] = np.outer(trigram, rng.uniform(0.01, 0.02, 50)) + rng.uniform(-0.01, 0.01, (300, 50))
@@ -258,7 +259,7 @@ class TestReference:
         vocab = [f"w{i}" for i in range(30)]
         table = tiny_table({t: list(rng.uniform(-1, 1, 100)) for t in vocab})
         for count in range(1, 11):
-            bank = ConvFilterBank(100, (3, 4, 5), 100, rng)
+            bank = ConvFilterBank(100, (3, 4, 5), 100, Initializer(rng))
             hyps = NBestList(tuple(
                 Hypothesis(tuple(rng.choice(vocab + ["unseen"], size=int(rng.integers(0, 12)))),
                            float(rng.uniform(0.05, 1)))
@@ -277,7 +278,7 @@ class TestReference:
         # tie exactly, whatever order the products are summed in.
         rng = np.random.default_rng(7)
         table = tiny_table({t: list(rng.integers(-2, 3, 100) / 4) for t in "abxyz"})
-        bank = ConvFilterBank(100, (3, 4, 5), 100, rng)
+        bank = ConvFilterBank(100, (3, 4, 5), 100, Initializer(rng))
         for width in bank.window_sizes:
             weight = rng.integers(-3, 4, (width * 100, 100)) / 64
             weight[:100] = 0.0
@@ -298,7 +299,7 @@ class TestReference:
 class TestNonFiniteMaps:
     def test_a_nan_map_gives_nan_filter_gradients_that_the_step_refuses(self):
         table = tiny_table({"good": [0.1, 0.2, 0.3], "bad": [0.1, np.nan, 0.3], "word": [0.3, -0.2, 0.5]})
-        bank = ConvFilterBank(3, (2, 3), 4, np.random.default_rng(8))
+        bank = ConvFilterBank(3, (2, 3), 4, Initializer(np.random.default_rng(8)))
         config = RunConfig()
         optimizer = Adadelta(bank.parameters(), config.adadelta_rho, config.adadelta_epsilon)
         before = {name: t.data.copy() for name, t in bank.parameters().items()}
@@ -320,7 +321,7 @@ class TestSentenceGradients:
         table = tiny_table(vocab)
         worst = 0.0
         for _ in range(5):
-            bank = ConvFilterBank(3, (2, 3), 2, rng)
+            bank = ConvFilterBank(3, (2, 3), 2, Initializer(rng))
             hyps = tuple(
                 Hypothesis(tuple(rng.choice(list(vocab), size=int(rng.integers(1, 5)))), float(rng.uniform(0.1, 1)))
                 for _ in range(3)
@@ -343,7 +344,7 @@ class TestSentenceGradients:
         table = tiny_table(vocab)
         worst = 0.0
         for count in range(1, 11):
-            bank = ConvFilterBank(3, (2, 3, 4), 2, rng)
+            bank = ConvFilterBank(3, (2, 3, 4), 2, Initializer(rng))
             hyps = [Hypothesis(tuple(rng.choice(list(vocab), size=int(rng.integers(0, 7)))),
                                float(rng.uniform(0.1, 1))) for _ in range(count)]
             hyps[0] = Hypothesis(("a",) * 5 if count % 2 else (), hyps[0].confidence)
@@ -380,7 +381,7 @@ class TestBatch:
     def setup_method(self):
         rng = np.random.default_rng(12)
         self.table = tiny_table({t: list(rng.uniform(-1, 1, 3)) for t in "abcdxyz"})
-        self.bank = ConvFilterBank(3, (2, 3, 4), 2, rng)
+        self.bank = ConvFilterBank(3, (2, 3, 4), 2, Initializer(rng))
         self.contract = rng.uniform(0.5, 1.5, (3, self.bank.feature_size))
 
     def loss(self, nbests, contract):
@@ -410,7 +411,7 @@ class TestBatch:
         rng = np.random.default_rng(13)
         words = [f"w{i}" for i in range(30)]
         table = tiny_table({t: list(rng.uniform(-1, 1, 100)) for t in words})
-        bank = ConvFilterBank(100, (3, 4, 5), 100, rng)
+        bank = ConvFilterBank(100, (3, 4, 5), 100, Initializer(rng))
         nbests = paper_batch(rng, words, 5)
         alone = [encode_sentence(nbest, table, bank).data for nbest in nbests]
         batch = encode_sentences(nbests, table, bank).data
@@ -424,7 +425,7 @@ class TestBatch:
         rng = np.random.default_rng(14)
         words = [f"w{i}" for i in range(300)]
         table = tiny_table({t: list(rng.uniform(-1, 1, 100)) for t in words})
-        bank = ConvFilterBank(100, (3, 4, 5), 100, rng)
+        bank = ConvFilterBank(100, (3, 4, 5), 100, Initializer(rng))
         nbests = paper_batch(rng, words, 20)
         assert len({token for nbest in nbests for token in nbest.distinct}) > 100
         batch = encode_sentences(nbests, table, bank).data

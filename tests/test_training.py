@@ -17,6 +17,7 @@ from nbestslu.errors import ConfigError, DomainError
 from nbestslu.metrics import STEP1, frame_items, item_counts, prf1, reference_items
 from nbestslu.model import StepOneModel, TurnEncoder
 from nbestslu.ontology import Ontology
+from nbestslu.rng import Initializer
 from nbestslu.training import cross_validate_step1, step1_head_accuracies, train_run, train_step1, train_step2
 
 from _synth import synthetic_dataset, synthetic_table, synthetic_vocab
@@ -82,7 +83,7 @@ class TestStepOneTraining:
     def test_frozen_hypothesis_rows_are_bit_identical_after_training(self, dataset, store, trained):
         model, _ = trained
         fresh = synthetic_table(dim=12)
-        fresh.prepare_runtime_rows((), np.random.default_rng(0))
+        fresh.prepare_runtime_rows((), Initializer(np.random.default_rng(0)))
         vocab = synthetic_vocab()
         np.testing.assert_array_equal(model.encoder.table.hypothesis_rows(vocab), fresh.hypothesis_rows(vocab))
 
@@ -94,7 +95,7 @@ class TestStepOneTraining:
         from nbestslu import rng as rng_mod
 
         rng = rng_mod.substream(OVERFIT.seed, rng_mod.INIT)
-        init_view.prepare_runtime_rows(collect_system_tokens(dataset.turns), rng)
+        init_view.prepare_runtime_rows(collect_system_tokens(dataset.turns), Initializer(rng))
         moved = np.abs(view.system_matrix - init_view.system_matrix).max()
         assert moved > 1e-6
 
