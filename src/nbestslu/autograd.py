@@ -46,6 +46,8 @@ import numpy as np
 
 from .errors import DomainError, GraphStateError, ShapeMismatchError
 
+PROB_FLOOR = 1e-300  # the least probability softmax gives: -log of it is 690.78, and its reciprocal is finite
+
 
 class Tensor:
     """A float64 array plus the tape entry that produced it."""
@@ -275,14 +277,17 @@ def softmax(logits: Tensor) -> Tensor:
 
     The maximum logit is subtracted before exponentiation, so arbitrarily
     large inputs cannot overflow, and the argmax of the output always
-    equals the argmax of the input.  Each row's result is bit-identical to
+    equals the argmax of the input.  Each probability is floored at
+    ``PROB_FLOOR``, so saturated logits give ``nll_loss`` a finite loss and
+    the chain through it gives softmax minus one-hot; a probability at or
+    above the floor keeps its bits.  Each row's result is bit-identical to
     the softmax of that row alone.
     """
     if logits.ndim not in (1, 2) or logits.size == 0:
         raise DomainError(f"softmax needs a non-empty vector or matrix of logits, got shape {logits.shape}")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    probs = exps / exps.sum(axis=-1, keepdims=True)
+    probs = np.maximum(exps / exps.sum(axis=-1, keepdims=True), PROB_FLOOR)
 
     def backprop(g: np.ndarray) -> None:
         inner = g @ probs if g.ndim == 1 else np.einsum("bc,bc->b", g, probs)[:, None]

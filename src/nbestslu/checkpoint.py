@@ -7,15 +7,14 @@ little-endian float64 parameter data in header order.  Nothing in the
 file depends on write time, so identical models produce byte-identical
 files.
 
-Saving writes the model's ``arrays()``.  Loading first checks the
-framing against the file's size, then builds a skeleton from the stored
-configuration and ontology: a model that draws only its hypothesis OOV
-row and jumps its random stream past every other initial value.  Its
-``read_arrays`` reads each stored parameter from the file straight into
-the parameter's own array and refuses a non-finite value and a stored
-OOV row other than the one drawn (a checkpoint written against a
-different embedding store or seed).  ``load_container`` reads a file's
-arrays into new memory instead, for tools that compare checkpoints.
+Saving writes the model's ``arrays()``.  A load reads a checkpoint
+directory as one run: step one's file states its configuration and
+ontology, parsed once, and each slot file is held to them.  Each file's
+framing is checked against its size, a skeleton that draws only its
+hypothesis OOV row is built, and ``read_arrays`` reads every stored
+parameter straight into place, refusing a non-finite value and an OOV row
+other than the one drawn (another embedding store or seed).
+``load_container`` reads a file's arrays into new memory, for tools.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config_file, parse_config_text, resolved_text, write_resolved
+from .config import RunConfig, parse_config_text, resolved_text, write_resolved
 from .data import dumps, parse_json, text_lines, write_lines
 from .errors import ConfigError, DataFormatError, checked, exact
 from .model import SlotValueModel, StepOneModel
@@ -117,12 +116,9 @@ def load_container(path) -> tuple[str, dict[str, np.ndarray], dict]:
     return kind, params, meta
 
 
-def _meta(meta: dict, kind: str) -> tuple[str, Ontology, str, list[str], str | None]:
-    """(config text, ontology, store fingerprint, system tokens, slot or None) of a ``kind`` checkpoint's meta.
-
-    A model derives everything else from these, and other keys are ignored.
-    """
-    return (exact(meta["config_text"], str), Ontology.from_json_dict(meta["ontology"]),
+def _meta(meta: dict, kind: str) -> tuple[str, str, str, list[str], str | None]:
+    """(config text, canonical ontology JSON, store fingerprint, system tokens, slot or None) of a ``kind`` meta."""
+    return (exact(meta["config_text"], str), dumps(exact(meta["ontology"], dict)),
             exact(meta["store_fingerprint"], str), [exact(t, str) for t in exact(meta["system_tokens"], list)],
             exact(meta["slot"], str) if kind == SLOT_KIND else None)
 
@@ -136,32 +132,43 @@ def save_model(model: StepOneModel | SlotValueModel, path) -> None:
         "system_tokens": list(table.system_tokens),
         "store_fingerprint": table.fingerprint(),
     }
-    kind = STEP1_KIND
-    if isinstance(model, SlotValueModel):
-        kind = SLOT_KIND
+    kind = SLOT_KIND if isinstance(model, SlotValueModel) else STEP1_KIND
+    if kind == SLOT_KIND:
         meta["slot"] = model.slot
     save_container(path, kind, model.arrays(), meta)
 
 
-def load_model(path, store, kind: str) -> StepOneModel | SlotValueModel:
-    """Rebuild a ``kind`` model's skeleton from its stored config and ontology, then read its parameters into it."""
+def _read_model(path, store, slot: str | None, run: tuple | None) -> tuple[StepOneModel | SlotValueModel, tuple]:
+    """The step-one model in ``path`` (``slot`` None) or the value model of ``slot``, and the run it belongs to.
+
+    A run is (config text, ontology JSON, config, ontology); step one's file, read without one, states it.  A slot
+    file must hold ``slot`` and state the run's texts, or values that parse equal to them.  The skeleton is built
+    from the run's config and ontology, with the file's own system tokens.
+    """
+    kind = STEP1_KIND if slot is None else SLOT_KIND
     with open(path, "rb") as handle:
         found, meta, entries = _framing(handle, path)
         if found != kind:
             raise DataFormatError(f"{path}: expected a {kind} checkpoint, found {found}")
-        config_text, ontology, fingerprint, tokens, slot = checked(DataFormatError, f"{path}: checkpoint meta",
-                                                                   _meta, meta, kind)
+        where = f"{path}: checkpoint meta"
+        config_text, ontology_text, fingerprint, tokens, held = checked(DataFormatError, where, _meta, meta, kind)
         if fingerprint != store.fingerprint():
             raise ConfigError(f"{path}: checkpoint was written against a different pretrained vector file")
-        config = parse_config_text(config_text)
-        if kind == STEP1_KIND:
-            model = StepOneModel(config, ontology, tokens, store, skeleton=True)
-        elif slot in ontology.slots:
-            model = SlotValueModel(config, ontology, slot, tokens, store, skeleton=True)
-        else:
-            raise DataFormatError(f"{path}: slot {slot!r} is not in the checkpoint's own ontology")
+        if held != slot:
+            raise DataFormatError(f"{path}: holds the value model of slot {held!r}, not {slot!r}")
+        if run is None:
+            run = (config_text, ontology_text, parse_config_text(config_text),
+                   checked(DataFormatError, where, Ontology.from_json_dict, meta["ontology"]))
+        run_config_text, run_ontology_text, config, ontology = run
+        if ontology_text != run_ontology_text and checked(DataFormatError, where, Ontology.from_json_dict,
+                                                          meta["ontology"]) != ontology:
+            raise ConfigError(f"{path}: model was trained against a different ontology")
+        if config_text != run_config_text and parse_config_text(config_text) != config:
+            raise ConfigError(f"{path}: value model comes from another run than {STEP1_FILE}")
+        model = (StepOneModel(config, ontology, tokens, store, skeleton=True) if slot is None
+                 else SlotValueModel(config, ontology, slot, tokens, store, skeleton=True))
         model.read_arrays(handle, entries, path)
-    return model
+    return model, run
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +180,7 @@ def slot_file(slot: str) -> str:
 
 
 def save_checkpoint_dir(dirpath, step1: StepOneModel, slot_models: dict[str, SlotValueModel],
-                        config: RunConfig, train_log: dict | None = None) -> None:
+                        config: RunConfig, train_log: dict) -> None:
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     save_model(step1, dirpath / STEP1_FILE)
@@ -181,18 +188,16 @@ def save_checkpoint_dir(dirpath, step1: StepOneModel, slot_models: dict[str, Slo
         save_model(model, dirpath / slot_file(slot))
     write_lines(dirpath / ONTOLOGY_FILE, step1.ontology.to_json_dict(), ())
     write_resolved(config, dirpath / CONFIG_FILE)
-    if train_log is not None:
-        write_lines(dirpath / TRAIN_LOG_FILE, train_log, ())
+    write_lines(dirpath / TRAIN_LOG_FILE, train_log, ())
 
 
-def load_checkpoint_dir(dirpath, store, config: RunConfig | None = None
-                        ) -> tuple[StepOneModel, dict[str, SlotValueModel], RunConfig]:
-    """Models and run config of a checkpoint directory; ``config`` is its config.txt if parsed already."""
+def load_checkpoint_dir(dirpath, store) -> tuple[StepOneModel, dict[str, SlotValueModel], RunConfig]:
+    """The run in a checkpoint directory: its step-one model, value models by slot and config; reads no config.txt."""
     dirpath = Path(dirpath)
     step1_path = dirpath / STEP1_FILE
     if not step1_path.is_file():
         raise DataFormatError(f"{dirpath}: missing {STEP1_FILE}")
-    step1 = load_model(step1_path, store, STEP1_KIND)
+    step1, run = _read_model(step1_path, store, None, None)
 
     ontology_path = dirpath / ONTOLOGY_FILE
     if ontology_path.is_file():
@@ -200,18 +205,6 @@ def load_checkpoint_dir(dirpath, store, config: RunConfig | None = None
         if checked(DataFormatError, ontology_path, Ontology.from_json_dict, doc) != step1.ontology:
             raise ConfigError(f"{dirpath}: {ONTOLOGY_FILE} does not match the step-one model's ontology")
 
-    slot_models: dict[str, SlotValueModel] = {}
-    for slot in step1.ontology.slots:
-        path = dirpath / slot_file(slot)
-        if path.is_file():
-            model = load_model(path, store, SLOT_KIND)
-            if model.slot != slot:
-                raise DataFormatError(f"{path}: holds the value model of slot {model.slot!r}, not {slot!r}")
-            if model.ontology != step1.ontology:
-                raise ConfigError(f"{path}: model was trained against a different ontology")
-            if model.config != step1.config:
-                raise ConfigError(f"{path}: value model comes from another run than {STEP1_FILE}")
-            slot_models[slot] = model
-    if config is None:
-        config = parse_config_file(dirpath / CONFIG_FILE) if (dirpath / CONFIG_FILE).is_file() else step1.config
-    return step1, slot_models, config
+    slot_models = {slot: _read_model(dirpath / slot_file(slot), store, slot, run)[0]
+                   for slot in step1.ontology.slots if (dirpath / slot_file(slot)).is_file()}
+    return step1, slot_models, step1.config

@@ -133,7 +133,7 @@ def _cmd_decode(args) -> int:
     dataset = read_turns(args.dataset)
     cfg = parse_config_file(Path(args.checkpoint) / CONFIG_FILE)
     store = _load_store(cfg)
-    step1, slot_models, cfg = load_checkpoint_dir(args.checkpoint, store, config=cfg)
+    step1, slot_models, cfg = load_checkpoint_dir(args.checkpoint, store)
     ontology = step1.ontology
     missing = [slot for slot in ontology.slots if slot not in slot_models and len(ontology.slot_values(slot)) != 1]
     if missing and not args.step1_only:

@@ -75,8 +75,8 @@ class EmbeddingTable:
 
         The OOV row is drawn, by a skeleton's initializer too.  System
         tokens found in the pretrained vocabulary start from a copy of their
-        pretrained vector; the rest take the initializer's next values.
-        Row 0 of the system block is the shared system-act OOV row.
+        pretrained vector; row 0 (the shared system-act OOV row) and the rest
+        take the initializer's next values in row order, as one block.
         """
         if self._oov_vector is not None:
             raise ModelStateError("runtime rows already prepared for this view")
@@ -84,11 +84,11 @@ class EmbeddingTable:
         oov.setflags(write=False)
         self._oov_vector = oov
         ordered = sorted(set(system_tokens))
-        block = np.empty((len(ordered) + 1, self.dim), dtype=np.float64)
-        block[0] = init.uniform(self.dim)
-        for row, token in enumerate(ordered, start=1):
-            col = self._index.get(token)
-            block[row] = self._frozen[col] if col is not None else init.uniform(self.dim)
+        cols = np.array([self._index.get(token, -1) for token in ordered], dtype=np.int64)
+        fresh = np.r_[True, cols < 0]
+        block = np.empty((len(fresh), self.dim), dtype=np.float64)
+        block[fresh] = init.uniform((int(fresh.sum()), self.dim))
+        block[~fresh] = self._frozen[cols[cols >= 0]]
         self._system_index = {token: row for row, token in enumerate(ordered, start=1)}
         self.system_matrix = block
 

@@ -179,6 +179,35 @@ class TestBackwardContracts:
         ag.nll_loss(ag.softmax(logits), 0).backward()
         np.testing.assert_allclose(logits.grad, [-0.5, 0.5], atol=1e-15)
 
+    @pytest.mark.parametrize("logits, target, saturated", [
+        ([800.0, 0.0], 1, 1),
+        ([-800.0, 800.0], 0, 1),
+        ([1e4, -1e4, 0.0], 1, 1),
+        ([-1e4, 1e4, 0.0], 1, 0),
+        ([[800.0, 0.0], [-800.0, 0.0], [0.0, -800.0]], [1, 0, 0], 2),
+        ([[1e4, -1e4, 0.0], [0.0, 800.0, -800.0], [-1e4, 1e4, 0.0]], [2, 2, 1], 2),
+    ], ids=["vector-800", "vector-minus-800", "vector-1e4", "vector-1e4-right", "rows-800", "rows-1e4"])
+    def test_saturated_logits_give_a_finite_loss_and_probs_minus_onehot(self, logits, target, saturated):
+        # Each saturated row's target probability underflows to the floor, which costs -log(1e-300) = 690.78.
+        logits = Tensor(logits, requires_grad=True)
+        probs = ag.softmax(logits)
+        loss = ag.nll_loss(probs, target)
+        loss.backward()
+        assert loss.item() == pytest.approx(saturated * 690.7755278982137, abs=1e-9)
+        onehot = np.eye(logits.shape[-1])[target]
+        assert np.all(np.isfinite(logits.grad))
+        assert np.max(np.abs(logits.grad - (probs.data - onehot))) <= 2.0 ** -53
+
+    def test_the_probability_floor_moves_only_what_underflowed(self):
+        logits = np.array([0.0, -30.0, -690.0, -700.0, -800.0, -1e4])
+        exps = np.exp(logits)
+        plain = exps / exps.sum()
+        out = ag.softmax(Tensor(logits)).data
+        kept = plain >= ag.PROB_FLOOR
+        assert kept.tolist() == [True, True, True, False, False, False]
+        np.testing.assert_array_equal(out[kept], plain[kept])
+        np.testing.assert_array_equal(out[~kept], ag.PROB_FLOOR)
+
     def test_backward_before_any_forward_is_a_state_error(self):
         leaf = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(GraphStateError):

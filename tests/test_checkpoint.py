@@ -1,18 +1,20 @@
 """Checkpoint containers: bit-exact round trips, compatibility checks and in-place parameter writes."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nbestslu import config as config_module
 from nbestslu.checkpoint import (
     MAGIC,
     SLOT_KIND,
+    STEP1_FILE,
     STEP1_KIND,
     load_checkpoint_dir,
     load_container,
-    load_model,
     ontology_hash,
     save_checkpoint_dir,
     save_container,
@@ -25,6 +27,7 @@ from nbestslu.data import collect_system_tokens
 from nbestslu.decoder import decode_turns
 from nbestslu.errors import ConfigError, DataFormatError
 from nbestslu.model import SlotValueModel, StepOneModel
+from nbestslu.ontology import MAX_PATTERNS, Ontology
 from nbestslu.training import train_step1
 
 from _synth import synthetic_dataset, synthetic_table
@@ -137,39 +140,41 @@ class TestContainer:
                 load_container(path)
 
 
+def slot_beside_step1(tmp_path, dataset, store):
+    """The path of ``pricerange``'s slot file in a directory whose ``step1.ckpt`` is already written."""
+    save_model(fresh_step1(dataset, store), tmp_path / STEP1_FILE)
+    return tmp_path / slot_file("pricerange")
+
+
 class TestModelRoundTrip:
+    # Model files are read as a directory's run: a step-one file alone, or a slot file beside one.
     def test_step1_round_trip(self, tmp_path, dataset, store):
         model = fresh_step1(dataset, store)
-        path = tmp_path / "step1.ckpt"
-        save_model(model, path)
-        loaded = load_model(path, store, STEP1_KIND)
+        save_model(model, tmp_path / STEP1_FILE)
+        loaded, _, _ = load_checkpoint_dir(tmp_path, store)
         assert loaded.ontology == model.ontology
         for name, tensor in model.parameters().items():
             assert loaded.parameters()[name].data.tobytes() == tensor.data.tobytes()
 
     def test_slot_model_round_trip(self, tmp_path, dataset, store):
         model = SlotValueModel.build(CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
-        path = tmp_path / "slot.ckpt"
-        save_model(model, path)
-        loaded = load_model(path, store, SLOT_KIND)
+        save_model(model, slot_beside_step1(tmp_path, dataset, store))
+        loaded = load_checkpoint_dir(tmp_path, store)[1]["pricerange"]
         assert loaded.slot == "pricerange" and loaded.values == model.values
         assert loaded.ontology == dataset.ontology
         for name, tensor in model.parameters().items():
             assert loaded.parameters()[name].data.tobytes() == tensor.data.tobytes()
 
     def test_wrong_store_rejected(self, tmp_path, dataset, store):
-        model = fresh_step1(dataset, store)
-        path = tmp_path / "step1.ckpt"
-        save_model(model, path)
+        save_model(fresh_step1(dataset, store), tmp_path / STEP1_FILE)
         other_store = synthetic_table(dim=12, seed=999)
         with pytest.raises(ConfigError):
-            load_model(path, other_store, STEP1_KIND)
+            load_checkpoint_dir(tmp_path, other_store)
 
     def test_wrong_kind_rejected(self, tmp_path, dataset, store):
-        path = tmp_path / "step1.ckpt"
-        save_model(fresh_step1(dataset, store), path)
+        save_model(fresh_step1(dataset, store), slot_beside_step1(tmp_path, dataset, store))
         with pytest.raises(DataFormatError):
-            load_model(path, store, SLOT_KIND)
+            load_checkpoint_dir(tmp_path, store)
 
     @pytest.mark.parametrize("kind, key, value", [
         (STEP1_KIND, "config_text", 5),
@@ -190,61 +195,77 @@ class TestModelRoundTrip:
         (STEP1_KIND, "system_tokens", 7),
         (STEP1_KIND, "system_tokens", ["a", 1]),
         (SLOT_KIND, "config_text", ["seed = 1"]),
+        (SLOT_KIND, "ontology", {"acts": 3, "act_priority": [], "slots": [], "values": {}}),
         (SLOT_KIND, "store_fingerprint", 0),
         (SLOT_KIND, "slot", 3),
         (SLOT_KIND, "slot", "nowhere"),
     ], ids=["config-text", "ontology-list", "ontology-acts", "ontology-max-patterns", "ontology-slot-without-values",
             "ontology-max-patterns-true", "ontology-max-patterns-zero", "ontology-no-acts", "store-fingerprint",
-            "system-tokens", "system-token-int", "slot-config-text", "slot-store-fingerprint", "slot-type",
+            "system-tokens", "system-token-int", "slot-config-text", "slot-ontology-acts", "slot-store-fingerprint",
+            "slot-type",
             "slot-outside-ontology"])
     def test_mistyped_meta_is_a_format_error(self, tmp_path, dataset, store, kind, key, value):
-        path = tmp_path / "model.ckpt"
-        model = fresh_step1(dataset, store) if kind == STEP1_KIND else SlotValueModel.build(
-            CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
+        if kind == STEP1_KIND:
+            path, model = tmp_path / STEP1_FILE, fresh_step1(dataset, store)
+        else:
+            path = slot_beside_step1(tmp_path, dataset, store)
+            model = SlotValueModel.build(CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns),
+                                         store)
         save_model(model, path)
         _, params, meta = load_container(path)
         save_container(path, kind, params, {**meta, key: value})
         with pytest.raises(DataFormatError):
-            load_model(path, store, kind)
+            load_checkpoint_dir(tmp_path, store)
+
+    def test_a_slot_ontology_that_differs_only_as_json_text_is_read_and_refused(self, tmp_path, dataset, store):
+        # 14.0 equals the stored 14 in Python but not as JSON text, so the slot file's ontology is read.
+        path = slot_beside_step1(tmp_path, dataset, store)
+        save_model(SlotValueModel.build(CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns),
+                                        store), path)
+        kind, params, meta = load_container(path)
+        assert meta["ontology"]["max_patterns"] == MAX_PATTERNS
+        save_container(path, kind, params, {**meta, "ontology": {**meta["ontology"], "max_patterns": 14.0}})
+        with pytest.raises(DataFormatError, match="checkpoint meta"):
+            load_checkpoint_dir(tmp_path, store)
 
     def test_meta_without_a_key_is_a_format_error(self, tmp_path, dataset, store):
-        path = tmp_path / "step1.ckpt"
+        path = tmp_path / STEP1_FILE
         save_model(fresh_step1(dataset, store), path)
         kind, params, meta = load_container(path)
         del meta["config_text"]
         save_container(path, kind, params, meta)
         with pytest.raises(DataFormatError):
-            load_model(path, store, STEP1_KIND)
+            load_checkpoint_dir(tmp_path, store)
 
     def test_another_hypothesis_oov_row_is_a_config_error(self, tmp_path, dataset, store):
         # The row is redrawn from the stored seed, so a stored row that differs means another store or seed.
-        path = tmp_path / "step1.ckpt"
+        path = tmp_path / STEP1_FILE
         save_model(fresh_step1(dataset, store), path)
         kind, params, meta = load_container(path)
         params["embed.hyp_oov"] = params["embed.hyp_oov"] + 0.5
         save_container(path, kind, params, meta)
         with pytest.raises(ConfigError, match="different embedding store or seed"):
-            load_model(path, store, STEP1_KIND)
+            load_checkpoint_dir(tmp_path, store)
 
     def test_a_stored_shape_mismatch_is_a_format_error_naming_it(self, tmp_path, dataset, store):
-        path = tmp_path / "step1.ckpt"
+        path = tmp_path / STEP1_FILE
         save_model(fresh_step1(dataset, store), path)
         kind, params, meta = load_container(path)
         params["head.act.b"] = np.zeros(len(params["head.act.b"]) + 1)
         save_container(path, kind, params, meta)
         with pytest.raises(DataFormatError, match="parameter head.act.b has shape"):
-            load_model(path, store, STEP1_KIND)
+            load_checkpoint_dir(tmp_path, store)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("name", ["head.act.w", "lstm.w_f", "embed.hyp_oov"])
     def test_non_finite_parameter_is_a_format_error_naming_it(self, tmp_path, dataset, store, name, value):
-        path = tmp_path / "step1.ckpt"
+        path = tmp_path / STEP1_FILE
         save_model(fresh_step1(dataset, store), path)
         kind, params, meta = load_container(path)
         params[name].flat[-1] = value
         save_container(path, kind, params, meta)
         with pytest.raises(DataFormatError) as err:
-            load_model(path, store, STEP1_KIND)
+            load_checkpoint_dir(tmp_path, store)
         assert str(path) in str(err.value) and f"parameter {name} " in str(err.value)
 
 
@@ -320,7 +341,7 @@ class TestCheckpointDir:
             for slot in slots
         }
         out = tmp_path / "ckpt"
-        save_checkpoint_dir(out, fresh_step1(dataset, store), models, CFG)
+        save_checkpoint_dir(out, fresh_step1(dataset, store), models, CFG, train_log={})
         first, second = (out / slot_file(slot) for slot in slots)
         first_bytes = first.read_bytes()
         first.write_bytes(second.read_bytes())
@@ -333,17 +354,52 @@ class TestCheckpointDir:
         tokens = collect_system_tokens(dataset.turns)
         model = SlotValueModel.build(CFG, dataset.ontology, slot, tokens, store)
         out = tmp_path / "ckpt"
-        save_checkpoint_dir(out, fresh_step1(dataset, store), {slot: model}, CFG)
+        save_checkpoint_dir(out, fresh_step1(dataset, store), {slot: model}, CFG, train_log={})
         other = synthetic_dataset(3, 3, seed=77).ontology
         assert ontology_hash(other) != ontology_hash(dataset.ontology)
         save_model(SlotValueModel.build(CFG, other, slot, tokens, store), out / slot_file(slot))
         with pytest.raises(ConfigError, match="trained against a different ontology"):
             load_checkpoint_dir(out, store)
 
+    def test_a_slot_file_stating_the_run_in_another_form_loads(self, tmp_path, dataset, store):
+        # Text that differs from step one's is parsed before any verdict; what parses equal is the same run.
+        model = SlotValueModel.build(CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
+        out = tmp_path / "ckpt"
+        save_checkpoint_dir(out, fresh_step1(dataset, store), {"pricerange": model}, CFG, train_log={})
+        path = out / slot_file("pricerange")
+        kind, params, meta = load_container(path)
+        assert meta["ontology"].pop("max_patterns") == MAX_PATTERNS  # the default, when left out
+        lines = meta["config_text"].splitlines()
+        meta["config_text"] = "# the same run, by hand\n" + "\n".join(line.replace(" = ", "=") for line in lines[::-1])
+        save_container(path, kind, params, meta)
+        _, slot_models, config = load_checkpoint_dir(out, store)
+        assert config == CFG and slot_models["pricerange"].ontology == dataset.ontology
+        for name, tensor in model.parameters().items():
+            assert slot_models["pricerange"].parameters()[name].data.tobytes() == tensor.data.tobytes()
+
+    def test_a_directory_load_parses_the_config_once_and_builds_two_ontologies(self, tmp_path, dataset, store,
+                                                                               monkeypatch):
+        # Step one's file is parsed once; each slot file is compared with it as stored, and only
+        # ``ontology.json`` is built a second time.
+        ontology, tokens = dataset.ontology, collect_system_tokens(dataset.turns)
+        slots = [slot for slot in ontology.slots if len(ontology.slot_values(slot)) >= 2]
+        assert len(slots) >= 2
+        models = {slot: SlotValueModel.build(CFG, ontology, slot, tokens, store) for slot in slots}
+        out = tmp_path / "ckpt"
+        save_checkpoint_dir(out, fresh_step1(dataset, store), models, CFG, train_log={})
+        counts = Counter()
+        apply, build = config_module._apply, Ontology.from_json_dict.__func__
+        monkeypatch.setattr(config_module, "_apply", lambda *args: counts.update(["config"]) or apply(*args))
+        monkeypatch.setattr(Ontology, "from_json_dict",
+                            classmethod(lambda cls, doc: counts.update(["ontology"]) or build(cls, doc)))
+        _, slot_models, _ = load_checkpoint_dir(out, store)
+        assert list(slot_models) == slots
+        assert counts == {"config": 1, "ontology": 2}
+
     def test_mismatched_ontology_rejected(self, tmp_path, dataset, store):
         step1 = fresh_step1(dataset, store)
         out = tmp_path / "ckpt"
-        save_checkpoint_dir(out, step1, {}, CFG)
+        save_checkpoint_dir(out, step1, {}, CFG, train_log={})
         # Overwrite the ontology file with a different one.
         other = synthetic_dataset(3, 3, seed=77).subset(["synth-000"], "one dialogue").ontology
         (out / "ontology.json").write_text(json.dumps(other.to_json_dict()), encoding="utf-8")
@@ -354,7 +410,7 @@ class TestCheckpointDir:
                              ids=["not-utf8", "bad-json", "list", "acts-number"])
     def test_corrupt_ontology_file_is_a_format_error(self, tmp_path, dataset, store, blob):
         out = tmp_path / "ckpt"
-        save_checkpoint_dir(out, fresh_step1(dataset, store), {}, CFG)
+        save_checkpoint_dir(out, fresh_step1(dataset, store), {}, CFG, train_log={})
         (out / "ontology.json").write_bytes(blob)
         with pytest.raises(DataFormatError):
             load_checkpoint_dir(out, store)
@@ -370,7 +426,7 @@ class TestCheckpointDir:
                 tensor.data += rng.uniform(-1, 1, tensor.shape)
         new, old = tmp_path / "new", tmp_path / "old"
         for out in (new, old):
-            save_checkpoint_dir(out, fresh_step1(dataset, store), models, CFG)
+            save_checkpoint_dir(out, fresh_step1(dataset, store), models, CFG, train_log={})
         for path in old.glob("*.ckpt"):
             kind, params, meta = load_container(path)
             meta.update(seed=CFG.seed, config_hash=config_hash(CFG), ontology_hash=ontology_hash(ontology))
@@ -394,7 +450,7 @@ class TestCheckpointDir:
     def test_a_checkpoint_meta_holds_only_what_cannot_be_derived(self, tmp_path, dataset, store):
         model = SlotValueModel.build(CFG, dataset.ontology, "pricerange", collect_system_tokens(dataset.turns), store)
         out = tmp_path / "ckpt"
-        save_checkpoint_dir(out, fresh_step1(dataset, store), {"pricerange": model}, CFG)
+        save_checkpoint_dir(out, fresh_step1(dataset, store), {"pricerange": model}, CFG, train_log={})
         common = {"config_text", "ontology", "store_fingerprint", "system_tokens"}
         assert set(load_container(out / "step1.ckpt")[2]) == common
         assert set(load_container(out / slot_file("pricerange"))[2]) == common | {"slot"}
@@ -409,7 +465,7 @@ def _reloaded(tmp_path, dataset, store):
         for tensor in model.parameters().values():
             tensor.data += rng.uniform(-1, 1, tensor.shape)
     step1 = fresh_step1(dataset, store)
-    save_checkpoint_dir(tmp_path, step1, slots, CFG)
+    save_checkpoint_dir(tmp_path, step1, slots, CFG, train_log={})
     loaded_step1, loaded_slots, _ = load_checkpoint_dir(tmp_path, store)
     return (step1, slots), (loaded_step1, loaded_slots)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbestslu import checkpoint, cli, training
+from nbestslu import cli, training
 from nbestslu.autograd import Tensor, mul, nll_loss
 from nbestslu.checkpoint import MAGIC, load_container, save_container
 from nbestslu.cli import main
@@ -143,12 +143,28 @@ class TestPipeline:
                     "--config", workspace["config"]]) == 0
         assert run(["train", dataset, ckpt, "--config", workspace["config"], "--step1-only"]) == 0
         parsed = []
-        for module in (cli, checkpoint):
-            original = module.parse_config_file
-            monkeypatch.setattr(module, "parse_config_file",
-                                lambda path, original=original: parsed.append(path) or original(path))
+        original = cli.parse_config_file
+        monkeypatch.setattr(cli, "parse_config_file", lambda path: parsed.append(path) or original(path))
         assert run(["decode", ckpt, dataset, tmp / "step1.frames", "--step1-only"]) == 0
         assert parsed == [ckpt / "config.txt"]
+
+    def test_decode_after_the_vectors_move_writes_the_same_frames(self, workspace):
+        # ``config.txt`` only locates the vectors; the frames carry the config hash of the run that
+        # made the models, so pointing it at the moved file changes no byte.
+        tmp = workspace["tmp"]
+        dataset, ckpt = tmp / "mini.ds", tmp / "ckpt"
+        assert run(["import", workspace["root"], workspace["flist"], dataset,
+                    "--config", workspace["config"]]) == 0
+        assert run(["train", dataset, ckpt, "--config", workspace["config"]]) == 0
+        assert run(["decode", ckpt, dataset, tmp / "before.frames"]) == 0
+        moved = tmp / "moved" / "vectors.txt"
+        moved.parent.mkdir()
+        (tmp / "vectors.txt").rename(moved)
+        config = (ckpt / "config.txt").read_text(encoding="utf-8")
+        assert f"embeddings = {tmp / 'vectors.txt'}\n" in config
+        (ckpt / "config.txt").write_text(config.replace(str(tmp / "vectors.txt"), str(moved)), encoding="utf-8")
+        assert run(["decode", ckpt, dataset, tmp / "after.frames"]) == 0
+        assert (tmp / "after.frames").read_bytes() == (tmp / "before.frames").read_bytes()
 
     def test_perfect_frames_oracle_round_trip(self, workspace, capsys):
         tmp = workspace["tmp"]
@@ -340,9 +356,9 @@ class TestExitCodes:
         assert not (tmp_path / "out.frames").exists()
 
     def test_a_non_finite_training_loss_is_three(self, workspace, tmp_path, capsys, monkeypatch):
-        # A non-finite loss comes with a NaN gradient, as a saturated softmax gives, and the
-        # optimizer refuses that gradient before any parameter moves.  Every probability the
-        # loss reads is NaN here.
+        # A non-finite loss comes with a NaN gradient, and the optimizer refuses that gradient
+        # before any parameter moves.  Every probability the loss reads is NaN here; a saturated
+        # softmax gives a finite loss instead (``autograd.PROB_FLOOR``).
         dataset = tmp_path / "mini.ds"
         assert run(["import", workspace["root"], workspace["flist"], dataset,
                     "--config", workspace["config"]]) == 0

@@ -151,6 +151,23 @@ class TestLookup:
         assert table.system_row_indices(tokens)[2] == 0
         np.testing.assert_array_equal(rows[2], table.system_matrix[0])
 
+    @pytest.mark.parametrize("system_tokens", [[], ["offer"], ["zz", "offer", "aa", "name", "mm"], ["aa", "bb"]],
+                             ids=["none", "pretrained", "mixed", "unseen"])
+    def test_the_system_block_is_the_row_by_row_draws(self, system_tokens):
+        # One draw for row 0 and the unseen tokens takes the stream values that one draw per row,
+        # in row order, takes: ``Generator.uniform`` uses one 64-bit output per float64.
+        tokens = ["north", "south", "cheap", "offer", "name"]
+        matrix = np.arange(25, dtype=float).reshape(5, 5)
+        table = EmbeddingTable(tokens, matrix)
+        table.prepare_runtime_rows(system_tokens, Initializer(np.random.default_rng(7)))
+        init = Initializer(np.random.default_rng(7))
+        oov = init.draw(5)
+        rows = [init.uniform(5)] + [matrix[tokens.index(token)] if token in tokens else init.uniform(5)
+                                    for token in sorted(set(system_tokens))]
+        np.testing.assert_array_equal(table.hypothesis_oov_vector, oov)
+        np.testing.assert_array_equal(table.system_matrix, np.stack(rows))
+        assert table.system_tokens == tuple(sorted(set(system_tokens)))
+
     def test_lookup_before_prepare_is_a_state_error(self):
         table = EmbeddingTable(["a"], np.zeros((1, 3)))
         with pytest.raises(ModelStateError):

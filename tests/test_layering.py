@@ -123,13 +123,24 @@ def defaulted_parameters(source: str, filename: str) -> list[tuple[str, str, int
 
 
 def calls_by_name(paths) -> dict[str, list[ast.Call]]:
-    """Every call in ``paths`` to a plain or attribute name, keyed by that name."""
+    """Every call in ``paths`` to a plain or attribute name, keyed by that name.
+
+    A call ``helper(f, *args, **kwargs)`` whose first argument is a name also
+    counts as a call of ``f`` with the remaining arguments: the benchmark hands
+    the functions it times to ``Ops.call`` and ``Run._required`` that way.
+    """
     calls: dict[str, list[ast.Call]] = {}
+
+    def add(func, call: ast.Call) -> None:
+        if isinstance(func, (ast.Name, ast.Attribute)):
+            calls.setdefault(func.id if isinstance(func, ast.Name) else func.attr, []).append(call)
+
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                calls.setdefault(name, []).append(node)
+            if isinstance(node, ast.Call):
+                add(node.func, node)
+                if node.args:
+                    add(node.args[0], ast.Call(node.args[0], node.args[1:], node.keywords))
     return calls
 
 
@@ -229,27 +240,11 @@ def test_only_the_model_and_the_optimizer_write_parameter_values():
     assert (writes, rebinds) == ([], [])
 
 
-def names_used_as_values(paths) -> set[str]:
-    """Every plain or attribute name in ``paths`` that is read other than as the function of a call."""
-    names = set()
-    for path in paths:
-        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))))
-        called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
-        names.update(node.id if isinstance(node, ast.Name) else node.attr for node in nodes
-                     if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-                     and id(node) not in called)
-    return names
-
-
 def test_no_default_is_left_to_the_tests_alone():
-    # A default that every call outside the tests overrides is a setting only tests take.  A
-    # function passed as a value (the benchmark hands ``load_checkpoint_dir`` to a helper) may
-    # be called with its defaults, so its parameters count as taken.
-    paths = caller_paths()
-    calls, values = calls_by_name(paths), names_used_as_values(paths)
+    # A default that every call outside the tests overrides is a setting only tests take.
+    calls = calls_by_name(caller_paths())
     overridden = [f"{path.name}: {function}({parameter})"
                   for path in sorted(PACKAGE.glob("*.py"))
                   for function, parameter, position in defaulted_parameters(path.read_text(encoding="utf-8"), path.name)
-                  if function not in values and calls.get(function)
-                  and all(passes(call, parameter, position) for call in calls[function])]
+                  if calls.get(function) and all(passes(call, parameter, position) for call in calls[function])]
     assert overridden == [], f"every call outside the tests sets these parameters: {overridden}"

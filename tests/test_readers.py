@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbestslu.checkpoint import MAGIC, SLOT_KIND, STEP1_KIND, load_container, load_model, save_container, save_model
+from nbestslu.checkpoint import (MAGIC, SLOT_KIND, STEP1_FILE, STEP1_KIND, load_checkpoint_dir, load_container,
+                                 save_container, save_model, slot_file)
 from nbestslu.config import RunConfig, parse_config_file, parse_config_text
 from nbestslu.data import collect_system_tokens, import_dstc2, read_canonical, read_turns
 from nbestslu.decoder import read_frames
@@ -278,14 +279,20 @@ def test_checkpoint_meta_with_one_value_replaced(scratch, saved_models, kind, da
     stored, store = saved_models
     _, params, meta = stored[kind]
     where = data.draw(_where(meta), label="where")
-    path = scratch / "meta.ckpt"
+    # A model file is read as a directory's run: step one's file alone, or a slot file beside it.
+    run = scratch / "run"
+    run.mkdir(exist_ok=True)
+    path = run / STEP1_FILE
+    if kind == SLOT_KIND:
+        save_container(path, *stored[STEP1_KIND])
+        path = run / slot_file("pricerange")
     # ``save_container``'s layout, with a meta value it would refuse to write (NaN, Infinity) allowed.
     header = {"kind": kind, "meta": _replaced(meta, where, data.draw(JSON, label="value")),
               "params": [{"name": name, "shape": list(array.shape)} for name, array in params.items()]}
     payload = dumps(header).encode()
     blob = b"".join(array.astype("<f8").tobytes() for array in params.values())
     path.write_bytes(MAGIC + f"{len(payload)}\n".encode() + payload + b"\n" + blob)
-    _accepts_or_raises_slu_error(load_model, path, store, kind)
+    _accepts_or_raises_slu_error(load_checkpoint_dir, run, store)
 
 
 @pytest.fixture(scope="module")
