@@ -2,27 +2,31 @@
 
 The tape is deliberately small: it covers exactly the operations the
 semantic decoder composes (affine maps, tanh/sigmoid nonlinearities,
-softmax heads with negative log-likelihood, max pooling with argmax
-routing, inverted dropout, stacking tensors along a new first axis and
-splitting them along it, elementwise sums and products) plus two fused
-ops with hand-written backward passes, each reading its inputs as rows
-of a table through an index: the n-best convolution (``conv_nbest``,
-one node per batch of n-best lists, which projects each distinct word of
-the batch once, pools pre-activations by max, and finds the argmax only
-in backward, where it scatters the gradient back onto the projections)
-and the LSTM (``lstm_sequence``, one packed kernel over a batch of whole
-sequences, which gathers its embedding rows once and reads the gate
-weights where ``context.LstmParams`` stores them, stacked gate-major).
+softmax with negative log-likelihood, max pooling with argmax routing,
+inverted dropout, stacking tensors along a new first axis and splitting
+them along it or into blocks of columns, elementwise sums and products)
+plus three fused ops with hand-written backward passes.  Two read their
+inputs as rows of a table through an index: the n-best convolution
+(``conv_nbest``, one node per batch of n-best lists, which projects each
+distinct word of the batch once, pools pre-activations by max, and finds
+the argmax only in backward, where it scatters the gradient back onto
+the projections) and the LSTM (``lstm_sequence``, one packed kernel over
+a batch of whole sequences, which gathers its embedding rows once and
+reads the gate weights where ``context.LstmParams`` stores them, stacked
+gate-major).  The third is a model's softmax heads (``softmax_heads``,
+one product over the heads' stacked weights, then a softmax per head's
+block of columns, whose gradients land on each head's own row block).
 
 Ops take ``Tensor`` inputs; only index, length, weight and target
-arguments are plain arrays.  Affine maps, softmax and the negative
-log-likelihood take one vector or a batch of B rows, [B, ...]: decoding
-reads one turn's vector, while a training mini-batch stacks its hidden
-vectors into rows, so each head and each loss term is one node for the
-whole batch and the loss sums its rows.  Each op records a closure that
-routes the upstream gradient to its inputs, and stamps the node with a
-serial number.  A node is always recorded after its inputs, so creation
-order is a topological order (the tape is a Wengert list):
+arguments are plain arrays.  Affine maps, softmax, the heads and the
+negative log-likelihood take one vector or a batch of B rows, [B, ...]:
+decoding reads one turn's vector, while a training mini-batch stacks its
+hidden vectors into rows, so a model's heads are one node for the whole
+batch, and so is its loss, which sums one term per head and row.  Each
+op records a closure that routes the upstream gradient to its inputs,
+and stamps the node with a serial number.  A node is always recorded
+after its inputs, so creation order is a topological order (the tape is
+a Wengert list):
 ``Tensor.backward`` runs from a scalar loss, seeded with gradient 1, and
 replays the reachable closures in reverse serial order, leaving
 gradients on every input that asked for them.
@@ -116,11 +120,13 @@ _serials = itertools.count()
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backprop) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backprop = backprop
-        out._serial = next(_serials)
+    for p in parents:  # a loop, not any(): its generator costs about as much as the rest of a node
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backprop = backprop
+            out._serial = next(_serials)
+            break
     return out
 
 
@@ -300,26 +306,73 @@ def nll_loss(probs: Tensor, target) -> Tensor:
     """Negative log-likelihood of ``target`` under a probability vector.
 
     Over [B, C] rows of probabilities, ``target`` holds one class per row
-    and the result is the sum of the rows' negative log-likelihoods.
+    and the result is the sum of the rows' negative log-likelihoods.  A
+    [B, K] ``target`` picks K columns of each row instead, one per
+    distribution that ``softmax_heads`` lays side by side, and the result
+    sums every pick's negative log-likelihood; a column picked twice counts
+    twice.
     """
     targets = np.asarray(target, dtype=np.int64)
-    if probs.ndim not in (1, 2) or targets.shape != probs.shape[:-1]:
-        raise ShapeMismatchError(f"nll_loss needs one target per row of probabilities, got targets "
-                                 f"{targets.shape} for probabilities {probs.shape}")
+    if not (targets.shape == probs.shape[:-1] and probs.ndim in (1, 2)
+            or probs.ndim == targets.ndim == 2 and len(targets) == len(probs.data)):
+        raise ShapeMismatchError(f"nll_loss needs one target per row of probabilities, or [B, K] targets for "
+                                 f"[B, C] rows, got targets {targets.shape} for probabilities {probs.shape}")
     classes = probs.shape[-1]
     if not np.all((0 <= targets) & (targets < classes)):
         raise DomainError(f"targets {targets.tolist()} out of range for {classes} classes")
     rows = probs.data.reshape(-1, classes)
-    picked = np.arange(len(rows)), targets.reshape(-1)
+    picked = np.arange(len(rows))[:, None], targets.reshape(len(rows), -1)
     p = rows[picked]
     out = np.asarray(-np.log(p).sum())
 
     def backprop(g: np.ndarray) -> None:
         contribution = np.zeros_like(rows)
-        contribution[picked] = -float(g) / p
+        np.add.at(contribution, picked, -float(g) / p)
         _accumulate(probs, contribution.reshape(probs.shape))
 
     return _make(out, (probs,), backprop)
+
+
+def softmax_heads(x: Tensor, stacked, heads: Sequence[tuple[Tensor, Tensor]], starts, sizes) -> Tensor:
+    """Several softmax heads over one input, side by side: [C] for a vector, [B, C] for [B, H] rows.
+
+    ``stacked`` = (W [C, H], b [C]) holds head k's weight and bias in its
+    ``sizes[k]`` rows from row ``starts[k]``; ``heads`` are the (weight,
+    bias) row-block views of those arrays that receive the gradients.  One
+    affine map gives every logit, and each head's block of columns is then
+    a softmax of its own, as ``softmax`` computes it (maximum subtracted,
+    floored at ``PROB_FLOOR``).  The stacked product can round some logits
+    apart from one head's own product, and a block of three or more
+    classes sums its exponentials in another order, so results can differ
+    from ``softmax(affine(...))`` per head in the last bits.
+
+    Backward: dZ is each block's softmax gradient, the probabilities times
+    g less the block's sum of g times the probabilities; one product gives
+    dW, added row block by row block onto the heads, and one gives dx, as
+    in ``affine``; db is dZ, summed over rows.
+    """
+    weight, bias = stacked
+    if x.ndim not in (1, 2) or x.shape[-1] != weight.shape[1]:
+        raise ShapeMismatchError(f"softmax_heads input {x.shape} does not fit stacked weights {weight.shape}")
+    rows = x.ndim == 2
+    logits = x.data @ weight.T if rows else weight @ x.data
+    logits += bias
+    logits -= np.maximum.reduceat(logits, starts, axis=-1).repeat(sizes, axis=-1)
+    exps = np.exp(logits, out=logits)
+    exps /= np.add.reduceat(exps, starts, axis=-1).repeat(sizes, axis=-1)
+    probs = np.maximum(exps, PROB_FLOOR, out=exps)
+
+    def backprop(g: np.ndarray) -> None:
+        dlogits = probs * (g - np.add.reduceat(g * probs, starts, axis=-1).repeat(sizes, axis=-1))
+        dweight = dlogits.T @ x.data if rows else np.outer(dlogits, x.data)
+        dbias = dlogits.sum(axis=0) if rows else dlogits
+        for (w, b), start, end in zip(heads, starts.tolist(), (starts + sizes).tolist()):
+            _accumulate(w, dweight[start:end])
+            _accumulate(b, dbias[start:end])
+        if x.requires_grad:
+            _accumulate(x, dlogits @ weight if rows else weight.T @ dlogits)
+
+    return _make(probs, (x, *(t for pair in heads for t in pair)), backprop)
 
 
 def max_pool(t: Tensor) -> tuple[Tensor, int]:
@@ -404,11 +457,16 @@ def conv_nbest(rows, index, lengths, weights, filters: Sequence[tuple[Tensor, Te
         responses.append(maps)
     peaks = [maps.max(axis=0) for maps in responses]
     pooled = np.tanh(np.concatenate(peaks, axis=1))
-    # Each list's weighted rows are added strictly in order, as the list alone adds them; accumulate
-    # does, where sum may pair them.
     weighted = pooled * weights[:, None]
+
+    def total(block: np.ndarray) -> np.ndarray:
+        # A list's weighted rows are added strictly in order, as the list alone adds them.  Reducing
+        # the first axis of two or more columns adds whole rows in order; one column is one contiguous
+        # run, which numpy sums pairwise, so it is accumulated instead.
+        return np.add.reduce(block) if block.shape[1] > 1 else np.add.accumulate(block)[-1]
+
     ends = np.cumsum(sizes).tolist()
-    out = np.array([np.add.accumulate(weighted[end - size : end])[-1] for end, size in zip(ends, sizes.tolist())])
+    out = np.array([total(weighted[end - size : end]) for end, size in zip(ends, sizes.tolist())])
 
     def backprop(g: np.ndarray) -> None:
         dpooled = weights[:, None] * g[np.repeat(np.arange(len(sizes)), sizes)] * (1.0 - pooled * pooled)
@@ -589,6 +647,26 @@ def unstack(t: Tensor) -> tuple[Tensor, ...]:
         return _make(t.data[k], (t,), backprop)
 
     return tuple(row(k) for k in range(len(t.data)))
+
+
+def split(t: Tensor, starts) -> tuple[Tensor, ...]:
+    """Blocks of columns of a tensor's last axis as separate tensors, block k from ``starts[k]`` to the next start.
+
+    ``softmax_heads``' output splits into its heads' distributions this way;
+    each block's data is a view of ``t``'s, and backward adds each block's
+    gradient into its columns.
+    """
+    bounds = [*starts, t.shape[-1]]
+
+    def block(start: int, end: int) -> Tensor:
+        def backprop(g: np.ndarray) -> None:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad[..., start:end] += g
+
+        return _make(t.data[..., start:end], (t,), backprop)
+
+    return tuple(block(start, end) for start, end in zip(bounds, bounds[1:]))
 
 
 def dropout_apply(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

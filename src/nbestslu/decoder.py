@@ -1,8 +1,9 @@
 """Two-step semantic decoding.
 
-Step one reads the combined hidden vector through the joint heads: the
-act label is the argmax of the act head, and a slot counts as detected
-when its presence probability exceeds one half.  Step two asks each
+Step one reads the combined hidden vector through the joint heads, one
+stacked product and softmax (``StepOneModel.head_probs``): the act
+label is the argmax of the act head, and a slot counts as detected when
+its presence probability exceeds one half.  Step two asks each
 detected slot's value model for the most probable value.  Item
 confidences compose multiplicatively: a slot-value item carries
 P(present) * P(value | slot), the act item carries P(act).
@@ -14,7 +15,10 @@ them.  ``decode_turn`` is a list of one.  The predictors return plain
 arrays and floats; ``predict_values`` takes step two's argmax.  Nothing
 is kept from one call to the next.  A batched LSTM run may round in the
 last bits differently from a run over fewer turns, so a turn's
-confidences can depend that far on the list it was decoded in.
+confidences can depend that far on the list it was decoded in.  The
+stacked head product rounds some logits apart from one product per
+head, so a checkpoint decodes to confidences within a few units in the
+last place of what versions with per-head products decoded.
 """
 
 from __future__ import annotations

@@ -108,10 +108,9 @@ class EmbeddingTable:
     def hypothesis_rows(self, tokens: Sequence[str]) -> np.ndarray:
         """Frozen vectors for hypothesis tokens; OOV tokens share one row."""
         self._require_runtime()
-        out = np.empty((len(tokens), self.dim), dtype=np.float64)
-        for i, token in enumerate(tokens):
-            col = self._index.get(token)
-            out[i] = self._frozen[col] if col is not None else self._oov_vector
+        cols = np.array([self._index.get(token, -1) for token in tokens], dtype=np.int64)
+        out = self._frozen.take(cols, axis=0)  # an OOV token's -1 reads the last row; the next line replaces it
+        out[cols < 0] = self._oov_vector
         return out
 
     def system_row_indices(self, tokens: Sequence[str]) -> np.ndarray:

@@ -12,9 +12,11 @@ Five variants cover the studied configurations:
 The joint model reads one hidden vector (the combined vector, or the
 sentence vector for ``cnn``) through an act head and one presence head
 per slot; each slot-value model reads its own hidden vector through a
-single head over that slot's value inventory.  Nothing checks the
-parameters per prediction: loading refuses a checkpoint with a non-finite
-value, and an optimizer step refuses a non-finite gradient.
+single head over that slot's value inventory.  A model's heads are one
+stacked weight and bias, so one product and one softmax per head's
+block of columns (``autograd.softmax_heads``) read them all.  Nothing
+checks the parameters per prediction: loading refuses a checkpoint with
+a non-finite value, and an optimizer step refuses a non-finite gradient.
 """
 
 from __future__ import annotations
@@ -128,7 +130,12 @@ class TurnEncoder:
 class HeadedModel:
     """A turn encoder read through an ordered set of softmax heads.
 
-    Heads are (weight, bias) pairs keyed by their parameter prefix; the
+    Heads are (weight, bias) pairs keyed by their parameter prefix.  Their
+    values live stacked in head order in ``stacked`` = (W [C, H], b [C]),
+    C the heads' classes together, head k's ``sizes[k]`` rows from row
+    ``starts[k]``.  Each pair is a row-block view of those arrays, as
+    ``context.LstmParams`` keeps its gates, so every write to a head must
+    be in place; ``probs`` reads them all through one product.  The
     encoder and then every head, in order, draw their initial values from
     the ``INIT`` substream of the run seed extended by ``stream``.  A model
     is rebuilt from its config, ontology, system tokens and store alone.
@@ -142,10 +149,14 @@ class HeadedModel:
         self.config = config
         self.ontology = ontology
         self.encoder = TurnEncoder(config, store, system_tokens, init)
+        self.sizes = np.array([classes for _, classes in heads])
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.stacked = (np.empty((self.sizes.sum(), self.encoder.out_dim)), np.zeros(self.sizes.sum()))
         self.heads: dict[str, tuple[Tensor, Tensor]] = {}
-        for name, classes in heads:
-            weight = Tensor(init.uniform((classes, self.encoder.out_dim)), requires_grad=True, name=f"{name}.w")
-            self.heads[name] = (weight, Tensor(np.zeros(classes), requires_grad=True, name=f"{name}.b"))
+        for (name, classes), start in zip(heads, self.starts.tolist()):
+            weight, bias = (array[start : start + classes] for array in self.stacked)
+            self.heads[name] = (Tensor(init.fill(weight), requires_grad=True, name=f"{name}.w"),
+                                Tensor(bias, requires_grad=True, name=f"{name}.b"))
 
     @classmethod
     def build(cls, *args, **kwargs):
@@ -173,11 +184,11 @@ class HeadedModel:
         """Read the (name, shape) ``entries``' little-endian float64 values from ``handle`` into the parameters.
 
         Each is read straight into its parameter's array, since the LSTM gate
-        tensors view ``LstmParams.stacked`` and ``embed.system`` is the
-        table's block.  This is the one finiteness check of loaded values
-        (the optimizer refuses a non-finite gradient).  The OOV row is
-        checked, not written: the seed draws it.  A refused read leaves the
-        parameters read before it in place.
+        tensors view ``LstmParams.stacked``, the heads view ``stacked`` and
+        ``embed.system`` is the table's block.  This is the one finiteness
+        check of loaded values (the optimizer refuses a non-finite
+        gradient).  The OOV row is checked, not written: the seed draws it.
+        A refused read leaves the parameters read before it in place.
         """
         params = self.parameters()
         names, expected = {name for name, _ in entries}, set(params) | {HYP_OOV}
@@ -196,9 +207,13 @@ class HeadedModel:
             if name == HYP_OOV and not np.array_equal(self.encoder.table.hypothesis_oov_vector, target):
                 raise ConfigError(f"{where}: checkpoint was written against a different embedding store or seed")
 
-    def probs(self, head: str, hidden: Tensor) -> Tensor:
-        """Softmax distribution of one head over a hidden vector, or one per row of [B, H] hidden vectors."""
-        return ag.softmax(ag.affine(hidden, *self.heads[head]))
+    def probs(self, hidden: Tensor) -> Tensor:
+        """Every head's distribution over a hidden vector, side by side in one [C] tensor, or [B, C] over [B, H].
+
+        It is one ``autograd.softmax_heads`` node: head k's classes are its
+        ``sizes[k]`` columns from column ``starts[k]``.
+        """
+        return ag.softmax_heads(hidden, self.stacked, list(self.heads.values()), self.starts, self.sizes)
 
 
 class StepOneModel(HeadedModel):
@@ -212,9 +227,12 @@ class StepOneModel(HeadedModel):
         super().__init__(config, ontology, system_tokens, store, heads, skeleton=skeleton)
 
     def head_probs(self, hidden: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
-        """Softmax distributions of every head over one combined vector, or over each row of [B, H]."""
-        act = self.probs("head.act", hidden)
-        return act, {slot: self.probs(f"head.slot.{slot}", hidden) for slot in self.ontology.slots}
+        """Softmax distributions of every head over one combined vector, or over each row of [B, H].
+
+        Each is a block of ``probs``' one output, split off by ``autograd.split``.
+        """
+        act, *slots = ag.split(self.probs(hidden), self.starts)
+        return act, dict(zip(self.ontology.slots, slots))
 
 
 class SlotValueModel(HeadedModel):
@@ -231,4 +249,5 @@ class SlotValueModel(HeadedModel):
                          stream=(ontology.slots.index(slot) + 1,), skeleton=skeleton)
 
     def value_probs(self, hidden: Tensor) -> Tensor:
-        return self.probs(f"head.value.{self.slot}", hidden)
+        """The distribution over ``values``: ``probs`` of the model's one head."""
+        return self.probs(hidden)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import decoder
 from . import rng as rng_mod
-from .autograd import Tensor, add_n, dropout_apply, nll_loss, stack
+from .autograd import Tensor, dropout_apply, nll_loss, stack
 from .config import RunConfig
 from .data import Dataset, Turn, collect_system_tokens, make_folds, split_turns
 from .errors import DomainError
@@ -151,19 +151,17 @@ def train_step1(
         log.notes.append("dataset has a single dialogue; trained without validation split")
 
     ontology = model.ontology
+    # The columns of ``probs`` the loss reads: each head's start plus its target class; the act head's alone
+    # when ``act_only``.
+    starts = model.starts[:1] if config.act_only else model.starts
 
-    def target_of(turn: Turn) -> tuple[int, tuple[int, ...]]:
+    def target_of(turn: Turn) -> tuple[int, ...]:
         present = {s for s, _ in turn.reference.pairs}
         act = ontology.act_index(ontology.act_label(turn.reference.act_pattern))
-        return act, tuple(int(slot in present) for slot in ontology.slots)
+        return (act, *(int(slot in present) for slot in ontology.slots))[: len(starts)]
 
     def loss_fn(model: StepOneModel, hidden: Tensor, targets) -> Tensor:
-        acts, presence = zip(*targets)
-        act_probs, slot_probs = model.head_probs(hidden)
-        terms = [nll_loss(act_probs, acts)]
-        if not config.act_only:
-            terms += [nll_loss(slot_probs[slot], column) for slot, column in zip(ontology.slots, zip(*presence))]
-        return add_n(terms)
+        return nll_loss(model.probs(hidden), np.add(targets, starts))
 
     _run_epochs(
         model=model,

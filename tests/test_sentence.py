@@ -121,6 +121,22 @@ class TestEncodeSentence:
             out = encode_sentence(NBestList(tuple(perm)), self.table, self.bank).data
             np.testing.assert_array_equal(out, base)
 
+    def test_one_feature_sums_a_long_list_strictly_in_order(self):
+        # One window and one map make a list's weighted rows one column, which numpy sums pairwise from
+        # eight rows on.  Dyadic vectors and filter weights make every pre-activation exact, so each
+        # hypothesis pools alone to the bits it pools to in the list.
+        rng = np.random.default_rng(15)
+        table = tiny_table({t: list(rng.integers(-4, 5, 3) / 4) for t in "abcdef"})
+        bank = single_filter_bank(3, 2, rng.integers(-4, 5, 6) / 8, bias=0.125)
+        nbest = NBestList(tuple(Hypothesis(tuple(rng.choice(list("abcdef"), size=int(rng.integers(2, 6)))),
+                                           float(rng.uniform(0.05, 1))) for _ in range(12)))
+        terms = [weight * encode_hypothesis(hyp.tokens, table, bank).data
+                 for hyp, weight in zip(nbest.hyps, nbest.weights)]
+        strict = terms[0]
+        for term in terms[1:]:
+            strict = strict + term
+        assert encode_sentence(nbest, table, bank).data.tobytes() == strict.tobytes()
+
     def test_invariance_under_uniform_confidence_rescaling(self):
         hyps = (Hypothesis(("i", "want"), 0.6), Hypothesis(("cheap", "food"), 0.4))
         base = encode_sentence(NBestList(hyps), self.table, self.bank).data

@@ -244,7 +244,7 @@ def act_examples(model, turns):
 
 
 def act_loss(model, hidden, target):
-    return nll_loss(model.probs("head.act", hidden), target)
+    return nll_loss(model.head_probs(hidden)[0], target)
 
 
 def tape_nodes(out):
